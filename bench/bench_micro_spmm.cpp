@@ -75,14 +75,13 @@ BM_OmegaThroughput(benchmark::State &state)
     for (auto _ : state) {
         OmegaNetwork net(ports, 8, 2);
         for (int cycle = 0; cycle < 256; ++cycle) {
-            net.tick(cycle, [&](const Flit &, int) {
+            net.tick(cycle, [&](const Task &, int) {
                 ++delivered;
                 return true;
             });
             for (int s = 0; s < ports; ++s) {
                 int d = rng.nextIndex(ports);
-                net.inject(Flit{Task{static_cast<Index>(d), 1, 1, d}, d},
-                           s);
+                net.inject(Task{static_cast<Index>(d), d}, s);
             }
         }
         benchmark::DoNotOptimize(delivered);

@@ -43,10 +43,10 @@ OmegaNetwork::shuffle(int port) const
 }
 
 bool
-OmegaNetwork::inject(const Flit &flit, int src)
+OmegaNetwork::inject(const Task &task, int src)
 {
-    Fifo<Flit> &buf = buffers_[0][static_cast<std::size_t>(shuffle(src))];
-    if (!buf.push(flit)) return false;
+    Fifo<Task> &buf = buffers_[0][static_cast<std::size_t>(shuffle(src))];
+    if (!buf.push(task)) return false;
     ++stageCount_[0];
     roundPeak_ = std::max(roundPeak_, buf.size());
     return true;
@@ -80,11 +80,11 @@ OmegaNetwork::tick(Cycle, const Sink &sink)
                 bool progressed = false;
                 for (int i = 0; i < 2; ++i) {
                     int in_port = 2 * r + ((rr + i) & 1);
-                    Fifo<Flit> &buf =
+                    Fifo<Task> &buf =
                         stage[static_cast<std::size_t>(in_port)];
                     if (buf.empty()) continue;
-                    const Flit &head = buf.front();
-                    int bit = (head.destPe >> dest_bit) & 1;
+                    const Task &head = buf.front();
+                    int bit = (head.homePe >> dest_bit) & 1;
                     if (out_used[bit] >= speedup_) {
                         ++blocked_;
                         continue;
@@ -102,7 +102,7 @@ OmegaNetwork::tick(Cycle, const Sink &sink)
                         }
                     } else {
                         int next_in = shuffle(out_port);
-                        Fifo<Flit> &next =
+                        Fifo<Task> &next =
                             buffers_[static_cast<std::size_t>(s + 1)]
                                     [static_cast<std::size_t>(next_in)];
                         if (next.push(head)) {
@@ -137,16 +137,6 @@ OmegaNetwork::empty() const
     for (Count c : stageCount_)
         if (c != 0) return false;
     return true;
-}
-
-std::size_t
-OmegaNetwork::peakBufferDepth() const
-{
-    std::size_t m = 0;
-    for (const auto &stage : buffers_)
-        for (const auto &buf : stage)
-            m = std::max(m, buf.peakOccupancy());
-    return m;
 }
 
 } // namespace awb

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "accel/task.hpp"
-#include "common/stats.hpp"
 #include "sim/fifo.hpp"
 
 namespace awb {
@@ -35,14 +34,16 @@ class OmegaNetwork
      */
     OmegaNetwork(int ports, int buffer_depth, int speedup = 2);
 
-    /** Destination port the sink callback will see for a flit. */
-    using Sink = std::function<bool(const Flit &, int out_port)>;
+    /** Receives each task leaving the fabric with its output port,
+     *  which always equals the task's `homePe`. */
+    using Sink = std::function<bool(const Task &, int out_port)>;
 
     /**
-     * Offer a flit at input port `src`. Returns false when the stage-0
-     * buffer on that path is full (caller retries next cycle).
+     * Offer a task at input port `src`; it is routed to output port
+     * `task.homePe`. Returns false when the stage-0 buffer on that path
+     * is full (caller retries next cycle).
      */
-    bool inject(const Flit &flit, int src);
+    bool inject(const Task &task, int src);
 
     /**
      * One clock: stages advance in back-to-front order, each router moving
@@ -70,9 +71,6 @@ class OmegaNetwork
      */
     void setArbitration(int parity);
 
-    /** Largest buffer occupancy seen anywhere (area model input). */
-    std::size_t peakBufferDepth() const;
-
     /**
      * Largest buffer occupancy since the last resetRoundPeak(). The
      * fabric is empty at every round boundary and `Fifo` peaks only
@@ -98,7 +96,7 @@ class OmegaNetwork
     int bufferDepth_;
     int speedup_;
     /** buffers_[s][p]: input buffer of stage s at port p. */
-    std::vector<std::vector<Fifo<Flit>>> buffers_;
+    std::vector<std::vector<Fifo<Task>>> buffers_;
     /**
      * Input-priority toggle shared by every router. Each router used to
      * carry its own bit, but all of them start at 0 and flip exactly

@@ -5,8 +5,7 @@
 namespace awb {
 
 Pe::Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency)
-    : id_(id), macLatency_(mac_latency),
-      stats_("pe" + std::to_string(id) + ".")
+    : id_(id), macLatency_(mac_latency)
 {
     if (num_queues < 1) num_queues = 1;
     queues_.reserve(static_cast<std::size_t>(num_queues));
@@ -48,7 +47,7 @@ Pe::enqueue(const Task &task)
         if (best == nullptr || q.size() < best->size()) best = &q;
     }
     if (best == nullptr) {
-        stats_.counter("enqueueRejects").inc();
+        ++enqueueRejects_;
         return false;
     }
     best->push(task);
@@ -65,7 +64,7 @@ Pe::rowInFlight(Index row) const
 }
 
 void
-Pe::tick(Cycle now, std::vector<Value> &acc)
+Pe::tick(Cycle now)
 {
     // Retire MAC ops whose pipeline delay has elapsed.
     inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
@@ -86,36 +85,22 @@ Pe::tick(Cycle now, std::vector<Value> &acc)
 
         Task t = q.pop();
         nextQueue_ = (qi + 1) % queues_.size();
-        // Functional accumulate (the value is architecturally visible
-        // only after the pipeline delay, which the scoreboard enforces).
-        acc[static_cast<std::size_t>(t.row)] += t.a * t.b;
+        // The result row is busy until the pipeline delay elapses, which
+        // the scoreboard enforces.
         inflight_.push_back({t.row, now + macLatency_});
         lastBusy_ = now;
         ++tasksRound_;
-        stats_.counter("tasks").inc();
-        stats_.counter("busyCycles").inc();
         return;
     }
 
-    if (any_pending) {
-        stats_.counter("rawStallCycles").inc();
-    } else {
-        stats_.counter("idleCycles").inc();
-    }
-}
-
-std::size_t
-Pe::peakQueueDepth() const
-{
-    std::size_t m = 0;
-    for (const auto &q : queues_) m = std::max(m, q.peakOccupancy());
-    return m;
+    if (any_pending) ++rawStallCycles_;
 }
 
 void
 Pe::resetRound()
 {
     tasksRound_ = 0;
+    rawStallCycles_ = 0;
     roundPeak_ = 0;
 }
 

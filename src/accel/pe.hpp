@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "accel/task.hpp"
-#include "common/stats.hpp"
 #include "sim/fifo.hpp"
 
 namespace awb {
@@ -29,8 +28,6 @@ class Pe
      * @param num_queues   task queues in front of the arbiter
      * @param queue_depth  per-queue capacity (0 = unbounded, measured)
      * @param mac_latency  MAC pipeline depth T
-     * @param acc          shared result column (banked by row ownership;
-     *                     the engine passes one column per round)
      */
     Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency);
 
@@ -53,9 +50,9 @@ class Pe
 
     /**
      * One clock: retire finished MAC ops, then let the arbiter issue the
-     * first hazard-free queue head into the MAC and accumulate into `acc`.
+     * first hazard-free queue head into the MAC.
      */
-    void tick(Cycle now, std::vector<Value> &acc);
+    void tick(Cycle now);
 
     /** Cycle the PE last issued real work (utilization accounting). */
     Cycle lastBusyCycle() const { return lastBusy_; }
@@ -63,15 +60,19 @@ class Pe
     /** Tasks executed since the last resetRound(). */
     Count tasksThisRound() const { return tasksRound_; }
 
-    /** Peak queue occupancy across all queues since construction. */
-    std::size_t peakQueueDepth() const;
+    /** Cycles since the last resetRound() in which a queued task could
+     *  not issue because of a RaW hazard. */
+    Count rawStallCycles() const { return rawStallCycles_; }
+
+    /** Enqueue attempts rejected because every queue was full. */
+    Count enqueueRejects() const { return enqueueRejects_; }
 
     /**
      * Peak queue occupancy since the last resetRound(). Because queues
-     * are empty at every per-column barrier and `Fifo` peaks only move
-     * on push, the lifetime peak equals the max of these round-local
-     * peaks — which is what lets a replayed cached round carry the same
-     * peak its event-stepped twin produced (DESIGN.md §13).
+     * are empty at every per-column barrier, the lifetime peak equals
+     * the max of these round-local peaks — which is what lets a
+     * replayed cached round carry the same peak its event-stepped twin
+     * produced (DESIGN.md §13).
      */
     std::size_t roundPeakQueueDepth() const { return roundPeak_; }
 
@@ -87,9 +88,6 @@ class Pe
      */
     std::size_t arbiterCursor() const { return nextQueue_; }
     void setArbiterCursor(std::size_t q) { nextQueue_ = q % queues_.size(); }
-
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
 
   private:
     /** True if `row` is being accumulated in the MAC pipeline. */
@@ -111,7 +109,8 @@ class Pe
     Cycle lastBusy_ = -1;
     Count tasksRound_ = 0;
     std::size_t roundPeak_ = 0;
-    StatSet stats_;
+    Count rawStallCycles_ = 0;
+    Count enqueueRejects_ = 0;
 };
 
 } // namespace awb

@@ -6,7 +6,7 @@
  * The batched engine already memoizes rounds *within* one run: a round's
  * timing is a pure function of its entry state — the row→PE map, the
  * per-PE arbiter cursors and the Omega input-priority parity — because
- * task values never feed a control decision (DESIGN.md §6). That purity
+ * tasks carry structure only (DESIGN.md §6). That purity
  * argument is run-independent: two runs over the same sparse structure
  * and the same timing configuration produce bit-identical outcomes for
  * equal entry states, no matter which engine, balance policy, platform
@@ -16,10 +16,10 @@
  *
  * The context digest deliberately covers only what round dynamics read:
  * the CSC structure (row ids and column extents — values are excluded,
- * they only flow into the functional accumulator) and the timing fields
- * of `AccelConfig`. Platform is excluded because the roofline floor is
+ * the round loop never sees them) and the timing fields of
+ * `AccelConfig`. Platform is excluded because the roofline floor is
  * composed outside the round loop (§8); engine kind because both
- * engines share one simulateRound; balance policy because its whole
+ * engines share one round core; balance policy because its whole
  * effect is the owners vector already inside the entry key.
  *
  * Disabled by default so unit tests and library embedders see the

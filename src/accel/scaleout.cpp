@@ -7,22 +7,11 @@
 #include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/spmm.hpp"
 
 namespace awb {
 
 namespace {
-
-/** Copy a shard's result rows back to their global positions. */
-void
-scatterRows(const DenseMatrix &local, const std::vector<Index> &rows,
-            DenseMatrix &out)
-{
-    for (std::size_t l = 0; l < rows.size(); ++l) {
-        const Value *src = local.rowPtr(static_cast<Index>(l));
-        std::copy(src, src + local.cols(),
-                  out.rowPtr(rows[l]));
-    }
-}
 
 /** Stat fields only the cycle engine tracks. */
 void
@@ -146,17 +135,17 @@ executeSpmmSharded(const AccelConfig &cfg, const CscMatrix &a,
     const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
     std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
 
-    out.result.c = DenseMatrix(a.rows(), b.cols());
+    // Sharding moves rows between chips, never the products summed into
+    // a row, so C is the unsharded product.
+    out.result.c = spmmCsr(cscToCsr(a), b);
     std::vector<SpmmStats> per_chip;
     per_chip.reserve(static_cast<std::size_t>(cfg.chips));
     for (int c = 0; c < cfg.chips; ++c) {
         CscMatrix shard = cp.extractRows(a, c);
         std::vector<Count> work = cp.extractWork(row_work, c);
         RowPartition part = partitioner->build(shard.rows(), work, sub);
-        SpmmEngine engine(sub);
-        SpmmResult r = engine.execute(shard, b, kind, part);
-        scatterRows(r.c, cp.rowsOf(c), out.result.c);
-        per_chip.push_back(std::move(r.stats));
+        per_chip.push_back(
+            SpmmEngine(sub).simulate(shard, b.cols(), kind, part));
     }
     out.result.stats =
         combineShards(per_chip, halo, mem, cfg.numPes, out.scaleout);
@@ -204,6 +193,7 @@ runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
     }
 
     GcnRunResult &res = out.result;
+    const CsrMatrix a_csr = cscToCsr(a);
     CscMatrix h = csrToCsc(ds.features);
     for (Index l = 0; l < model.layers(); ++l) {
         const std::string tag = "L" + std::to_string(l + 1);
@@ -211,8 +201,8 @@ runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
             model.weights[static_cast<std::size_t>(l)];
         GcnLayerResult layer;
 
-        // X×W via TDQ-1: W is replicated on every chip, no halo.
-        DenseMatrix xw(n, w.cols());
+        // X×W via TDQ-1: W is replicated on every chip, no halo. Values
+        // are the unsharded products (sharding only moves rows).
         {
             const std::vector<Count> h_work = h.rowNnz();
             std::vector<SpmmStats> per_chip;
@@ -221,11 +211,9 @@ runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
                 std::vector<Count> work = cp.extractWork(h_work, c);
                 RowPartition part =
                     partitioner->build(shard.rows(), work, sub);
-                SpmmResult r = engines[static_cast<std::size_t>(c)]
-                                   .execute(shard, w,
-                                            TdqKind::Tdq1DenseScan, part);
-                scatterRows(r.c, cp.rowsOf(c), xw);
-                per_chip.push_back(std::move(r.stats));
+                per_chip.push_back(
+                    engines[static_cast<std::size_t>(c)].simulate(
+                        shard, w.cols(), TdqKind::Tdq1DenseScan, part));
             }
             layer.xw = combineShards(per_chip, no_halo, mem, cfg.numPes,
                                      out.scaleout);
@@ -234,18 +222,15 @@ runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
 
         // A×(XW) (+ extra hops) via TDQ-2: boundary XW rows produced on
         // other chips cross the inter-chip link each round.
-        DenseMatrix z = std::move(xw);
+        DenseMatrix z = spmmCsr(cscToCsr(h), w);
         for (Index hop = 0; hop < model.adjHops; ++hop) {
-            DenseMatrix az(n, z.cols());
             std::vector<SpmmStats> per_chip;
             for (int c = 0; c < cfg.chips; ++c) {
-                SpmmResult r =
-                    engines[static_cast<std::size_t>(c)].execute(
-                        a_shard[static_cast<std::size_t>(c)], z,
+                per_chip.push_back(
+                    engines[static_cast<std::size_t>(c)].simulate(
+                        a_shard[static_cast<std::size_t>(c)], z.cols(),
                         TdqKind::Tdq2OmegaCsc,
-                        a_part[static_cast<std::size_t>(c)]);
-                scatterRows(r.c, cp.rowsOf(c), az);
-                per_chip.push_back(std::move(r.stats));
+                        a_part[static_cast<std::size_t>(c)]));
             }
             SpmmStats combined = combineShards(per_chip, halo, mem,
                                                cfg.numPes, out.scaleout);
@@ -257,7 +242,7 @@ runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
             } else {
                 layer.extraHops.push_back(std::move(combined));
             }
-            z = std::move(az);
+            z = spmmCsr(a_csr, z);
         }
 
         std::vector<const std::vector<Cycle> *> stages;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -12,64 +11,286 @@
 #include "accel/policy.hpp"
 #include "accel/round_cache.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "kernels/spgemm.hpp"
 #include "sparse/convert.hpp"
-
-#include <cstdio>
-#include <cstdlib>
+#include "sparse/spmm.hpp"
 
 namespace awb {
 
 namespace {
 
-/** Flattened column-major non-zero stream of the sparse operand. */
-struct NnzStream
+/**
+ * The per-cycle round core both entry points share: the PE array, the
+ * local sharer and the Omega fabric, the simulated clock, and per-round
+ * accounting (traffic, bandwidth floor, statistics, rebalance
+ * observation and migration billing). Tasks carry structure only, so a
+ * round's outcome depends on nothing but its task stream and the
+ * RoundEntryKey state (DESIGN.md §6).
+ */
+struct RoundCore
 {
-    std::vector<Index> row;
-    std::vector<Index> col;
-    std::vector<Count> densePos;  ///< column-major element index (TDQ-1)
-    std::vector<Value> val;
-
-    explicit NnzStream(const CscMatrix &a)
+    /** `use_net` routes through the Omega network (TDQ-2 on P >= 2);
+     *  `observe_last` lets the rebalance policy observe the last round
+     *  too, billing its migration bytes without a floor. */
+    RoundCore(const AccelConfig &cfg, std::vector<Count> row_work,
+              bool use_net, bool observe_last)
+        : cfg(cfg), rowWork(std::move(row_work)), useNet(use_net),
+          observeLast(observe_last), sharer(cfg.sharingHops),
+          rebalance(makeRebalancePolicy(
+              cfg, static_cast<Index>(rowWork.size()))),
+          mem(findPlatform(cfg.platform), policyClockMhz(cfg)),
+          net(std::max(cfg.numPes, 2), cfg.omegaBufferDepth,
+              cfg.networkSpeedup),
+          accepted(static_cast<std::size_t>(cfg.numPes), 0),
+          home(static_cast<std::size_t>(cfg.numPes), 0),
+          lane(static_cast<std::size_t>(cfg.numPes), 0)
     {
-        auto nnz = static_cast<std::size_t>(a.nnz());
-        row.reserve(nnz);
-        col.reserve(nnz);
-        densePos.reserve(nnz);
-        val.reserve(nnz);
-        for (Index j = 0; j < a.cols(); ++j) {
-            for (Count p = a.colPtr()[static_cast<std::size_t>(j)];
-                 p < a.colPtr()[static_cast<std::size_t>(j) + 1]; ++p) {
-                Index r = a.rowId()[static_cast<std::size_t>(p)];
-                row.push_back(r);
-                col.push_back(j);
-                densePos.push_back(static_cast<Count>(j) * a.rows() + r);
-                val.push_back(a.val()[static_cast<std::size_t>(p)]);
-            }
-        }
+        for (int p = 0; p < cfg.numPes; ++p)
+            pes.emplace_back(p, cfg.numQueuesPerPe, cfg.queueDepth,
+                             cfg.macLatency);
+        stats.perPeTasks.assign(static_cast<std::size_t>(cfg.numPes), 0);
     }
 
-    std::size_t size() const { return row.size(); }
+    /** The state the next round's dynamics depend on (replay key). */
+    RoundEntryKey
+    entryKey(const RowPartition &part) const
+    {
+        RoundEntryKey key;
+        key.owners = part.owners();
+        for (const Pe &pe : pes) key.arbiter.push_back(pe.arbiterCursor());
+        key.netParity = useNet ? static_cast<int>(now & 1) : 0;
+        return key;
+    }
+
+    /** Advance a round from a cached outcome without stepping it. */
+    void
+    replay(const RoundRecord &rec)
+    {
+        for (std::size_t p = 0; p < pes.size(); ++p)
+            pes[p].setArbiterCursor(rec.arbiterAfter[p]);
+        now += rec.roundCycles;
+    }
+
+    /** Hand a task to its home PE or, under local sharing, the least
+     *  loaded neighbour with a free receive port; false = backpressure. */
+    bool
+    deliver(const Task &t)
+    {
+        const auto h = static_cast<std::size_t>(t.homePe);
+        const int target = sharer.hops() > 0
+            ? sharer.choose(t.homePe, pes, &accepted, cfg.receivePorts)
+            : (accepted[h] < cfg.receivePorts ? t.homePe : -1);
+        if (target < 0 || !pes[static_cast<std::size_t>(target)].enqueue(t))
+            return false;
+        ++accepted[static_cast<std::size_t>(target)];
+        ++home[h];
+        return true;
+    }
+
+    RoundRecord step(const std::vector<Index> &row,
+                     const std::vector<Count> *scan_pos, Count scan_width,
+                     const RowPartition &part);
+    void account(const RoundRecord &rec, MemoryTraffic traffic, bool last,
+                 RowPartition &part);
+    SpmmStats finish();
+
+    const AccelConfig &cfg;
+    const std::vector<Count> rowWork;
+    const bool useNet;
+    const bool observeLast;
+    LocalSharer sharer;
+    std::unique_ptr<RebalancePolicy> rebalance;
+    // Off-chip memory model (DESIGN.md §8): per-round traffic is
+    // accounted on every platform; a bandwidth-bound cycle floor is
+    // composed roofline-style only when the platform is constrained, so
+    // the unconstrained default is a provable timing no-op.
+    const MemoryModel mem;
+    OmegaNetwork net;
+    std::vector<Pe> pes;
+    Cycle now = 0;
+    Count pendingMigration = 0;
+    SpmmStats stats;
+    // Scratch: tasks each PE accepted this cycle; home-attributed
+    // dispatch counts this round (what the PESM's distribution-point
+    // monitors see — local sharing smears execution across neighbours,
+    // but the switchable quantity is row ownership); TDQ-2 lane cursors.
+    std::vector<int> accepted;
+    std::vector<Count> home;
+    std::vector<std::size_t> lane;
 };
 
-// RoundRecord (the per-round outcome) and RoundEntryKey now live in
-// accel/round_cache.hpp so outcomes can be shared across engine runs;
-// this run-local memo keeps the batched engine's within-run fast path
-// lock-free. Hash-bucketed, exact key compare on hit.
-using RoundCache = std::unordered_map<
-    std::uint64_t,
-    std::vector<std::pair<RoundEntryKey,
-                          std::shared_ptr<const RoundRecord>>>>;
-
-Count
-rawStallsOf(const std::vector<Pe> &pes)
+/**
+ * Event-step one round of tasks for result rows `row`, in stream order.
+ * TDQ-1 passes each task's dense-scan position in `scan_pos` and scans
+ * `scan_width` positions per cycle; otherwise tasks enter through the
+ * Omega lanes, or directly on a single PE.
+ */
+RoundRecord
+RoundCore::step(const std::vector<Index> &row,
+                const std::vector<Count> *scan_pos, Count scan_width,
+                const RowPartition &part)
 {
-    Count total = 0;
-    for (const Pe &pe : pes)
-        if (const Counter *cn = pe.stats().find("rawStallCycles"))
-            total += cn->value();
-    return total;
+    const std::size_t n = row.size();
+    const std::size_t P = pes.size();
+    const int inject_width = cfg.injectWidth > 0 ? cfg.injectWidth
+                                                 : cfg.numPes;
+    std::fill(home.begin(), home.end(), 0);
+    for (Pe &pe : pes) pe.resetRound();
+    net.resetRoundPeak();
+    // Align the fabric's input-priority toggles with the global cycle
+    // parity (identity under pure event stepping; required after
+    // replayed rounds advanced the clock without ticking).
+    if (useNet) net.setArbitration(static_cast<int>(now & 1));
+    const Cycle start = now;
+    auto task = [&](std::size_t f) { return Task{row[f], part.owner(row[f])}; };
+    std::size_t next = 0;  // next task to dispatch (TDQ-1, direct)
+    Count scanned = 0;     // TDQ-1 dense-scan pointer
+    // TDQ-2: the CSC array is banked P ways; each bank feeds one network
+    // port through its own read pointer, so a congested path stalls only
+    // its own lane (port p streams tasks p, p+P, ...).
+    std::size_t lanes_done = 0;
+    for (std::size_t p = 0; p < P; ++p) {
+        lane[p] = p;
+        if (p >= n) ++lanes_done;
+    }
+
+    while (true) {
+        // 1. PEs consume (they see queue state from previous cycles).
+        for (Pe &pe : pes) pe.tick(now);
+        std::fill(accepted.begin(), accepted.end(), 0);
+
+        // 2. The network advances and delivers into queues.
+        if (useNet) {
+            net.tick(now, [&](const Task &t, int out_port) {
+                if (out_port != t.homePe)
+                    panic("Omega routing invariant violated");
+                return deliver(t);
+            });
+        }
+
+        // 3. Injection.
+        if (scan_pos != nullptr) {
+            scanned += scan_width;
+            while (next < n && (*scan_pos)[next] < scanned) {
+                if (!deliver(task(next))) {
+                    // Backpressure: the scan stalls at this element.
+                    scanned = (*scan_pos)[next];
+                    break;
+                }
+                ++next;
+            }
+        } else if (useNet) {
+            int injected = 0;
+            for (std::size_t p = 0; p < P && injected < inject_width; ++p) {
+                if (lane[p] >= n ||
+                    !net.inject(task(lane[p]), static_cast<int>(p)))
+                    continue;
+                lane[p] += P;
+                ++injected;
+                if (lane[p] >= n) ++lanes_done;
+            }
+        } else {
+            // Degenerate single-PE TDQ-2: direct delivery.
+            for (int injected = 0;
+                 next < n && injected < inject_width && deliver(task(next));
+                 ++injected)
+                ++next;
+        }
+
+        ++now;
+        if (now - start > cfg.maxCyclesPerRound)
+            panic("SpmmEngine: round watchdog expired");
+        const bool stream_done = useNet ? lanes_done == P : next >= n;
+        if (stream_done && (!useNet || net.empty()) &&
+            std::all_of(pes.begin(), pes.end(),
+                        [&](const Pe &pe) { return pe.drained(now); }))
+            break;
+    }
+
+    RoundRecord out;
+    out.roundCycles = now - start;
+    out.homeTasks = home;
+    for (const Pe &pe : pes) {
+        const Count t = pe.tasksThisRound();
+        const Cycle last = pe.lastBusyCycle();
+        out.execTasks.push_back(t);
+        out.drainCycle.push_back(t > 0 && last >= start ? last - start : 0);
+        out.arbiterAfter.push_back(pe.arbiterCursor());
+        out.rawStallDelta += pe.rawStallCycles();
+        out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
+    }
+    out.peakNet = useNet ? net.roundPeakBufferDepth() : 0;
+    return out;
+}
+
+/** Bill a stepped or replayed round and let the policy observe it. */
+void
+RoundCore::account(const RoundRecord &rec, MemoryTraffic traffic,
+                   bool last, RowPartition &part)
+{
+    // Roofline composition: row migrations ordered after the previous
+    // round must land before this round's stream, so their bytes bill to
+    // this round's floor.
+    traffic.migrationBytes = pendingMigration;
+    pendingMigration = 0;
+    stats.traffic += traffic;
+    Cycle duration = rec.roundCycles;
+    const Cycle bw_floor = mem.floorCycles(traffic.total());
+    stats.memoryCycles += bw_floor;
+    if (bw_floor > duration) {
+        // Bandwidth-bound: the PE array idles until the off-chip stream
+        // completes; the round stretches to the floor.
+        ++stats.bwBoundRounds;
+        now += bw_floor - duration;
+        duration = bw_floor;
+    }
+
+    stats.roundCycles.push_back(duration);
+    Count round_tasks = 0;
+    for (std::size_t p = 0; p < pes.size(); ++p) {
+        round_tasks += rec.execTasks[p];
+        stats.perPeTasks[p] += rec.execTasks[p];
+    }
+    const auto P = static_cast<Count>(pes.size());
+    stats.tasks += round_tasks;
+    stats.idealCycles += (round_tasks + P - 1) / P;
+    stats.rawStalls += rec.rawStallDelta;
+    // Peaks fold from per-round maxima: a replayed round repeats the
+    // dynamics of the stepped round that produced its record.
+    stats.peakQueueDepth = std::max(stats.peakQueueDepth, rec.peakQueue);
+    stats.peakNetworkDepth = std::max(stats.peakNetworkDepth, rec.peakNet);
+
+    // The rebalance policy auto-tunes the row map for the next round; it
+    // digests the same observation whether the round was stepped or
+    // replayed, so auto-tuning trajectories are engine-invariant.
+    if (last && !observeLast) return;
+    RoundObservation obs;
+    obs.peWork = rec.homeTasks;
+    obs.drainCycle = rec.drainCycle;
+    // Moved rows migrate between the PEs' banks before the next round
+    // streams them. Static policies never move rows: skip the snapshot.
+    std::vector<int> owners_before;
+    if (rebalance->wantsObservations()) owners_before = part.owners();
+    rebalance->observeAndAdjust(obs, rowWork, part);
+    if (owners_before.empty()) return;
+    const Count mig = mem.migrationBytes(owners_before, part.owners(), rowWork);
+    // With no next round to floor, the last round's bytes bill alone.
+    (last ? stats.traffic.migrationBytes : pendingMigration) += mig;
+}
+
+SpmmStats
+RoundCore::finish()
+{
+    stats.cycles = now;
+    stats.syncCycles = std::max<Cycle>(0, stats.cycles - stats.idealCycles);
+    stats.utilization = stats.cycles > 0
+        ? static_cast<double>(stats.tasks) /
+          (static_cast<double>(cfg.numPes) *
+           static_cast<double>(stats.cycles))
+        : 0.0;
+    stats.rowsSwitched = rebalance->totalRowsMoved();
+    stats.convergedRound = rebalance->convergedRound();
+    return std::move(stats);
 }
 
 } // namespace
@@ -85,427 +306,101 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
                     RowPartition &partition)
 {
     if (a.cols() != b.rows()) panic("SpmmEngine: inner dimensions differ");
+    SpmmStats stats = simulate(a, b.cols(), kind, partition);
+    return {spmmCsr(cscToCsr(a), b), std::move(stats)};
+}
+
+SpmmStats
+SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
+                     RowPartition &partition)
+{
     if (partition.rows() != a.rows())
         panic("SpmmEngine: partition rows != operand rows");
-    if (kind == TdqKind::Tdq2OmegaCsc) {
-        std::string err =
-            cfg_.validate(/*cycle_accurate_tdq2=*/true);
+    const bool dense_scan = kind == TdqKind::Tdq1DenseScan;
+    if (!dense_scan) {
+        std::string err = cfg_.validate(/*cycle_accurate_tdq2=*/true);
         if (!err.empty()) fatal("SpmmEngine: " + err);
     }
-
     const int P = cfg_.numPes;
-    const Index m = a.rows();
-    const Index K = b.cols();
-    const bool batched = cfg_.engine == EngineKind::Batched;
-    DenseMatrix c(m, K);
-
-    NnzStream stream(a);
-    const auto n_flits = stream.size();
-    const std::vector<Count> row_work = a.rowNnz();
-
-    // --- Build the PE array.
-    std::vector<Pe> pes;
-    pes.reserve(static_cast<std::size_t>(P));
-    for (int p = 0; p < P; ++p)
-        pes.emplace_back(p, cfg_.numQueuesPerPe, cfg_.queueDepth,
-                         cfg_.macLatency);
-
-    LocalSharer sharer(cfg_.sharingHops);
-    std::unique_ptr<RebalancePolicy> rebalance =
-        makeRebalancePolicy(cfg_, m);
-    // Off-chip memory model (DESIGN.md §8): per-round traffic is
-    // accounted on every platform; a bandwidth-bound cycle floor is
-    // composed roofline-style only when the platform is constrained, so
-    // the unconstrained default is a provable timing no-op.
-    const MemoryModel mem(findPlatform(cfg_.platform),
-                          policyClockMhz(cfg_));
+    RoundCore core(cfg_, a.rowNnz(), !dense_scan && P >= 2,
+                   /*observe_last=*/false);
+    core.stats.rounds = cols;
     const MemoryTraffic steady_traffic =
-        mem.roundTraffic(a.nnz(), a.cols(), m);
-    Count pending_migration_bytes = 0;
-    const bool use_net = (kind == TdqKind::Tdq2OmegaCsc) && P >= 2;
-    OmegaNetwork net(std::max(P, 2), cfg_.omegaBufferDepth,
-                     cfg_.networkSpeedup);
+        core.mem.roundTraffic(a.nnz(), a.cols(), a.rows());
 
-    // TDQ-1 scan width: fetch enough dense elements per cycle that, with
-    // evenly distributed non-zeros, about P non-zeros emerge per cycle
-    // (paper: N_PE / (1 - sparsity) data forwarded per cycle).
-    const double elems = static_cast<double>(a.rows()) *
-                         static_cast<double>(a.cols());
-    const double density =
-        elems > 0.0 ? static_cast<double>(a.nnz()) / elems : 1.0;
-    Count scan_width = cfg_.streamWidth > 0
-        ? cfg_.streamWidth
-        : static_cast<Count>(static_cast<double>(P) /
-                             std::max(density, 1e-9));
-    scan_width = std::max<Count>(scan_width, 1);
-    const int inject_width = cfg_.injectWidth > 0 ? cfg_.injectWidth : P;
-    const int accept_cap = cfg_.receivePorts;
+    // Every round streams the column-major non-zeros of `a` (its row
+    // ids). TDQ-1 scans the dense-stored operand, fetching enough
+    // elements per cycle that, with evenly distributed non-zeros, about
+    // P emerge per cycle (paper: N_PE / (1 - sparsity) per cycle).
+    std::vector<Count> scan_pos;
+    Count scan_width = cfg_.streamWidth;
+    if (dense_scan) {
+        for (Index j = 0; j < a.cols(); ++j)
+            for (Count p = a.colPtr()[static_cast<std::size_t>(j)];
+                 p < a.colPtr()[static_cast<std::size_t>(j) + 1]; ++p)
+                scan_pos.push_back(static_cast<Count>(j) * a.rows() +
+                                   a.rowId()[static_cast<std::size_t>(p)]);
+        const double elems = static_cast<double>(a.rows()) *
+                             static_cast<double>(a.cols());
+        const double density =
+            elems > 0.0 ? static_cast<double>(a.nnz()) / elems : 1.0;
+        if (scan_width <= 0)
+            scan_width = static_cast<Count>(static_cast<double>(P) /
+                                            std::max(density, 1e-9));
+        scan_width = std::max<Count>(scan_width, 1);
+    }
 
-    // Per-round bookkeeping reused across rounds.
-    std::vector<Value> acc(static_cast<std::size_t>(m), Value(0));
-    std::vector<int> accepted(static_cast<std::size_t>(P), 0);
-    // Dispatch-side (home-attributed) task counters: what the PESM's
-    // distribution-point monitors see. Local sharing smears *execution*
-    // across neighbours, but the switchable quantity is row ownership,
-    // so hotspot/coldspot identification must rank by home load.
-    std::vector<Count> home_tasks(static_cast<std::size_t>(P), 0);
-
-    SpmmStats stats;
-    stats.rounds = K;
-    stats.perPeTasks.assign(static_cast<std::size_t>(P), 0);
-    Cycle now = 0;
-    RoundCache cache;
-    // Cross-run shared cache (DESIGN.md §13): both engines consult it
-    // when enabled; outcomes are bit-identical to fresh simulation, so
-    // every model statistic is unchanged either way.
+    // Replay a round whose entry state was simulated before instead of
+    // event-stepping it again: the batched engine's within-run memo
+    // (hash-bucketed, exact key compare; lock-free) first, then (both
+    // engines) the process-wide shared cache (DESIGN.md §13).
+    const bool batched = cfg_.engine == EngineKind::Batched;
+    std::unordered_map<std::uint64_t,
+                       std::vector<std::pair<
+                           RoundEntryKey, std::shared_ptr<const RoundRecord>>>>
+        local;
     RoundStateCache &shared = RoundStateCache::instance();
     const bool shared_on = shared.enabled();
     const std::uint64_t shared_ctx =
         shared_on ? roundContextDigest(a, cfg_, static_cast<int>(kind)) : 0;
-    // CSR twin of `a`, built lazily for the first replayed round: per-row
-    // ascending-column accumulation order equals the column-major stream
-    // order restricted to that row, so the row-parallel replay is
-    // bit-identical to the serial stream-order replay it replaces.
-    CsrMatrix a_csr;
-    bool have_csr = false;
-    std::size_t peak_queue = 0;
-    std::size_t peak_net = 0;
-
-    /**
-     * Event-step one round: the exact per-cycle dynamics both engines
-     * share. Mutates pes/net/now/acc and returns the round's outcome.
-     * The task *values* (b's column k) only flow into `acc`; every
-     * control decision reads structure alone, so the outcome — timing
-     * included — depends only on the RoundEntryKey captured by the
-     * caller.
-     */
-    auto simulateRound = [&](Index k) -> RoundRecord {
-        std::fill(home_tasks.begin(), home_tasks.end(), 0);
-        for (auto &pe : pes) pe.resetRound();
-        net.resetRoundPeak();
-        // Align the fabric's input-priority toggles with the global
-        // cycle parity (identity under pure event stepping; required
-        // after the batched engine replayed rounds without ticking).
-        if (use_net) net.setArbitration(static_cast<int>(now & 1));
-        const Count raw_before = rawStallsOf(pes);
-        const Cycle round_start = now;
-        std::size_t next = 0;    // next flit to dispatch (TDQ-1)
-        Count scan_pos = 0;      // TDQ-1 dense-scan pointer
-        // TDQ-2: the CSC array is banked P ways; each bank feeds one
-        // network port through its own read pointer, so a congested path
-        // stalls only its own lane (port p streams flits p, p+P, ...).
-        std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
-        std::size_t lanes_done = 0;
-        for (int p = 0; p < P; ++p) {
-            port_next[static_cast<std::size_t>(p)] =
-                static_cast<std::size_t>(p);
-            if (static_cast<std::size_t>(p) >= n_flits) ++lanes_done;
-        }
-
-        // Deliver a task to its (possibly shared) destination.
-        auto deliver = [&](std::size_t f) -> bool {
-            int home = partition.owner(stream.row[f]);
-            int target;
-            if (sharer.hops() > 0) {
-                target = sharer.choose(home, pes, &accepted, accept_cap);
-            } else {
-                target =
-                    (accepted[static_cast<std::size_t>(home)] < accept_cap &&
-                     pes[static_cast<std::size_t>(home)].canAccept())
-                        ? home : -1;
-            }
-            if (target < 0) return false;
-            Task t{stream.row[f], stream.val[f],
-                   b.at(stream.col[f], k), home};
-            if (!pes[static_cast<std::size_t>(target)].enqueue(t))
-                return false;
-            ++accepted[static_cast<std::size_t>(target)];
-            ++home_tasks[static_cast<std::size_t>(home)];
-            return true;
-        };
-
-        while (true) {
-            // 1. PEs consume (they see queue state from previous cycles).
-            for (auto &pe : pes) pe.tick(now, acc);
-
-            std::fill(accepted.begin(), accepted.end(), 0);
-
-            // 2. Network advances and delivers into queues.
-            if (use_net) {
-                net.tick(now, [&](const Flit &flit, int out_port) {
-                    if (out_port != flit.destPe)
-                        panic("Omega routing invariant violated");
-                    int home = flit.destPe;
-                    int target;
-                    if (sharer.hops() > 0) {
-                        target = sharer.choose(home, pes, &accepted,
-                                               accept_cap);
-                    } else {
-                        target = accepted[static_cast<std::size_t>(home)] <
-                                 accept_cap ? home : -1;
-                    }
-                    if (target < 0) return false;
-                    if (!pes[static_cast<std::size_t>(target)]
-                             .enqueue(flit.task))
-                        return false;
-                    ++accepted[static_cast<std::size_t>(target)];
-                    ++home_tasks[static_cast<std::size_t>(home)];
-                    return true;
-                });
-            }
-
-            // 3. Injection.
-            if (kind == TdqKind::Tdq1DenseScan) {
-                scan_pos += scan_width;
-                while (next < n_flits && stream.densePos[next] < scan_pos) {
-                    if (!deliver(next)) {
-                        // Backpressure: the scan stalls at this element.
-                        scan_pos = stream.densePos[next];
-                        break;
-                    }
-                    ++next;
-                }
-            } else if (use_net) {
-                int injected = 0;
-                for (int p = 0; p < P && injected < inject_width; ++p) {
-                    std::size_t &cursor =
-                        port_next[static_cast<std::size_t>(p)];
-                    if (cursor >= n_flits) continue;
-                    int home = partition.owner(stream.row[cursor]);
-                    Flit flit{Task{stream.row[cursor], stream.val[cursor],
-                                   b.at(stream.col[cursor], k), home},
-                              home};
-                    if (!net.inject(flit, p)) continue;
-                    cursor += static_cast<std::size_t>(P);
-                    ++injected;
-                    if (cursor >= n_flits) ++lanes_done;
-                }
-            } else {
-                // Degenerate single-PE TDQ-2: direct delivery.
-                int injected = 0;
-                while (next < n_flits && injected < inject_width) {
-                    if (!deliver(next)) break;
-                    ++next;
-                    ++injected;
-                }
-            }
-
-            ++now;
-            if (now - round_start > cfg_.maxCyclesPerRound)
-                panic("SpmmEngine: round watchdog expired");
-
-            bool stream_done = use_net
-                ? (lanes_done == static_cast<std::size_t>(P))
-                : (next >= n_flits);
-            if (!stream_done) continue;
-            if (use_net && !net.empty()) continue;
-            bool done = true;
-            for (const auto &pe : pes) {
-                if (!pe.drained(now)) {
-                    done = false;
-                    break;
-                }
-            }
-            if (done) break;
-        }
-
-        RoundRecord out;
-        out.roundCycles = now - round_start;
-        if (std::getenv("AWB_DEBUG_ROUND") && k == 0) {
-            std::fprintf(stderr, "round0 cycles=%lld\n",
-                         static_cast<long long>(out.roundCycles));
-            for (int p = 0; p < P; ++p) {
-                std::fprintf(stderr, "pe%02d exec=%lld home=%lld last=%lld\n",
-                    p,
-                    static_cast<long long>(
-                        pes[static_cast<std::size_t>(p)].tasksThisRound()),
-                    static_cast<long long>(
-                        home_tasks[static_cast<std::size_t>(p)]),
-                    static_cast<long long>(
-                        pes[static_cast<std::size_t>(p)].lastBusyCycle() -
-                        round_start));
-            }
-        }
-        out.homeTasks = home_tasks;
-        out.execTasks.resize(static_cast<std::size_t>(P));
-        out.drainCycle.resize(static_cast<std::size_t>(P));
-        out.arbiterAfter.resize(static_cast<std::size_t>(P));
-        for (int p = 0; p < P; ++p) {
-            const Pe &pe = pes[static_cast<std::size_t>(p)];
-            Count t = pe.tasksThisRound();
-            out.execTasks[static_cast<std::size_t>(p)] = t;
-            // homeTasks: home-attributed load (what row swaps change);
-            // drainCycle: the actual empty-signal timing the PESM sees.
-            Cycle last = pe.lastBusyCycle();
-            out.drainCycle[static_cast<std::size_t>(p)] =
-                (t > 0 && last >= round_start) ? last - round_start : 0;
-            out.arbiterAfter[static_cast<std::size_t>(p)] =
-                pe.arbiterCursor();
-        }
-        out.rawStallDelta = rawStallsOf(pes) - raw_before;
-        for (const Pe &pe : pes)
-            out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
-        out.peakNet = use_net ? net.roundPeakBufferDepth() : 0;
-        return out;
-    };
-
-    for (Index k = 0; k < K; ++k) {
-        std::fill(acc.begin(), acc.end(), Value(0));
-
-        // Replay a previously simulated round whose entry state matches,
-        // instead of event-stepping it again: the batched engine's
-        // within-run memo first, then (both engines) the process-wide
-        // shared cache.
-        std::shared_ptr<const RoundRecord> from_local;
-        std::shared_ptr<const RoundRecord> from_shared;
+    for (Index k = 0; k < cols; ++k) {
+        std::shared_ptr<const RoundRecord> record;
+        bool local_hit = false;
         std::uint64_t h = 0;
         RoundEntryKey key;
         if (batched || shared_on) {
-            key.owners = partition.owners();
-            key.arbiter.resize(static_cast<std::size_t>(P));
-            for (int p = 0; p < P; ++p)
-                key.arbiter[static_cast<std::size_t>(p)] =
-                    pes[static_cast<std::size_t>(p)].arbiterCursor();
-            key.netParity = use_net ? static_cast<int>(now & 1) : 0;
+            key = core.entryKey(partition);
             h = hashRoundKey(key);
         }
         if (batched) {
-            auto bucket = cache.find(h);
-            if (bucket != cache.end()) {
-                for (const auto &entry : bucket->second) {
-                    if (entry.first == key) {
-                        from_local = entry.second;
-                        break;
-                    }
+            for (const auto &entry : local[h]) {
+                if (entry.first == key) {
+                    record = entry.second;
+                    local_hit = true;
+                    break;
                 }
             }
         }
-        if (from_local == nullptr && shared_on)
-            from_shared = shared.lookup(shared_ctx, key);
-
-        std::shared_ptr<const RoundRecord> record;
-        if (from_local != nullptr || from_shared != nullptr) {
-            record = from_local != nullptr ? from_local : from_shared;
-            // Advance the whole round from its cached aggregates. The
-            // functional column is accumulated per output row over the
-            // CSR twin (the timing replay has no per-task schedule to
-            // follow), so replayed columns may differ from an uncached
-            // event run in floating-point rounding only. Rows are
-            // independent: deterministic chunked parallelism keeps the
-            // result bit-identical at any thread count.
-            if (!have_csr) {
-                a_csr = cscToCsr(a);
-                have_csr = true;
-            }
-            const std::vector<Count> &rp = a_csr.rowPtr();
-            const std::vector<Index> &ci = a_csr.colId();
-            const std::vector<Value> &av = a_csr.val();
-            auto body = [&](std::size_t rb, std::size_t re) {
-                for (std::size_t r = rb; r < re; ++r) {
-                    Value s = Value(0);
-                    for (Count p = rp[r]; p < rp[r + 1]; ++p) {
-                        s += av[static_cast<std::size_t>(p)] *
-                             b.at(ci[static_cast<std::size_t>(p)], k);
-                    }
-                    acc[r] = s;
-                }
-            };
-            const std::size_t rows = static_cast<std::size_t>(m);
-            if (shouldParallelize(static_cast<std::uint64_t>(n_flits)))
-                parallelFor(rows, std::max<std::size_t>(1, rows / 256),
-                            body);
-            else
-                body(0, rows);
-            for (int p = 0; p < P; ++p)
-                pes[static_cast<std::size_t>(p)].setArbiterCursor(
-                    record->arbiterAfter[static_cast<std::size_t>(p)]);
-            now += record->roundCycles;
+        if (record == nullptr && shared_on)
+            record = shared.lookup(shared_ctx, key);
+        if (record != nullptr) {
+            core.replay(*record);
         } else {
-            record = std::make_shared<RoundRecord>(simulateRound(k));
+            record = std::make_shared<RoundRecord>(core.step(
+                a.rowId(), dense_scan ? &scan_pos : nullptr, scan_width,
+                partition));
             if (shared_on) shared.insert(shared_ctx, key, record);
         }
         // Charged per round the within-run memo missed (every round for
         // the event engine), so counts are bit-identical with the shared
         // cache on or off.
-        if (from_local == nullptr) {
-            ++stats.roundsSimulated;
-            if (batched) cache[h].emplace_back(key, record);
+        if (!local_hit) {
+            ++core.stats.roundsSimulated;
+            if (batched) local[h].emplace_back(key, record);
         }
-        const RoundRecord *outcome = record.get();
-        peak_queue = std::max(peak_queue, outcome->peakQueue);
-        peak_net = std::max(peak_net, outcome->peakNet);
-
-        // Commit the finished column of C.
-        for (Index r = 0; r < m; ++r)
-            c.at(r, k) = acc[static_cast<std::size_t>(r)];
-
-        // Memory-traffic accounting and roofline composition: row
-        // migrations ordered after round k-1 must land before this
-        // round's stream, so their bytes bill to this round's floor.
-        MemoryTraffic round_traffic = steady_traffic;
-        round_traffic.migrationBytes = pending_migration_bytes;
-        pending_migration_bytes = 0;
-        stats.traffic += round_traffic;
-        Cycle round_duration = outcome->roundCycles;
-        const Cycle bw_floor = mem.floorCycles(round_traffic.total());
-        stats.memoryCycles += bw_floor;
-        if (bw_floor > round_duration) {
-            // Bandwidth-bound: the PE array idles until the off-chip
-            // stream completes; the round stretches to the floor.
-            ++stats.bwBoundRounds;
-            now += bw_floor - round_duration;
-            round_duration = bw_floor;
-        }
-
-        // Round accounting.
-        stats.roundCycles.push_back(round_duration);
-        Count round_tasks = 0;
-        for (int p = 0; p < P; ++p) {
-            Count t = outcome->execTasks[static_cast<std::size_t>(p)];
-            round_tasks += t;
-            stats.perPeTasks[static_cast<std::size_t>(p)] += t;
-        }
-        stats.tasks += round_tasks;
-        stats.idealCycles += (round_tasks + P - 1) / P;
-        stats.rawStalls += outcome->rawStallDelta;
-
-        // The rebalance policy auto-tunes the row map for the next round
-        // (the paper's remote switching, or any registered alternative);
-        // it digests the same observation whether the round was stepped
-        // or replayed, so auto-tuning trajectories are engine-invariant.
-        if (k + 1 < K) {
-            RoundObservation obs;
-            obs.peWork = outcome->homeTasks;
-            obs.drainCycle = outcome->drainCycle;
-            // Rows the policy moves must migrate between the PEs'
-            // banks before the next round streams them. Static policies
-            // never move rows, so skip the owner snapshot for them.
-            std::vector<int> owners_before;
-            if (rebalance->wantsObservations())
-                owners_before = partition.owners();
-            rebalance->observeAndAdjust(obs, row_work, partition);
-            if (!owners_before.empty())
-                pending_migration_bytes = mem.migrationBytes(
-                    owners_before, partition.owners(), row_work);
-        }
+        core.account(*record, steady_traffic, k + 1 == cols, partition);
     }
-
-    stats.cycles = now;
-    stats.syncCycles = std::max<Cycle>(0, stats.cycles - stats.idealCycles);
-    stats.utilization = stats.cycles > 0
-        ? static_cast<double>(stats.tasks) /
-          (static_cast<double>(P) * static_cast<double>(stats.cycles))
-        : 0.0;
-    stats.rowsSwitched = rebalance->totalRowsMoved();
-    stats.convergedRound = rebalance->convergedRound();
-    // Peaks are folded from per-round maxima carried in each
-    // RoundRecord: a replayed round repeats the dynamics of the
-    // simulated round that produced its cache entry (possibly in a
-    // previous engine run), so its recorded peaks are exactly what
-    // event-stepping it would have raised.
-    stats.peakQueueDepth = peak_queue;
-    if (use_net) stats.peakNetworkDepth = peak_net;
-    return {std::move(c), std::move(stats)};
+    return core.finish();
 }
 
 SpgemmResult
@@ -516,253 +411,40 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
         panic("SpmmEngine: spgemm inner dimensions differ");
     if (partition.rows() != a.rows())
         panic("SpmmEngine: partition rows != operand rows");
-    {
-        std::string err = cfg_.validate(/*cycle_accurate_tdq2=*/true);
-        if (!err.empty()) fatal("SpmmEngine: " + err);
-    }
+    std::string err = cfg_.validate(/*cycle_accurate_tdq2=*/true);
+    if (!err.empty()) fatal("SpmmEngine: " + err);
 
-    const int P = cfg_.numPes;
-    const Index m = a.rows();
-    const Index K = b.cols();
-
-    // Functional result from the golden kernel — the event schedule only
-    // prices the work, so values are engine-invariant by construction.
     CscMatrix c = kernels::spgemm(a, b);
-    const std::vector<Count> row_work = a.rowNnz();
-
-    std::vector<Pe> pes;
-    pes.reserve(static_cast<std::size_t>(P));
-    for (int p = 0; p < P; ++p)
-        pes.emplace_back(p, cfg_.numQueuesPerPe, cfg_.queueDepth,
-                         cfg_.macLatency);
-
-    LocalSharer sharer(cfg_.sharingHops);
-    std::unique_ptr<RebalancePolicy> rebalance =
-        makeRebalancePolicy(cfg_, m);
-    const MemoryModel mem(findPlatform(cfg_.platform),
-                          policyClockMhz(cfg_));
-    Count pending_migration_bytes = 0;
-    const bool use_net = P >= 2;
-    OmegaNetwork net(std::max(P, 2), cfg_.omegaBufferDepth,
-                     cfg_.networkSpeedup);
-    const int inject_width = cfg_.injectWidth > 0 ? cfg_.injectWidth : P;
-    const int accept_cap = cfg_.receivePorts;
-
-    // Per-round scratch. `acc` sinks the PE MACs (the schedule needs a
-    // target); the committed values come from the kernel result above.
-    std::vector<Value> acc(static_cast<std::size_t>(m), Value(0));
-    std::vector<int> accepted(static_cast<std::size_t>(P), 0);
-    std::vector<Count> home_tasks(static_cast<std::size_t>(P), 0);
-    std::vector<Index> r_row;
-    std::vector<Value> r_aval;
-    std::vector<Value> r_bval;
-
-    SpmmStats stats;
-    stats.rounds = K;
-    stats.perPeTasks.assign(static_cast<std::size_t>(P), 0);
-    Cycle now = 0;
-
+    RoundCore core(cfg_, a.rowNnz(), cfg_.numPes >= 2,
+                   /*observe_last=*/true);
+    const Index K = b.cols();
+    core.stats.rounds = K;
+    std::vector<Index> rows;
     for (Index k = 0; k < K; ++k) {
         // Round-k task stream: B column k's non-zeros in ascending inner
-        // index j, each expanding A column j — the sparse B-column fetch
-        // that replaces execute()'s dense-column stream.
-        r_row.clear();
-        r_aval.clear();
-        r_bval.clear();
-        const Count b_begin = b.colPtr()[static_cast<std::size_t>(k)];
-        const Count b_end = b.colPtr()[static_cast<std::size_t>(k) + 1];
-        for (Count p = b_begin; p < b_end; ++p) {
-            const Index j = b.rowId()[static_cast<std::size_t>(p)];
-            const Value bv = b.val()[static_cast<std::size_t>(p)];
-            for (Count q = a.colPtr()[static_cast<std::size_t>(j)];
-                 q < a.colPtr()[static_cast<std::size_t>(j) + 1]; ++q) {
-                r_row.push_back(a.rowId()[static_cast<std::size_t>(q)]);
-                r_aval.push_back(a.val()[static_cast<std::size_t>(q)]);
-                r_bval.push_back(bv);
-            }
+        // index j, each expanding A column j (a sparse B-column fetch,
+        // where execute() streams one fixed non-zero set). The stream
+        // changes with k, so every round is stepped under both engines.
+        const auto kk = static_cast<std::size_t>(k);
+        rows.clear();
+        for (Count p = b.colPtr()[kk]; p < b.colPtr()[kk + 1]; ++p) {
+            const auto j = static_cast<std::size_t>(
+                b.rowId()[static_cast<std::size_t>(p)]);
+            rows.insert(rows.end(), a.rowId().begin() + a.colPtr()[j],
+                        a.rowId().begin() + a.colPtr()[j + 1]);
         }
-        const std::size_t n_flits = r_row.size();
+        const RoundRecord rec = core.step(rows, nullptr, 0, partition);
+        ++core.stats.roundsSimulated;
 
-        // Event-step the round: the same TDQ-2 per-cycle dynamics as
-        // execute()'s simulateRound. Both engines step every round —
-        // the task stream changes with k, so there is no recurring
-        // entry state the batched engine could replay.
-        std::fill(acc.begin(), acc.end(), Value(0));
-        std::fill(home_tasks.begin(), home_tasks.end(), 0);
-        for (auto &pe : pes) pe.resetRound();
-        if (use_net) net.setArbitration(static_cast<int>(now & 1));
-        const Count raw_before = rawStallsOf(pes);
-        const Cycle round_start = now;
-        std::size_t next = 0;
-        std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
-        std::size_t lanes_done = 0;
-        for (int p = 0; p < P; ++p) {
-            port_next[static_cast<std::size_t>(p)] =
-                static_cast<std::size_t>(p);
-            if (static_cast<std::size_t>(p) >= n_flits) ++lanes_done;
-        }
-
-        auto deliver = [&](std::size_t f) -> bool {
-            int home = partition.owner(r_row[f]);
-            int target;
-            if (sharer.hops() > 0) {
-                target = sharer.choose(home, pes, &accepted, accept_cap);
-            } else {
-                target =
-                    (accepted[static_cast<std::size_t>(home)] < accept_cap &&
-                     pes[static_cast<std::size_t>(home)].canAccept())
-                        ? home : -1;
-            }
-            if (target < 0) return false;
-            Task t{r_row[f], r_aval[f], r_bval[f], home};
-            if (!pes[static_cast<std::size_t>(target)].enqueue(t))
-                return false;
-            ++accepted[static_cast<std::size_t>(target)];
-            ++home_tasks[static_cast<std::size_t>(home)];
-            return true;
-        };
-
-        while (true) {
-            for (auto &pe : pes) pe.tick(now, acc);
-
-            std::fill(accepted.begin(), accepted.end(), 0);
-
-            if (use_net) {
-                net.tick(now, [&](const Flit &flit, int out_port) {
-                    if (out_port != flit.destPe)
-                        panic("Omega routing invariant violated");
-                    int home = flit.destPe;
-                    int target;
-                    if (sharer.hops() > 0) {
-                        target = sharer.choose(home, pes, &accepted,
-                                               accept_cap);
-                    } else {
-                        target = accepted[static_cast<std::size_t>(home)] <
-                                 accept_cap ? home : -1;
-                    }
-                    if (target < 0) return false;
-                    if (!pes[static_cast<std::size_t>(target)]
-                             .enqueue(flit.task))
-                        return false;
-                    ++accepted[static_cast<std::size_t>(target)];
-                    ++home_tasks[static_cast<std::size_t>(home)];
-                    return true;
-                });
-                int injected = 0;
-                for (int p = 0; p < P && injected < inject_width; ++p) {
-                    std::size_t &cursor =
-                        port_next[static_cast<std::size_t>(p)];
-                    if (cursor >= n_flits) continue;
-                    int home = partition.owner(r_row[cursor]);
-                    Flit flit{Task{r_row[cursor], r_aval[cursor],
-                                   r_bval[cursor], home},
-                              home};
-                    if (!net.inject(flit, p)) continue;
-                    cursor += static_cast<std::size_t>(P);
-                    ++injected;
-                    if (cursor >= n_flits) ++lanes_done;
-                }
-            } else {
-                int injected = 0;
-                while (next < n_flits && injected < inject_width) {
-                    if (!deliver(next)) break;
-                    ++next;
-                    ++injected;
-                }
-            }
-
-            ++now;
-            if (now - round_start > cfg_.maxCyclesPerRound)
-                panic("SpmmEngine: round watchdog expired");
-
-            bool stream_done = use_net
-                ? (lanes_done == static_cast<std::size_t>(P))
-                : (next >= n_flits);
-            if (!stream_done) continue;
-            if (use_net && !net.empty()) continue;
-            bool done = true;
-            for (const auto &pe : pes) {
-                if (!pe.drained(now)) {
-                    done = false;
-                    break;
-                }
-            }
-            if (done) break;
-        }
-        ++stats.roundsSimulated;
-
-        // Traffic accounting and roofline composition (DESIGN.md §11):
-        // the A-task stream, the fetched B column, and the written
-        // sparse C column (values + row ids), plus any migration bytes
-        // billed from the previous round's rebalance.
-        const Count out_nnz =
-            c.colPtr()[static_cast<std::size_t>(k) + 1] -
-            c.colPtr()[static_cast<std::size_t>(k)];
-        MemoryTraffic round_traffic = mem.spgemmRoundTraffic(
-            static_cast<Count>(n_flits), b_end - b_begin, out_nnz);
-        round_traffic.migrationBytes = pending_migration_bytes;
-        pending_migration_bytes = 0;
-        stats.traffic += round_traffic;
-        Cycle round_duration = now - round_start;
-        const Cycle bw_floor = mem.floorCycles(round_traffic.total());
-        stats.memoryCycles += bw_floor;
-        if (bw_floor > round_duration) {
-            ++stats.bwBoundRounds;
-            now += bw_floor - round_duration;
-            round_duration = bw_floor;
-        }
-
-        stats.roundCycles.push_back(round_duration);
-        Count round_tasks = 0;
-        RoundObservation obs;
-        obs.peWork = home_tasks;
-        obs.drainCycle.resize(static_cast<std::size_t>(P));
-        for (int p = 0; p < P; ++p) {
-            const Pe &pe = pes[static_cast<std::size_t>(p)];
-            Count t = pe.tasksThisRound();
-            round_tasks += t;
-            stats.perPeTasks[static_cast<std::size_t>(p)] += t;
-            Cycle last = pe.lastBusyCycle();
-            obs.drainCycle[static_cast<std::size_t>(p)] =
-                (t > 0 && last >= round_start) ? last - round_start : 0;
-        }
-        stats.tasks += round_tasks;
-        stats.idealCycles += (round_tasks + P - 1) / P;
-        stats.rawStalls += rawStallsOf(pes) - raw_before;
-
-        // Observe after every round, the last included: frontier kernels
-        // chain 1-round SpGEMMs over a carried partition, so this is the
-        // only observation those rounds would ever produce.
-        std::vector<int> owners_before;
-        if (rebalance->wantsObservations())
-            owners_before = partition.owners();
-        rebalance->observeAndAdjust(obs, row_work, partition);
-        if (!owners_before.empty()) {
-            const Count mig = mem.migrationBytes(
-                owners_before, partition.owners(), row_work);
-            if (k + 1 < K) {
-                pending_migration_bytes = mig;
-            } else {
-                // No next round to bill the floor to; account the bytes.
-                stats.traffic.migrationBytes += mig;
-            }
-        }
+        // Traffic (DESIGN.md §11): the A-task stream, the fetched B
+        // column, and the written sparse C column (values + row ids).
+        const MemoryTraffic traffic = core.mem.spgemmRoundTraffic(
+            static_cast<Count>(rows.size()),
+            b.colPtr()[kk + 1] - b.colPtr()[kk],
+            c.colPtr()[kk + 1] - c.colPtr()[kk]);
+        core.account(rec, traffic, k + 1 == K, partition);
     }
-
-    stats.cycles = now;
-    stats.syncCycles = std::max<Cycle>(0, stats.cycles - stats.idealCycles);
-    stats.utilization = stats.cycles > 0
-        ? static_cast<double>(stats.tasks) /
-          (static_cast<double>(P) * static_cast<double>(stats.cycles))
-        : 0.0;
-    stats.rowsSwitched = rebalance->totalRowsMoved();
-    stats.convergedRound = rebalance->convergedRound();
-    for (const auto &pe : pes) {
-        stats.peakQueueDepth =
-            std::max(stats.peakQueueDepth, pe.peakQueueDepth());
-    }
-    if (use_net) stats.peakNetworkDepth = net.peakBufferDepth();
-    return {std::move(c), std::move(stats)};
+    return {std::move(c), core.finish()};
 }
 
 } // namespace awb

@@ -17,19 +17,22 @@
  * reused for the remaining columns. A per-column barrier separates rounds
  * (§3.3: synchronization happens when a full column of C is complete).
  *
- * Two implementations share one execution loop (AccelConfig::engine):
+ * The per-cycle loop is structure-only: tasks carry a result row and a
+ * home PE, never operand values, and C is computed outside the loop by
+ * the deterministic functional kernels. Two implementations share that
+ * one round core (AccelConfig::engine):
  *
  *  - EngineKind::Event steps every non-zero of every round;
  *  - EngineKind::Batched exploits that a round's timing is a pure
  *    function of its entry state — the row partition, the PE arbiter
- *    cursors and the Omega arbitration parity; task *values* never feed
- *    back into control — so it event-steps each distinct entry state
- *    once and replays cached per-round aggregates for repeats. Once the
- *    rebalance policy converges the state recurs and whole rounds
- *    advance without simulation, which is what makes Reddit-scale
- *    cycle-mode sweeps tractable. Timing statistics are bit-identical
- *    to the event engine by construction (DESIGN.md §6); only the
- *    floating-point accumulation order of replayed columns differs.
+ *    cursors and the Omega arbitration parity — so it event-steps each
+ *    distinct entry state once and replays cached per-round aggregates
+ *    for repeats. Once the rebalance policy converges the state recurs
+ *    and whole rounds advance without simulation, which is what makes
+ *    Reddit-scale cycle-mode sweeps tractable. Timing statistics are
+ *    bit-identical to the event engine by construction (DESIGN.md §6),
+ *    and C is bit-identical under either engine, any cache state and
+ *    any thread count.
  */
 
 #pragma once
@@ -88,7 +91,7 @@ struct SpmmStats
 /** Value-semantics result of one SPMM execution. */
 struct SpmmResult
 {
-    DenseMatrix c;    ///< the dense result matrix (functionally exact)
+    DenseMatrix c;    ///< the dense result matrix (spmmCsr of the operands)
     SpmmStats stats;  ///< cycle-level results
 };
 
@@ -123,6 +126,15 @@ class SpmmEngine
      */
     SpmmResult execute(const CscMatrix &a, const DenseMatrix &b,
                        TdqKind kind, RowPartition &partition);
+
+    /**
+     * The timing half of execute(): the statistics of C = a × b for any
+     * dense b with `cols` columns. Operand values never affect timing,
+     * so callers that discard C (or compute it once for several shards)
+     * skip the functional product.
+     */
+    SpmmStats simulate(const CscMatrix &a, Index cols, TdqKind kind,
+                       RowPartition &partition);
 
     /**
      * Execute the sparse-output SpGEMM C = a × b cycle-accurately

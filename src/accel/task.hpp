@@ -1,9 +1,11 @@
 /**
  * @file
  * The unit of work flowing through the accelerator: one scalar
- * multiply-accumulate a(row, j) * b(j, k) destined for result element
- * C(row, k). Column indices are implicit (the engine processes one column
- * k per round, and b is captured by value at dispatch).
+ * multiply-accumulate into result element C(row, k) of the round's
+ * column k. Tasks carry structure only — the timing of a round never
+ * depends on operand values, so the engine computes C outside the
+ * per-cycle loop (DESIGN.md §6). The Omega network routes a task to
+ * its `homePe`.
  */
 
 #pragma once
@@ -16,17 +18,8 @@ namespace awb {
 struct Task
 {
     Index row;    ///< result row (row of the sparse operand)
-    Value a;      ///< sparse-operand value
-    Value b;      ///< dense-operand value b(j, k), broadcast per column j
     int homePe;   ///< PE whose ACC bank owns `row` (result returns here
                   ///< when the task was diverted by local sharing)
-};
-
-/** A task wrapped with its Omega-network destination. */
-struct Flit
-{
-    Task task;
-    int destPe;
 };
 
 } // namespace awb

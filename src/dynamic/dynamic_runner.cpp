@@ -60,10 +60,6 @@ DynamicRunner::DynamicRunner(const AccelConfig &cfg,
     // observation vs a converged fresh reference) instead of
     // churn-induced staleness.
     tuneWithPolicy(*policy_, row_work, partition_);
-
-    features_ = DenseMatrix(initial.cols(), opts_.denseCols);
-    Rng rng(splitmix64(opts_.seed), 0x5eedu);
-    features_.fillUniform(rng, Value(-1), Value(1));
 }
 
 Cycle
@@ -72,20 +68,21 @@ DynamicRunner::executeEpoch(const CscMatrix &a,
                             RowPartition &partition, DynamicEpoch *out)
 {
     if (opts_.fidelity == DynamicFidelity::Cycle) {
-        SpmmEngine engine(execCfg_);
-        SpmmResult r = engine.execute(a, features_,
-                                      TdqKind::Tdq2OmegaCsc, partition);
+        // The epoch's dense block only sets the round count: operand
+        // values never affect timing.
+        const SpmmStats s = SpmmEngine(execCfg_).simulate(
+            a, opts_.denseCols, TdqKind::Tdq2OmegaCsc, partition);
         if (out != nullptr) {
-            out->tasks = r.stats.tasks;
-            stats_.rounds += r.stats.rounds;
-            stats_.roundsSimulated += r.stats.roundsSimulated;
-            stats_.traffic += r.stats.traffic;
-            stats_.memoryCycles += r.stats.memoryCycles;
-            stats_.bwBoundRounds += r.stats.bwBoundRounds;
+            out->tasks = s.tasks;
+            stats_.rounds += s.rounds;
+            stats_.roundsSimulated += s.roundsSimulated;
+            stats_.traffic += s.traffic;
+            stats_.memoryCycles += s.memoryCycles;
+            stats_.bwBoundRounds += s.bwBoundRounds;
             stats_.peakQueueDepth =
-                std::max(stats_.peakQueueDepth, r.stats.peakQueueDepth);
+                std::max(stats_.peakQueueDepth, s.peakQueueDepth);
         }
-        return r.stats.cycles;
+        return s.cycles;
     }
     PerfModel model(execCfg_);
     PerfSpmmResult r = model.runSpmm(row_work, opts_.denseCols, partition);

@@ -31,7 +31,6 @@
 #include "dynamic/churn.hpp"
 #include "dynamic/delta_csr.hpp"
 #include "model/memory_model.hpp"
-#include "sparse/dense.hpp"
 
 namespace awb::dynamic {
 
@@ -127,7 +126,6 @@ class DynamicRunner
     DeltaCsr delta_;
     RowPartition partition_;  ///< the carried row map
     std::unique_ptr<RebalancePolicy> policy_;  ///< boundary policy
-    DenseMatrix features_;    ///< fixed dense block, all epochs
     DynamicRunStats stats_;
 };
 

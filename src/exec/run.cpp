@@ -309,10 +309,10 @@ run(const RunRequest &req)
         RowPartition part =
             makePartitionPolicy(cfg)->build(x.rows(), x.rowNnz(), cfg);
         Stopwatch timer;
-        SpmmResult r =
-            SpmmEngine(cfg).execute(x, w, TdqKind::Tdq1DenseScan, part);
+        SpmmStats s = SpmmEngine(cfg).simulate(x, w.cols(),
+                                               TdqKind::Tdq1DenseScan, part);
         out.wallMs = timer.elapsedMs();
-        fold(out, r.stats);
+        fold(out, s);
         break;
       }
       case Mode::SpmmTdq2: {
@@ -337,10 +337,10 @@ run(const RunRequest &req)
         RowPartition part =
             makePartitionPolicy(cfg)->build(a->rows(), a->rowNnz(), cfg);
         Stopwatch timer;
-        SpmmResult r =
-            SpmmEngine(cfg).execute(*a, b, TdqKind::Tdq2OmegaCsc, part);
+        SpmmStats s = SpmmEngine(cfg).simulate(*a, b.cols(),
+                                               TdqKind::Tdq2OmegaCsc, part);
         out.wallMs = timer.elapsedMs();
-        fold(out, r.stats);
+        fold(out, s);
         break;
       }
       case Mode::GraphSage: {

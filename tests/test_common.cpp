@@ -9,7 +9,6 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 
 using namespace awb;
@@ -87,62 +86,6 @@ TEST(Rng, BernoulliFrequency)
     for (int i = 0; i < n; ++i)
         if (r.nextBool(0.3)) ++hits;
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Counter, IncrementAndReset)
-{
-    Counter c("c");
-    c.inc();
-    c.inc(41);
-    EXPECT_EQ(c.value(), 42);
-    c.reset();
-    EXPECT_EQ(c.value(), 0);
-}
-
-TEST(Histogram, SummaryStats)
-{
-    Histogram h("h", 0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i) h.sample(i);
-    EXPECT_EQ(h.samples(), 10);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.5);
-    EXPECT_DOUBLE_EQ(h.minValue(), 0.0);
-    EXPECT_DOUBLE_EQ(h.maxValue(), 9.0);
-}
-
-TEST(Histogram, BucketPlacement)
-{
-    Histogram h("h", 0.0, 10.0, 10);
-    h.sample(0.5);
-    h.sample(9.5);
-    EXPECT_EQ(h.bucket(0), 1);
-    EXPECT_EQ(h.bucket(9), 1);
-}
-
-TEST(Histogram, OutOfRangeClamps)
-{
-    Histogram h("h", 0.0, 1.0, 4);
-    h.sample(-5.0);
-    h.sample(42.0);
-    EXPECT_EQ(h.bucket(0), 1);
-    EXPECT_EQ(h.bucket(3), 1);
-}
-
-TEST(StatSet, CounterPersistence)
-{
-    StatSet s("pe0.");
-    s.counter("busy").inc(10);
-    s.counter("busy").inc(5);
-    EXPECT_EQ(s.counter("busy").value(), 15);
-    EXPECT_NE(s.find("busy"), nullptr);
-    EXPECT_EQ(s.find("missing"), nullptr);
-}
-
-TEST(StatSet, DumpContainsPrefix)
-{
-    StatSet s("pe0.");
-    s.counter("busy").inc(3);
-    auto text = s.dump();
-    EXPECT_NE(text.find("pe0.busy 3"), std::string::npos);
 }
 
 TEST(TableFormat, HumanCount)

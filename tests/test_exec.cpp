@@ -5,8 +5,9 @@
  * results, single-flight concurrency), the shared round-entry-state
  * cache (stats equivalence on fresh engines, both engine kinds), the
  * Runner's centralized utilization derivation, deterministic intra-point
- * parallelism (bit-identical functional SPMM at any thread count) and
- * the cache-independence of sweep JSON output.
+ * parallelism (bit-identical functional SPMM at any thread count), an
+ * engine output C independent of engine, cache, threads and platform,
+ * and the cache-independence of sweep JSON output.
  */
 
 #include <gtest/gtest.h>
@@ -194,6 +195,67 @@ TEST(RoundStateCache, SharedReplayReproducesEveryStatBitForBit)
     EXPECT_GT(RoundStateCache::instance().hits(), hits_before);
     EXPECT_TRUE(sameStats(plain_event, replay_event));
     EXPECT_TRUE(sameStats(plain_batched, replay_batched));
+}
+
+// ------------------------------------------------- functional invariance
+
+// C is computed outside the timing loop, so it is bit-identical under
+// either engine, any shared-cache state, any intra-point thread count
+// and any platform — even when the schedules differ.
+TEST(EngineValues, OutputIsBitIdenticalAcrossEngineCacheThreadsPlatform)
+{
+    CacheGuard guard;
+    const DatasetSpec &spec = findDataset("cora");
+    CscMatrix a = loadSyntheticAdjacency(spec, /*seed=*/13, /*scale=*/1.0);
+    Rng rng(13, /*seq=*/2);
+    DenseMatrix b(a.cols(), 96);
+    b.fillUniform(rng, -1.0f, 1.0f);
+    // Big enough that the functional SPMM runs chunked at 4 threads.
+    ASSERT_GE(a.nnz() * static_cast<Count>(b.cols()),
+              static_cast<Count>(kParallelMinWork));
+
+    auto run = [&](const char *policy, EngineKind engine,
+                   const char *platform) {
+        AccelConfig cfg = makePolicyConfig(policy, 16, hopBase(spec));
+        cfg.engine = engine;
+        cfg.platform = platform;
+        RowPartition part =
+            makePartitionPolicy(cfg)->build(a.rows(), a.rowNnz(), cfg);
+        return SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).c;
+    };
+    const DenseMatrix ref =
+        run("remote-d", EngineKind::Event, "unconstrained");
+
+    EXPECT_EQ(ref.maxAbsDiff(
+                  run("remote-d", EngineKind::Batched, "unconstrained")),
+              0.0f)
+        << "event vs batched";
+    EXPECT_EQ(
+        ref.maxAbsDiff(run("remote-d", EngineKind::Event, "ddr4-2400")),
+        0.0f)
+        << "capped vs unconstrained";
+
+    // local-b shares remote-d's timing context, so its rounds pre-fill
+    // entries the remote-d run then replays.
+    RoundStateCache &cache = RoundStateCache::instance();
+    cache.setEnabled(true);
+    run("local-b", EngineKind::Event, "unconstrained");
+    const std::uint64_t hits_before = cache.hits();
+    EXPECT_EQ(ref.maxAbsDiff(
+                  run("remote-d", EngineKind::Event, "unconstrained")),
+              0.0f)
+        << "round cache on (pre-filled) vs off";
+    EXPECT_GT(cache.hits(), hits_before);
+    cache.setEnabled(false);
+
+    setIntraThreads(1);
+    const DenseMatrix serial =
+        run("remote-d", EngineKind::Event, "unconstrained");
+    setIntraThreads(4);
+    EXPECT_EQ(serial.maxAbsDiff(
+                  run("remote-d", EngineKind::Event, "unconstrained")),
+              0.0f)
+        << "intra-threads 1 vs 4";
 }
 
 // ------------------------------------------------- runner + utilization

@@ -4,9 +4,9 @@
  *  - Omega network conservation and routing over random traffic at every
  *    supported width;
  *  - degree samplers hit totals across exponents and caps;
- *  - the cycle engine's functional exactness is insensitive to every
- *    distribution-path knob (queue counts/depths, scan width, inject
- *    width, network speedup/buffers, MAC latency);
+ *  - the cycle engine's functional exactness and exact task delivery are
+ *    insensitive to every distribution-path knob (queue counts/depths,
+ *    scan width, inject width, network speedup/buffers, MAC latency);
  *  - water-filling monotonicity and bounds;
  *  - workload conservation under arbitrary remote-switching sequences;
  *  - randomized CSR/CSC churn mutation: structural invariants and
@@ -18,6 +18,8 @@
 
 #include <numeric>
 #include <string>
+
+#include "engine_checks.hpp"
 
 #include "accel/omega.hpp"
 #include "accel/perf_model.hpp"
@@ -52,16 +54,15 @@ TEST_P(OmegaConservation, DeliversEveryFlitOnce)
     int cycles = 0;
     while ((sent < n || !net.empty()) && cycles < 100000) {
         ++cycles;
-        net.tick(cycles, [&](const Flit &f, int port) {
-            EXPECT_EQ(port, f.destPe);
-            ++delivered[static_cast<std::size_t>(f.task.row)];
+        net.tick(cycles, [&](const Task &t, int port) {
+            EXPECT_EQ(port, t.homePe);
+            ++delivered[static_cast<std::size_t>(t.row)];
             ++received;
             return true;
         });
         for (int s = 0; s < ports && sent < n; ++s) {
             int d = rng.nextIndex(ports);
-            Flit f{Task{static_cast<Index>(sent), 1.0f, 1.0f, d}, d};
-            if (net.inject(f, s)) ++sent;
+            if (net.inject(Task{static_cast<Index>(sent), d}, s)) ++sent;
         }
     }
     EXPECT_EQ(received, n);
@@ -139,13 +140,20 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
 
     for (TdqKind kind :
          {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc}) {
-        AccelConfig cfg = makeConfig(Design::RemoteD, 8);
-        kc.apply(cfg);
-        RowPartition part(60, 8, cfg.mapPolicy);
-        auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
-        EXPECT_LT(golden.maxAbsDiff(c), 1e-4)
-            << kc.name << " kind=" << static_cast<int>(kind);
-        EXPECT_EQ(stats.tasks, a.nnz() * 5) << kc.name;
+        // Remote-D exercises sharing and row moves; the baseline pins
+        // every task to its home PE, so per-PE counts are exact too.
+        for (Design design : {Design::RemoteD, Design::Baseline}) {
+            SCOPED_TRACE(std::string(kc.name) +
+                         " kind=" + std::to_string(static_cast<int>(kind)) +
+                         " design=" +
+                         std::to_string(static_cast<int>(design)));
+            AccelConfig cfg = makeConfig(design, 8);
+            kc.apply(cfg);
+            RowPartition part(60, 8, cfg.mapPolicy);
+            auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
+            EXPECT_LT(golden.maxAbsDiff(c), 1e-4);
+            expectExactDelivery(a, 5, cfg, part, stats);
+        }
     }
 }
 

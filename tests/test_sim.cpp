@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the simulation kernel (FIFO, engine) and the Omega network:
+ * Tests for the FIFO primitive and the Omega network:
  * full src/dest delivery coverage, in-order per-path delivery, contention
  * backpressure, and buffer-occupancy accounting.
  */
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "accel/omega.hpp"
-#include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 
 using namespace awb;
@@ -51,47 +50,15 @@ TEST(Fifo, UnboundedTracksPeak)
 
 namespace {
 
-/** Component that counts down and goes quiescent. */
-class Countdown : public Component
-{
-  public:
-    explicit Countdown(int n) : Component("countdown"), left_(n) {}
-    void tick(Cycle) override { if (left_ > 0) --left_; }
-    bool quiescent() const override { return left_ == 0; }
-
-  private:
-    int left_;
-};
-
-} // namespace
-
-TEST(Engine, RunsUntilQuiescent)
-{
-    Engine e;
-    Countdown c(10);
-    e.add(&c);
-    EXPECT_EQ(e.run(1000), 10);
-}
-
-TEST(Engine, RespectsMaxCycles)
-{
-    Engine e;
-    Countdown c(100);
-    e.add(&c);
-    EXPECT_EQ(e.run(7), 7);
-}
-
-namespace {
-
 /** Drain everything currently in the network into `out`. */
 void
-drainAll(OmegaNetwork &net, std::vector<Flit> &out, int max_cycles = 1000)
+drainAll(OmegaNetwork &net, std::vector<Task> &out, int max_cycles = 1000)
 {
     int cycles = 0;
     while (!net.empty() && cycles++ < max_cycles) {
-        net.tick(cycles, [&](const Flit &f, int port) {
-            EXPECT_EQ(port, f.destPe);
-            out.push_back(f);
+        net.tick(cycles, [&](const Task &t, int port) {
+            EXPECT_EQ(port, t.homePe);
+            out.push_back(t);
             return true;
         });
     }
@@ -106,13 +73,12 @@ TEST(Omega, AllSrcDestPairsRoute)
         OmegaNetwork net(ports, 4);
         for (int s = 0; s < ports; ++s) {
             for (int d = 0; d < ports; ++d) {
-                Flit f{Task{static_cast<Index>(d), 1.0f, 1.0f, d}, d};
-                ASSERT_TRUE(net.inject(f, s));
-                std::vector<Flit> out;
+                ASSERT_TRUE(net.inject(Task{static_cast<Index>(d), d}, s));
+                std::vector<Task> out;
                 drainAll(net, out);
                 ASSERT_EQ(out.size(), 1u) << "ports=" << ports
                                           << " s=" << s << " d=" << d;
-                EXPECT_EQ(out[0].destPe, d);
+                EXPECT_EQ(out[0].homePe, d);
             }
         }
     }
@@ -121,13 +87,12 @@ TEST(Omega, AllSrcDestPairsRoute)
 TEST(Omega, DeliveryLatencyIsStageCount)
 {
     OmegaNetwork net(8, 4);  // 3 stages
-    Flit f{Task{0, 1.0f, 1.0f, 5}, 5};
-    ASSERT_TRUE(net.inject(f, 0));
+    ASSERT_TRUE(net.inject(Task{0, 5}, 0));
     int cycles = 0;
     bool delivered = false;
     while (!delivered && cycles < 100) {
         ++cycles;
-        net.tick(cycles, [&](const Flit &, int) {
+        net.tick(cycles, [&](const Task &, int) {
             delivered = true;
             return true;
         });
@@ -141,16 +106,13 @@ TEST(Omega, ContentionSerializesSameDestination)
     // draining takes at least P cycles.
     const int P = 8;
     OmegaNetwork net(P, 8, /*speedup=*/1);
-    for (int s = 0; s < P; ++s) {
-        Flit f{Task{0, 1.0f, 1.0f, 0}, 0};
-        ASSERT_TRUE(net.inject(f, s));
-    }
-    std::vector<Flit> out;
+    for (int s = 0; s < P; ++s) ASSERT_TRUE(net.inject(Task{0, 0}, s));
+    std::vector<Task> out;
     int cycles = 0;
     while (!net.empty() && cycles < 1000) {
         ++cycles;
-        net.tick(cycles, [&](const Flit &f, int) {
-            out.push_back(f);
+        net.tick(cycles, [&](const Task &t, int) {
+            out.push_back(t);
             return true;
         });
     }
@@ -162,14 +124,13 @@ TEST(Omega, ContentionSerializesSameDestination)
 TEST(Omega, BackpressureWhenSinkRejects)
 {
     OmegaNetwork net(4, 2);
-    Flit f{Task{2, 1.0f, 1.0f, 2}, 2};
-    ASSERT_TRUE(net.inject(f, 0));
-    // Sink always rejects: flit must stay in the fabric.
+    ASSERT_TRUE(net.inject(Task{2, 2}, 0));
+    // Sink always rejects: the task must stay in the fabric.
     for (int i = 0; i < 10; ++i)
-        net.tick(i, [](const Flit &, int) { return false; });
+        net.tick(i, [](const Task &, int) { return false; });
     EXPECT_FALSE(net.empty());
     // Now accept.
-    std::vector<Flit> out;
+    std::vector<Task> out;
     drainAll(net, out);
     ASSERT_EQ(out.size(), 1u);
 }
@@ -177,10 +138,10 @@ TEST(Omega, BackpressureWhenSinkRejects)
 TEST(Omega, EntryBufferFillsUnderInjectionPressure)
 {
     OmegaNetwork net(4, 1);
-    Flit f{Task{1, 1.0f, 1.0f, 1}, 1};
-    EXPECT_TRUE(net.inject(f, 0));
+    const Task t{1, 1};
+    EXPECT_TRUE(net.inject(t, 0));
     // Same entry path, buffer depth 1 -> second inject fails.
-    EXPECT_FALSE(net.inject(f, 0));
+    EXPECT_FALSE(net.inject(t, 0));
 }
 
 TEST(Omega, ThroughputUnderUniformTraffic)
@@ -193,18 +154,16 @@ TEST(Omega, ThroughputUnderUniformTraffic)
     int sent = 0, received = 0, cycles = 0;
     while (received < 256 && cycles < 500) {
         ++cycles;
-        net.tick(cycles, [&](const Flit &, int) {
+        net.tick(cycles, [&](const Task &, int) {
             ++received;
             return true;
         });
         for (int s = 0; s < P && sent < 256; ++s) {
-            Flit f{Task{static_cast<Index>(sent % P), 1.0f, 1.0f,
-                        sent % P},
-                   sent % P};
-            if (net.inject(f, s)) ++sent;
+            const int d = sent % P;
+            if (net.inject(Task{static_cast<Index>(d), d}, s)) ++sent;
         }
     }
     EXPECT_EQ(received, 256);
     EXPECT_LT(cycles, 96);
-    EXPECT_GE(net.peakBufferDepth(), 1u);
+    EXPECT_GE(net.roundPeakBufferDepth(), 1u);
 }
