@@ -35,13 +35,6 @@ OmegaNetwork::OmegaNetwork(int ports, int buffer_depth, int speedup)
     }
 }
 
-int
-OmegaNetwork::shuffle(int port) const
-{
-    // Rotate the stages_-bit port id left by one.
-    return ((port << 1) | (port >> (stages_ - 1))) & (ports_ - 1);
-}
-
 bool
 OmegaNetwork::inject(const Task &task, int src)
 {
@@ -50,79 +43,6 @@ OmegaNetwork::inject(const Task &task, int src)
     ++stageCount_[0];
     roundPeak_ = std::max(roundPeak_, buf.size());
     return true;
-}
-
-void
-OmegaNetwork::tick(Cycle, const Sink &sink)
-{
-    // Back-to-front: freeing a downstream slot this cycle lets the
-    // upstream stage use it this cycle (credit-based flow control).
-    const int rr = rrTick_;
-    for (int s = stages_ - 1; s >= 0; --s) {
-        // A vacant stage (nothing resident) cannot move anything; its
-        // routers' state is fully captured by the shared priority bit,
-        // so skipping them is behaviour-preserving.
-        if (stageCount_[static_cast<std::size_t>(s)] == 0) continue;
-        auto &stage = buffers_[static_cast<std::size_t>(s)];
-        const int dest_bit = stages_ - 1 - s;
-        for (int r = 0; r < ports_ / 2; ++r) {
-            if (stage[static_cast<std::size_t>(2 * r)].empty() &&
-                stage[static_cast<std::size_t>(2 * r + 1)].empty())
-                continue;
-            int out_used[2] = {0, 0};
-            // The fabric clock allows `speedup_` passes over the two
-            // inputs per PE cycle. Within one tick a router's inputs
-            // only shrink and its outputs only fill (stages advance
-            // back-to-front and each output port belongs to exactly one
-            // router), so a pass that moves nothing proves every later
-            // pass would move nothing: stop early.
-            for (int pass = 0; pass < speedup_; ++pass) {
-                bool progressed = false;
-                for (int i = 0; i < 2; ++i) {
-                    int in_port = 2 * r + ((rr + i) & 1);
-                    Fifo<Task> &buf =
-                        stage[static_cast<std::size_t>(in_port)];
-                    if (buf.empty()) continue;
-                    const Task &head = buf.front();
-                    int bit = (head.homePe >> dest_bit) & 1;
-                    if (out_used[bit] >= speedup_) {
-                        ++blocked_;
-                        continue;
-                    }
-                    int out_port = 2 * r + bit;
-                    if (s == stages_ - 1) {
-                        if (sink(head, out_port)) {
-                            buf.pop();
-                            --stageCount_[static_cast<std::size_t>(s)];
-                            ++out_used[bit];
-                            ++delivered_;
-                            progressed = true;
-                        } else {
-                            ++blocked_;
-                        }
-                    } else {
-                        int next_in = shuffle(out_port);
-                        Fifo<Task> &next =
-                            buffers_[static_cast<std::size_t>(s + 1)]
-                                    [static_cast<std::size_t>(next_in)];
-                        if (next.push(head)) {
-                            buf.pop();
-                            --stageCount_[static_cast<std::size_t>(s)];
-                            ++stageCount_[static_cast<std::size_t>(s + 1)];
-                            roundPeak_ =
-                                std::max(roundPeak_, next.size());
-                            ++out_used[bit];
-                            progressed = true;
-                        } else {
-                            ++blocked_;
-                        }
-                    }
-                }
-                if (!progressed) break;
-            }
-        }
-    }
-    rrTick_ ^= 1;  // alternate input priority
 }
 
 void

@@ -7,11 +7,16 @@
  * one input buffer per router port ("Each router in the Omega-network has
  * a local buffer in case the buffer of the next stage is saturated").
  * Chosen over a crossbar for area: P/2·log2(P) routers vs P^2 crosspoints.
+ *
+ * Every router port buffer is a ring-backed `Fifo<Task>` sized once at
+ * construction. tick() is a template over the sink so the per-flit
+ * delivery call inlines into the engine's round loop (DESIGN.md §6).
  */
 
 #pragma once
 
-#include <functional>
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "accel/task.hpp"
@@ -34,10 +39,6 @@ class OmegaNetwork
      */
     OmegaNetwork(int ports, int buffer_depth, int speedup = 2);
 
-    /** Receives each task leaving the fabric with its output port,
-     *  which always equals the task's `homePe`. */
-    using Sink = std::function<bool(const Task &, int out_port)>;
-
     /**
      * Offer a task at input port `src`; it is routed to output port
      * `task.homePe`. Returns false when the stage-0 buffer on that path
@@ -47,11 +48,13 @@ class OmegaNetwork
 
     /**
      * One clock: stages advance in back-to-front order, each router moving
-     * at most one flit per output. Flits leaving the final stage are
-     * handed to `sink`; if the sink rejects (PE queue full), the flit
-     * stays buffered.
+     * at most `speedup` flits per output. Flits leaving the final stage
+     * are handed to `sink(const Task &, int out_port) -> bool`, where
+     * `out_port` always equals the task's `homePe`; if the sink rejects
+     * (PE queue full), the flit stays buffered.
      */
-    void tick(Cycle now, const Sink &sink);
+    template <typename Sink>
+    void tick(Cycle now, Sink &&sink);
 
     /** No flits anywhere in the fabric. */
     bool empty() const;
@@ -89,7 +92,11 @@ class OmegaNetwork
 
   private:
     /** Perfect-shuffle permutation (rotate-left on log2(P) bits). */
-    int shuffle(int port) const;
+    int
+    shuffle(int port) const
+    {
+        return ((port << 1) | (port >> (stages_ - 1))) & (ports_ - 1);
+    }
 
     int ports_;
     int stages_;
@@ -112,5 +119,79 @@ class OmegaNetwork
     Count delivered_ = 0;
     Count blocked_ = 0;
 };
+
+template <typename Sink>
+void
+OmegaNetwork::tick(Cycle, Sink &&sink)
+{
+    // Back-to-front: freeing a downstream slot this cycle lets the
+    // upstream stage use it this cycle (credit-based flow control).
+    const int rr = rrTick_;
+    for (int s = stages_ - 1; s >= 0; --s) {
+        // A vacant stage (nothing resident) cannot move anything; its
+        // routers' state is fully captured by the shared priority bit,
+        // so skipping them is behaviour-preserving.
+        if (stageCount_[static_cast<std::size_t>(s)] == 0) continue;
+        auto &stage = buffers_[static_cast<std::size_t>(s)];
+        const int dest_bit = stages_ - 1 - s;
+        for (int r = 0; r < ports_ / 2; ++r) {
+            if (stage[static_cast<std::size_t>(2 * r)].empty() &&
+                stage[static_cast<std::size_t>(2 * r + 1)].empty())
+                continue;
+            int out_used[2] = {0, 0};
+            // The fabric clock allows `speedup_` passes over the two
+            // inputs per PE cycle. Within one tick a router's inputs
+            // only shrink and its outputs only fill (stages advance
+            // back-to-front and each output port belongs to exactly one
+            // router), so a pass that moves nothing proves every later
+            // pass would move nothing: stop early.
+            for (int pass = 0; pass < speedup_; ++pass) {
+                bool progressed = false;
+                for (int i = 0; i < 2; ++i) {
+                    int in_port = 2 * r + ((rr + i) & 1);
+                    Fifo<Task> &buf =
+                        stage[static_cast<std::size_t>(in_port)];
+                    if (buf.empty()) continue;
+                    const Task &head = buf.front();
+                    int bit = (head.homePe >> dest_bit) & 1;
+                    if (out_used[bit] >= speedup_) {
+                        ++blocked_;
+                        continue;
+                    }
+                    int out_port = 2 * r + bit;
+                    if (s == stages_ - 1) {
+                        if (sink(head, out_port)) {
+                            buf.pop();
+                            --stageCount_[static_cast<std::size_t>(s)];
+                            ++out_used[bit];
+                            ++delivered_;
+                            progressed = true;
+                        } else {
+                            ++blocked_;
+                        }
+                    } else {
+                        int next_in = shuffle(out_port);
+                        Fifo<Task> &next =
+                            buffers_[static_cast<std::size_t>(s + 1)]
+                                    [static_cast<std::size_t>(next_in)];
+                        if (next.push(head)) {
+                            buf.pop();
+                            --stageCount_[static_cast<std::size_t>(s)];
+                            ++stageCount_[static_cast<std::size_t>(s + 1)];
+                            roundPeak_ =
+                                std::max(roundPeak_, next.size());
+                            ++out_used[bit];
+                            progressed = true;
+                        } else {
+                            ++blocked_;
+                        }
+                    }
+                }
+                if (!progressed) break;
+            }
+        }
+    }
+    rrTick_ ^= 1;  // alternate input priority
+}
 
 } // namespace awb

@@ -5,7 +5,7 @@
 namespace awb {
 
 Pe::Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency)
-    : id_(id), macLatency_(mac_latency)
+    : id_(id), macLatency_(mac_latency), depth_(queue_depth)
 {
     if (num_queues < 1) num_queues = 1;
     queues_.reserve(static_cast<std::size_t>(num_queues));
@@ -14,43 +14,29 @@ Pe::Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency)
     inflight_.reserve(static_cast<std::size_t>(mac_latency) + 1);
 }
 
-std::size_t
-Pe::pending() const
-{
-    std::size_t n = 0;
-    for (const auto &q : queues_) n += q.size();
-    return n;
-}
-
 bool
 Pe::drained(Cycle now) const
 {
-    if (pending() != 0) return false;
+    if (pending_ != 0) return false;
     for (const auto &f : inflight_)
         if (f.done > now) return false;
     return true;
 }
 
 bool
-Pe::canAccept() const
-{
-    return std::any_of(queues_.begin(), queues_.end(),
-                       [](const Fifo<Task> &q) { return !q.full(); });
-}
-
-bool
 Pe::enqueue(const Task &task)
 {
+    if (!canAccept()) {
+        ++enqueueRejects_;
+        return false;
+    }
     Fifo<Task> *best = nullptr;
     for (auto &q : queues_) {
         if (q.full()) continue;
         if (best == nullptr || q.size() < best->size()) best = &q;
     }
-    if (best == nullptr) {
-        ++enqueueRejects_;
-        return false;
-    }
     best->push(task);
+    ++pending_;
     roundPeak_ = std::max(roundPeak_, best->size());
     return true;
 }
@@ -64,7 +50,7 @@ Pe::rowInFlight(Index row) const
 }
 
 void
-Pe::tick(Cycle now)
+Pe::issue(Cycle now)
 {
     // Retire MAC ops whose pipeline delay has elapsed.
     inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
@@ -75,15 +61,13 @@ Pe::tick(Cycle now)
 
     // Arbiter: round-robin over queues, issue the first whose head does
     // not RaW-conflict with an in-flight accumulation.
-    bool any_pending = false;
     for (std::size_t i = 0; i < queues_.size(); ++i) {
         auto qi = (nextQueue_ + i) % queues_.size();
         Fifo<Task> &q = queues_[qi];
-        if (q.empty()) continue;
-        any_pending = true;
-        if (rowInFlight(q.front().row)) continue;
+        if (q.empty() || rowInFlight(q.front().row)) continue;
 
         Task t = q.pop();
+        --pending_;
         nextQueue_ = (qi + 1) % queues_.size();
         // The result row is busy until the pipeline delay elapses, which
         // the scoreboard enforces.
@@ -93,7 +77,8 @@ Pe::tick(Cycle now)
         return;
     }
 
-    if (any_pending) ++rawStallCycles_;
+    // Work is queued (issue() runs only then) but every head conflicts.
+    ++rawStallCycles_;
 }
 
 void

@@ -34,13 +34,19 @@ class Pe
     int id() const { return id_; }
 
     /** Total buffered tasks across this PE's queues ("pending counter"). */
-    std::size_t pending() const;
+    std::size_t pending() const { return pending_; }
 
     /** True when queues are empty and the MAC pipeline has drained. */
     bool drained(Cycle now) const;
 
-    /** Can at least one queue accept a task? */
-    bool canAccept() const;
+    /** Can at least one queue accept a task? Every queue has the same
+     *  capacity, so one has room exactly when the total is below
+     *  depth × queues. */
+    bool
+    canAccept() const
+    {
+        return depth_ == 0 || pending_ < depth_ * queues_.size();
+    }
 
     /**
      * Enqueue a task into the shortest queue. Returns false when all
@@ -50,9 +56,18 @@ class Pe
 
     /**
      * One clock: retire finished MAC ops, then let the arbiter issue the
-     * first hazard-free queue head into the MAC.
+     * first hazard-free queue head into the MAC. An empty PE does
+     * nothing, not even retirement: completion (`done <= now`) only
+     * becomes more true as time advances, the scoreboard is read only
+     * when issuing, and drained() already ignores finished ops, so
+     * retiring lazily at the next issue attempt is exact (DESIGN.md §6).
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (pending_ == 0) return;
+        issue(now);
+    }
 
     /** Cycle the PE last issued real work (utilization accounting). */
     Cycle lastBusyCycle() const { return lastBusy_; }
@@ -90,12 +105,19 @@ class Pe
     void setArbiterCursor(std::size_t q) { nextQueue_ = q % queues_.size(); }
 
   private:
+    /** tick() body for a PE with queued work. */
+    void issue(Cycle now);
+
     /** True if `row` is being accumulated in the MAC pipeline. */
     bool rowInFlight(Index row) const;
 
     int id_;
     int macLatency_;
+    /** Capacity of every queue (0 = unbounded). */
+    std::size_t depth_;
     std::vector<Fifo<Task>> queues_;
+    /** Tasks across all queues; kept on enqueue and on issue. */
+    std::size_t pending_ = 0;
     std::size_t nextQueue_ = 0;  ///< round-robin arbiter state
 
     /** Scoreboard: (row, completion cycle) of in-flight MAC ops. */

@@ -8,14 +8,20 @@
  * task queues by worst-case depth (§5.2: Nell's TQ depth drops from 65128
  * to 2675 once rebalancing is enabled) and the Fig. 14 K-O area results are
  * dominated by it.
+ *
+ * Storage is a power-of-two ring over one std::vector (DESIGN.md §6): the
+ * event engine pushes and pops these queues every simulated cycle, so
+ * push/pop/front are a masked index with no allocation. A bounded queue
+ * allocates its ring once, at construction; an unbounded one doubles it
+ * on demand.
  */
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/types.hpp"
@@ -30,15 +36,24 @@ template <typename T>
 class Fifo
 {
   public:
-    explicit Fifo(std::size_t capacity = 0) : capacity_(capacity) {}
+    explicit Fifo(std::size_t capacity = 0) : capacity_(capacity)
+    {
+        // Very large software bounds (a serving --queue-cap) start at a
+        // modest ring and double up to the bound instead of reserving it.
+        if (capacity_ != 0) {
+            std::size_t slots = 1;
+            while (slots < std::min(capacity_, kMaxEager)) slots <<= 1;
+            resize(slots);
+        }
+    }
 
-    bool empty() const { return q_.empty(); }
-    std::size_t size() const { return q_.size(); }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
 
     bool
     full() const
     {
-        return capacity_ != 0 && q_.size() >= capacity_;
+        return capacity_ != 0 && size_ >= capacity_;
     }
 
     /** Push; returns false (and drops nothing) when full. Rejected
@@ -51,8 +66,11 @@ class Fifo
             ++rejected_;
             return false;
         }
-        q_.push_back(std::move(item));
-        peak_ = std::max(peak_, q_.size());
+        if (size_ == ring_.size())
+            resize(std::max<std::size_t>(8, 2 * ring_.size()));
+        slot(size_) = std::move(item);
+        ++size_;
+        peak_ = std::max(peak_, size_);
         ++pushes_;
         return true;
     }
@@ -60,16 +78,17 @@ class Fifo
     const T &
     front() const
     {
-        if (q_.empty()) panic("Fifo::front on empty queue");
-        return q_.front();
+        if (size_ == 0) panic("Fifo::front on empty queue");
+        return ring_[head_];
     }
 
     T
     pop()
     {
-        if (q_.empty()) panic("Fifo::pop on empty queue");
-        T item = std::move(q_.front());
-        q_.pop_front();
+        if (size_ == 0) panic("Fifo::pop on empty queue");
+        T item = std::move(ring_[head_]);
+        head_ = (head_ + 1) & mask_;
+        --size_;
         return item;
     }
 
@@ -79,8 +98,8 @@ class Fifo
     const T &
     at(std::size_t i) const
     {
-        if (i >= q_.size()) panic("Fifo::at index out of range");
-        return q_[i];
+        if (i >= size_) panic("Fifo::at index out of range");
+        return ring_[(head_ + i) & mask_];
     }
 
     /** Remove the element at index i (0 == front), preserving the order
@@ -90,14 +109,22 @@ class Fifo
     T
     erase(std::size_t i)
     {
-        if (i >= q_.size()) panic("Fifo::erase index out of range");
-        T item = std::move(q_[i]);
-        q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(i));
+        if (i >= size_) panic("Fifo::erase index out of range");
+        T item = std::move(slot(i));
+        for (std::size_t j = i; j + 1 < size_; ++j)
+            slot(j) = std::move(slot(j + 1));
+        --size_;
         return item;
     }
 
     /** Drop all queued elements; statistics are kept (use clearStats). */
-    void clear() { q_.clear(); }
+    void
+    clear()
+    {
+        for (std::size_t i = 0; i < size_; ++i) slot(i) = T{};
+        head_ = 0;
+        size_ = 0;
+    }
 
     std::size_t peakOccupancy() const { return peak_; }
     Count totalPushes() const { return pushes_; }
@@ -108,14 +135,33 @@ class Fifo
     void
     clearStats()
     {
-        peak_ = q_.size();
+        peak_ = size_;
         pushes_ = 0;
         rejected_ = 0;
     }
 
   private:
+    static constexpr std::size_t kMaxEager = std::size_t{1} << 12;
+
+    T &slot(std::size_t i) { return ring_[(head_ + i) & mask_]; }
+
+    /** Re-home the live elements, in order, into a ring of `slots` (a
+     *  power of two). */
+    void
+    resize(std::size_t slots)
+    {
+        std::vector<T> ring(slots);
+        for (std::size_t i = 0; i < size_; ++i) ring[i] = std::move(slot(i));
+        ring_.swap(ring);
+        head_ = 0;
+        mask_ = slots - 1;
+    }
+
     std::size_t capacity_;
-    std::deque<T> q_;
+    std::vector<T> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+    std::size_t mask_ = 0;
     std::size_t peak_ = 0;
     Count pushes_ = 0;
     Count rejected_ = 0;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the accelerator building blocks: configuration factory,
- * row partition, PE (RaW hazards, arbitration, issue timing), local
- * sharing policy, and the remote-switching controller (Eq. 5 dynamics and
- * convergence).
+ * row partition, PE (RaW hazards, arbitration, issue timing, idle ticks,
+ * occupancy counters), local sharing policy, and the remote-switching
+ * controller (Eq. 5 dynamics and convergence).
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +160,72 @@ TEST(Pe, BoundedQueueBackpressure)
     EXPECT_FALSE(pe.canAccept());
     EXPECT_FALSE(pe.enqueue({2, 0}));
     EXPECT_EQ(pe.enqueueRejects(), 1);
+}
+
+TEST(Pe, TickOnEmptyPeChangesNothing)
+{
+    // Idle ticks are skipped outright; they must leave every counter the
+    // engine reads exactly as a full retire-and-arbitrate pass would.
+    Pe pe(0, 2, 2, 4);
+    for (Cycle t = 0; t < 5; ++t) pe.tick(t);
+    EXPECT_EQ(pe.rawStallCycles(), 0);
+    EXPECT_EQ(pe.tasksThisRound(), 0);
+    EXPECT_EQ(pe.lastBusyCycle(), -1);
+
+    // After real work drains, further idle ticks still change nothing,
+    // and the ops left unretired by the skipped ticks do not block a
+    // later same-row issue.
+    pe.enqueue({3, 0});
+    pe.tick(5);
+    for (Cycle t = 6; t < 20; ++t) pe.tick(t);
+    EXPECT_TRUE(pe.drained(20));
+    EXPECT_EQ(pe.rawStallCycles(), 0);
+    EXPECT_EQ(pe.tasksThisRound(), 1);
+    EXPECT_EQ(pe.lastBusyCycle(), 5);
+    pe.enqueue({3, 0});
+    pe.tick(20);
+    EXPECT_EQ(pe.tasksThisRound(), 2);
+    EXPECT_EQ(pe.lastBusyCycle(), 20);
+    EXPECT_EQ(pe.rawStallCycles(), 0);
+}
+
+TEST(Pe, CanAcceptMatchesSomeQueueNotFull)
+{
+    // Two queues of depth 2: room remains exactly until all four slots
+    // hold a task, through both a fill and a drain.
+    Pe pe(0, 2, 2, 1);
+    for (Index r = 0; r < 4; ++r) {
+        EXPECT_TRUE(pe.canAccept()) << "before task " << r;
+        ASSERT_TRUE(pe.enqueue({r, 0}));
+    }
+    EXPECT_FALSE(pe.canAccept());
+    EXPECT_FALSE(pe.enqueue({9, 0}));
+    EXPECT_EQ(pe.enqueueRejects(), 1);
+    for (Cycle t = 0; pe.pending() != 0; ++t) {
+        pe.tick(t);
+        EXPECT_TRUE(pe.canAccept()) << "after tick " << t;
+    }
+    EXPECT_EQ(pe.tasksThisRound(), 4);
+}
+
+TEST(Pe, PendingIsEnqueuedMinusIssued)
+{
+    // Same-row tasks stall behind the MAC, so issue lags enqueue; the
+    // pending count must track the difference every cycle.
+    Pe pe(0, 2, 0, 5);
+    Count enqueued = 0;
+    for (Cycle t = 0; t < 40; ++t) {
+        if (t < 12) {
+            const Index row = t % 3 == 0 ? 0 : static_cast<Index>(t);
+            ASSERT_TRUE(pe.enqueue({row, 0}));
+            ++enqueued;
+        }
+        pe.tick(t);
+        const Count issued = pe.tasksThisRound();
+        EXPECT_EQ(static_cast<Count>(pe.pending()), enqueued - issued) << t;
+    }
+    EXPECT_EQ(pe.pending(), 0u);
+    EXPECT_GT(pe.rawStallCycles(), 0);
 }
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)

@@ -4,9 +4,13 @@
  * behaviour, wrap-around cycling under a bounded capacity, full/empty
  * transition edges, rejected-push accounting, indexed erase semantics,
  * clear vs clearStats, and the panic() guards on out-of-range access.
+ * Ring-storage cases: growth and at/erase while the live elements wrap
+ * the end of the storage, non-power-of-two bounds, and owning elements.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sim/fifo.hpp"
 
@@ -128,6 +132,110 @@ TEST(Fifo, ClearDropsElementsButKeepsStats)
     EXPECT_EQ(f.peakOccupancy(), 0u);
     EXPECT_EQ(f.totalPushes(), 0);
     EXPECT_EQ(f.rejectedPushes(), 0);
+}
+
+namespace {
+
+/** Move an empty queue's head `n` slots into its ring (push, pop). */
+template <typename T>
+void
+advanceHead(Fifo<T> &f, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        f.push(T{});
+        f.pop();
+    }
+}
+
+} // namespace
+
+TEST(Fifo, GrowthWhileWrappedPreservesOrder)
+{
+    // Park the head mid-ring so the live elements straddle the end of
+    // the storage, then push past the ring size: growth must re-home
+    // them in FIFO order.
+    Fifo<int> f;
+    advanceHead(f, 5);
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.push(i));
+    for (int i = 0; i < 40; ++i) ASSERT_EQ(f.pop(), i);
+    for (int i = 100; i < 300; ++i) ASSERT_TRUE(f.push(i));
+    for (int i = 40; i < 300; ++i) ASSERT_EQ(f.pop(), i);
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.peakOccupancy(), 260u);
+}
+
+TEST(Fifo, AtAndEraseAcrossTheWrapPoint)
+{
+    // Capacity 4 is a 4-slot ring; after 3 push/pops the front sits in
+    // the last slot, so indices 1.. wrap to the start of the storage.
+    Fifo<int> f(4);
+    advanceHead(f, 3);
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(f.push(10 + i));  // 10..13
+    EXPECT_TRUE(f.full());
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(f.at(i), 10 + static_cast<int>(i));
+
+    EXPECT_EQ(f.erase(1), 11);  // first slot after the wrap
+    EXPECT_EQ(f.at(0), 10);
+    EXPECT_EQ(f.at(1), 12);
+    EXPECT_EQ(f.at(2), 13);
+    EXPECT_TRUE(f.push(14));  // the freed slot is reusable
+    EXPECT_EQ(f.front(), 10);
+    EXPECT_EQ(f.erase(0), 10);
+    EXPECT_EQ(f.pop(), 12);
+    EXPECT_EQ(f.pop(), 13);
+    EXPECT_EQ(f.pop(), 14);
+    EXPECT_TRUE(f.empty());
+}
+
+TEST(Fifo, NonPowerOfTwoCapacityFullAtExactSize)
+{
+    // The ring rounds storage up to a power of two; the bound must not.
+    // 5000 is past the eagerly allocated ring, so that bound is reached
+    // by growing.
+    for (std::size_t cap : {3u, 5u, 5000u}) {
+        Fifo<int> f(cap);
+        for (int round = 0; round < 3; ++round) {
+            for (std::size_t i = 0; i < cap; ++i) {
+                ASSERT_FALSE(f.full()) << "cap=" << cap << " i=" << i;
+                ASSERT_TRUE(f.push(static_cast<int>(i)));
+            }
+            EXPECT_TRUE(f.full()) << "cap=" << cap;
+            EXPECT_EQ(f.size(), cap);
+            EXPECT_FALSE(f.push(99));
+            // Each round moves the head by `cap`, so later rounds wrap.
+            for (std::size_t i = 0; i < cap; ++i)
+                ASSERT_EQ(f.pop(), static_cast<int>(i));
+        }
+        EXPECT_EQ(f.peakOccupancy(), cap);
+        EXPECT_EQ(f.rejectedPushes(), 3);
+    }
+}
+
+TEST(Fifo, OwningElementsSurviveGrowthAndErase)
+{
+    // Elements that own heap storage (like serve::Request's node lists)
+    // must be moved intact through ring growth, wrap and erase.
+    using Payload = std::vector<int>;
+    auto payload = [](int i) {
+        return Payload(static_cast<std::size_t>(i % 7 + 1), i);
+    };
+    Fifo<Payload> f;
+    advanceHead(f, 3);
+    for (int i = 0; i < 50; ++i) f.push(payload(i));  // grows while wrapped
+    EXPECT_EQ(f.erase(20), payload(20));
+    EXPECT_EQ(f.erase(0), payload(0));
+    EXPECT_EQ(f.at(19), payload(21));
+    std::vector<int> order;
+    while (!f.empty()) {
+        Payload p = f.pop();
+        ASSERT_FALSE(p.empty());
+        EXPECT_EQ(p, payload(p.front()));
+        order.push_back(p.front());
+    }
+    ASSERT_EQ(order.size(), 48u);
+    for (std::size_t k = 1; k < order.size(); ++k)
+        EXPECT_LT(order[k - 1], order[k]);
 }
 
 TEST(FifoDeath, EmptyAndOutOfRangeAccessPanics)

@@ -68,6 +68,47 @@ def diff(baseline, fresh, path, blocking, advisory):
         blocking.append(f"{path}: {baseline!r} -> {fresh!r}")
 
 
+# Fields that name a bench point (its grid coordinates), not a result.
+IDENTITY_KEYS = ("dataset", "kernel", "policy", "platform", "pes", "chips",
+                 "k", "rate_rps", "clients")
+
+
+def point_key(item):
+    """Grid coordinates of a list element, or None when it has none."""
+    if not isinstance(item, dict):
+        return None
+    key = tuple((k, item[k]) for k in IDENTITY_KEYS if k in item)
+    return key or None
+
+
+def paired_elements(baseline, fresh):
+    """(label, b, f) for the elements of two lists that describe the same
+    point. Elements with identity fields pair by them, repeats by order
+    of appearance, and points present in only one list are skipped, so a
+    subset or reordered run never pairs unrelated points. Lists of
+    anonymous elements pair by position, and only at equal length."""
+    def keyed(items):
+        out, seen = {}, {}
+        for item in items:
+            key = point_key(item)
+            n = seen.get(key, 0)
+            seen[key] = n + 1
+            out[(key, n)] = item
+        return out
+
+    if all(point_key(x) is not None for x in baseline + fresh):
+        fresh_by_key = keyed(fresh)
+        for (key, n), b in keyed(baseline).items():
+            if (key, n) in fresh_by_key:
+                label = ",".join(f"{k}={v}" for k, v in key)
+                if n:
+                    label += f"#{n}"
+                yield label, b, fresh_by_key[(key, n)]
+    elif len(baseline) == len(fresh):
+        for i, (b, f) in enumerate(zip(baseline, fresh)):
+            yield str(i), b, f
+
+
 def collect_wall_ms(baseline, fresh, path, pairs):
     """Collect paired numeric wall_ms measurements from both documents."""
     if isinstance(baseline, dict) and isinstance(fresh, dict):
@@ -80,8 +121,8 @@ def collect_wall_ms(baseline, fresh, path, pairs):
             else:
                 collect_wall_ms(b, f, sub, pairs)
     elif isinstance(baseline, list) and isinstance(fresh, list):
-        for i, (b, f) in enumerate(zip(baseline, fresh)):
-            collect_wall_ms(b, f, f"{path}[{i}]", pairs)
+        for label, b, f in paired_elements(baseline, fresh):
+            collect_wall_ms(b, f, f"{path}[{label}]", pairs)
 
 
 def trend_summary(baseline, fresh):
@@ -353,6 +394,35 @@ def self_test():
             line.lstrip().startswith(("faster", "slower"))
             for line in trend_summary(doc, copy.deepcopy(doc))):
         failures.append("identical documents produced trend movement")
+
+    # Trend pairing follows point identity, not list position: a
+    # reordered run pairs every point with itself, and a subset run
+    # pairs only the points it shares with the baseline.
+    grid = copy.deepcopy(doc)
+    second = copy.deepcopy(doc["points"][0])
+    second["dataset"] = "pubmed"
+    second["event"]["wall_ms"] = 5000.0
+    second["batched"]["wall_ms"] = 900.0
+    grid["points"].append(second)
+
+    def moved(lines):
+        return [line for line in lines
+                if line.lstrip().startswith(("faster", "slower"))]
+
+    reordered = copy.deepcopy(grid)
+    reordered["points"].reverse()
+    lines = trend_summary(grid, reordered)
+    if moved(lines) or "over 4 paired" not in lines[0]:
+        failures.append("reordered points paired by position")
+    subset = copy.deepcopy(grid)
+    del subset["points"][0]
+    lines = trend_summary(grid, subset)
+    if moved(lines) or "over 2 paired" not in lines[0]:
+        failures.append("subset run paired unrelated points")
+    pairs = []
+    collect_wall_ms(grid, subset, "", pairs)
+    if not all("dataset=pubmed" in sub for sub, _, _ in pairs):
+        failures.append("paired point not labelled by its identity")
 
     for f in failures:
         print(f"SELF-TEST FAIL: {f}")
