@@ -1,7 +1,6 @@
 #include "accel/perf_model.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 
 #include "accel/gcn_accel.hpp"
@@ -25,41 +24,163 @@ log2i(int v)
     return s;
 }
 
+/** (source PE, remaining work) of one PE's unserved tasks. */
+using PendingWork = std::pair<int, Count>;
+
 /**
  * Feasibility check for balancedDrain: can every PE's work be served
  * within `hops` positions with per-PE capacity t? Greedy left-to-right
  * serving the earliest-expiring work first (exact for interval-constrained
- * transportation on a line).
+ * transportation on a line). Each source enters the queue once, so
+ * `pending` (at least P entries) is a flat FIFO that never wraps.
  */
 bool
 feasible(const std::vector<Count> &w, int hops, Cycle t,
-         std::vector<Count> *served)
+         std::vector<PendingWork> &pending, std::vector<Count> *served)
 {
     const int P = static_cast<int>(w.size());
     if (served) served->assign(static_cast<std::size_t>(P), 0);
-    std::deque<std::pair<int, Count>> pending;  // (source PE, remaining)
+    std::size_t head = 0, tail = 0;
     int next_src = 0;
     for (int s = 0; s < P; ++s) {
-        while (next_src < P && next_src <= s + hops) {
-            if (w[static_cast<std::size_t>(next_src)] > 0)
-                pending.emplace_back(
-                    next_src, w[static_cast<std::size_t>(next_src)]);
-            ++next_src;
+        for (; next_src < P && next_src <= s + hops; ++next_src) {
+            const Count work = w[static_cast<std::size_t>(next_src)];
+            if (work > 0) pending[tail++] = {next_src, work};
         }
         // Work whose window has closed cannot be served any more.
-        if (!pending.empty() && pending.front().first < s - hops)
-            return false;
+        if (head < tail && pending[head].first < s - hops) return false;
         Count cap = t;
-        while (cap > 0 && !pending.empty()) {
-            auto &[src, rem] = pending.front();
+        while (cap > 0 && head < tail) {
+            Count &rem = pending[head].second;
             Count take = std::min(cap, rem);
             rem -= take;
             cap -= take;
             if (served) (*served)[static_cast<std::size_t>(s)] += take;
-            if (rem == 0) pending.pop_front();
+            if (rem == 0) ++head;
         }
     }
-    return pending.empty();
+    return head == tail;
+}
+
+/**
+ * What one round of a given per-PE home work costs. A pure function of
+ * that work, so runSpmm reuses it for as long as the row map holds.
+ */
+struct RoundLoad
+{
+    Count total = 0;
+    Cycle inject = 0;       ///< ideal cycles, ceil(total / P)
+    Cycle cycles = 0;       ///< drain/inject bound plus overhead, no floor
+    Count backlogPeak = 0;  ///< largest served - inject over PEs (>= 0)
+    std::vector<Count> served;  ///< tasks each PE executes after sharing
+};
+
+void
+modelLoad(const std::vector<Count> &pe_work, int num_pes, int hops,
+          Cycle overhead, RoundLoad &load)
+{
+    load.total = std::accumulate(pe_work.begin(), pe_work.end(), Count(0));
+    Cycle no_share = *std::max_element(pe_work.begin(), pe_work.end());
+    Cycle drain = PerfModel::balancedDrain(pe_work, hops, &load.served);
+    if (hops > 0) {
+        // Online greedy sharing pays an inefficiency over the optimal
+        // water-filling, but never loses to not sharing at all.
+        drain = std::min(no_share,
+                         static_cast<Cycle>(static_cast<double>(drain) *
+                                            kSharingInefficiency));
+    }
+    load.inject = (load.total + num_pes - 1) / num_pes;
+    load.cycles = std::max(drain, load.inject) + overhead;
+    // Peak queue depth: a PE's arrivals spread over the injection window
+    // while it drains at one task per cycle.
+    load.backlogPeak = 0;
+    for (Count s : load.served)
+        load.backlogPeak = std::max(load.backlogPeak, s - load.inject);
+}
+
+/**
+ * Fold one round into `res`: roofline composition of the round with the
+ * bandwidth floor of its traffic, then cycles, tasks, per-PE work and the
+ * backlog peak.
+ */
+void
+accountRound(PerfSpmmResult &res, const RoundLoad &load,
+             const MemoryTraffic &traffic, const MemoryModel &mem)
+{
+    res.traffic += traffic;
+    const Cycle bw_floor = mem.floorCycles(traffic.total());
+    res.memoryCycles += bw_floor;
+    Cycle round_cycles = load.cycles;
+    if (bw_floor > round_cycles) {
+        ++res.bwBoundRounds;
+        round_cycles = bw_floor;
+    }
+    res.roundCycles.push_back(round_cycles);
+    res.cycles += round_cycles;
+    res.tasks += load.total;
+    res.idealCycles += load.inject;
+    for (std::size_t p = 0; p < res.perPeTasks.size(); ++p)
+        res.perPeTasks[p] += load.served[p];
+    res.peakQueueDepth = std::max(
+        res.peakQueueDepth, static_cast<std::size_t>(load.backlogPeak));
+}
+
+/**
+ * Let the policy observe a round and adjust the map; returns the summed
+ * `row_work` of the rows that changed owner (0 if none did). Once the
+ * policy has converged it is not called again, and a call returning 0
+ * left the map as it was (the RebalancePolicy contract), so `owners`
+ * (the map as of the previous call, copied on the first) is brought up
+ * to date by one diff pass only when rows moved. That pass also shifts
+ * each moved row's work between the PEs of `pe_work`, when given; it may
+ * be `&home_work`, which the observation has copied by then.
+ *
+ * PESM ranks by home-attributed load (see SpmmEngine): the switchable
+ * quantity is row ownership, not where sharing happened to execute the
+ * tasks, so the observation is the home work plus the served tasks.
+ */
+Count
+observeRound(RebalancePolicy &policy, const std::vector<Count> &home_work,
+             const std::vector<Count> &served,
+             const std::vector<Count> &row_work, RowPartition &partition,
+             std::vector<int> &owners, RoundObservation &obs,
+             std::vector<Count> *pe_work)
+{
+    if (!policy.wantsObservations() || policy.converged()) return 0;
+    if (owners.empty()) owners = partition.owners();
+    obs.peWork.assign(home_work.begin(), home_work.end());
+    obs.drainCycle.assign(served.begin(), served.end());
+    if (policy.observeAndAdjust(obs, row_work, partition) == 0) return 0;
+
+    const std::vector<int> &now = partition.owners();
+    Count moved_nnz = 0;
+    for (std::size_t r = 0; r < owners.size(); ++r) {
+        if (owners[r] == now[r]) continue;
+        const Count w = row_work[r];
+        moved_nnz += w;
+        if (pe_work) {
+            (*pe_work)[static_cast<std::size_t>(owners[r])] -= w;
+            (*pe_work)[static_cast<std::size_t>(now[r])] += w;
+        }
+        owners[r] = now[r];
+    }
+    return moved_nnz;
+}
+
+/** Summary fields derived once the last round is accounted. */
+void
+finishResult(PerfSpmmResult &res, const AccelConfig &cfg,
+             const RebalancePolicy &policy)
+{
+    res.peakQueueDepth = std::max<std::size_t>(
+        res.peakQueueDepth, static_cast<std::size_t>(cfg.numQueuesPerPe));
+    res.syncCycles = std::max<Cycle>(0, res.cycles - res.idealCycles);
+    res.utilization = res.cycles > 0
+        ? static_cast<double>(res.tasks) /
+          (static_cast<double>(cfg.numPes) * static_cast<double>(res.cycles))
+        : 0.0;
+    res.rowsSwitched = policy.totalRowsMoved();
+    res.convergedRound = policy.convergedRound();
 }
 
 } // namespace
@@ -78,15 +199,16 @@ PerfModel::balancedDrain(const std::vector<Count> &pe_work, int hops,
         if (served) *served = pe_work;
         return hi;
     }
+    std::vector<PendingWork> pending(static_cast<std::size_t>(P));
     while (lo < hi) {
         Cycle mid = lo + (hi - lo) / 2;
-        if (feasible(pe_work, hops, mid, nullptr)) {
+        if (feasible(pe_work, hops, mid, pending, nullptr)) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    if (served) feasible(pe_work, hops, lo, served);
+    if (served) feasible(pe_work, hops, lo, pending, served);
     return lo;
 }
 
@@ -94,6 +216,9 @@ PerfSpmmResult
 PerfModel::runSpmm(const std::vector<Count> &row_work, Index rounds,
                    RowPartition &partition, Index inner_dim) const
 {
+    if (static_cast<Index>(row_work.size()) != partition.rows())
+        fatal("PerfModel::runSpmm: partition rows != row_work size");
+
     const int P = cfg_.numPes;
     PerfSpmmResult res;
     res.rounds = rounds;
@@ -115,78 +240,33 @@ PerfModel::runSpmm(const std::vector<Count> &row_work, Index rounds,
         partition.rows());
     Count pending_migration_bytes = 0;
 
-    std::vector<Count> served;
+    // Every round processes the same sparse operand, so a round's cost
+    // depends only on the per-PE home work. That work is built once and
+    // carried; the round is re-modelled only after moved rows changed it
+    // (DESIGN.md §4, "Host representation").
+    std::vector<Count> pe_work = partition.workload(row_work);
+    RoundLoad load;
+    modelLoad(pe_work, P, cfg_.sharingHops, overhead, load);
+    std::vector<int> owners;
+    RoundObservation obs;
     for (Index k = 0; k < rounds; ++k) {
-        std::vector<Count> pe_work = partition.workload(row_work);
-        Count total = std::accumulate(pe_work.begin(), pe_work.end(),
-                                      Count(0));
-        Cycle no_share =
-            *std::max_element(pe_work.begin(), pe_work.end());
-        Cycle drain = balancedDrain(pe_work, cfg_.sharingHops, &served);
-        if (cfg_.sharingHops > 0) {
-            // Online greedy sharing pays an inefficiency over the optimal
-            // water-filling, but never loses to not sharing at all.
-            drain = std::min(no_share,
-                             static_cast<Cycle>(static_cast<double>(drain) *
-                                                kSharingInefficiency));
-        }
-        Cycle inject = (total + P - 1) / P;
-        Cycle round_cycles = std::max(drain, inject) + overhead;
-
-        // Roofline composition with the bandwidth-bound floor; rows the
-        // policy moved after round k-1 bill their migration here.
+        // Rows the policy moved after round k-1 bill their migration here.
         MemoryTraffic round_traffic = steady_traffic;
         round_traffic.migrationBytes = pending_migration_bytes;
         pending_migration_bytes = 0;
-        res.traffic += round_traffic;
-        const Cycle bw_floor = mem.floorCycles(round_traffic.total());
-        res.memoryCycles += bw_floor;
-        if (bw_floor > round_cycles) {
-            ++res.bwBoundRounds;
-            round_cycles = bw_floor;
-        }
+        accountRound(res, load, round_traffic, mem);
 
-        res.roundCycles.push_back(round_cycles);
-        res.cycles += round_cycles;
-        res.tasks += total;
-        res.idealCycles += inject;
-
-        // Peak queue depth: a PE's arrivals spread over the injection
-        // window while it drains at one task per cycle.
-        for (int p = 0; p < P; ++p) {
-            res.perPeTasks[static_cast<std::size_t>(p)] +=
-                served[static_cast<std::size_t>(p)];
-            Count backlog = served[static_cast<std::size_t>(p)] - inject;
-            if (backlog > 0) {
-                res.peakQueueDepth = std::max(
-                    res.peakQueueDepth, static_cast<std::size_t>(backlog));
-            }
-        }
-
-        if (k + 1 < rounds && rebalance->wantsObservations()) {
-            // PESM ranks by home-attributed load (see SpmmEngine): the
-            // switchable quantity is row ownership, not where sharing
-            // happened to execute the tasks.
-            RoundObservation obs;
-            obs.peWork = std::move(pe_work);
-            obs.drainCycle.assign(served.begin(), served.end());
-            std::vector<int> owners_before = partition.owners();
-            rebalance->observeAndAdjust(obs, row_work, partition);
-            pending_migration_bytes = mem.migrationBytes(
-                owners_before, partition.owners(), row_work);
+        if (k + 1 < rounds) {
+            const Count moved_nnz =
+                observeRound(*rebalance, pe_work, load.served, row_work,
+                             partition, owners, obs, &pe_work);
+            pending_migration_bytes = mem.migrationBytes(moved_nnz);
+            if (moved_nnz != 0)
+                modelLoad(pe_work, P, cfg_.sharingHops, overhead, load);
         }
     }
 
-    res.peakQueueDepth = std::max<std::size_t>(
-        res.peakQueueDepth,
-        static_cast<std::size_t>(cfg_.numQueuesPerPe));
-    res.syncCycles = std::max<Cycle>(0, res.cycles - res.idealCycles);
-    res.utilization = res.cycles > 0
-        ? static_cast<double>(res.tasks) /
-          (static_cast<double>(P) * static_cast<double>(res.cycles))
-        : 0.0;
-    res.rowsSwitched = rebalance->totalRowsMoved();
-    res.convergedRound = rebalance->convergedRound();
+    finishResult(res, cfg_, *rebalance);
     return res;
 }
 
@@ -219,7 +299,9 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
     Count pending_migration_bytes = 0;
 
     std::vector<Count> row_work_k(static_cast<std::size_t>(a.rows()));
-    std::vector<Count> served;
+    std::vector<int> owners;
+    RoundObservation obs;
+    RoundLoad load;
     for (Index k = 0; k < K; ++k) {
         // Round-k per-row work: B column k's non-zeros each expand the
         // matching A column, so only rows reachable through those
@@ -236,77 +318,28 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
             }
         }
 
-        std::vector<Count> pe_work = partition.workload(row_work_k);
-        Count total = std::accumulate(pe_work.begin(), pe_work.end(),
-                                      Count(0));
-        Cycle no_share =
-            *std::max_element(pe_work.begin(), pe_work.end());
-        Cycle drain = balancedDrain(pe_work, cfg_.sharingHops, &served);
-        if (cfg_.sharingHops > 0) {
-            drain = std::min(no_share,
-                             static_cast<Cycle>(static_cast<double>(drain) *
-                                                kSharingInefficiency));
-        }
-        Cycle inject = (total + P - 1) / P;
-        Cycle round_cycles = std::max(drain, inject) + overhead;
-
+        const std::vector<Count> pe_work = partition.workload(row_work_k);
+        modelLoad(pe_work, P, cfg_.sharingHops, overhead, load);
         MemoryTraffic round_traffic = mem.spgemmRoundTraffic(
-            total, b_end - b_begin,
-            out_nnz[static_cast<std::size_t>(k)]);
+            load.total, b_end - b_begin, out_nnz[static_cast<std::size_t>(k)]);
         round_traffic.migrationBytes = pending_migration_bytes;
         pending_migration_bytes = 0;
-        res.traffic += round_traffic;
-        const Cycle bw_floor = mem.floorCycles(round_traffic.total());
-        res.memoryCycles += bw_floor;
-        if (bw_floor > round_cycles) {
-            ++res.bwBoundRounds;
-            round_cycles = bw_floor;
-        }
-
-        res.roundCycles.push_back(round_cycles);
-        res.cycles += round_cycles;
-        res.tasks += total;
-        res.idealCycles += inject;
-
-        for (int p = 0; p < P; ++p) {
-            res.perPeTasks[static_cast<std::size_t>(p)] +=
-                served[static_cast<std::size_t>(p)];
-            Count backlog = served[static_cast<std::size_t>(p)] - inject;
-            if (backlog > 0) {
-                res.peakQueueDepth = std::max(
-                    res.peakQueueDepth, static_cast<std::size_t>(backlog));
-            }
-        }
+        accountRound(res, load, round_traffic, mem);
 
         // Observe after every round, the last included, mirroring
         // SpmmEngine::executeSpgemm (frontier kernels chain 1-round
         // SpGEMMs over a carried partition).
-        if (rebalance->wantsObservations()) {
-            RoundObservation obs;
-            obs.peWork = std::move(pe_work);
-            obs.drainCycle.assign(served.begin(), served.end());
-            std::vector<int> owners_before = partition.owners();
-            rebalance->observeAndAdjust(obs, row_work, partition);
-            const Count mig = mem.migrationBytes(
-                owners_before, partition.owners(), row_work);
-            if (k + 1 < K) {
-                pending_migration_bytes = mig;
-            } else {
-                res.traffic.migrationBytes += mig;
-            }
+        const Count mig = mem.migrationBytes(
+            observeRound(*rebalance, pe_work, load.served, row_work,
+                         partition, owners, obs, nullptr));
+        if (k + 1 < K) {
+            pending_migration_bytes = mig;
+        } else {
+            res.traffic.migrationBytes += mig;
         }
     }
 
-    res.peakQueueDepth = std::max<std::size_t>(
-        res.peakQueueDepth,
-        static_cast<std::size_t>(cfg_.numQueuesPerPe));
-    res.syncCycles = std::max<Cycle>(0, res.cycles - res.idealCycles);
-    res.utilization = res.cycles > 0
-        ? static_cast<double>(res.tasks) /
-          (static_cast<double>(P) * static_cast<double>(res.cycles))
-        : 0.0;
-    res.rowsSwitched = rebalance->totalRowsMoved();
-    res.convergedRound = rebalance->convergedRound();
+    finishResult(res, cfg_, *rebalance);
     return res;
 }
 

@@ -77,7 +77,8 @@ class PerfModel
     /**
      * Model one SPMM.
      *
-     * @param row_work   tasks per sparse-operand row (its row-nnz)
+     * @param row_work   tasks per sparse-operand row (its row-nnz); one
+     *                   entry per partition row, else fatal()
      * @param rounds     dense-operand column count
      * @param partition  row map, mutated by remote switching
      * @param inner_dim  columns of the sparse operand == length of the

@@ -66,6 +66,12 @@ class PartitionPolicy
  * observeAndAdjust with what the PESM saw, and the policy may rewrite the
  * row map for the next round. Stats surface through totalRowsMoved /
  * convergedRound exactly as the RemoteSwitcher's did.
+ *
+ * Contract (PerfModel carries per-PE work across rounds on it, and
+ * tests/test_policy.cpp checks it for every registered policy):
+ *  - observeAndAdjust returning 0 means the partition is unchanged;
+ *  - once converged() is true, no later call moves a row, so callers may
+ *    stop observing altogether.
  */
 class RebalancePolicy
 {

@@ -18,6 +18,11 @@ RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
     // would leave trailing PEs with no rows at all).
     const Index base = rows / num_pes;
     const Index extra = rows % num_pes;
+    // Both policies give PE p the same row count, so each list is sized
+    // once up front.
+    for (int p = 0; p < num_pes; ++p)
+        rowsOf_[static_cast<std::size_t>(p)].reserve(
+            static_cast<std::size_t>(base + (p < extra ? 1 : 0)));
     Index next_row = 0;
     for (int p = 0; p < num_pes; ++p) {
         Index count = (policy == RowMapPolicy::Blocked)
@@ -43,14 +48,18 @@ RowPartition::RowPartition(std::vector<int> owner, int num_pes)
 {
     if (owner_.empty() || num_pes <= 0)
         fatal("RowPartition: rows and PEs must be positive");
-    rowsOf_.resize(static_cast<std::size_t>(num_pes));
-    for (std::size_t r = 0; r < owner_.size(); ++r) {
-        int pe = owner_[r];
+    std::vector<std::size_t> count(static_cast<std::size_t>(num_pes), 0);
+    for (int pe : owner_) {
         if (pe < 0 || pe >= num_pes)
             fatal("RowPartition: owner entry out of range");
-        rowsOf_[static_cast<std::size_t>(pe)].push_back(
-            static_cast<Index>(r));
+        ++count[static_cast<std::size_t>(pe)];
     }
+    rowsOf_.resize(static_cast<std::size_t>(num_pes));
+    for (std::size_t p = 0; p < count.size(); ++p)
+        rowsOf_[p].reserve(count[p]);
+    for (std::size_t r = 0; r < owner_.size(); ++r)
+        rowsOf_[static_cast<std::size_t>(owner_[r])].push_back(
+            static_cast<Index>(r));
 }
 
 void

@@ -114,13 +114,16 @@ MemoryModel::migrationBytes(const std::vector<int> &owners_before,
                             const std::vector<int> &owners_after,
                             const std::vector<Count> &row_work) const
 {
-    Count bytes = 0;
-    const Count per_nnz =
-        platform_.bytesPerValue + platform_.bytesPerIndex;
+    Count moved_nnz = 0;
     for (std::size_t r = 0; r < owners_before.size(); ++r)
-        if (owners_before[r] != owners_after[r])
-            bytes += row_work[r] * per_nnz;
-    return bytes;
+        if (owners_before[r] != owners_after[r]) moved_nnz += row_work[r];
+    return migrationBytes(moved_nnz);
+}
+
+Count
+MemoryModel::migrationBytes(Count moved_nnz) const
+{
+    return moved_nnz * (platform_.bytesPerValue + platform_.bytesPerIndex);
 }
 
 Cycle

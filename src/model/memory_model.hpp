@@ -146,6 +146,10 @@ class MemoryModel
                          const std::vector<int> &owners_after,
                          const std::vector<Count> &row_work) const;
 
+    /** The same bill from the summed non-zeros of the moved rows, for
+     *  callers that diff the maps themselves. */
+    Count migrationBytes(Count moved_nnz) const;
+
     /** Cycle floor for moving `bytes` off-chip: ceil(bytes / B_cyc);
      *  0 on an unconstrained platform. */
     Cycle floorCycles(Count bytes) const;

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/ops_count.hpp"
@@ -206,6 +210,199 @@ TEST(PerfModel, PipelineNeverSlowerThanSerial)
     auto prof = loadProfile(findDataset("citeseer"), 2, 0.3);
     auto res = PerfModel(makeConfig(Design::RemoteC, 64)).runGcn(prof);
     EXPECT_LE(res.totalCycles, res.totalCyclesSerial);
+}
+
+namespace {
+
+/**
+ * PerfModel::runSpmm as it was before it carried per-PE work across
+ * rounds, verbatim: every round rebuilds the per-PE work from every row,
+ * re-runs the drain search and diffs a fresh owner snapshot for the
+ * migration bill. The carried version must reproduce it exactly.
+ */
+PerfSpmmResult
+recomputeRunSpmm(const AccelConfig &cfg, const std::vector<Count> &row_work,
+                 Index rounds, RowPartition &partition, Index inner_dim)
+{
+    constexpr double kSharingInefficiency = 1.15;
+    const int P = cfg.numPes;
+    PerfSpmmResult res;
+    res.rounds = rounds;
+    res.roundCycles.reserve(static_cast<std::size_t>(rounds));
+
+    std::unique_ptr<RebalancePolicy> rebalance =
+        makeRebalancePolicy(cfg, partition.rows());
+    res.perPeTasks.assign(static_cast<std::size_t>(P), 0);
+    int log2p = 0;
+    while ((1 << log2p) < P) ++log2p;
+    const Cycle overhead = cfg.macLatency + log2p + 2;
+
+    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
+    const Count total_nnz =
+        std::accumulate(row_work.begin(), row_work.end(), Count(0));
+    const MemoryTraffic steady_traffic = mem.roundTraffic(
+        total_nnz, inner_dim > 0 ? inner_dim : partition.rows(),
+        partition.rows());
+    Count pending_migration_bytes = 0;
+
+    std::vector<Count> served;
+    for (Index k = 0; k < rounds; ++k) {
+        std::vector<Count> pe_work = partition.workload(row_work);
+        Count total = std::accumulate(pe_work.begin(), pe_work.end(),
+                                      Count(0));
+        Cycle no_share = *std::max_element(pe_work.begin(), pe_work.end());
+        Cycle drain =
+            PerfModel::balancedDrain(pe_work, cfg.sharingHops, &served);
+        if (cfg.sharingHops > 0) {
+            drain = std::min(no_share,
+                             static_cast<Cycle>(static_cast<double>(drain) *
+                                                kSharingInefficiency));
+        }
+        Cycle inject = (total + P - 1) / P;
+        Cycle round_cycles = std::max(drain, inject) + overhead;
+
+        MemoryTraffic round_traffic = steady_traffic;
+        round_traffic.migrationBytes = pending_migration_bytes;
+        pending_migration_bytes = 0;
+        res.traffic += round_traffic;
+        const Cycle bw_floor = mem.floorCycles(round_traffic.total());
+        res.memoryCycles += bw_floor;
+        if (bw_floor > round_cycles) {
+            ++res.bwBoundRounds;
+            round_cycles = bw_floor;
+        }
+
+        res.roundCycles.push_back(round_cycles);
+        res.cycles += round_cycles;
+        res.tasks += total;
+        res.idealCycles += inject;
+
+        for (int p = 0; p < P; ++p) {
+            res.perPeTasks[static_cast<std::size_t>(p)] +=
+                served[static_cast<std::size_t>(p)];
+            Count backlog = served[static_cast<std::size_t>(p)] - inject;
+            if (backlog > 0) {
+                res.peakQueueDepth = std::max(
+                    res.peakQueueDepth, static_cast<std::size_t>(backlog));
+            }
+        }
+
+        if (k + 1 < rounds && rebalance->wantsObservations()) {
+            RoundObservation obs;
+            obs.peWork = std::move(pe_work);
+            obs.drainCycle.assign(served.begin(), served.end());
+            std::vector<int> owners_before = partition.owners();
+            rebalance->observeAndAdjust(obs, row_work, partition);
+            pending_migration_bytes = mem.migrationBytes(
+                owners_before, partition.owners(), row_work);
+        }
+    }
+
+    res.peakQueueDepth = std::max<std::size_t>(
+        res.peakQueueDepth,
+        static_cast<std::size_t>(cfg.numQueuesPerPe));
+    res.syncCycles = std::max<Cycle>(0, res.cycles - res.idealCycles);
+    res.utilization = res.cycles > 0
+        ? static_cast<double>(res.tasks) /
+          (static_cast<double>(P) * static_cast<double>(res.cycles))
+        : 0.0;
+    res.rowsSwitched = rebalance->totalRowsMoved();
+    res.convergedRound = rebalance->convergedRound();
+    return res;
+}
+
+void
+expectSameResult(const PerfSpmmResult &got, const PerfSpmmResult &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.tasks, want.tasks);
+    EXPECT_EQ(got.idealCycles, want.idealCycles);
+    EXPECT_EQ(got.syncCycles, want.syncCycles);
+    EXPECT_EQ(got.utilization, want.utilization);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.rowsSwitched, want.rowsSwitched);
+    EXPECT_EQ(got.convergedRound, want.convergedRound);
+    EXPECT_EQ(got.peakQueueDepth, want.peakQueueDepth);
+    EXPECT_EQ(got.traffic.sparseBytes, want.traffic.sparseBytes);
+    EXPECT_EQ(got.traffic.denseBytes, want.traffic.denseBytes);
+    EXPECT_EQ(got.traffic.outputBytes, want.traffic.outputBytes);
+    EXPECT_EQ(got.traffic.migrationBytes, want.traffic.migrationBytes);
+    EXPECT_EQ(got.traffic.haloBytes, want.traffic.haloBytes);
+    EXPECT_EQ(got.traffic.bRowBytes, want.traffic.bRowBytes);
+    EXPECT_EQ(got.traffic.outputIndexBytes, want.traffic.outputIndexBytes);
+    EXPECT_EQ(got.memoryCycles, want.memoryCycles);
+    EXPECT_EQ(got.bwBoundRounds, want.bwBoundRounds);
+    EXPECT_EQ(got.roundCycles, want.roundCycles);
+    EXPECT_EQ(got.perPeTasks, want.perPeTasks);
+}
+
+} // namespace
+
+/**
+ * runSpmm carries the per-PE work and re-models a round only when rows
+ * moved; it must match the per-round recompute in every result field and
+ * in the partition it leaves behind. Every registered policy, three
+ * full-scale adjacency profiles, with and without a bandwidth floor. The
+ * adjacency partition is carried from a 64-round SPMM into a second one,
+ * as runGcn carries it across layers.
+ */
+TEST(PerfModel, CarriedWorkMatchesPerRoundRecompute)
+{
+    int moved_runs = 0;
+    int bw_bound_runs = 0;
+    for (const char *dataset : {"cora", "citeseer", "pubmed"}) {
+        const DatasetSpec &spec = findDataset(dataset);
+        const WorkloadProfile prof = loadProfile(spec, 1, 1.0);
+        const Index n = prof.spec.nodes;
+        for (const char *platform : {"unconstrained", "d5005-ddr4"}) {
+            for (const BalancePolicy *policy :
+                 PolicyRegistry::instance().all()) {
+                // Policies other tests register need not be complete.
+                if (policy->name.rfind("test-", 0) == 0) continue;
+                SCOPED_TRACE(std::string(dataset) + " " + platform + " " +
+                             policy->name);
+                AccelConfig cfg =
+                    makePolicyConfig(policy->name, 256, hopBase(spec));
+                cfg.platform = platform;
+                const PerfModel model(cfg);
+                auto partitioner = makePartitionPolicy(cfg);
+
+                RowPartition got = partitioner->build(n, prof.aRowNnz, cfg);
+                RowPartition want = got;
+                for (Index rounds : {Index(64), prof.spec.f3}) {
+                    PerfSpmmResult g =
+                        model.runSpmm(prof.aRowNnz, rounds, got, n);
+                    PerfSpmmResult w = recomputeRunSpmm(
+                        cfg, prof.aRowNnz, rounds, want, n);
+                    expectSameResult(g, w);
+                    EXPECT_EQ(got.owners(), want.owners());
+                    if (w.traffic.migrationBytes > 0) ++moved_runs;
+                    if (w.bwBoundRounds > 0) ++bw_bound_runs;
+                }
+
+                RowPartition x_got = partitioner->build(n, prof.x1RowNnz, cfg);
+                RowPartition x_want = x_got;
+                expectSameResult(
+                    model.runSpmm(prof.x1RowNnz, prof.spec.f2, x_got,
+                                  prof.spec.f1),
+                    recomputeRunSpmm(cfg, prof.x1RowNnz, prof.spec.f2,
+                                     x_want, prof.spec.f1));
+                EXPECT_EQ(x_got.owners(), x_want.owners());
+            }
+        }
+    }
+    // The grid exercises moved rows and bandwidth-bound rounds.
+    EXPECT_GT(moved_runs, 0);
+    EXPECT_GT(bw_bound_runs, 0);
+}
+
+TEST(PerfModelDeath, RowWorkSizeMustMatchPartition)
+{
+    PerfModel model(makeConfig(Design::Baseline, 4));
+    RowPartition part(16, 4, RowMapPolicy::Blocked);
+    std::vector<Count> short_work(15, 1);
+    EXPECT_DEATH(model.runSpmm(short_work, 4, part),
+                 "partition rows != row_work size");
 }
 
 TEST(AreaModel, TqDominatedByDepth)

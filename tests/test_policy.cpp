@@ -218,6 +218,67 @@ TEST(PolicyWrapper, StaticDesignsGetTheNullRebalance)
     }
 }
 
+// ------------------------------------------------ rebalance contract
+
+/**
+ * The RebalancePolicy contract PerfModel's carried per-PE work relies on
+ * (policy.hpp): a call returning 0 leaves the partition unchanged, and
+ * once converged() is true it stays true and no later call moves a row.
+ * Checked on real owners() diffs for every registered policy, driven for
+ * 24 rounds with the model's observations (home work, water-filled
+ * drain) on the full-scale Cora and Citeseer adjacency at 64 PEs.
+ */
+TEST(PolicyContract, ZeroReturnAndConvergenceLeaveTheMapAlone)
+{
+    int moving_policies = 0;
+    int converged_policies = 0;
+    for (const char *dataset : {"cora", "citeseer"}) {
+        const DatasetSpec &spec = findDataset(dataset);
+        const WorkloadProfile prof = loadProfile(spec, 1, 1.0);
+        const std::vector<Count> &work = prof.aRowNnz;
+        const Index rows = prof.spec.nodes;
+        for (const BalancePolicy *entry : PolicyRegistry::instance().all()) {
+            // Policies other tests register need not be complete.
+            if (entry->name.rfind("test-", 0) == 0) continue;
+            SCOPED_TRACE(std::string(dataset) + " " + entry->name);
+            AccelConfig cfg = makePolicyConfig(entry->name, 64, hopBase(spec));
+            RowPartition part =
+                makePartitionPolicy(cfg)->build(rows, work, cfg);
+            auto policy = makeRebalancePolicy(cfg, rows);
+
+            bool moved_any = false;
+            bool converged = false;
+            for (int round = 0; round < 24; ++round) {
+                SCOPED_TRACE("round " + std::to_string(round));
+                RoundObservation obs;
+                obs.peWork = part.workload(work);
+                std::vector<Count> served;
+                PerfModel::balancedDrain(obs.peWork, cfg.sharingHops, &served);
+                obs.drainCycle.assign(served.begin(), served.end());
+                const std::vector<int> before = part.owners();
+
+                const int moved = policy->observeAndAdjust(obs, work, part);
+                const bool changed = part.owners() != before;
+                if (moved == 0) {
+                    ASSERT_FALSE(changed);
+                }
+                if (converged) {
+                    ASSERT_TRUE(policy->converged());
+                    ASSERT_EQ(moved, 0);
+                    ASSERT_FALSE(changed);
+                }
+                moved_any = moved_any || changed;
+                converged = converged || policy->converged();
+            }
+            moving_policies += moved_any ? 1 : 0;
+            converged_policies += converged ? 1 : 0;
+        }
+    }
+    // Not vacuous: some policies move rows, and some converge.
+    EXPECT_GT(moving_policies, 0);
+    EXPECT_GT(converged_policies, 0);
+}
+
 // --------------------------------------- enum-era equivalence lock
 
 namespace {
