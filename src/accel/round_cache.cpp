@@ -3,6 +3,7 @@
 #include <atomic>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace awb {
 
@@ -71,6 +72,7 @@ struct RoundStateCache::Impl
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, std::vector<Entry>> buckets;
     std::size_t entries = 0;
+    std::unordered_set<std::uint64_t> sighted;
 };
 
 RoundStateCache &
@@ -120,6 +122,14 @@ RoundStateCache::insert(std::uint64_t context, const RoundEntryKey &key,
     ++im.entries;
 }
 
+bool
+RoundStateCache::admit(std::uint64_t stream)
+{
+    Impl &im = impl();
+    std::lock_guard<std::mutex> lock(im.mu);
+    return !im.sighted.insert(stream).second;
+}
+
 void
 RoundStateCache::setEnabled(bool on)
 {
@@ -159,6 +169,7 @@ RoundStateCache::clear()
     std::lock_guard<std::mutex> lock(im.mu);
     im.buckets.clear();
     im.entries = 0;
+    im.sighted.clear();
     im.hits.store(0, std::memory_order_relaxed);
     im.misses.store(0, std::memory_order_relaxed);
 }

@@ -20,7 +20,10 @@
  * `AccelConfig`. Platform is excluded because the roofline floor is
  * composed outside the round loop (§8); engine kind because both
  * engines share one round core; balance policy because its whole
- * effect is the owners vector already inside the entry key.
+ * effect is the owners vector already inside the entry key. SpGEMM
+ * rounds stream a different task set per B column, so their context is
+ * the operand's digest mixed with the streamed column's row ids, and
+ * they enter the cache only through admit() (DESIGN.md §13).
  *
  * Disabled by default so unit tests and library embedders see the
  * uncached engine; `awbsim` enables it (escape hatch: `--no-cache`).
@@ -100,12 +103,21 @@ class RoundStateCache
     void insert(std::uint64_t context, const RoundEntryKey &key,
                 std::shared_ptr<const RoundRecord> record);
 
+    /**
+     * Admission test for streams that seldom repeat: records a sighting
+     * of `stream` (a context digest) and returns true when it was
+     * sighted before. executeSpgemm caches a round only once its stream
+     * is admitted, so a one-off A × A pass leaves no entries behind.
+     */
+    bool admit(std::uint64_t stream);
+
     void setEnabled(bool on);
     bool enabled() const;
 
     std::uint64_t hits() const;
     std::uint64_t misses() const;
     std::size_t size() const;
+    /** Drops every entry, every recorded sighting and the counters. */
     void clear();
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -18,6 +19,25 @@
 namespace awb {
 
 namespace {
+
+/** roundContextDigest's TDQ-kind slot for SpGEMM rounds: distinct from
+ *  both TdqKind values, whose rounds stream a fixed non-zero set. */
+constexpr int kSpgemmContextTag = 2;
+
+/** The cache context of SpGEMM round k: the operand's context mixed
+ *  with B column k's row ids, which fix the round's task stream. */
+std::uint64_t
+spgemmStreamDigest(std::uint64_t a_context, const CscMatrix &b,
+                   std::size_t k)
+{
+    std::uint64_t h = roundMix64(
+        a_context ^ static_cast<std::uint64_t>(b.colPtr()[k + 1] -
+                                               b.colPtr()[k]));
+    for (Count p = b.colPtr()[k]; p < b.colPtr()[k + 1]; ++p)
+        h = roundMix64(h ^ static_cast<std::uint64_t>(
+                               b.rowId()[static_cast<std::size_t>(p)]));
+    return h;
+}
 
 /**
  * The per-cycle round core both entry points share: the PE array, the
@@ -39,15 +59,8 @@ struct RoundCore
           rebalance(makeRebalancePolicy(
               cfg, static_cast<Index>(rowWork.size()))),
           mem(findPlatform(cfg.platform), policyClockMhz(cfg)),
-          net(std::max(cfg.numPes, 2), cfg.omegaBufferDepth,
-              cfg.networkSpeedup),
-          accepted(static_cast<std::size_t>(cfg.numPes), 0),
-          home(static_cast<std::size_t>(cfg.numPes), 0),
-          lane(static_cast<std::size_t>(cfg.numPes), 0)
+          cursors(static_cast<std::size_t>(cfg.numPes), 0)
     {
-        for (int p = 0; p < cfg.numPes; ++p)
-            pes.emplace_back(p, cfg.numQueuesPerPe, cfg.queueDepth,
-                             cfg.macLatency);
         stats.perPeTasks.assign(static_cast<std::size_t>(cfg.numPes), 0);
     }
 
@@ -55,20 +68,33 @@ struct RoundCore
     RoundEntryKey
     entryKey(const RowPartition &part) const
     {
-        RoundEntryKey key;
-        key.owners = part.owners();
-        for (const Pe &pe : pes) key.arbiter.push_back(pe.arbiterCursor());
-        key.netParity = useNet ? static_cast<int>(now & 1) : 0;
-        return key;
+        return {part.owners(), cursors,
+                useNet ? static_cast<int>(now & 1) : 0};
     }
 
     /** Advance a round from a cached outcome without stepping it. */
     void
     replay(const RoundRecord &rec)
     {
-        for (std::size_t p = 0; p < pes.size(); ++p)
-            pes[p].setArbiterCursor(rec.arbiterAfter[p]);
+        cursors = rec.arbiterAfter;
         now += rec.roundCycles;
+    }
+
+    /** Build the PE array, the Omega fabric and their scratch on the
+     *  first stepped round: a run that only replays never needs them. */
+    void
+    buildFabric()
+    {
+        const auto P = static_cast<std::size_t>(cfg.numPes);
+        if (useNet)
+            net.emplace(std::max(cfg.numPes, 2), cfg.omegaBufferDepth,
+                        cfg.networkSpeedup);
+        accepted.assign(P, 0);
+        home.assign(P, 0);
+        lane.assign(P, 0);
+        for (int p = 0; p < cfg.numPes; ++p)
+            pes.emplace_back(p, cfg.numQueuesPerPe, cfg.queueDepth,
+                             cfg.macLatency);
     }
 
     /** Hand a task to its home PE or, under local sharing, the least
@@ -105,7 +131,11 @@ struct RoundCore
     // composed roofline-style only when the platform is constrained, so
     // the unconstrained default is a provable timing no-op.
     const MemoryModel mem;
-    OmegaNetwork net;
+    // Arbiter cursors entering the next round: the only PE state a
+    // round barrier carries (all zero on a fresh core).
+    std::vector<std::size_t> cursors;
+    // Built by the first stepped round (buildFabric).
+    std::optional<OmegaNetwork> net;
     std::vector<Pe> pes;
     Cycle now = 0;
     Count pendingMigration = 0;
@@ -130,17 +160,23 @@ RoundCore::step(const std::vector<Index> &row,
                 const std::vector<Count> *scan_pos, Count scan_width,
                 const RowPartition &part)
 {
+    if (pes.empty()) buildFabric();
     const std::size_t n = row.size();
     const std::size_t P = pes.size();
     const int inject_width = cfg.injectWidth > 0 ? cfg.injectWidth
                                                  : cfg.numPes;
     std::fill(home.begin(), home.end(), 0);
-    for (Pe &pe : pes) pe.resetRound();
-    net.resetRoundPeak();
+    for (std::size_t p = 0; p < P; ++p) {
+        pes[p].resetRound();
+        pes[p].setArbiterCursor(cursors[p]);
+    }
     // Align the fabric's input-priority toggles with the global cycle
     // parity (identity under pure event stepping; required after
     // replayed rounds advanced the clock without ticking).
-    if (useNet) net.setArbitration(static_cast<int>(now & 1));
+    if (useNet) {
+        net->resetRoundPeak();
+        net->setArbitration(static_cast<int>(now & 1));
+    }
     const Cycle start = now;
     auto task = [&](std::size_t f) { return Task{row[f], part.owner(row[f])}; };
     std::size_t next = 0;  // next task to dispatch (TDQ-1, direct)
@@ -161,7 +197,7 @@ RoundCore::step(const std::vector<Index> &row,
 
         // 2. The network advances and delivers into queues.
         if (useNet) {
-            net.tick(now, [&](const Task &t, int out_port) {
+            net->tick(now, [&](const Task &t, int out_port) {
                 if (out_port != t.homePe)
                     panic("Omega routing invariant violated");
                 return deliver(t);
@@ -183,7 +219,7 @@ RoundCore::step(const std::vector<Index> &row,
             int injected = 0;
             for (std::size_t p = 0; p < P && injected < inject_width; ++p) {
                 if (lane[p] >= n ||
-                    !net.inject(task(lane[p]), static_cast<int>(p)))
+                    !net->inject(task(lane[p]), static_cast<int>(p)))
                     continue;
                 lane[p] += P;
                 ++injected;
@@ -201,7 +237,7 @@ RoundCore::step(const std::vector<Index> &row,
         if (now - start > cfg.maxCyclesPerRound)
             panic("SpmmEngine: round watchdog expired");
         const bool stream_done = useNet ? lanes_done == P : next >= n;
-        if (stream_done && (!useNet || net.empty()) &&
+        if (stream_done && (!useNet || net->empty()) &&
             std::all_of(pes.begin(), pes.end(),
                         [&](const Pe &pe) { return pe.drained(now); }))
             break;
@@ -219,7 +255,8 @@ RoundCore::step(const std::vector<Index> &row,
         out.rawStallDelta += pe.rawStallCycles();
         out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
     }
-    out.peakNet = useNet ? net.roundPeakBufferDepth() : 0;
+    out.peakNet = useNet ? net->roundPeakBufferDepth() : 0;
+    cursors = out.arbiterAfter;
     return out;
 }
 
@@ -247,11 +284,11 @@ RoundCore::account(const RoundRecord &rec, MemoryTraffic traffic,
 
     stats.roundCycles.push_back(duration);
     Count round_tasks = 0;
-    for (std::size_t p = 0; p < pes.size(); ++p) {
+    for (std::size_t p = 0; p < rec.execTasks.size(); ++p) {
         round_tasks += rec.execTasks[p];
         stats.perPeTasks[p] += rec.execTasks[p];
     }
-    const auto P = static_cast<Count>(pes.size());
+    const auto P = static_cast<Count>(cfg.numPes);
     stats.tasks += round_tasks;
     stats.idealCycles += (round_tasks + P - 1) / P;
     stats.rawStalls += rec.rawStallDelta;
@@ -403,9 +440,22 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
     return core.finish();
 }
 
+std::uint64_t
+SpmmEngine::spgemmContext(const CscMatrix &a) const
+{
+    return roundContextDigest(a, cfg_, kSpgemmContextTag);
+}
+
 SpgemmResult
 SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
                           RowPartition &partition)
+{
+    return executeSpgemm(a, b, partition, spgemmContext(a));
+}
+
+SpgemmResult
+SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
+                          RowPartition &partition, std::uint64_t a_context)
 {
     if (a.cols() != b.rows())
         panic("SpmmEngine: spgemm inner dimensions differ");
@@ -419,30 +469,68 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
                    /*observe_last=*/true);
     const Index K = b.cols();
     core.stats.rounds = K;
+    RoundStateCache &shared = RoundStateCache::instance();
+    const bool shared_on = shared.enabled();
     std::vector<Index> rows;
     for (Index k = 0; k < K; ++k) {
         // Round-k task stream: B column k's non-zeros in ascending inner
         // index j, each expanding A column j (a sparse B-column fetch,
-        // where execute() streams one fixed non-zero set). The stream
-        // changes with k, so every round is stepped under both engines.
+        // where simulate() streams one fixed non-zero set). The stream
+        // is a function of A and B column k's row ids alone.
         const auto kk = static_cast<std::size_t>(k);
-        rows.clear();
-        for (Count p = b.colPtr()[kk]; p < b.colPtr()[kk + 1]; ++p) {
-            const auto j = static_cast<std::size_t>(
-                b.rowId()[static_cast<std::size_t>(p)]);
-            rows.insert(rows.end(), a.rowId().begin() + a.colPtr()[j],
-                        a.rowId().begin() + a.colPtr()[j + 1]);
+        const Count b_begin = b.colPtr()[kk];
+        const Count b_end = b.colPtr()[kk + 1];
+        Count tasks = 0;
+        for (Count p = b_begin; p < b_end; ++p)
+            tasks += a.colNnz(b.rowId()[static_cast<std::size_t>(p)]);
+
+        // Replay through the shared cache (DESIGN.md §13), keyed by the
+        // stream's digest. Streams rarely repeat inside one call (A x A
+        // runs n distinct columns), so a stream is admitted only on its
+        // second sighting, and only when it carries at least as many
+        // tasks as the entry key holds owners: that bounds the cache to
+        // the size of the admitted streams and keeps key hashing cheaper
+        // than stepping.
+        std::shared_ptr<const RoundRecord> cached;
+        RoundEntryKey key;
+        std::uint64_t stream = 0;
+        bool admitted = false;
+        if (shared_on && tasks >= a.rows()) {
+            stream = spgemmStreamDigest(a_context, b, kk);
+            admitted = shared.admit(stream);
         }
-        const RoundRecord rec = core.step(rows, nullptr, 0, partition);
+        if (admitted) {
+            key = core.entryKey(partition);
+            cached = shared.lookup(stream, key);
+        }
+        RoundRecord stepped;
+        const RoundRecord *rec = cached.get();
+        if (rec != nullptr) {
+            core.replay(*rec);
+        } else {
+            rows.clear();
+            for (Count p = b_begin; p < b_end; ++p) {
+                const auto j = static_cast<std::size_t>(
+                    b.rowId()[static_cast<std::size_t>(p)]);
+                rows.insert(rows.end(), a.rowId().begin() + a.colPtr()[j],
+                            a.rowId().begin() + a.colPtr()[j + 1]);
+            }
+            stepped = core.step(rows, nullptr, 0, partition);
+            rec = &stepped;
+            if (admitted)
+                shared.insert(stream, key,
+                              std::make_shared<RoundRecord>(stepped));
+        }
+        // Every round counts as simulated, replayed or not: there is no
+        // within-run memo to miss, and the count stays independent of
+        // what the shared cache holds.
         ++core.stats.roundsSimulated;
 
         // Traffic (DESIGN.md §11): the A-task stream, the fetched B
         // column, and the written sparse C column (values + row ids).
         const MemoryTraffic traffic = core.mem.spgemmRoundTraffic(
-            static_cast<Count>(rows.size()),
-            b.colPtr()[kk + 1] - b.colPtr()[kk],
-            c.colPtr()[kk + 1] - c.colPtr()[kk]);
-        core.account(rec, traffic, k + 1 == K, partition);
+            tasks, b_end - b_begin, c.colPtr()[kk + 1] - c.colPtr()[kk]);
+        core.account(*rec, traffic, k + 1 == K, partition);
     }
     return {std::move(c), core.finish()};
 }

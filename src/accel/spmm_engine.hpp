@@ -37,6 +37,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -144,15 +145,19 @@ class SpmmEngine
      * columns, so per-round task counts track the *output* work, not a
      * fixed non-zero stream. Values are materialized by the functional
      * kernel (kernels::spgemm) — bit-identical across engines — while
-     * the event schedule prices the work. Differences from execute():
-     * every round is event-stepped (roundsSimulated == rounds under
-     * both engines: the task stream changes per round, so there is no
-     * recurring entry state to replay), and the rebalance policy
-     * observes after *every* round including the last (frontier kernels
-     * chain 1-round SpGEMMs over a carried partition, so the last
-     * round's observation is the only one they would ever get);
-     * migration ordered after the final round bills its bytes to
-     * `stats.traffic.migrationBytes` without a bandwidth floor.
+     * the event schedule prices the work. Differences from simulate():
+     *
+     *  - the round-state cache is keyed per round by the digest of its
+     *    stream (A's structure plus B column k's row ids) and admits a
+     *    stream on its second sighting only (DESIGN.md §13); there is
+     *    no within-run memo, so roundsSimulated == rounds under both
+     *    engines and any cache state;
+     *  - the rebalance policy observes after *every* round including
+     *    the last (frontier kernels chain 1-round SpGEMMs over a
+     *    carried partition, so the last round's observation is the only
+     *    one they would ever get); migration ordered after the final
+     *    round bills its bytes to `stats.traffic.migrationBytes` without
+     *    a bandwidth floor.
      *
      * @param a          sparse left operand in CSC
      * @param b          sparse right operand in CSC (rows == a.cols())
@@ -160,6 +165,16 @@ class SpmmEngine
      */
     SpgemmResult executeSpgemm(const CscMatrix &a, const CscMatrix &b,
                                RowPartition &partition);
+
+    /** executeSpgemm with `a_context` == spgemmContext(a) precomputed,
+     *  for callers that multiply one operand many times. */
+    SpgemmResult executeSpgemm(const CscMatrix &a, const CscMatrix &b,
+                               RowPartition &partition,
+                               std::uint64_t a_context);
+
+    /** The round-cache context of SpGEMMs over `a` on this engine's
+     *  configuration: O(nnz(a)), independent of the right operand. */
+    std::uint64_t spgemmContext(const CscMatrix &a) const;
 
   private:
     AccelConfig cfg_;

@@ -57,6 +57,7 @@ FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
     const std::vector<Count> row_work = a.rowNnz();
     if (cfg_.chips <= 1) {
         a_ = a;
+        aContext_ = engine_.spgemmContext(a_);
         part_ = partitioner->build(a.rows(), row_work, cfg_);
         return;
     }
@@ -68,6 +69,7 @@ FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
         if (chipPart_.rowsOf(c).empty()) continue;
         shardChip_.push_back(c);
         shards_.push_back(chipPart_.extractRows(a, c));
+        shardContexts_.push_back(engine_.spgemmContext(shards_.back()));
         shardParts_.push_back(partitioner->build(
             shards_.back().rows(),
             chipPart_.extractWork(row_work, c), cfg_));
@@ -83,6 +85,7 @@ FrontierRunner::setOperand(const CscMatrix &a)
     if (a.rows() != rows_ || a.cols() != a_.cols())
         fatal("FrontierRunner::setOperand: operand shape must match");
     a_ = a;
+    aContext_ = engine_.spgemmContext(a_);
 }
 
 CscMatrix
@@ -95,7 +98,7 @@ FrontierRunner::step(const CscMatrix &x)
     it.frontierNnz = x.nnz();
 
     if (cfg_.chips <= 1) {
-        SpgemmResult r = engine_.executeSpgemm(a_, x, part_);
+        SpgemmResult r = engine_.executeSpgemm(a_, x, part_, aContext_);
         it.cycles = r.stats.cycles;
         it.tasks = r.stats.tasks;
         it.rowsSwitched = r.stats.rowsSwitched;
@@ -125,8 +128,8 @@ FrontierRunner::step(const CscMatrix &x)
     std::vector<std::pair<Index, Value>> merged;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const int c = shardChip_[s];
-        SpgemmResult r =
-            engine_.executeSpgemm(shards_[s], x, shardParts_[s]);
+        SpgemmResult r = engine_.executeSpgemm(shards_[s], x, shardParts_[s],
+                                               shardContexts_[s]);
         chip_max = std::max(chip_max, r.stats.cycles);
         it.tasks += r.stats.tasks;
         it.rowsSwitched += r.stats.rowsSwitched;

@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -103,13 +104,16 @@ class FrontierRunner
     SpmmEngine engine_;
     MemoryModel mem_;
     Index rows_ = 0;
-    // chips == 1
+    // chips == 1; aContext_ is engine_.spgemmContext(a_), hashed once
+    // per operand instead of once per iteration
     CscMatrix a_;
+    std::uint64_t aContext_ = 0;
     RowPartition part_;
     // chips > 1: non-empty shards only (chips may exceed rows)
     ChipPartition chipPart_;
     std::vector<int> shardChip_;
     std::vector<CscMatrix> shards_;
+    std::vector<std::uint64_t> shardContexts_;
     std::vector<RowPartition> shardParts_;
     FrontierRunStats stats_;
 };

@@ -7,16 +7,20 @@
  * PerfModel::runSpgemm traffic accounting, the Spgemm Session node and
  * buildExactKhopGcn factory, and the BFS/PageRank frontier kernels vs
  * their scalar references — including multi-chip sharded runs and the
- * observe-after-last-round rebalance contract.
+ * observe-after-last-round rebalance contract — and SpGEMM round replay
+ * through the shared round-state cache (identical runs with it off,
+ * cold or warm; no leaks between streams; one-off streams not cached).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
+#include "accel/round_cache.hpp"
 #include "accel/spmm_engine.hpp"
 #include "gcn/model.hpp"
 #include "graph/datasets.hpp"
@@ -450,4 +454,270 @@ TEST(FrontierRunner, RejectsBadFrontiers)
     EXPECT_DEATH(kernels::frontierVector(4, {{1, 1.0f}, {1, 2.0f}}),
                  "strictly ascending");
     EXPECT_DEATH(kernels::frontierVector(4, {{5, 1.0f}}), "out of range");
+}
+
+// ------------------------------------------------- SpGEMM round replay
+
+namespace {
+
+/** Leaves the round-state cache the way library users see it:
+ *  disabled and empty. */
+struct RoundCacheGuard
+{
+    RoundCacheGuard() { reset(); }
+    ~RoundCacheGuard() { reset(); }
+
+    static void
+    reset()
+    {
+        RoundStateCache::instance().setEnabled(false);
+        RoundStateCache::instance().clear();
+    }
+};
+
+void
+expectSameTraffic(const MemoryTraffic &x, const MemoryTraffic &y,
+                  const std::string &what)
+{
+    EXPECT_EQ(x.sparseBytes, y.sparseBytes) << what;
+    EXPECT_EQ(x.denseBytes, y.denseBytes) << what;
+    EXPECT_EQ(x.outputBytes, y.outputBytes) << what;
+    EXPECT_EQ(x.migrationBytes, y.migrationBytes) << what;
+    EXPECT_EQ(x.haloBytes, y.haloBytes) << what;
+    EXPECT_EQ(x.bRowBytes, y.bRowBytes) << what;
+    EXPECT_EQ(x.outputIndexBytes, y.outputIndexBytes) << what;
+}
+
+/** Every FrontierRunStats field, compared with ==. */
+void
+expectSameRunStats(const kernels::FrontierRunStats &x,
+                   const kernels::FrontierRunStats &y,
+                   const std::string &what)
+{
+    ASSERT_EQ(x.iterations.size(), y.iterations.size()) << what;
+    for (std::size_t i = 0; i < x.iterations.size(); ++i) {
+        const kernels::FrontierIteration &xi = x.iterations[i];
+        const kernels::FrontierIteration &yi = y.iterations[i];
+        const std::string at = what + " iteration " + std::to_string(i);
+        EXPECT_EQ(xi.frontierNnz, yi.frontierNnz) << at;
+        EXPECT_EQ(xi.cycles, yi.cycles) << at;
+        EXPECT_EQ(xi.tasks, yi.tasks) << at;
+        EXPECT_EQ(xi.rowsSwitched, yi.rowsSwitched) << at;
+    }
+    EXPECT_EQ(x.totalCycles, y.totalCycles) << what;
+    EXPECT_EQ(x.totalTasks, y.totalTasks) << what;
+    EXPECT_EQ(x.rowsSwitched, y.rowsSwitched) << what;
+    EXPECT_EQ(x.rounds, y.rounds) << what;
+    EXPECT_EQ(x.roundsSimulated, y.roundsSimulated) << what;
+    expectSameTraffic(x.traffic, y.traffic, what);
+    EXPECT_EQ(x.memoryCycles, y.memoryCycles) << what;
+    EXPECT_EQ(x.bwBoundRounds, y.bwBoundRounds) << what;
+    EXPECT_EQ(x.haloBytes, y.haloBytes) << what;
+    EXPECT_EQ(x.haloCycles, y.haloCycles) << what;
+    EXPECT_EQ(x.haloBoundRounds, y.haloBoundRounds) << what;
+    EXPECT_EQ(x.chipImbalance, y.chipImbalance) << what;
+    EXPECT_EQ(x.peakQueueDepth, y.peakQueueDepth) << what;
+    EXPECT_EQ(x.convergedRound, y.convergedRound) << what;
+}
+
+void
+expectSamePagerank(const kernels::PagerankRun &x,
+                   const kernels::PagerankRun &y, const std::string &what)
+{
+    EXPECT_EQ(x.result.scores, y.result.scores) << what;
+    EXPECT_EQ(x.result.iterations, y.result.iterations) << what;
+    EXPECT_EQ(x.result.residuals, y.result.residuals) << what;
+    EXPECT_EQ(x.result.converged, y.result.converged) << what;
+    expectSameRunStats(x.stats, y.stats, what);
+}
+
+void
+expectSameBfs(const kernels::BfsRun &x, const kernels::BfsRun &y,
+              const std::string &what)
+{
+    EXPECT_EQ(x.result.parent, y.result.parent) << what;
+    EXPECT_EQ(x.result.depth, y.result.depth) << what;
+    EXPECT_EQ(x.result.frontierSizes, y.result.frontierSizes) << what;
+    expectSameRunStats(x.stats, y.stats, what);
+}
+
+void
+expectSameSpmmStats(const SpmmStats &x, const SpmmStats &y,
+                    const std::string &what)
+{
+    EXPECT_EQ(x.cycles, y.cycles) << what;
+    EXPECT_EQ(x.tasks, y.tasks) << what;
+    EXPECT_EQ(x.idealCycles, y.idealCycles) << what;
+    EXPECT_EQ(x.rounds, y.rounds) << what;
+    EXPECT_EQ(x.roundsSimulated, y.roundsSimulated) << what;
+    EXPECT_EQ(x.rowsSwitched, y.rowsSwitched) << what;
+    EXPECT_EQ(x.convergedRound, y.convergedRound) << what;
+    EXPECT_EQ(x.rawStalls, y.rawStalls) << what;
+    EXPECT_EQ(x.peakQueueDepth, y.peakQueueDepth) << what;
+    EXPECT_EQ(x.peakNetworkDepth, y.peakNetworkDepth) << what;
+    expectSameTraffic(x.traffic, y.traffic, what);
+    EXPECT_EQ(x.roundCycles, y.roundCycles) << what;
+    EXPECT_EQ(x.perPeTasks, y.perPeTasks) << what;
+}
+
+} // namespace
+
+// Every PageRank iteration streams the same n-entry frontier, so the
+// cache replays all but the first two (first sighting, then the admitted
+// miss that fills the entry). Runs must not notice.
+TEST(FrontierReplay, RunsMatchWithTheRoundCacheOffColdAndWarm)
+{
+    RoundCacheGuard guard;
+    RoundStateCache &cache = RoundStateCache::instance();
+    const CscMatrix a = scaledAdjacency("cora", 1.0);
+    for (const char *policy : {"baseline", "remote-d"}) {
+        for (EngineKind engine : {EngineKind::Event, EngineKind::Batched}) {
+            for (int chips : {1, 2}) {
+                AccelConfig cfg = makePolicyConfig(policy, 64, 1);
+                cfg.engine = engine;
+                cfg.chips = chips;
+                const std::string what =
+                    std::string(policy) +
+                    (engine == EngineKind::Event ? " event" : " batched") +
+                    " chips " + std::to_string(chips);
+                auto pagerank = [&] {
+                    return kernels::runPagerank(cfg, a, 0.85, 1e-6, 200);
+                };
+                auto bfs = [&] { return kernels::runBfs(cfg, a, 0); };
+
+                RoundCacheGuard::reset();
+                const kernels::PagerankRun pr_off = pagerank();
+                const kernels::BfsRun bfs_off = bfs();
+                EXPECT_EQ(cache.size(), 0u) << what;
+
+                cache.setEnabled(true);
+                const std::uint64_t hits_cold = cache.hits();
+                expectSamePagerank(pagerank(), pr_off, what + " cold");
+                const std::uint64_t hits_warm = cache.hits();
+                if (std::string(policy) == "baseline") {
+                    // A static map keeps every entry key equal.
+                    EXPECT_GE(hits_warm - hits_cold,
+                              static_cast<std::uint64_t>(
+                                  pr_off.result.iterations - 2))
+                        << what;
+                }
+                cache.clear();
+                expectSameBfs(bfs(), bfs_off, what + " cold");
+
+                // Pre-warmed: both kernels' entries are in the cache.
+                pagerank();
+                expectSamePagerank(pagerank(), pr_off, what + " warm");
+                expectSameBfs(bfs(), bfs_off, what + " warm");
+            }
+        }
+    }
+}
+
+// setOperand must re-hash: the new operand's rounds may not replay the
+// old operand's entries, though their frontier, map and entry key match.
+TEST(FrontierReplay, SetOperandRehashesTheOperand)
+{
+    RoundCacheGuard guard;
+    const DatasetSpec &spec = findDataset("cora");
+    const CscMatrix a = loadSyntheticAdjacency(spec, /*seed=*/1, 0.3);
+    const CscMatrix b = loadSyntheticAdjacency(spec, /*seed=*/2, 0.3);
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    const AccelConfig cfg = makePolicyConfig("baseline", 32, 1);
+    std::vector<std::pair<Index, Value>> all;
+    for (Index v = 0; v < a.cols(); ++v) all.emplace_back(v, Value(1));
+    const CscMatrix x = kernels::frontierVector(a.cols(), all);
+    auto run = [&] {
+        kernels::FrontierRunner runner(cfg, a);
+        for (int i = 0; i < 3; ++i) runner.step(x);
+        runner.setOperand(b);
+        runner.step(x);
+        return runner.stats();
+    };
+    const kernels::FrontierRunStats off = run();
+    RoundStateCache::instance().setEnabled(true);
+    expectSameRunStats(run(), off, "cache on");
+}
+
+// PageRank's entries live under its own stream digest: a BFS over the
+// same operand (frontiers of other structure, but the same entry key on
+// a static map) and a TDQ-2 SPMM over it must replay none of them.
+TEST(FrontierReplay, PagerankEntriesDoNotLeakIntoOtherStreams)
+{
+    RoundCacheGuard guard;
+    RoundStateCache &cache = RoundStateCache::instance();
+    // runPagerank multiplies by columnStochastic(a); BFS and the SPMM
+    // run on that matrix too, so all three share one structure.
+    const CscMatrix m =
+        kernels::columnStochastic(scaledAdjacency("cora", 1.0));
+    AccelConfig cfg = makePolicyConfig("baseline", 64, 1);
+    cfg.engine = EngineKind::Batched;
+    auto spmm = [&] {
+        RowPartition part =
+            makePartitionPolicy(cfg)->build(m.rows(), m.rowNnz(), cfg);
+        return SpmmEngine(cfg).simulate(m, 16, TdqKind::Tdq2OmegaCsc,
+                                        part);
+    };
+    const kernels::BfsRun bfs_off = kernels::runBfs(cfg, m, 0);
+    const SpmmStats spmm_off = spmm();
+    // Some BFS level carries enough tasks to be cacheable, so a digest
+    // that ignored the frontier would hand it PageRank's entry.
+    ASSERT_TRUE(std::any_of(bfs_off.stats.iterations.begin(),
+                            bfs_off.stats.iterations.end(),
+                            [&](const kernels::FrontierIteration &it) {
+                                return it.tasks >= m.rows();
+                            }));
+
+    cache.setEnabled(true);
+    kernels::runPagerank(cfg, m, 0.85, 1e-6, 200);
+    ASSERT_GT(cache.size(), 0u);
+    expectSameBfs(kernels::runBfs(cfg, m, 0), bfs_off, "bfs after pagerank");
+    expectSameSpmmStats(spmm(), spmm_off, "spmm after pagerank");
+}
+
+// A × A streams n distinct columns once each: nothing may be cached
+// until a stream is seen again, or exact k-hop would fill the cache
+// with one owner vector per column.
+TEST(FrontierReplay, OneOffSpgemmStreamsAreNotCached)
+{
+    RoundCacheGuard guard;
+    RoundStateCache &cache = RoundStateCache::instance();
+    // Column j holds every row but j: distinct columns whose A × A
+    // rounds carry (n-1)^2 >= n tasks each.
+    constexpr Index kN = 16;
+    CooMatrix coo(kN, kN);
+    for (Index j = 0; j < kN; ++j)
+        for (Index i = 0; i < kN; ++i)
+            if (i != j) coo.add(i, j, 1.0f);
+    const CscMatrix a = CscMatrix::fromCoo(coo);
+    const AccelConfig cfg = makePolicyConfig("baseline", 8, 1);
+    auto run = [&] {
+        RowPartition part =
+            makePartitionPolicy(cfg)->build(a.rows(), a.rowNnz(), cfg);
+        return SpmmEngine(cfg).executeSpgemm(a, a, part).stats;
+    };
+    const SpmmStats off = run();
+    EXPECT_EQ(off.roundsSimulated, off.rounds);
+
+    cache.setEnabled(true);
+    expectSameSpmmStats(run(), off, "first sighting");
+    EXPECT_EQ(cache.size(), 0u);
+    // The second sighting admits every column; the third replays them.
+    expectSameSpmmStats(run(), off, "second sighting");
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kN));
+    const std::uint64_t hits = cache.hits();
+    expectSameSpmmStats(run(), off, "replayed");
+    EXPECT_EQ(cache.hits() - hits, static_cast<std::uint64_t>(kN));
+
+    // A stream with fewer tasks than the entry key has owners is never
+    // cached, however often it repeats: hashing would cost more than
+    // stepping it.
+    const CscMatrix x = kernels::frontierVector(kN, {{0, 1.0f}});
+    ASSERT_LT(a.colNnz(0), a.rows());
+    for (int i = 0; i < 3; ++i) {
+        RowPartition part =
+            makePartitionPolicy(cfg)->build(a.rows(), a.rowNnz(), cfg);
+        SpmmEngine(cfg).executeSpgemm(a, x, part);
+    }
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kN));
 }
