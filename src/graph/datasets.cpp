@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/text.hpp"
 #include "graph/degree_dist.hpp"
-#include "graph/normalize.hpp"
+#include "graph/generator.hpp"
 
 namespace awb {
 
@@ -52,24 +52,42 @@ sampleRowFeatureNnz(Rng &rng, Index f, double d)
                              static_cast<Count>(f));
 }
 
-/** Build a content-sparse CSR feature matrix with the given density. */
+/**
+ * Build a content-sparse CSR feature matrix with the given density. Each
+ * accepted column draws its value at once, so values follow draw order
+ * and each row is sorted by column before it is written.
+ */
 CsrMatrix
 makeFeatures(Rng &rng, Index nodes, Index f, double density)
 {
-    CooMatrix coo(nodes, f);
-    std::unordered_set<Index> used;
+    std::vector<Count> row_ptr(static_cast<std::size_t>(nodes) + 1, 0);
+    std::vector<Index> col_id;
+    std::vector<Value> val;
+    // Reserve a little over the expected total so the arrays rarely
+    // regrow, which would double their footprint at Reddit scale.
+    const double expect = density * static_cast<double>(f) *
+                          static_cast<double>(nodes);
+    col_id.reserve(static_cast<std::size_t>(1.01 * expect) + 64);
+    val.reserve(col_id.capacity());
+
+    std::vector<Index> stamp(static_cast<std::size_t>(f), -1);
+    std::vector<std::pair<Index, Value>> row;
     for (Index r = 0; r < nodes; ++r) {
+        row.clear();
         Count k = sampleRowFeatureNnz(rng, f, density);
-        k = std::min<Count>(k, f);
-        used.clear();
-        while (static_cast<Count>(used.size()) < k) {
-            Index c = rng.nextIndex(f);
-            if (used.insert(c).second)
-                coo.add(r, c, rng.nextFloat(0.05f, 1.0f));
+        drawDistinctColumns(rng, stamp, r, k, [&](Index c) {
+            row.emplace_back(c, rng.nextFloat(0.05f, 1.0f));
+        });
+        std::sort(row.begin(), row.end());
+        for (const auto &[c, v] : row) {
+            col_id.push_back(c);
+            val.push_back(v);
         }
+        row_ptr[static_cast<std::size_t>(r) + 1] =
+            static_cast<Count>(col_id.size());
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromParts(nodes, f, std::move(row_ptr),
+                                std::move(col_id), std::move(val));
 }
 
 } // namespace
@@ -141,11 +159,10 @@ loadSynthetic(const DatasetSpec &spec, std::uint64_t seed, double scale)
     DatasetSpec s = scaledSpec(spec, scale);
     Rng rng(seed ^ 0x9e3779b97f4a7c15ULL, std::hash<std::string>{}(s.name));
 
-    auto raw = synthesizeAdjacency(rng, genParams(s));
     Dataset ds;
     ds.spec = s;
     ds.scale = scale;
-    ds.adjacency = normalizeAdjacencyCsc(raw, /*add_self_loops=*/true);
+    ds.adjacency = synthesizeNormalizedAdjacency(rng, genParams(s));
     ds.features = makeFeatures(rng, s.nodes, s.f1, s.densityX1);
     return ds;
 }
@@ -159,8 +176,7 @@ loadSyntheticAdjacency(const DatasetSpec &spec, std::uint64_t seed,
     // draws simply never happen.
     DatasetSpec s = scaledSpec(spec, scale);
     Rng rng(seed ^ 0x9e3779b97f4a7c15ULL, std::hash<std::string>{}(s.name));
-    return normalizeAdjacencyCsc(synthesizeAdjacency(rng, genParams(s)),
-                                 /*add_self_loops=*/true);
+    return synthesizeNormalizedAdjacency(rng, genParams(s));
 }
 
 Dataset
@@ -179,7 +195,10 @@ loadProfile(const DatasetSpec &spec, std::uint64_t seed, double scale)
     p.spec = s;
     p.scale = scale;
     p.aRowNnz = synthesizeRowDegrees(rng, genParams(s));
-    // Normalization adds the +I self loop to every row.
+    // +1 for the +I self loop. This overcounts by one the rare row that
+    // drew its own column, where +I adds no entry (the materialized
+    // adjacency has `degree` entries there); the profile keeps the
+    // approximation so it never has to draw columns.
     for (auto &d : p.aRowNnz) d += 1;
     p.x1RowNnz.resize(static_cast<std::size_t>(s.nodes));
     p.x2RowNnz.resize(static_cast<std::size_t>(s.nodes));

@@ -1,36 +1,13 @@
 #include "graph/generator.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cmath>
 
 #include "common/log.hpp"
 #include "graph/degree_dist.hpp"
+#include "graph/normalize.hpp"
 
 namespace awb {
-
-namespace {
-
-/**
- * Append `degree` distinct non-zeros to row `r` at uniform random columns.
- * Sampling is without replacement (rejection against a per-row set), which
- * keeps the realized row-degree exactly equal to the requested one — the
- * quantity the workload-balance experiments key on.
- */
-void
-fillRow(Rng &rng, CooMatrix &m, Index r, Count degree)
-{
-    Index n = m.cols();
-    degree = std::min<Count>(degree, n);
-    if (degree <= 0) return;
-    std::unordered_set<Index> used;
-    used.reserve(static_cast<std::size_t>(degree) * 2);
-    while (static_cast<Count>(used.size()) < degree) {
-        Index c = rng.nextIndex(n);
-        if (used.insert(c).second) m.add(r, c, Value(1));
-    }
-}
-
-} // namespace
 
 std::vector<Count>
 synthesizeRowDegrees(Rng &rng, const GraphGenParams &params)
@@ -77,8 +54,12 @@ CooMatrix
 adjacencyFromDegrees(Rng &rng, Index nodes, const std::vector<Count> &degrees)
 {
     CooMatrix m(nodes, nodes);
-    for (Index r = 0; r < nodes; ++r)
-        fillRow(rng, m, r, degrees[static_cast<std::size_t>(r)]);
+    std::vector<Index> stamp(static_cast<std::size_t>(nodes), -1);
+    for (Index r = 0; r < nodes; ++r) {
+        drawDistinctColumns(rng, stamp, r,
+                            degrees[static_cast<std::size_t>(r)],
+                            [&](Index c) { m.add(r, c, Value(1)); });
+    }
     m.canonicalize();
     return m;
 }
@@ -107,6 +88,63 @@ synthesizeAdjacency(Rng &rng, const GraphGenParams &params)
         for (Triplet &t : m.entries()) t.val = Value(1);
     }
     return m;
+}
+
+CscMatrix
+synthesizeNormalizedAdjacency(Rng &rng, const GraphGenParams &params)
+{
+    if (params.symmetric)
+        return normalizeAdjacencyCsc(synthesizeAdjacency(rng, params),
+                                     /*add_self_loops=*/true);
+
+    const Index n = params.nodes;
+    const auto deg = synthesizeRowDegrees(rng, params);
+    const auto un = static_cast<std::size_t>(n);
+
+    // Draw each row's columns in draw order, then its +I self loop
+    // unless the row drew its own column. The row length is the degree.
+    std::vector<Count> row_ptr(un + 1, 0);
+    Count bound = n;
+    for (Count d : deg) bound += std::min<Count>(d, n);
+    std::vector<Index> cols;
+    cols.reserve(static_cast<std::size_t>(bound));
+    std::vector<Index> stamp(un, -1);
+    for (Index r = 0; r < n; ++r) {
+        const auto ur = static_cast<std::size_t>(r);
+        drawDistinctColumns(rng, stamp, r, deg[ur],
+                            [&](Index c) { cols.push_back(c); });
+        if (stamp[ur] != r) cols.push_back(r);
+        row_ptr[ur + 1] = static_cast<Count>(cols.size());
+    }
+
+    // D^-1/2 in double, as normalizeAdjacency() computes it.
+    std::vector<double> inv(un);
+    for (std::size_t r = 0; r < un; ++r)
+        inv[r] = 1.0 / std::sqrt(static_cast<double>(row_ptr[r + 1] -
+                                                     row_ptr[r]));
+
+    // Counting scatter into CSC: rows are visited in ascending order, so
+    // every column comes out sorted with no per-column sort. Values are
+    // computed here rather than transposed (csrToCsc), so no draw-order
+    // value array is held next to the CSC arrays at Reddit scale.
+    std::vector<Count> col_ptr(un + 1, 0);
+    for (Index c : cols) ++col_ptr[static_cast<std::size_t>(c) + 1];
+    for (std::size_t j = 1; j <= un; ++j) col_ptr[j] += col_ptr[j - 1];
+    std::vector<Count> cursor(col_ptr.begin(), col_ptr.end() - 1);
+    std::vector<Index> row_id(cols.size());
+    std::vector<Value> val(cols.size());
+    for (std::size_t r = 0; r < un; ++r) {
+        for (Count k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+            const auto c = static_cast<std::size_t>(
+                cols[static_cast<std::size_t>(k)]);
+            const auto at = static_cast<std::size_t>(cursor[c]++);
+            row_id[at] = static_cast<Index>(r);
+            // A + I is binary, so inv[r] * 1 * inv[c] drops the factor 1.
+            val[at] = static_cast<Value>(inv[r] * inv[c]);
+        }
+    }
+    return CscMatrix::fromParts(n, n, std::move(col_ptr), std::move(row_id),
+                                std::move(val));
 }
 
 } // namespace awb

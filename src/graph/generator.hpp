@@ -11,8 +11,12 @@
 
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/csc.hpp"
 
 namespace awb {
 
@@ -56,6 +60,42 @@ CooMatrix synthesizeAdjacency(Rng &rng, const GraphGenParams &params);
 /** Materialize an adjacency from an explicit per-row degree sequence. */
 CooMatrix adjacencyFromDegrees(Rng &rng, Index nodes,
                                const std::vector<Count> &degrees);
+
+/**
+ * synthesizeAdjacency() followed by normalizeAdjacencyCsc() with +I,
+ * bit for bit, consuming the same Rng draws. A directed graph is built
+ * straight into CSC (DESIGN.md §3); a symmetric one goes through COO.
+ */
+CscMatrix synthesizeNormalizedAdjacency(Rng &rng,
+                                        const GraphGenParams &params);
+
+/**
+ * The one row drawer every synthesizer shares: rejection-sample
+ * min(count, stamp.size()) distinct uniform columns for row `r`, calling
+ * `accept(c)` on each new column in draw order. Sampling is without
+ * replacement, so a row realizes exactly the requested count — the
+ * quantity the workload-balance experiments key on.
+ *
+ * `stamp[c] == r` marks column c as drawn for row r. Start the array at
+ * -1, one slot per column, and reuse it across rows, drawing each row
+ * once. The Rng sequence is one nextIndex() per attempt, in order, plus
+ * whatever `accept` draws, so every synthesizer that shares this drawer
+ * replays the same stream.
+ */
+template <typename Accept>
+void
+drawDistinctColumns(Rng &rng, std::vector<Index> &stamp, Index r,
+                    Count count, Accept &&accept)
+{
+    const auto n = static_cast<Index>(stamp.size());
+    for (Count drawn = 0; drawn < std::min<Count>(count, n);) {
+        Index c = rng.nextIndex(n);
+        if (stamp[static_cast<std::size_t>(c)] == r) continue;
+        stamp[static_cast<std::size_t>(c)] = r;
+        accept(c);
+        ++drawn;
+    }
+}
 
 /**
  * Degree-proportional column sampling via edge-endpoint draw: picking

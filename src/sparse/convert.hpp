@@ -12,14 +12,11 @@
 
 namespace awb {
 
-/** CSR -> CSC (transpose of the storage, same logical matrix). */
+/** CSR -> CSC (counting transpose of the storage, same logical matrix). */
 CscMatrix csrToCsc(const CsrMatrix &a);
 
 /** CSC -> CSR. */
 CsrMatrix cscToCsr(const CscMatrix &a);
-
-/** COO from a dense matrix (drops zeros). */
-CooMatrix denseToCoo(const DenseMatrix &a);
 
 /** Expand sparse to dense. */
 DenseMatrix cscToDense(const CscMatrix &a);
