@@ -66,27 +66,30 @@ BM_SpmmCsr(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * a.nnz() * 16);
 }
 
+/** The engine's own fabric (AccelConfig{} buffer depth and speedup)
+ *  under uniform random traffic at full offered load for 256 cycles,
+ *  then drained; items are task-hops (delivered tasks x stages). */
 void
 BM_OmegaThroughput(benchmark::State &state)
 {
     const int ports = static_cast<int>(state.range(0));
+    const AccelConfig cfg;
     Rng rng(3);
-    Count delivered = 0;
+    Count hops = 0;
     for (auto _ : state) {
-        OmegaNetwork net(ports, 8, 2);
+        OmegaNetwork net(ports, cfg.omegaBufferDepth, cfg.networkSpeedup);
+        auto sink = [](const Task &, int) { return true; };
         for (int cycle = 0; cycle < 256; ++cycle) {
-            net.tick(cycle, [&](const Task &, int) {
-                ++delivered;
-                return true;
-            });
+            net.tick(cycle, sink);
             for (int s = 0; s < ports; ++s) {
                 int d = rng.nextIndex(ports);
                 net.inject(Task{static_cast<Index>(d), d}, s);
             }
         }
-        benchmark::DoNotOptimize(delivered);
+        for (int cycle = 256; !net.empty(); ++cycle) net.tick(cycle, sink);
+        hops += net.flitsDelivered() * net.stages();
     }
-    state.SetItemsProcessed(delivered);
+    state.SetItemsProcessed(hops);
 }
 
 void
@@ -118,7 +121,7 @@ BM_RoundModelFullCora(benchmark::State &state)
 
 BENCHMARK(BM_SpmmCsc)->Args({256, 100})->Args({256, 10})->Args({1024, 100});
 BENCHMARK(BM_SpmmCsr)->Args({256, 100})->Args({256, 10})->Args({1024, 100});
-BENCHMARK(BM_OmegaThroughput)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_OmegaThroughput)->Arg(64)->Arg(256)->Arg(4096);
 BENCHMARK(BM_CycleEngineCora);
 BENCHMARK(BM_RoundModelFullCora);
 

@@ -19,29 +19,30 @@ log2i(int v)
 } // namespace
 
 OmegaNetwork::OmegaNetwork(int ports, int buffer_depth, int speedup)
-    : ports_(ports), stages_(log2i(ports)), bufferDepth_(buffer_depth),
-      speedup_(std::max(speedup, 1))
+    : ports_(ports), stages_(log2i(ports)),
+      bufferDepth_(static_cast<std::uint32_t>(buffer_depth)),
+      speedup_(std::max(speedup, 1)), slotShift_(log2i(buffer_depth)),
+      slotMask_((std::uint32_t{1} << slotShift_) - 1)
 {
     if (ports < 2 || (ports & (ports - 1)) != 0)
         fatal("OmegaNetwork: ports must be a power of two >= 2");
     if (buffer_depth < 1) fatal("OmegaNetwork: buffer depth must be >= 1");
-    buffers_.resize(static_cast<std::size_t>(stages_));
+    const auto buffers = static_cast<std::size_t>(stages_) *
+                         static_cast<std::size_t>(ports_);
+    slots_.resize(buffers << slotShift_);
+    head_.assign(buffers, 0);
+    size_.assign(buffers, 0);
     stageCount_.assign(static_cast<std::size_t>(stages_), 0);
-    for (int s = 0; s < stages_; ++s) {
-        auto &stage = buffers_[static_cast<std::size_t>(s)];
-        stage.reserve(static_cast<std::size_t>(ports_));
-        for (int p = 0; p < ports_; ++p)
-            stage.emplace_back(static_cast<std::size_t>(bufferDepth_));
-    }
 }
 
 bool
 OmegaNetwork::inject(const Task &task, int src)
 {
-    Fifo<Task> &buf = buffers_[0][static_cast<std::size_t>(shuffle(src))];
-    if (!buf.push(task)) return false;
+    const auto b = static_cast<std::size_t>(shuffle(src, stages_, ports_));
+    if (size_[b] >= bufferDepth_) return false;
+    slots_[(b << slotShift_) + ((head_[b] + size_[b]) & slotMask_)] = task;
     ++stageCount_[0];
-    roundPeak_ = std::max(roundPeak_, buf.size());
+    roundPeak_ = std::max<std::size_t>(roundPeak_, ++size_[b]);
     return true;
 }
 

@@ -8,19 +8,24 @@
  * a local buffer in case the buffer of the next stage is saturated").
  * Chosen over a crossbar for area: P/2·log2(P) routers vs P^2 crosspoints.
  *
- * Every router port buffer is a ring-backed `Fifo<Task>` sized once at
- * construction. tick() is a template over the sink so the per-flit
- * delivery call inlines into the engine's round loop (DESIGN.md §6).
+ * The fabric's buffers are one flat `Task` slot array: every router
+ * input port (stage s, port p) owns a power-of-two ring of
+ * 2^ceil(log2 depth) slots at a fixed offset, with its head and size in
+ * two flat arrays; capacity is still `depth`. tick() is a template over
+ * the sink so the per-flit delivery call inlines into the engine's round
+ * loop, and it keeps its counters (blocked and delivered moves, the
+ * round peak, the flits leaving each stage) in locals that it writes
+ * back once (DESIGN.md §6).
  */
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "accel/task.hpp"
-#include "sim/fifo.hpp"
 
 namespace awb {
 
@@ -76,7 +81,7 @@ class OmegaNetwork
 
     /**
      * Largest buffer occupancy since the last resetRoundPeak(). The
-     * fabric is empty at every round boundary and `Fifo` peaks only
+     * fabric is empty at every round boundary and occupancy peaks only
      * move on push, so the lifetime peak equals the max of these
      * round-local peaks; cached round replay restores it exactly
      * (DESIGN.md §13).
@@ -91,19 +96,26 @@ class OmegaNetwork
     Count blockedMoves() const { return blocked_; }
 
   private:
-    /** Perfect-shuffle permutation (rotate-left on log2(P) bits). */
-    int
-    shuffle(int port) const
+    /** Perfect-shuffle permutation (rotate-left on `stages` bits) of a
+     *  `ports`-wide fabric. Static so tick() can pass its locals. */
+    static int
+    shuffle(int port, int stages, int ports)
     {
-        return ((port << 1) | (port >> (stages_ - 1))) & (ports_ - 1);
+        return ((port << 1) | (port >> (stages - 1))) & (ports - 1);
     }
 
     int ports_;
     int stages_;
-    int bufferDepth_;
+    std::uint32_t bufferDepth_;
     int speedup_;
-    /** buffers_[s][p]: input buffer of stage s at port p. */
-    std::vector<std::vector<Fifo<Task>>> buffers_;
+    /** Ring slots per buffer are 1 << slotShift_ (>= bufferDepth_). */
+    int slotShift_;
+    std::uint32_t slotMask_;
+    /** Buffer b = s * ports_ + p (stage s, input port p) owns slots
+     *  [b << slotShift_, (b + 1) << slotShift_). */
+    std::vector<Task> slots_;
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> size_;
     /**
      * Input-priority toggle shared by every router. Each router used to
      * carry its own bit, but all of them start at 0 and flip exactly
@@ -124,20 +136,38 @@ template <typename Sink>
 void
 OmegaNetwork::tick(Cycle, Sink &&sink)
 {
+    // Every member the loop reads is copied to a local first: a store
+    // through `slots` may alias any int member, which would otherwise be
+    // reloaded after every move.
+    Task *const slots = slots_.data();
+    std::uint32_t *const head = head_.data();
+    std::uint32_t *const size = size_.data();
+    Count *const stage_count = stageCount_.data();
+    const int ports = ports_;
+    const int stages = stages_;
+    const int speedup = speedup_;
+    const std::uint32_t depth = bufferDepth_;
+    const int shift = slotShift_;
+    const std::uint32_t mask = slotMask_;
+    const int rr = rrTick_;
+    Count blocked = blocked_;
+    Count delivered = delivered_;
+    std::size_t peak = roundPeak_;
     // Back-to-front: freeing a downstream slot this cycle lets the
     // upstream stage use it this cycle (credit-based flow control).
-    const int rr = rrTick_;
-    for (int s = stages_ - 1; s >= 0; --s) {
+    for (int s = stages - 1; s >= 0; --s) {
         // A vacant stage (nothing resident) cannot move anything; its
         // routers' state is fully captured by the shared priority bit,
         // so skipping them is behaviour-preserving.
-        if (stageCount_[static_cast<std::size_t>(s)] == 0) continue;
-        auto &stage = buffers_[static_cast<std::size_t>(s)];
-        const int dest_bit = stages_ - 1 - s;
-        for (int r = 0; r < ports_ / 2; ++r) {
-            if (stage[static_cast<std::size_t>(2 * r)].empty() &&
-                stage[static_cast<std::size_t>(2 * r + 1)].empty())
-                continue;
+        if (stage_count[s] == 0) continue;
+        const bool last = s == stages - 1;
+        const std::size_t base =
+            static_cast<std::size_t>(s) * static_cast<std::size_t>(ports);
+        const int dest_bit = stages - 1 - s;
+        Count moved = 0;  // flits leaving stage s this tick
+        for (int r = 0; r < ports / 2; ++r) {
+            const std::size_t b0 = base + static_cast<std::size_t>(2 * r);
+            if (size[b0] == 0 && size[b0 + 1] == 0) continue;
             int out_used[2] = {0, 0};
             // The fabric clock allows `speedup_` passes over the two
             // inputs per PE cycle. Within one tick a router's inputs
@@ -145,52 +175,54 @@ OmegaNetwork::tick(Cycle, Sink &&sink)
             // back-to-front and each output port belongs to exactly one
             // router), so a pass that moves nothing proves every later
             // pass would move nothing: stop early.
-            for (int pass = 0; pass < speedup_; ++pass) {
+            for (int pass = 0; pass < speedup; ++pass) {
                 bool progressed = false;
                 for (int i = 0; i < 2; ++i) {
-                    int in_port = 2 * r + ((rr + i) & 1);
-                    Fifo<Task> &buf =
-                        stage[static_cast<std::size_t>(in_port)];
-                    if (buf.empty()) continue;
-                    const Task &head = buf.front();
-                    int bit = (head.homePe >> dest_bit) & 1;
-                    if (out_used[bit] >= speedup_) {
-                        ++blocked_;
+                    const std::size_t in =
+                        b0 + static_cast<std::size_t>((rr + i) & 1);
+                    if (size[in] == 0) continue;
+                    const Task &front = slots[(in << shift) + head[in]];
+                    const int bit = (front.homePe >> dest_bit) & 1;
+                    if (out_used[bit] >= speedup) {
+                        ++blocked;
                         continue;
                     }
-                    int out_port = 2 * r + bit;
-                    if (s == stages_ - 1) {
-                        if (sink(head, out_port)) {
-                            buf.pop();
-                            --stageCount_[static_cast<std::size_t>(s)];
-                            ++out_used[bit];
-                            ++delivered_;
-                            progressed = true;
-                        } else {
-                            ++blocked_;
+                    const int out_port = 2 * r + bit;
+                    if (last) {
+                        if (!sink(front, out_port)) {
+                            ++blocked;
+                            continue;
                         }
                     } else {
-                        int next_in = shuffle(out_port);
-                        Fifo<Task> &next =
-                            buffers_[static_cast<std::size_t>(s + 1)]
-                                    [static_cast<std::size_t>(next_in)];
-                        if (next.push(head)) {
-                            buf.pop();
-                            --stageCount_[static_cast<std::size_t>(s)];
-                            ++stageCount_[static_cast<std::size_t>(s + 1)];
-                            roundPeak_ =
-                                std::max(roundPeak_, next.size());
-                            ++out_used[bit];
-                            progressed = true;
-                        } else {
-                            ++blocked_;
+                        const int next_in = shuffle(out_port, stages, ports);
+                        const std::size_t next =
+                            base + static_cast<std::size_t>(ports + next_in);
+                        if (size[next] >= depth) {
+                            ++blocked;
+                            continue;
                         }
+                        slots[(next << shift) +
+                              ((head[next] + size[next]) & mask)] = front;
+                        peak = std::max<std::size_t>(peak, ++size[next]);
                     }
+                    head[in] = (head[in] + 1) & mask;
+                    --size[in];
+                    ++moved;
+                    ++out_used[bit];
+                    progressed = true;
                 }
                 if (!progressed) break;
             }
         }
+        // Stage s + 1 was already advanced this tick and stage s - 1
+        // comes next and reads only its own count, so both counts can
+        // settle here.
+        stage_count[s] -= moved;
+        (last ? delivered : stage_count[s + 1]) += moved;
     }
+    blocked_ = blocked;
+    delivered_ = delivered;
+    roundPeak_ = peak;
     rrTick_ ^= 1;  // alternate input priority
 }
 

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "accel/task.hpp"
@@ -52,21 +53,38 @@ class Pe
      * Enqueue a task into the shortest queue. Returns false when all
      * queues are full (backpressure to the distribution network).
      */
-    bool enqueue(const Task &task);
+    bool
+    enqueue(const Task &task)
+    {
+        if (!canAccept()) {
+            ++enqueueRejects_;
+            return false;
+        }
+        Fifo<Task> *best = nullptr;
+        for (auto &q : queues_) {
+            if (q.full()) continue;
+            if (best == nullptr || q.size() < best->size()) best = &q;
+        }
+        best->push(task);
+        ++pending_;
+        roundPeak_ = std::max(roundPeak_, best->size());
+        return true;
+    }
 
     /**
      * One clock: retire finished MAC ops, then let the arbiter issue the
-     * first hazard-free queue head into the MAC. An empty PE does
-     * nothing, not even retirement: completion (`done <= now`) only
-     * becomes more true as time advances, the scoreboard is read only
-     * when issuing, and drained() already ignores finished ops, so
-     * retiring lazily at the next issue attempt is exact (DESIGN.md §6).
+     * first hazard-free queue head into the MAC. Returns whether a task
+     * issued. An empty PE does nothing, not even retirement: completion
+     * (`done <= now`) only becomes more true as time advances, the
+     * scoreboard is read only when issuing, and drained() already
+     * ignores finished ops, so retiring lazily at the next issue attempt
+     * is exact (DESIGN.md §6). That also lets the engine tick only the
+     * PEs with queued work.
      */
-    void
+    bool
     tick(Cycle now)
     {
-        if (pending_ == 0) return;
-        issue(now);
+        return pending_ != 0 && issue(now);
     }
 
     /** Cycle the PE last issued real work (utilization accounting). */
@@ -106,10 +124,50 @@ class Pe
 
   private:
     /** tick() body for a PE with queued work. */
-    void issue(Cycle now);
+    bool
+    issue(Cycle now)
+    {
+        // Retire MAC ops whose pipeline delay has elapsed.
+        if (!inflight_.empty())
+            inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
+                                           [now](const InFlight &f) {
+                                               return f.done <= now;
+                                           }),
+                            inflight_.end());
+
+        // Arbiter: round-robin over queues, issue the first whose head
+        // does not RaW-conflict with an in-flight accumulation.
+        const std::size_t nq = queues_.size();
+        std::size_t qi = nextQueue_;
+        for (std::size_t i = 0; i < nq; ++i, qi = qi + 1 == nq ? 0 : qi + 1) {
+            Fifo<Task> &q = queues_[qi];
+            if (q.empty() || rowInFlight(q.front().row)) continue;
+
+            const Task t = q.pop();
+            --pending_;
+            nextQueue_ = qi + 1 == nq ? 0 : qi + 1;
+            // The result row is busy until the pipeline delay elapses,
+            // which the scoreboard enforces.
+            inflight_.push_back({t.row, now + macLatency_});
+            lastBusy_ = now;
+            ++tasksRound_;
+            return true;
+        }
+
+        // Work is queued (issue() runs only then) but every head
+        // conflicts.
+        ++rawStallCycles_;
+        return false;
+    }
 
     /** True if `row` is being accumulated in the MAC pipeline. */
-    bool rowInFlight(Index row) const;
+    bool
+    rowInFlight(Index row) const
+    {
+        for (const auto &f : inflight_)
+            if (f.row == row) return true;
+        return false;
+    }
 
     int id_;
     int macLatency_;

@@ -92,6 +92,8 @@ struct RoundCore
         accepted.assign(P, 0);
         home.assign(P, 0);
         lane.assign(P, 0);
+        active.reserve(P);
+        touched.reserve(P);
         for (int p = 0; p < cfg.numPes; ++p)
             pes.emplace_back(p, cfg.numQueuesPerPe, cfg.queueDepth,
                              cfg.macLatency);
@@ -106,9 +108,13 @@ struct RoundCore
         const int target = sharer.hops() > 0
             ? sharer.choose(t.homePe, pes, &accepted, cfg.receivePorts)
             : (accepted[h] < cfg.receivePorts ? t.homePe : -1);
-        if (target < 0 || !pes[static_cast<std::size_t>(target)].enqueue(t))
-            return false;
-        ++accepted[static_cast<std::size_t>(target)];
+        if (target < 0) return false;
+        const auto p = static_cast<std::size_t>(target);
+        Pe &pe = pes[p];
+        if (!pe.enqueue(t)) return false;
+        // A PE is on the active list exactly while it has queued work.
+        if (pe.pending() == 1) active.push_back(target);
+        if (accepted[p]++ == 0) touched.push_back(target);
         ++home[h];
         return true;
     }
@@ -140,13 +146,16 @@ struct RoundCore
     Cycle now = 0;
     Count pendingMigration = 0;
     SpmmStats stats;
-    // Scratch: tasks each PE accepted this cycle; home-attributed
-    // dispatch counts this round (what the PESM's distribution-point
-    // monitors see — local sharing smears execution across neighbours,
-    // but the switchable quantity is row ownership); TDQ-2 lane cursors.
+    // Scratch: tasks each PE accepted this cycle, and the PEs whose
+    // count is non-zero; home-attributed dispatch counts this round
+    // (what the PESM's distribution-point monitors see — local sharing
+    // smears execution across neighbours, but the switchable quantity is
+    // row ownership); TDQ-2 lane cursors; the PEs with queued work.
     std::vector<int> accepted;
+    std::vector<int> touched;
     std::vector<Count> home;
     std::vector<std::size_t> lane;
+    std::vector<int> active;
 };
 
 /**
@@ -184,16 +193,32 @@ RoundCore::step(const std::vector<Index> &row,
     // TDQ-2: the CSC array is banked P ways; each bank feeds one network
     // port through its own read pointer, so a congested path stalls only
     // its own lane (port p streams tasks p, p+P, ...).
-    std::size_t lanes_done = 0;
-    for (std::size_t p = 0; p < P; ++p) {
-        lane[p] = p;
-        if (p >= n) ++lanes_done;
-    }
+    for (std::size_t p = 0; p < P; ++p) lane[p] = p;
+    // Every task issues exactly once, and issue times only grow, so the
+    // round is over once all n have issued and the last one's MAC op has
+    // retired: nothing is left in the lanes, the fabric or any queue.
+    std::size_t issued = 0;
+    Cycle drain_at = start;
 
     while (true) {
         // 1. PEs consume (they see queue state from previous cycles).
-        for (Pe &pe : pes) pe.tick(now);
-        std::fill(accepted.begin(), accepted.end(), 0);
+        //    An idle PE's tick is a no-op and no PE's tick touches
+        //    another, so only the active ones tick, in any order.
+        for (std::size_t i = 0; i < active.size();) {
+            Pe &pe = pes[static_cast<std::size_t>(active[i])];
+            if (pe.tick(now)) {
+                ++issued;
+                drain_at = now + cfg.macLatency;
+            }
+            if (pe.pending() == 0) {
+                active[i] = active.back();
+                active.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        for (int p : touched) accepted[static_cast<std::size_t>(p)] = 0;
+        touched.clear();
 
         // 2. The network advances and delivers into queues.
         if (useNet) {
@@ -223,7 +248,6 @@ RoundCore::step(const std::vector<Index> &row,
                     continue;
                 lane[p] += P;
                 ++injected;
-                if (lane[p] >= n) ++lanes_done;
             }
         } else {
             // Degenerate single-PE TDQ-2: direct delivery.
@@ -236,12 +260,12 @@ RoundCore::step(const std::vector<Index> &row,
         ++now;
         if (now - start > cfg.maxCyclesPerRound)
             panic("SpmmEngine: round watchdog expired");
-        const bool stream_done = useNet ? lanes_done == P : next >= n;
-        if (stream_done && (!useNet || net->empty()) &&
-            std::all_of(pes.begin(), pes.end(),
-                        [&](const Pe &pe) { return pe.drained(now); }))
-            break;
+        if (issued == n && now >= drain_at) break;
     }
+    if ((useNet && !net->empty()) ||
+        !std::all_of(pes.begin(), pes.end(),
+                     [&](const Pe &pe) { return pe.drained(now); }))
+        panic("SpmmEngine: round ended with work in flight");
 
     RoundRecord out;
     out.roundCycles = now - start;

@@ -2,12 +2,12 @@
  * @file
  * Bounded FIFO queue with occupancy statistics.
  *
- * Every hardware buffer in the design (PE task queues, Omega-network router
- * buffers, the remote-balancing control registers) is modelled with this
- * class. Peak occupancy is tracked because the paper sizes the physical
- * task queues by worst-case depth (§5.2: Nell's TQ depth drops from 65128
- * to 2675 once rebalancing is enabled) and the Fig. 14 K-O area results are
- * dominated by it.
+ * The PE task queues and the serving queue are modelled with this class;
+ * the Omega fabric keeps its fixed-depth router buffers in one flat slot
+ * array instead (omega.hpp). Peak occupancy is tracked because the paper
+ * sizes the physical task queues by worst-case depth (§5.2: Nell's TQ
+ * depth drops from 65128 to 2675 once rebalancing is enabled) and the
+ * Fig. 14 K-O area results are dominated by it.
  *
  * Storage is a power-of-two ring over one std::vector (DESIGN.md §6): the
  * event engine pushes and pops these queues every simulated cycle, so

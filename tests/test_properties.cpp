@@ -6,7 +6,8 @@
  *  - degree samplers hit totals across exponents and caps;
  *  - the cycle engine's functional exactness and exact task delivery are
  *    insensitive to every distribution-path knob (queue counts/depths,
- *    scan width, inject width, network speedup/buffers, MAC latency);
+ *    scan width, inject width, network speedup/buffers, MAC latency),
+ *    and each knob's timing fields match a recorded digest;
  *  - water-filling monotonicity and bounds;
  *  - workload conservation under arbitrary remote-switching sequences;
  *  - randomized CSR/CSC churn mutation: structural invariants and
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <string>
 
@@ -138,6 +140,7 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     b.fillUniform(rng, -1.0f, 1.0f);
     auto golden = spmmCsc(a, b);
 
+    Digest timing;
     for (TdqKind kind :
          {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc}) {
         // Remote-D exercises sharing and row moves; the baseline pins
@@ -153,8 +156,26 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
             auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
             EXPECT_LT(golden.maxAbsDiff(c), 1e-4);
             expectExactDelivery(a, 5, cfg, part, stats);
+            timing.add(static_cast<std::uint64_t>(stats.cycles));
+            timing.addAll(stats.roundCycles);
+            timing.addAll(stats.perPeTasks);
+            timing.add(static_cast<std::uint64_t>(stats.rawStalls));
+            timing.add(stats.peakQueueDepth);
+            timing.add(stats.peakNetworkDepth);
+            timing.add(static_cast<std::uint64_t>(stats.rowsSwitched));
         }
     }
+    // Every timing field of the four runs, recorded per knob case before
+    // the event step was made work-proportional. Bounded queues, deep
+    // MAC, slow inject and one receive port never run in the default
+    // workloads, so these digests are their only lock.
+    static const std::uint64_t recorded[] = {
+        0x4176e2a4448fa4daULL, 0x83cdcb8fac87457fULL, 0x6e2ac09d4492c508ULL,
+        0xf88a5d681697983eULL, 0xbfb82f947e135f17ULL, 0xddc5c92f1f197084ULL,
+        0x817cbbfbeac5c03bULL, 0xcf7e05a9aa0094adULL, 0x2f0b8f41ac990e4fULL,
+    };
+    EXPECT_EQ(timing.h, recorded[static_cast<std::size_t>(GetParam())])
+        << kc.name << " 0x" << std::hex << timing.h;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKnobs, EngineKnobs, ::testing::Range(0, 9));

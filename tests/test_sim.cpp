@@ -11,6 +11,9 @@
 #include <map>
 #include <vector>
 
+#include "engine_checks.hpp"
+
+#include "accel/config.hpp"
 #include "accel/omega.hpp"
 #include "common/rng.hpp"
 #include "sim/fifo.hpp"
@@ -172,63 +175,106 @@ TEST(Omega, ThroughputUnderUniformTraffic)
 
 namespace {
 
-/** FNV-1a over 64-bit words: a compact, order-sensitive schedule digest. */
-struct Digest
+/** Outcome of one seeded schedule through an Omega fabric. */
+struct Schedule
 {
-    std::uint64_t h = 1469598103934665603ULL;
-
-    void
-    add(std::uint64_t v)
-    {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xffU;
-            h *= 1099511628211ULL;
-        }
-    }
+    Count delivered = 0;
+    Count offered = 0;  ///< flits accepted by inject()
+    Count blocked = 0;
+    int cycles = 0;
+    std::size_t peak = 0;
+    std::uint64_t digest = 0;
 };
 
-} // namespace
-
-TEST(Omega, SeededScheduleDigestIsLocked)
+/**
+ * Seeded random traffic (~75% offered load) for 400 cycles through a
+ * `ports`-wide fabric whose sink rejects on a fixed (cycle, port)
+ * pattern, run until the fabric drains. The digest covers the per-cycle
+ * (cycle, out_port, row) delivery sequence plus the blocked-move count,
+ * so it pins the exact schedule: any change to buffer representation,
+ * arbitration or stage order that alters timing changes it.
+ */
+Schedule
+seededSchedule(int ports, int depth, int speedup)
 {
-    // Seeded random traffic through a 16-port, depth-2, speedup-2 fabric
-    // whose sink rejects on a fixed (cycle, port) pattern. The digest of
-    // the per-cycle (cycle, out_port, row) delivery sequence plus the
-    // blocked-move count pins the exact schedule: any change to buffer
-    // representation, arbitration or stage order that alters timing
-    // changes the digest.
-    OmegaNetwork net(16, 2, 2);
+    OmegaNetwork net(ports, depth, speedup);
     Rng rng(2024);
     Digest d;
+    Schedule out;
     Index next_row = 0;
-    Count delivered = 0;
     int cycle = 0;
     for (; cycle < 400 || !net.empty(); ++cycle) {
-        ASSERT_LT(cycle, 10000);
+        if (cycle >= 10000) {
+            ADD_FAILURE() << "fabric did not drain";
+            break;
+        }
         net.tick(cycle, [&](const Task &t, int port) {
             EXPECT_EQ(port, t.homePe);
             if ((cycle * 7 + port * 3) % 5 == 0) return false;
             d.add(static_cast<std::uint64_t>(cycle));
             d.add(static_cast<std::uint64_t>(port));
             d.add(static_cast<std::uint64_t>(t.row));
-            ++delivered;
+            ++out.delivered;
             return true;
         });
         if (cycle >= 400) continue;
-        for (int s = 0; s < 16; ++s) {
+        for (int s = 0; s < ports; ++s) {
             if (rng.nextBounded(4) == 0) continue;  // ~75% offered load
-            const int dst = static_cast<int>(rng.nextIndex(16));
+            const int dst = static_cast<int>(
+                rng.nextIndex(static_cast<Index>(ports)));
             if (net.inject(Task{next_row, dst}, s)) ++next_row;
         }
     }
     d.add(static_cast<std::uint64_t>(net.blockedMoves()));
-    EXPECT_EQ(delivered, next_row);
-    EXPECT_EQ(net.flitsDelivered(), delivered);
+    EXPECT_EQ(net.flitsDelivered(), out.delivered);
+    out.offered = next_row;
+    out.blocked = net.blockedMoves();
+    out.cycles = cycle;
+    out.peak = net.roundPeakBufferDepth();
+    out.digest = d.h;
+    return out;
+}
+
+} // namespace
+
+TEST(Omega, SeededScheduleDigestIsLocked)
+{
+    // 16 ports, depth 2, speedup 2.
+    const Schedule s = seededSchedule(16, 2, 2);
+    EXPECT_EQ(s.delivered, s.offered);
     // Recorded values: changing how buffers are stored must move none.
-    EXPECT_EQ(delivered, 4754);
-    EXPECT_EQ(net.blockedMoves(), 3709);
-    EXPECT_EQ(cycle, 407);
-    EXPECT_EQ(d.h, 0x5659fbf4040fc9c4ULL) << std::hex << d.h;
+    EXPECT_EQ(s.delivered, 4754);
+    EXPECT_EQ(s.blocked, 3709);
+    EXPECT_EQ(s.cycles, 407);
+    EXPECT_EQ(s.digest, 0x5659fbf4040fc9c4ULL) << std::hex << s.digest;
+}
+
+TEST(Omega, SeededScheduleDigestAtNonPowerOfTwoDepth)
+{
+    // Depth 3: a power-of-two slot ring holds more slots than the
+    // capacity, so occupancy, not slot count, must bound every buffer.
+    const Schedule s = seededSchedule(16, 3, 2);
+    EXPECT_EQ(s.delivered, s.offered);
+    EXPECT_LE(s.peak, 3u);
+    EXPECT_EQ(s.delivered, 4798);
+    EXPECT_EQ(s.blocked, 2236);
+    EXPECT_EQ(s.cycles, 407);
+    EXPECT_EQ(s.peak, 3u);
+    EXPECT_EQ(s.digest, 0x9bd0e6a803c6ff00ULL) << std::hex << s.digest;
+}
+
+TEST(Omega, SeededScheduleDigestAtEngineDefaults)
+{
+    // 64 ports at the engine's default fabric: depth 8, speedup 8.
+    const AccelConfig cfg;
+    const Schedule s =
+        seededSchedule(64, cfg.omegaBufferDepth, cfg.networkSpeedup);
+    EXPECT_EQ(s.delivered, s.offered);
+    EXPECT_EQ(s.delivered, 19279);
+    EXPECT_EQ(s.blocked, 4741);
+    EXPECT_EQ(s.cycles, 408);
+    EXPECT_EQ(s.peak, 8u);
+    EXPECT_EQ(s.digest, 0xe352b67042d1b4ebULL) << std::hex << s.digest;
 }
 
 namespace {
