@@ -1,25 +1,20 @@
 /**
  * @file
- * Implementation of `awbsim --bench-dynamic` (driver/bench_dynamic.hpp):
- * the dynamic-graph streaming benchmark producing the tracked
- * BENCH_dynamic.json document. See DESIGN.md §12 for the churn model,
- * the slack-slot incremental CSR and the convergence-half-life
- * methodology the gates here enforce.
+ * Implementation of `awbsim --bench-dynamic`: the dynamic-graph streaming
+ * benchmark producing the tracked BENCH_dynamic.json document. See
+ * DESIGN.md §12 for the churn model, the slack-slot incremental CSR and
+ * the convergence-half-life methodology the gates here enforce.
  */
-
-#include "driver/bench_dynamic.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <unordered_map>
 
 #include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
+#include "driver/bench.hpp"
 #include "driver/json.hpp"
-#include "driver/scenario.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
@@ -38,6 +33,31 @@ using dynamic::DynamicOptions;
 using dynamic::DynamicRunStats;
 using dynamic::EdgeChurnStream;
 using dynamic::EdgeEvent;
+
+/** Grid axes and knobs of one streaming benchmark run. */
+struct Options
+{
+    std::vector<std::string> datasets = {"cora", "citeseer"};
+    /** Balance-policy axis; "baseline" is prepended when absent (its
+     *  carried partition equals the fresh one, anchoring drift 0). */
+    std::vector<std::string> policies = {"baseline", "rescratch", "rechunk",
+                                         "delta-greedy", "delta-threshold",
+                                         "work-steal", "remote-d"};
+    /** 256 PEs (few rows per PE) with growth-dominated churn is the
+     *  regime where a frozen partition visibly ages: hub rows fatten
+     *  under preferential attachment and single PEs go hot. At 64 PEs
+     *  the same churn averages out and every half-life is "never". */
+    int pes = 256;             ///< PE-array size (power of two for Omega)
+    Count epochs = 10;         ///< churn batches per run
+    Count eventsPerEpoch = 1024;
+    Index denseCols = 8;       ///< feature-block columns per epoch
+    double insertFrac = 0.9;   ///< churn insert:delete mix (growth-heavy)
+    double driftTolerance = 0.10;
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    std::string platform = "unconstrained";
+    std::string jsonPath = "BENCH_dynamic.json";
+};
 
 /** One dataset × policy point of the benchmark. */
 struct DynamicPoint
@@ -138,14 +158,10 @@ rebuildIdentical(const CscMatrix &initial, const ChurnParams &churn,
     return true;
 }
 
-} // namespace
-
 int
-runBenchDynamic(const BenchDynamicOptions &opts)
+runBenchDynamic(const Options &opts)
 {
-    std::vector<std::string> policies;
-    for (const auto &p : opts.policies)
-        policies.push_back(PolicyRegistry::instance().get(p).name);
+    std::vector<std::string> policies = opts.policies;  // canonical names
     if (std::find(policies.begin(), policies.end(), "baseline") ==
         policies.end())
         policies.insert(policies.begin(), "baseline");
@@ -294,82 +310,45 @@ runBenchDynamic(const BenchDynamicOptions &opts)
     summary.set("half_life", std::move(half_life));
     doc.set("summary", std::move(summary));
 
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-dynamic JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!deterministic || !engines_identical || !rebuild_identical ||
-        !trajectory_ok) {
-        std::fprintf(stderr,
-                     "bench-dynamic: GATE FAILED — deterministic=%d "
-                     "engines_identical=%d rebuild_identical=%d "
-                     "trajectory_ok=%d\n",
-                     deterministic ? 1 : 0, engines_identical ? 1 : 0,
-                     rebuild_identical ? 1 : 0, trajectory_ok ? 1 : 0);
-        return 1;
-    }
-    return 0;
+    writeDoc(doc, opts.jsonPath, "bench-dynamic");
+    return gateExit("bench-dynamic",
+                    {{"deterministic", deterministic},
+                     {"engines_identical", engines_identical},
+                     {"rebuild_identical", rebuild_identical},
+                     {"trajectory_ok", trajectory_ok}});
 }
 
+} // namespace
+
 int
-runBenchDynamicCli(int argc, char **argv, int first)
+runBenchDynamicCli(CommandLine &cl)
 {
-    BenchDynamicOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--policies" || a == "--designs") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--epochs") {
-            opts.epochs = parseInt("--epochs", need("--epochs"));
-        } else if (a == "--events") {
-            opts.eventsPerEpoch = parseInt("--events", need("--events"));
-        } else if (a == "--dense-cols") {
-            opts.denseCols =
-                parseInt("--dense-cols", need("--dense-cols"));
-        } else if (a == "--insert-frac") {
-            opts.insertFrac =
-                parseDouble("--insert-frac", need("--insert-frac"));
-        } else if (a == "--drift-tol") {
-            opts.driftTolerance =
-                parseDouble("--drift-tol", need("--drift-tol"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--platform") {
-            opts.platform = findPlatform(need("--platform")).name;
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-dynamic flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    if (opts.policies.empty()) fatal("--policies must not be empty");
-    if (opts.datasets.empty()) fatal("--datasets must not be empty");
-    if (opts.epochs < 1) fatal("--epochs must be >= 1");
-    if (opts.eventsPerEpoch < 1) fatal("--events must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    findPlatform(opts.platform);
-    return runBenchDynamic(opts);
+    Options o;
+    const std::vector<Flag> flags = {
+        texts({"--datasets"}, "a,b,..", o.datasets,
+              "graphs the churn streams mutate", checkDataset),
+        texts({"--policies", "--designs"}, "p1,..", o.policies,
+              "policies carried across epochs (baseline is prepended if "
+              "absent)",
+              resolvePolicy),
+        number({"--pes"}, "N", o.pes, "PE-array size", 1),
+        number({"--epochs"}, "N", o.epochs, "churn batches per run", 1),
+        number({"--events"}, "N", o.eventsPerEpoch, "events per batch", 1),
+        number({"--dense-cols"}, "N", o.denseCols, "columns per epoch"),
+        number({"--insert-frac"}, "F", o.insertFrac, "insert:delete mix"),
+        number({"--drift-tol"}, "F", o.driftTolerance,
+               "drift that defines the half-life"),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        number({"--scale"}, "S", o.scale, "dataset node-count scale"),
+        text({"--platform"}, "P", o.platform, "memory platform",
+             resolvePlatform),
+        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+    if (!cl.bind("Churn-gcn epochs across the policy axis: carried-vs-fresh "
+                 "drift curves and half-lives; exits 1 on a determinism, "
+                 "engine, rebuild or model-trajectory gate.",
+                 flags))
+        return 0;
+    return runBenchDynamic(o);
 }
 
 } // namespace awb::driver

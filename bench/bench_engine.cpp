@@ -1,23 +1,19 @@
 /**
  * @file
- * Implementation of `awbsim --bench-engine` (driver/bench_engine.hpp):
- * the event-vs-batched cycle-engine benchmark producing the tracked
- * BENCH_engine.json perf baseline. See DESIGN.md §6 for why the two
- * engines are bit-identical on every timing statistic and why the
- * batched one is the only way to run Reddit-scale cycle sweeps.
+ * Implementation of `awbsim --bench-engine`: the event-vs-batched
+ * cycle-engine benchmark producing the tracked BENCH_engine.json perf
+ * baseline. See DESIGN.md §6 for why the two engines are bit-identical on
+ * every timing statistic and why the batched one is the only way to run
+ * Reddit-scale cycle sweeps.
  */
 
-#include "driver/bench_engine.hpp"
-
 #include <cstdio>
-#include <fstream>
 #include <optional>
 
-#include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
+#include "driver/bench.hpp"
 #include "driver/json.hpp"
-#include "driver/scenario.hpp"
 #include "exec/run.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
@@ -25,6 +21,25 @@
 namespace awb::driver {
 
 namespace {
+
+/** Grid axes and knobs of one benchmark run. */
+struct Options
+{
+    std::vector<std::string> datasets = {"cora", "citeseer", "pubmed"};
+    std::vector<int> peCounts = {64, 256};
+    std::vector<std::string> policies = {"baseline", "remote-d"};
+    /** Dense-operand column count (rounds). One uniform K makes engine
+     *  wall-clocks comparable across datasets; 64 is the Reddit/Nell
+     *  hidden dimension, the scale the batched engine exists for. */
+    Index k = 64;
+    /** When > 0, append a Reddit point at this PE count, run on the
+     *  batched engine only. */
+    int redditPes = 0;
+    std::string redditPolicy = "remote-d";
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    std::string jsonPath = "BENCH_engine.json";
+};
 
 /** One engine's run of one grid point. */
 struct EngineRun
@@ -58,7 +73,7 @@ struct BenchPoint
  *  build stay outside the clock). */
 EngineRun
 runOnce(const std::string &dataset, int pes, const std::string &policy,
-        EngineKind engine, const BenchEngineOptions &opts)
+        EngineKind engine, const Options &opts)
 {
     exec::RunRequest req;
     req.dataset = dataset;
@@ -87,7 +102,7 @@ runOnce(const std::string &dataset, int pes, const std::string &policy,
 BenchPoint
 runPoint(const std::string &dataset, const DatasetSpec &spec, int pes,
          const std::string &policy, bool with_event,
-         const BenchEngineOptions &opts)
+         const Options &opts)
 {
     BenchPoint pt;
     pt.dataset = dataset;
@@ -129,10 +144,8 @@ engineJson(const EngineRun &run)
     return j;
 }
 
-} // namespace
-
 int
-runBenchEngine(const BenchEngineOptions &opts)
+runBenchEngine(const Options &opts)
 {
     std::vector<BenchPoint> points;
 
@@ -142,10 +155,8 @@ runBenchEngine(const BenchEngineOptions &opts)
             for (const std::string &policy : opts.policies) {
                 std::fprintf(stderr, "bench-engine: %s @ %d PEs %s ...\n",
                              dataset.c_str(), pes, policy.c_str());
-                points.push_back(runPoint(
-                    dataset, spec, pes,
-                    PolicyRegistry::instance().get(policy).name,
-                    /*with_event=*/true, opts));
+                points.push_back(runPoint(dataset, spec, pes, policy,
+                                          /*with_event=*/true, opts));
             }
         }
     }
@@ -156,10 +167,9 @@ runBenchEngine(const BenchEngineOptions &opts)
                      "bench-engine: reddit @ %d PEs %s (batched only, "
                      "%d nodes) ...\n",
                      opts.redditPes, opts.redditPolicy.c_str(), spec.nodes);
-        points.push_back(runPoint(
-            "reddit", spec, opts.redditPes,
-            PolicyRegistry::instance().get(opts.redditPolicy).name,
-            /*with_event=*/false, opts));
+        points.push_back(runPoint("reddit", spec, opts.redditPes,
+                                  opts.redditPolicy, /*with_event=*/false,
+                                  opts));
     }
 
     // --- Table.
@@ -249,66 +259,36 @@ runBenchEngine(const BenchEngineOptions &opts)
     summary.set("all_identical", all_identical);
     doc.set("summary", std::move(summary));
 
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-engine JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!all_identical) {
-        std::fprintf(stderr, "bench-engine: ENGINE MISMATCH — the batched "
-                             "engine diverged from the event engine\n");
-        return 1;
-    }
-    return 0;
+    writeDoc(doc, opts.jsonPath, "bench-engine");
+    return gateExit("bench-engine", {{"all_identical", all_identical}});
 }
 
+} // namespace
+
 int
-runBenchEngineCli(int argc, char **argv, int first)
+runBenchEngineCli(CommandLine &cl)
 {
-    BenchEngineOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--pes") {
-            opts.peCounts.clear();
-            for (const auto &p : splitCsv(need("--pes")))
-                opts.peCounts.push_back(parseInt("--pes", p));
-        } else if (a == "--policies") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--k") {
-            opts.k = parseInt("--k", need("--k"));
-        } else if (a == "--reddit-pes") {
-            opts.redditPes = parseInt("--reddit-pes", need("--reddit-pes"));
-        } else if (a == "--reddit-policy") {
-            opts.redditPolicy =
-                PolicyRegistry::instance().get(need("--reddit-policy")).name;
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-engine flag: " + a);
-        }
-    }
-    if (opts.k < 1) fatal("--k must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchEngine(opts);
+    Options o;
+    const std::vector<Flag> flags = {
+        texts({"--datasets"}, "a,b,..", o.datasets, "paired grid datasets",
+              checkDataset),
+        numbers({"--pes"}, "n1,n2,..", o.peCounts, "paired grid PE sizes"),
+        texts({"--policies"}, "p1,..", o.policies,
+              "policies run at every size", resolvePolicy),
+        number({"--k"}, "N", o.k, "dense-operand columns", 1),
+        number({"--reddit-pes"}, "N", o.redditPes,
+               "add Reddit at N PEs, batched engine only (0 = skip)"),
+        text({"--reddit-policy"}, "P", o.redditPolicy,
+             "policy of the Reddit point", resolvePolicy),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        number({"--scale"}, "S", o.scale, "dataset node-count scale"),
+        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+    if (!cl.bind("Event vs round-batched cycle engines on the TDQ-2 SPMM "
+                 "(wall clock and simulated cycles per dataset x PE x "
+                 "policy); exits 1 if the engines disagree.",
+                 flags))
+        return 0;
+    return runBenchEngine(o);
 }
 
 } // namespace awb::driver

@@ -1,23 +1,18 @@
 /**
  * @file
- * Implementation of `awbsim --bench-memory` (driver/bench_memory.hpp):
- * the cross-platform memory-model baseline producing the tracked
- * BENCH_memory.json document. See DESIGN.md §8 for the traffic
- * accounting rules, the roofline composition and the no-op equivalence
- * argument the gate here enforces.
+ * Implementation of `awbsim --bench-memory`: the cross-platform
+ * memory-model baseline producing the tracked BENCH_memory.json document.
+ * See DESIGN.md §8 for the traffic accounting rules, the roofline
+ * composition and the no-op equivalence argument the gate here enforces.
  */
 
-#include "driver/bench_memory.hpp"
-
 #include <cstdio>
-#include <fstream>
 
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
+#include "driver/bench.hpp"
 #include "driver/json.hpp"
-#include "driver/scenario.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
 #include "model/energy_model.hpp"
@@ -26,6 +21,20 @@
 namespace awb::driver {
 
 namespace {
+
+/** Grid axes and knobs of one memory-model benchmark run. */
+struct Options
+{
+    std::vector<std::string> datasets = {"cora", "citeseer", "pubmed",
+                                         "nell", "reddit"};
+    std::vector<std::string> policies = {"baseline", "remote-d"};
+    /** Platform axis; empty = every registered platform. */
+    std::vector<std::string> platforms;
+    int pes = 1024;  ///< PE-array size (the paper's Table 3 operating point)
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    std::string jsonPath = "BENCH_memory.json";
+};
 
 /** One dataset × policy × platform grid point. */
 struct MemoryPoint
@@ -76,10 +85,8 @@ runPoint(const DatasetSpec &spec, const std::string &policy,
     return pt;
 }
 
-} // namespace
-
 int
-runBenchMemory(const BenchMemoryOptions &opts)
+runBenchMemory(const Options &opts)
 {
     std::vector<std::string> platforms = opts.platforms;
     if (platforms.empty())
@@ -154,62 +161,34 @@ runBenchMemory(const BenchMemoryOptions &opts)
     summary.set("bw_bound_points", bw_bound_points);
     doc.set("summary", std::move(summary));
 
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-memory JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!noop_ok) {
-        std::fprintf(stderr,
-                     "bench-memory: NO-OP GATE FAILED — the bandwidth "
-                     "floor engaged on an unconstrained platform\n");
-        return 1;
-    }
-    return 0;
+    writeDoc(doc, opts.jsonPath, "bench-memory");
+    return gateExit("bench-memory", {{"noop_identical", noop_ok}});
 }
 
+} // namespace
+
 int
-runBenchMemoryCli(int argc, char **argv, int first)
+runBenchMemoryCli(CommandLine &cl)
 {
-    BenchMemoryOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--policies") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--platforms" || a == "--platform") {
-            opts.platforms.clear();
-            for (const auto &p : splitCsv(need("--platforms")))
-                opts.platforms.push_back(findPlatform(p).name);
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-memory flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchMemory(opts);
+    Options o;
+    const std::vector<Flag> flags = {
+        texts({"--datasets"}, "a,b,..", o.datasets, "dataset axis",
+              checkDataset),
+        texts({"--policies"}, "p1,..", o.policies, "policy axis",
+              resolvePolicy),
+        texts({"--platforms", "--platform"}, "p1,..", o.platforms,
+              "platform axis (default every registered platform)",
+              resolvePlatform),
+        number({"--pes"}, "N", o.pes, "PE-array size", 1),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        number({"--scale"}, "S", o.scale, "dataset node-count scale"),
+        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+    if (!cl.bind("Round-level GCN model across dataset x policy x "
+                 "platform; exits 1 if the bandwidth floor engages on an "
+                 "unconstrained platform (the no-op gate).",
+                 flags))
+        return 0;
+    return runBenchMemory(o);
 }
 
 } // namespace awb::driver

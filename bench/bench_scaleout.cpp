@@ -1,24 +1,19 @@
 /**
  * @file
- * Implementation of `awbsim --bench-scaleout` (driver/bench_scaleout.hpp):
- * the multi-chip scaling baseline producing the tracked
- * BENCH_scaleout.json document. See DESIGN.md §9 for the sharding model,
- * the halo accounting rules and the monotonicity argument the gate here
- * enforces.
+ * Implementation of `awbsim --bench-scaleout`: the multi-chip scaling
+ * baseline producing the tracked BENCH_scaleout.json document. See
+ * DESIGN.md §9 for the sharding model, the halo accounting rules and the
+ * monotonicity argument the gate here enforces.
  */
-
-#include "driver/bench_scaleout.hpp"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "accel/policy.hpp"
 #include "accel/scaleout.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
+#include "driver/bench.hpp"
 #include "driver/json.hpp"
-#include "driver/scenario.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
 #include "model/energy_model.hpp"
@@ -27,6 +22,19 @@
 namespace awb::driver {
 
 namespace {
+
+/** Grid axes and knobs of one scale-out benchmark run. */
+struct Options
+{
+    std::string dataset = "reddit";
+    std::vector<int> chipCounts = {1, 2, 4, 8, 16};
+    std::vector<std::string> platforms = {"d5005-ddr4", "p100-hbm2"};
+    std::string policy = "remote-d";
+    int pes = 1024;  ///< PE-array size per chip
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    std::string jsonPath = "BENCH_scaleout.json";
+};
 
 /** One chips × platform point of the scaling curve. */
 struct ScaleoutPoint
@@ -46,10 +54,8 @@ struct ScaleoutPoint
     double wallMs = 0.0;
 };
 
-} // namespace
-
 int
-runBenchScaleout(const BenchScaleoutOptions &opts)
+runBenchScaleout(const Options &opts)
 {
     const DatasetSpec &spec = findDataset(opts.dataset);
     const auto prof_p = exec::cachedProfile(spec, opts.seed, opts.scale);
@@ -150,68 +156,33 @@ runBenchScaleout(const BenchScaleoutOptions &opts)
     summary.set("halo_monotone", halo_ok);
     doc.set("summary", std::move(summary));
 
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-scaleout JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!halo_ok) {
-        std::fprintf(stderr,
-                     "bench-scaleout: HALO GATE FAILED — halo traffic is "
-                     "non-zero at 1 chip or non-monotone along the chip "
-                     "axis\n");
-        return 1;
-    }
-    return 0;
+    writeDoc(doc, opts.jsonPath, "bench-scaleout");
+    return gateExit("bench-scaleout", {{"halo_monotone", halo_ok}});
 }
 
+} // namespace
+
 int
-runBenchScaleoutCli(int argc, char **argv, int first)
+runBenchScaleoutCli(CommandLine &cl)
 {
-    BenchScaleoutOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--dataset") {
-            opts.dataset = need("--dataset");
-        } else if (a == "--chips") {
-            opts.chipCounts.clear();
-            for (const auto &c : splitCsv(need("--chips")))
-                opts.chipCounts.push_back(parseInt("--chips", c));
-        } else if (a == "--platforms" || a == "--platform") {
-            opts.platforms.clear();
-            for (const auto &p : splitCsv(need("--platforms")))
-                opts.platforms.push_back(findPlatform(p).name);
-        } else if (a == "--policy") {
-            opts.policy =
-                PolicyRegistry::instance().get(need("--policy")).name;
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-scaleout flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    if (opts.chipCounts.empty()) fatal("--chips must not be empty");
-    for (int c : opts.chipCounts)
-        if (c < 1) fatal("--chips entries must be >= 1");
-    findDataset(opts.dataset);
-    return runBenchScaleout(opts);
+    Options o;
+    const std::vector<Flag> flags = {
+        text({"--dataset"}, "D", o.dataset, "the sharded dataset",
+             checkDataset),
+        numbers({"--chips"}, "n1,n2,..", o.chipCounts, "chip-count curve", 1),
+        texts({"--platforms", "--platform"}, "p1,..", o.platforms,
+              "platform axis (DRAM and link bandwidth)", resolvePlatform),
+        text({"--policy"}, "P", o.policy, "balance policy", resolvePolicy),
+        number({"--pes"}, "N", o.pes, "PE-array size per chip", 1),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        number({"--scale"}, "S", o.scale, "dataset node-count scale"),
+        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+    if (!cl.bind("One dataset sharded across a chip-count curve on the "
+                 "round-level model; exits 1 unless halo traffic is zero "
+                 "at 1 chip and monotone along the curve.",
+                 flags))
+        return 0;
+    return runBenchScaleout(o);
 }
 
 } // namespace awb::driver

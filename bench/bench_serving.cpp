@@ -1,29 +1,42 @@
 /**
  * @file
- * Implementation of `awbsim --bench-serving` (driver/bench_serving.hpp):
- * the serving baseline producing the tracked BENCH_serving.json
- * document. See DESIGN.md §10 for the arrival model, the batching
- * semantics and the determinism argument the double-run gate leans on.
+ * Implementation of `awbsim --bench-serving`: the serving baseline
+ * producing the tracked BENCH_serving.json document. See DESIGN.md §10
+ * for the arrival model, the batching semantics and the determinism
+ * argument the double-run gate leans on.
  */
-
-#include "driver/bench_serving.hpp"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
-#include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
+#include "driver/bench.hpp"
 #include "driver/json.hpp"
-#include "driver/scenario.hpp"
 #include "driver/serve_cli.hpp"
-#include "graph/datasets.hpp"
 #include "serve/serve.hpp"
 
 namespace awb::driver {
 
 namespace {
+
+/** Grid axes and knobs of one serving benchmark run. */
+struct Options
+{
+    std::vector<std::string> datasets = {"cora", "pubmed"};
+    /** Open-loop offered rates (requests/s) of the latency curve; the
+     *  span brackets both datasets' saturation knees at 2 devices. */
+    std::vector<double> rates = {25000.0,  50000.0,  100000.0,
+                                 200000.0, 400000.0, 800000.0};
+    std::string discipline = "dyn-batch";
+    int devices = 2;
+    double durationMs = 10.0;  ///< admission horizon per point
+    int clients = 16;          ///< closed-loop saturation population
+    std::string policy = "remote-d";
+    int pes = 64;
+    std::uint64_t seed = 1;
+    std::string jsonPath = "BENCH_serving.json";
+};
 
 /** One dataset × rate point of the latency curve. */
 struct ServingPoint
@@ -36,7 +49,7 @@ struct ServingPoint
 };
 
 serve::ServeOptions
-baseOptions(const BenchServingOptions &opts, const std::string &dataset)
+baseOptions(const Options &opts, const std::string &dataset)
 {
     serve::ServeOptions o;
     o.dataset = dataset;
@@ -63,10 +76,8 @@ conserved(const serve::ServeResult &r)
     return r.offered == r.completed + r.dropped + r.timedOut;
 }
 
-} // namespace
-
 int
-runBenchServing(const BenchServingOptions &opts)
+runBenchServing(const Options &opts)
 {
     const auto bench_t0 = std::chrono::steady_clock::now();
     std::vector<ServingPoint> points;
@@ -218,72 +229,39 @@ runBenchServing(const BenchServingOptions &opts)
                     .count());
     doc.set("summary", std::move(summary));
 
-    const std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-serving JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!gates_ok) {
-        std::fprintf(stderr, "bench-serving: SERVING GATE FAILED — %s\n",
-                     gate_error.c_str());
-        return 1;
-    }
-    return 0;
+    writeDoc(doc, opts.jsonPath, "bench-serving");
+    return gateExit("bench-serving", {{"gates_ok", gates_ok}}, gate_error);
 }
 
+} // namespace
+
 int
-runBenchServingCli(int argc, char **argv, int first)
+runBenchServingCli(CommandLine &cl)
 {
-    BenchServingOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--rates") {
-            opts.rates.clear();
-            for (const auto &r : splitCsv(need("--rates")))
-                opts.rates.push_back(parseDouble("--rates", r));
-        } else if (a == "--discipline") {
-            opts.discipline = serve::DisciplineRegistry::instance()
-                                  .get(need("--discipline"))
-                                  .name;
-        } else if (a == "--devices") {
-            opts.devices = parseInt("--devices", need("--devices"));
-        } else if (a == "--duration-ms") {
-            opts.durationMs =
-                parseDouble("--duration-ms", need("--duration-ms"));
-        } else if (a == "--clients") {
-            opts.clients = parseInt("--clients", need("--clients"));
-        } else if (a == "--policy") {
-            opts.policy =
-                PolicyRegistry::instance().get(need("--policy")).name;
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-serving flag: " + a);
-        }
-    }
-    if (opts.datasets.size() < 2)
+    Options o;
+    const std::vector<Flag> flags = {
+        texts({"--datasets"}, "a,b,..", o.datasets,
+              "curve datasets (at least 2)", checkDataset),
+        numbers({"--rates"}, "r1,..", o.rates, "open-loop rates, requests/s"),
+        text({"--discipline"}, "D", o.discipline, "batch discipline",
+             resolveDiscipline),
+        number({"--devices"}, "N", o.devices, "simulated accelerators", 1),
+        number({"--duration-ms"}, "D", o.durationMs,
+               "admission horizon per point"),
+        number({"--clients"}, "N", o.clients, "closed-loop population"),
+        text({"--policy"}, "P", o.policy, "balance policy", resolvePolicy),
+        number({"--pes"}, "N", o.pes, "PE-array size"),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+    if (!cl.bind("Open-loop throughput-vs-p99 curves plus a closed-loop "
+                 "saturation point per dataset; exits 1 on a request "
+                 "conservation, percentile-order or double-run gate.",
+                 flags))
+        return 0;
+    if (o.datasets.size() < 2)
         fatal("--bench-serving needs at least 2 datasets (the tracked "
               "curve covers multiple non-zero distributions)");
-    if (opts.rates.empty()) fatal("--rates must not be empty");
-    if (opts.devices < 1) fatal("--devices must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchServing(opts);
+    return runBenchServing(o);
 }
 
 } // namespace awb::driver

@@ -1,19 +1,13 @@
 #include "driver/driver.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "driver/bench_dynamic.hpp"
-#include "driver/bench_engine.hpp"
-#include "driver/bench_memory.hpp"
-#include "driver/bench_scaleout.hpp"
-#include "driver/bench_serving.hpp"
-#include "driver/bench_spgemm.hpp"
+#include "driver/bench.hpp"
 #include "driver/scenario.hpp"
 #include "driver/serve_cli.hpp"
 #include "driver/sweep.hpp"
@@ -25,205 +19,7 @@ namespace awb::driver {
 
 namespace {
 
-/** Resolve a --designs value to a canonical registered policy name;
- *  the registry fatal()s with a near-miss suggestion on a miss. */
-std::string
-parseDesignCli(const std::string &s)
-{
-    return PolicyRegistry::instance().get(s).name;
-}
-
-void
-printUsage()
-{
-    std::printf(
-        "awbsim — AWB-GCN unified experiment driver\n\n"
-        "  awbsim --list-scenarios\n"
-        "      List every registered paper scenario.\n\n"
-        "  awbsim --list-designs\n"
-        "      List every registered balance policy (paper designs plus\n"
-        "      extensions) usable with --designs.\n\n"
-        "  awbsim --list-platforms\n"
-        "      List every registered off-chip memory platform usable\n"
-        "      with --platforms (DESIGN.md §8).\n\n"
-        "  awbsim --list-datasets\n"
-        "      List every registered dataset usable with --datasets.\n\n"
-        "  Global flags (any command):\n"
-        "      --no-cache          disable the process-wide workload and\n"
-        "                          round-entry-state caches (DESIGN.md\n"
-        "                          §13); results are bit-identical either\n"
-        "                          way, only wall clock changes\n"
-        "      --intra-threads N   worker threads for intra-point dense\n"
-        "                          SPMM loops (0 = hardware concurrency;\n"
-        "                          deterministic at any value)\n\n"
-        "  awbsim --list-disciplines\n"
-        "      List every registered serving batch discipline usable\n"
-        "      with --discipline (DESIGN.md §10).\n\n"
-        "  awbsim run <scenario ...> [--seed N] [--scale S] [--repeat N]\n"
-        "             [--json FILE] [args ...]\n"
-        "      Run scenarios by name ('all' = every one). Extra\n"
-        "      positional args are passed to the scenarios.\n\n"
-        "  awbsim --sweep [options]\n"
-        "      Expand and run a configuration grid on a worker pool.\n"
-        "      --datasets a,b,..   default cora,citeseer,pubmed,nell,reddit\n"
-        "      --designs p1,p2,..  registered policy names or aliases\n"
-        "                          (default base,a,b,c,d; see\n"
-        "                          --list-designs)\n"
-        "      --pes n1,n2,..      PE-array sizes (default 512)\n"
-        "      --chips n1,n2,..    accelerator-chip counts the graph is\n"
-        "                          row-sharded across (default 1 = one\n"
-        "                          chip, the unsharded engine; DESIGN.md\n"
-        "                          §9; model/cycle/tdq1/tdq2 modes)\n"
-        "      --modes m1,m2,..    of model|cycle|tdq1|tdq2|graphsage|gin|\n"
-        "                          khop|bfs|pagerank|churn (default model;\n"
-        "                          graphsage/gin/khop run workload graphs\n"
-        "                          on the Session API; bfs/pagerank run\n"
-        "                          frontier SpGEMM kernels, DESIGN.md §11;\n"
-        "                          churn streams edge churn through live\n"
-        "                          inference epochs, DESIGN.md §12)\n"
-        "      --engine E          cycle-engine implementation for the\n"
-        "                          cycle-accurate modes: event (default,\n"
-        "                          per-non-zero stepping) or batched\n"
-        "                          (round-batched, bit-identical stats,\n"
-        "                          Reddit-scale capable; DESIGN.md §6)\n"
-        "      --platforms p1,..   off-chip memory platform axis (default\n"
-        "                          unconstrained = no bandwidth bound;\n"
-        "                          see --list-platforms; DESIGN.md §8)\n"
-        "      --scale S           dataset node-count scale (default 1.0)\n"
-        "      --seed N            global seed (default 1)\n"
-        "      --threads N         worker threads (default: hardware)\n"
-        "      --repeats N         per-point repeats, checks determinism\n"
-        "      --json FILE         write JSON document (default\n"
-        "                          awbsim_sweep.json; '-' = stdout)\n"
-        "      --no-table          suppress the ASCII result table\n"
-        "      --progress          per-point progress lines on stderr\n\n"
-        "  awbsim --bench-engine [options]\n"
-        "      Benchmark the event vs. round-batched cycle engines\n"
-        "      (wall-clock + simulated cycles per dataset x PE x policy,\n"
-        "      cross-checked bit-identical) and write the\n"
-        "      awbsim-bench-engine-v1 JSON perf baseline.\n"
-        "      --datasets a,b,..   default cora,citeseer,pubmed\n"
-        "      --pes n1,n2,..      default 64,256\n"
-        "      --policies p1,..    default baseline,remote-d\n"
-        "      --k N               dense-operand columns (default 64)\n"
-        "      --reddit-pes N      also run Reddit at N PEs on the\n"
-        "                          batched engine only (default 0 = skip)\n"
-        "      --reddit-policy P   policy for the Reddit point\n"
-        "                          (default remote-d)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_engine.json)\n\n"
-        "  awbsim --bench-memory [options]\n"
-        "      Cross-platform memory-model baseline: run the round-level\n"
-        "      GCN model across dataset x policy x platform, verify the\n"
-        "      unconstrained platform is a timing no-op (the equivalence\n"
-        "      gate CI relies on) and write the awbsim-bench-memory-v1\n"
-        "      JSON document (BENCH_memory.json).\n"
-        "      --datasets a,b,..   default cora,citeseer,pubmed,nell,"
-        "reddit\n"
-        "      --policies p1,..    default baseline,remote-d\n"
-        "      --platforms p1,..   default every registered platform\n"
-        "      --pes N             PE-array size (default 1024)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_memory.json)\n\n"
-        "  awbsim --bench-scaleout [options]\n"
-        "      Multi-chip scaling baseline: shard one dataset across a\n"
-        "      chip-count curve on the round-level model, verify the\n"
-        "      halo-traffic curve is monotone (and zero at 1 chip) and\n"
-        "      write the awbsim-bench-scaleout-v1 JSON document\n"
-        "      (BENCH_scaleout.json; DESIGN.md §9).\n"
-        "      --dataset D         default reddit\n"
-        "      --chips n1,n2,..    default 1,2,4,8,16\n"
-        "      --platforms p1,..   default d5005-ddr4,p100-hbm2\n"
-        "      --policy P          balance policy (default remote-d)\n"
-        "      --pes N             PE-array size per chip (default 1024)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_scaleout.json)\n\n"
-        "  awbsim --bench-dynamic [options]\n"
-        "      Dynamic-graph streaming baseline: churn-gcn epochs across\n"
-        "      the balance-policy axis with per-epoch carried-vs-fresh\n"
-        "      drift curves and the convergence half-life; gated on\n"
-        "      double-run determinism, event/batched engine equivalence,\n"
-        "      incremental-vs-rebuilt matrix identity and cycle/model\n"
-        "      trajectory agreement; writes the awbsim-bench-dynamic-v1\n"
-        "      JSON document (BENCH_dynamic.json; DESIGN.md §12).\n"
-        "      --datasets a,b,..   default cora,citeseer\n"
-        "      --policies p1,..    default baseline,rescratch,\n"
-        "                          delta-greedy,delta-threshold,remote-d\n"
-        "      --pes N             default 64\n"
-        "      --epochs N          churn batches per run (default 8)\n"
-        "      --events N          churn events per batch (default 256)\n"
-        "      --dense-cols N      feature columns per epoch (default 8)\n"
-        "      --insert-frac F     churn insert:delete mix (default 0.5)\n"
-        "      --drift-tol F       half-life drift tolerance (default\n"
-        "                          0.10)\n"
-        "      --seed N / --scale S / --platform P / --json FILE\n"
-        "                          (default BENCH_dynamic.json)\n\n"
-        "  awbsim --bench-spgemm [options]\n"
-        "      Graph-kernel baseline: BFS and PageRank as iterated\n"
-        "      sparse-output SpGEMMs across the balance-policy axis, with\n"
-        "      per-iteration frontier curves and a rebalance helps/hurts\n"
-        "      verdict per policy; gated on determinism, batched==event\n"
-        "      equivalence, functional correctness vs the scalar\n"
-        "      references, and model-vs-engine traffic equality; writes\n"
-        "      the awbsim-bench-spgemm-v1 JSON document\n"
-        "      (BENCH_spgemm.json; DESIGN.md §11).\n"
-        "      --dataset D         default cora\n"
-        "      --policies p1,..    default baseline,local-b,remote-c,\n"
-        "                          remote-d,work-steal\n"
-        "      --pes N             PE-array size (default 64)\n"
-        "      --source N          BFS source vertex (default 0)\n"
-        "      --damping F / --tol F / --max-iters N   PageRank knobs\n"
-        "      --platform P        default unconstrained\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_spgemm.json)\n\n"
-        "  awbsim --serve [options]\n"
-        "      Serve a per-user inference request stream on N simulated\n"
-        "      accelerators and report SLO-percentile latency statistics\n"
-        "      (DESIGN.md §10).\n"
-        "      --dataset D         default cora\n"
-        "      --fidelity F        model (round-level, default) or cycle\n"
-        "      --arrivals A        open (Poisson, default) or closed\n"
-        "      --rate R            open-loop offered rate, requests/s\n"
-        "      --clients N         closed-loop client population\n"
-        "      --think-cycles N    closed-loop gap before reissue\n"
-        "      --duration-ms D     admission horizon in simulated ms\n"
-        "      --requests N        stop issuing after N requests\n"
-        "      --devices N         simulated accelerator count\n"
-        "      --discipline D      of fifo|sjf-nnz|dyn-batch (see\n"
-        "                          --list-disciplines)\n"
-        "      --max-batch N / --max-wait CYCLES   dyn-batch knobs\n"
-        "      --queue-cap N       admission queue bound (0 = unbounded)\n"
-        "      --timeout-cycles N  queue-age eviction deadline\n"
-        "      --slo-ms S          latency SLO for violation accounting\n"
-        "      --ego-frac F / --hops N / --max-ego-nodes N   request mix\n"
-        "      --design P / --pes N / --seed N / --scale S\n"
-        "      --json FILE         default awbsim_serve.json; '-' stdout\n\n"
-        "  awbsim --serve-sweep [options]\n"
-        "      Grid of serving runs: arrival rates x disciplines x\n"
-        "      device counts on a worker pool (same JSON at any thread\n"
-        "      count).\n"
-        "      --rates r1,r2,..    default 500,1000,2000,4000\n"
-        "      --disciplines d1,.. default fifo,dyn-batch\n"
-        "      --devices n1,n2,..  default 1,4\n"
-        "      --threads N         worker threads (default: hardware)\n"
-        "      plus every --serve knob for the shared base options;\n"
-        "      --json FILE (default awbsim_serve_sweep.json)\n\n"
-        "  awbsim --bench-serving [options]\n"
-        "      Serving baseline: open-loop throughput-vs-p99 curves over\n"
-        "      >= 2 datasets plus a closed-loop saturation point each,\n"
-        "      gated on request conservation, percentile ordering and\n"
-        "      double-run byte-determinism; writes the\n"
-        "      awbsim-bench-serving-v1 JSON document (BENCH_serving.json,\n"
-        "      tracked and diffed by tools/check_bench.py).\n"
-        "      --datasets a,b,..   default cora,pubmed\n"
-        "      --rates r1,r2,..    default 25000..800000, x2 steps\n"
-        "      --discipline D      default dyn-batch\n"
-        "      --devices N         default 2\n"
-        "      --duration-ms D     default 10\n"
-        "      --clients N         closed-loop population (default 16)\n"
-        "      --policy P / --pes N / --seed N / --json FILE (default\n"
-        "                          BENCH_serving.json)\n");
-}
+void printUsage();
 
 int
 listScenarios()
@@ -284,91 +80,126 @@ listPlatforms()
 }
 
 int
-runSweepCli(int argc, char **argv, int first)
+runSweepCli(CommandLine &cl)
 {
-    SweepOptions opts;
-    bool table = true;
+    SweepOptions o;
     std::string json_path = "awbsim_sweep.json";
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--designs") {
-            opts.designs.clear();
-            for (const auto &d : splitCsv(need("--designs")))
-                opts.designs.push_back(parseDesignCli(d));
-        } else if (a == "--pes") {
-            opts.peCounts.clear();
-            for (const auto &p : splitCsv(need("--pes")))
-                opts.peCounts.push_back(parseInt("--pes", p));
-        } else if (a == "--chips") {
-            opts.chipCounts.clear();
-            for (const auto &c : splitCsv(need("--chips")))
-                opts.chipCounts.push_back(parseInt("--chips", c));
-        } else if (a == "--modes") {
-            opts.modes.clear();
-            for (const auto &m : splitCsv(need("--modes")))
-                opts.modes.push_back(parseSweepMode(m));
-        } else if (a == "--engine") {
-            opts.engine = parseEngineKind(need("--engine"));
-        } else if (a == "--platforms" || a == "--platform") {
-            opts.platforms.clear();
-            for (const auto &p : splitCsv(need("--platforms")))
-                opts.platforms.push_back(findPlatform(p).name);
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--threads") {
-            opts.threads = parseInt("--threads", need("--threads"));
-        } else if (a == "--repeats") {
-            opts.repeats = parseInt("--repeats", need("--repeats"));
-        } else if (a == "--json") {
-            json_path = need("--json");
-        } else if (a == "--no-table") {
-            table = false;
-        } else if (a == "--progress") {
-            opts.progress = true;
-        } else {
-            fatal("unknown sweep flag: " + a);
-        }
-    }
-    if (opts.datasets.empty() || opts.designs.empty() ||
-        opts.peCounts.empty() || opts.modes.empty() ||
-        opts.platforms.empty() || opts.chipCounts.empty())
-        fatal("sweep grid has an empty axis");
+    bool no_table = false;
+    const std::vector<Flag> flags = {
+        texts({"--datasets"}, "a,b,..", o.datasets, "dataset axis"),
+        texts({"--designs"}, "p1,p2,..", o.designs,
+              "balance-policy axis (see --list-designs)", resolvePolicy),
+        numbers({"--pes"}, "n1,n2,..", o.peCounts, "PE-array sizes"),
+        numbers({"--chips"}, "n1,n2,..", o.chipCounts,
+                "chips the graph is row-sharded across (DESIGN.md §9)"),
+        choices({"--modes"}, "m1,m2,..", o.modes,
+                "model, cycle, tdq1, tdq2, graphsage, gin, khop, bfs, "
+                "pagerank or churn",
+                parseSweepMode, sweepModeName),
+        choice({"--engine"}, "E", o.engine,
+               "event or batched cycle engine (DESIGN.md §6)",
+               parseEngineKind, engineKindName),
+        texts({"--platforms", "--platform"}, "p1,p2,..", o.platforms,
+              "memory platform axis (DESIGN.md §8)", resolvePlatform),
+        number({"--scale"}, "S", o.scale, "dataset node-count scale"),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        number({"--threads"}, "N", o.threads, "workers (0 = hardware)"),
+        number({"--repeats"}, "N", o.repeats,
+               "per-point repeats, checked for identical cycles"),
+        text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+        toggle({"--no-table"}, no_table, "suppress the result table"),
+        toggle({"--progress"}, o.progress, "per-point progress on stderr")};
+    if (!cl.bind("Expand a dataset x design x PE x mode x platform x chips "
+                 "grid and run it on a worker pool.",
+                 flags))
+        return 0;
 
-    std::vector<SweepPoint> points = expandGrid(opts);
+    std::vector<SweepPoint> points = expandGrid(o);
     std::fprintf(stderr, "sweep: %zu grid points, %u worker threads\n",
-                 points.size(), resolveThreads(opts, points.size()));
+                 points.size(), resolveThreads(o, points.size()));
 
-    auto outcomes = runSweep(opts, points);
-    if (table) std::printf("%s", sweepTable(outcomes).c_str());
-
-    std::string doc = sweepToJson(opts, outcomes).dump(2);
-    if (json_path == "-") {
-        std::printf("%s", doc.c_str());
-    } else {
-        std::ofstream f(json_path);
-        if (!f) fatal("cannot write " + json_path);
-        f << doc;
-        std::printf("sweep JSON written to %s\n", json_path.c_str());
-    }
+    auto outcomes = runSweep(o, points);
+    if (!no_table) std::printf("%s", sweepTable(outcomes).c_str());
+    writeDoc(sweepToJson(o, outcomes), json_path, "sweep");
 
     int failed = 0;
-    for (const auto &o : outcomes)
-        if (!o.ok) ++failed;
+    for (const auto &out : outcomes)
+        if (!out.ok) ++failed;
     if (failed)
         std::fprintf(stderr, "%d of %zu points failed\n", failed,
                      outcomes.size());
     return failed ? 1 : 0;
 }
 
+int
+runCli(CommandLine &cl)
+{
+    ScenarioCli cli;
+    if (!bindScenarioCli(cl, cli, /*warn_unknown=*/true)) return 0;
+    if (cli.help) {
+        printUsage();
+        return 0;
+    }
+    return runScenarioCli(cli, /*default_all=*/false);
+}
+
+/** The global execution-core flags (DESIGN.md §13). */
+std::vector<Flag>
+globalFlags(bool &no_cache, int &intra_threads)
+{
+    return {toggle({"--no-cache"}, no_cache,
+                   "disable the process-wide workload and round-entry-state "
+                   "caches; results are bit-identical either way"),
+            number({"--intra-threads"}, "N", intra_threads,
+                   "worker threads for intra-point dense SPMM loops; 0 = "
+                   "hardware concurrency (deterministic at any value)")};
+}
+
+void
+printUsage()
+{
+    bool no_cache = false;
+    int intra_threads = 0;
+    std::string out =
+        "awbsim — AWB-GCN unified experiment driver\n\n"
+        "  awbsim --list-scenarios | --list-designs | --list-platforms |\n"
+        "         --list-datasets | --list-disciplines\n"
+        "    List the registered scenarios, balance policies "
+        "(--list-policies\n"
+        "    is a synonym), memory platforms, datasets or serving batch\n"
+        "    disciplines.\n\n"
+        "  Global flags (any command):\n" +
+        flagUsage(globalFlags(no_cache, intra_threads));
+    for (const Command &c : commands()) {
+        CommandLine describe(c.name,
+                             [&out](const std::string &usage,
+                                    const std::vector<Flag> &) {
+                                 out += "\n" + usage;
+                             });
+        c.main(describe);
+    }
+    std::printf("%s", out.c_str());
+}
+
 } // namespace
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> all = {
+        {"run", runCli},
+        {"--sweep", runSweepCli},
+        {"--serve", runServeCli},
+        {"--serve-sweep", runServeSweepCli},
+        {"--bench-engine", runBenchEngineCli},
+        {"--bench-memory", runBenchMemoryCli},
+        {"--bench-scaleout", runBenchScaleoutCli},
+        {"--bench-serving", runBenchServingCli},
+        {"--bench-spgemm", runBenchSpgemmCli},
+        {"--bench-dynamic", runBenchDynamicCli},
+    };
+    return all;
+}
 
 int
 driverMain(int argc, char **argv)
@@ -379,29 +210,17 @@ driverMain(int argc, char **argv)
     // uncached behavior unless they opt in via exec::setCachesEnabled.
     bool no_cache = false;
     int intra_threads = 0;
-    std::vector<char *> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--no-cache") {
-            no_cache = true;
-        } else if (a == "--intra-threads") {
-            if (i + 1 >= argc) fatal("--intra-threads needs a value");
-            intra_threads = parseInt("--intra-threads", argv[++i]);
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
+    const std::vector<std::string> args =
+        takeFlags(globalFlags(no_cache, intra_threads),
+                  std::vector<std::string>(argv, argv + argc));
     exec::setCachesEnabled(!no_cache);
     setIntraThreads(intra_threads);
-    argc = static_cast<int>(args.size());
-    argv = args.data();
 
-    if (argc < 2) {
+    if (args.size() < 2) {
         printUsage();
         return 2;
     }
-    std::string cmd = argv[1];
+    const std::string &cmd = args[1];
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
         printUsage();
         return 0;
@@ -411,33 +230,16 @@ driverMain(int argc, char **argv)
         return listDesigns();
     if (cmd == "--list-platforms") return listPlatforms();
     if (cmd == "--list-datasets") return listDatasets();
-    if (cmd == "run") {
-        ScenarioCli cli = parseScenarioCli(argc, argv, 2,
-                                           /*warn_unknown=*/true);
-        if (cli.help) {
-            printUsage();
-            return 0;
-        }
-        return runScenarioCli(cli, /*default_all=*/false);
-    }
-    if (cmd == "--sweep" || cmd == "sweep") return runSweepCli(argc, argv, 2);
-    if (cmd == "--bench-engine" || cmd == "bench-engine")
-        return runBenchEngineCli(argc, argv, 2);
-    if (cmd == "--bench-memory" || cmd == "bench-memory")
-        return runBenchMemoryCli(argc, argv, 2);
-    if (cmd == "--bench-scaleout" || cmd == "bench-scaleout")
-        return runBenchScaleoutCli(argc, argv, 2);
-    if (cmd == "--bench-serving" || cmd == "bench-serving")
-        return runBenchServingCli(argc, argv, 2);
-    if (cmd == "--bench-spgemm" || cmd == "bench-spgemm")
-        return runBenchSpgemmCli(argc, argv, 2);
-    if (cmd == "--bench-dynamic" || cmd == "bench-dynamic")
-        return runBenchDynamicCli(argc, argv, 2);
     if (cmd == "--list-disciplines") return listDisciplines();
-    if (cmd == "--serve" || cmd == "serve")
-        return runServeCli(argc, argv, 2);
-    if (cmd == "--serve-sweep" || cmd == "serve-sweep")
-        return runServeSweepCli(argc, argv, 2);
+    for (const Command &c : commands()) {
+        // Every command but `run` also answers to its name without "--".
+        if (cmd == c.name || "--" + cmd == c.name) {
+            CommandLine cl(c.name,
+                           std::vector<std::string>(args.begin() + 2,
+                                                    args.end()));
+            return c.main(cl);
+        }
+    }
     printUsage();
     fatal("unknown command: " + cmd);
 }

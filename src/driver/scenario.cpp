@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 #include "common/log.hpp"
 
@@ -60,95 +58,32 @@ scenarioBanner(const Scenario &s)
         s.figure.c_str(), s.summary.c_str());
 }
 
-std::uint64_t
-parseUint(const std::string &flag, const std::string &v)
+bool
+bindScenarioCli(CommandLine &cl, ScenarioCli &cli, bool warn_unknown)
 {
-    try {
-        std::size_t used = 0;
-        std::uint64_t out = std::stoull(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-        return out;
-    } catch (const std::exception &) {
-        fatal(flag + " needs an unsigned integer, got '" + v + "'");
-    }
-}
-
-int
-parseInt(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t used = 0;
-        int out = std::stoi(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-        return out;
-    } catch (const std::exception &) {
-        fatal(flag + " needs an integer, got '" + v + "'");
-    }
-}
-
-double
-parseDouble(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t used = 0;
-        double out = std::stod(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-        return out;
-    } catch (const std::exception &) {
-        fatal(flag + " needs a number, got '" + v + "'");
-    }
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos) comma = s.size();
-        if (comma > start) out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-ScenarioCli
-parseScenarioCli(int argc, char **argv, int first, bool warn_unknown)
-{
-    ScenarioCli cli;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--seed") {
-            cli.ctx.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            cli.ctx.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--repeat") {
-            cli.repeats = parseInt("--repeat", need("--repeat"));
-        } else if (a == "--json") {
-            cli.jsonPath = need("--json");
-        } else if (a == "--help" || a == "-h") {
-            cli.help = true;
-        } else if (a == "all") {
-            cli.runAll = true;
-        } else if (ScenarioRegistry::instance().find(a)) {
-            cli.names.push_back(a);
-        } else if (!a.empty() && a[0] == '-') {
-            fatal("unknown flag: " + a);
-        } else {
-            // On the multi-scenario surface a misspelled scenario name
-            // would land here and vanish silently; surface it.
-            if (warn_unknown)
-                warn("'" + a + "' is not a scenario name; passing it to "
-                     "the selected scenarios as an argument");
-            cli.ctx.args.push_back(a);
-        }
-    }
-    return cli;
+    return cl.bind(
+        "Run scenarios by name ('all' = every one); other positional "
+        "arguments go to the selected scenarios.",
+        {number({"--seed"}, "N", cli.ctx.seed, "base RNG seed"),
+         number({"--scale"}, "S", cli.ctx.scale,
+                "multiplies each scenario's dataset scale"),
+         number({"--repeat"}, "N", cli.repeats,
+                "run each scenario body N times"),
+         text({"--json"}, "FILE", cli.jsonPath,
+              "machine-readable scenario results ('-' = stdout)"),
+         toggle({"--help", "-h"}, cli.help, "print the usage")},
+        {"<scenario ...>", [&cli, warn_unknown](const std::string &a) {
+             if (a == "all") {
+                 cli.runAll = true;
+             } else if (ScenarioRegistry::instance().find(a)) {
+                 cli.names.push_back(a);
+             } else {
+                 if (warn_unknown)
+                     warn("'" + a + "' is not a scenario name; passing it "
+                          "to the selected scenarios as an argument");
+                 cli.ctx.args.push_back(a);
+             }
+         }});
 }
 
 int
@@ -181,13 +116,8 @@ runScenarioCli(ScenarioCli &cli, bool default_all)
         if (results.size() == 0)
             warn("--json given but no selected scenario produced "
                  "machine-readable results; not writing " + cli.jsonPath);
-        else {
-            std::ofstream f(cli.jsonPath);
-            if (!f) fatal("cannot write " + cli.jsonPath);
-            f << results.dump(2);
-            std::printf("\nscenario JSON written to %s\n",
-                        cli.jsonPath.c_str());
-        }
+        else
+            writeDoc(results, cli.jsonPath, "scenario");
     }
     return 0;
 }
@@ -195,7 +125,9 @@ runScenarioCli(ScenarioCli &cli, bool default_all)
 int
 scenarioMain(int argc, char **argv)
 {
-    ScenarioCli cli = parseScenarioCli(argc, argv, 1);
+    CommandLine cl("run", std::vector<std::string>(argv + 1, argv + argc));
+    ScenarioCli cli;
+    bindScenarioCli(cl, cli);
     if (cli.help) {
         std::printf("usage: %s [scenario ...] [--seed N] [--scale S] "
                     "[--repeat N] [--json FILE] [args ...]\n\nscenarios:\n",

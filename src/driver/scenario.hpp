@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/cli.hpp"
 #include "driver/json.hpp"
 
 namespace awb::driver {
@@ -85,15 +86,16 @@ struct ScenarioCli
 };
 
 /**
- * Parse argv[first..): --seed/--scale/--repeat/--json, scenario names,
- * "all", and scenario-specific positional args. Unknown flags are
- * fatal(). With `warn_unknown` (the multi-scenario `awbsim run`
- * surface), unknown positional tokens go to ctx.args with a warning —
- * a misspelled scenario name would otherwise vanish silently; the
- * per-scenario executables expect positional args and stay quiet.
+ * Bind the shared scenario flags (--seed/--scale/--repeat/--json/--help)
+ * and the positional tokens: scenario names, "all", and
+ * scenario-specific args. With `warn_unknown` (the multi-scenario
+ * `awbsim run` surface), a token that names no scenario goes to
+ * ctx.args with a warning — a misspelled scenario name would otherwise
+ * vanish silently; the per-scenario executables expect positional args
+ * and stay quiet. Returns false when `cl` only inspects the table.
  */
-ScenarioCli parseScenarioCli(int argc, char **argv, int first,
-                             bool warn_unknown = false);
+bool bindScenarioCli(CommandLine &cl, ScenarioCli &cli,
+                     bool warn_unknown = false);
 
 /**
  * Run the scenarios the CLI selected. With no names, runs every linked
@@ -105,13 +107,5 @@ int runScenarioCli(ScenarioCli &cli, bool default_all);
 
 /** main() body of every per-scenario executable. */
 int scenarioMain(int argc, char **argv);
-
-/** fatal()-on-malformed-input numeric parsing for the driver CLIs. */
-std::uint64_t parseUint(const std::string &flag, const std::string &v);
-int parseInt(const std::string &flag, const std::string &v);
-double parseDouble(const std::string &flag, const std::string &v);
-
-/** Split a comma-separated CLI value; empty segments are dropped. */
-std::vector<std::string> splitCsv(const std::string &s);
 
 } // namespace awb::driver

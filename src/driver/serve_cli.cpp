@@ -2,13 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/scenario.hpp"
 #include "graph/datasets.hpp"
 
 namespace awb::driver {
@@ -33,80 +29,42 @@ latencyJson(const serve::LatencySummary &s, double clock_mhz)
     return j;
 }
 
-/** Shared flag parsing for the knobs --serve and --serve-sweep have in
- *  common; returns false when the flag is not a base serving knob. */
-bool
-parseServeFlag(serve::ServeOptions &o, const std::string &a,
-               const std::function<std::string(const char *)> &need)
+/** The knobs --serve and --serve-sweep have in common, bound to `o`. */
+std::vector<Flag>
+serveFlags(serve::ServeOptions &o)
 {
-    if (a == "--dataset") {
-        o.dataset = need("--dataset");
-    } else if (a == "--fidelity") {
-        o.fidelity = serve::parseServeFidelity(need("--fidelity"));
-    } else if (a == "--arrivals") {
-        o.arrivals = serve::parseArrivalMode(need("--arrivals"));
-    } else if (a == "--rate") {
-        o.ratePerSec = parseDouble("--rate", need("--rate"));
-    } else if (a == "--clients") {
-        o.clients = parseInt("--clients", need("--clients"));
-    } else if (a == "--think-cycles") {
-        o.thinkCycles = static_cast<Cycle>(
-            parseUint("--think-cycles", need("--think-cycles")));
-    } else if (a == "--duration-ms") {
-        o.durationMs = parseDouble("--duration-ms", need("--duration-ms"));
-    } else if (a == "--requests") {
-        o.requestCap = parseUint("--requests", need("--requests"));
-    } else if (a == "--discipline") {
-        o.discipline =
-            serve::DisciplineRegistry::instance().get(need("--discipline"))
-                .name;
-    } else if (a == "--max-batch") {
-        o.disciplineParams.maxBatch = static_cast<std::size_t>(
-            parseUint("--max-batch", need("--max-batch")));
-    } else if (a == "--max-wait") {
-        o.disciplineParams.maxWait = static_cast<Cycle>(
-            parseUint("--max-wait", need("--max-wait")));
-    } else if (a == "--queue-cap") {
-        o.queueCapacity = static_cast<std::size_t>(
-            parseUint("--queue-cap", need("--queue-cap")));
-    } else if (a == "--timeout-cycles") {
-        o.timeoutCycles = static_cast<Cycle>(
-            parseUint("--timeout-cycles", need("--timeout-cycles")));
-    } else if (a == "--slo-ms") {
-        o.sloMs = parseDouble("--slo-ms", need("--slo-ms"));
-    } else if (a == "--ego-frac") {
-        o.mix.egoFraction = parseDouble("--ego-frac", need("--ego-frac"));
-    } else if (a == "--hops") {
-        o.mix.hops = parseInt("--hops", need("--hops"));
-    } else if (a == "--max-ego-nodes") {
-        o.mix.maxEgoNodes = static_cast<Index>(
-            parseUint("--max-ego-nodes", need("--max-ego-nodes")));
-    } else if (a == "--seed") {
-        o.seed = parseUint("--seed", need("--seed"));
-    } else if (a == "--design") {
-        o.design = need("--design");
-    } else if (a == "--pes") {
-        o.numPes = parseInt("--pes", need("--pes"));
-    } else if (a == "--scale") {
-        o.scale = parseDouble("--scale", need("--scale"));
-    } else {
-        return false;
-    }
-    return true;
-}
-
-void
-writeDoc(const Json &doc, const std::string &path, const char *what)
-{
-    const std::string rendered = doc.dump(2);
-    if (path == "-") {
-        std::printf("%s", rendered.c_str());
-        return;
-    }
-    std::ofstream f(path);
-    if (!f) fatal("cannot write " + path);
-    f << rendered;
-    std::printf("%s JSON written to %s\n", what, path.c_str());
+    return {
+        text({"--dataset"}, "D", o.dataset, "the served dataset"),
+        choice({"--fidelity"}, "F", o.fidelity, "model or cycle",
+               serve::parseServeFidelity, serve::serveFidelityName),
+        choice({"--arrivals"}, "A", o.arrivals, "open or closed loop",
+               serve::parseArrivalMode, serve::arrivalModeName),
+        number({"--rate"}, "R", o.ratePerSec, "open-loop requests/s"),
+        number({"--clients"}, "N", o.clients, "closed-loop clients"),
+        number({"--think-cycles"}, "N", o.thinkCycles,
+               "closed-loop gap before reissue"),
+        number({"--duration-ms"}, "D", o.durationMs, "admission horizon"),
+        number({"--requests"}, "N", o.requestCap,
+               "stop after N requests (0 = horizon only)"),
+        text({"--discipline"}, "D", o.discipline, "batch discipline",
+             resolveDiscipline),
+        number({"--max-batch"}, "N", o.disciplineParams.maxBatch,
+               "dyn-batch size cap"),
+        number({"--max-wait"}, "CYCLES", o.disciplineParams.maxWait,
+               "dyn-batch wait for the queue front"),
+        number({"--queue-cap"}, "N", o.queueCapacity,
+               "queue bound (0 = unbounded)"),
+        number({"--timeout-cycles"}, "N", o.timeoutCycles,
+               "queue-age eviction deadline (0 = off)"),
+        number({"--slo-ms"}, "S", o.sloMs, "latency SLO (0 = none)"),
+        number({"--ego-frac"}, "F", o.mix.egoFraction, "ego-query share"),
+        number({"--hops"}, "N", o.mix.hops, "ego neighbourhood radius"),
+        number({"--max-ego-nodes"}, "N", o.mix.maxEgoNodes, "ego node cap"),
+        number({"--seed"}, "N", o.seed, "global seed"),
+        text({"--design"}, "P", o.design, "policy of each device"),
+        number({"--pes"}, "N", o.numPes, "PEs of each device"),
+        number({"--scale"}, "S", o.scale, "dataset scale"),
+    };
 }
 
 void
@@ -281,32 +239,26 @@ listDisciplines()
 }
 
 int
-runServeCli(int argc, char **argv, int first)
+runServeCli(CommandLine &cl)
 {
     serve::ServeOptions opts;
-    bool table = true;
+    bool no_table = false;
     std::string json_path = "awbsim_serve.json";
-    for (int i = first; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (parseServeFlag(opts, a, need)) continue;
-        if (a == "--devices") {
-            opts.devices = parseInt("--devices", need("--devices"));
-        } else if (a == "--json") {
-            json_path = need("--json");
-        } else if (a == "--no-table") {
-            table = false;
-        } else {
-            fatal("unknown serve flag: " + a);
-        }
-    }
+    std::vector<Flag> flags = serveFlags(opts);
+    flags.insert(
+        flags.end(),
+        {number({"--devices"}, "N", opts.devices, "devices"),
+         text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+         toggle({"--no-table"}, no_table, "suppress the table")});
+    if (!cl.bind("Serve an inference request stream on simulated "
+                 "accelerators; report SLO-percentile latency "
+                 "(DESIGN.md §10).",
+                 flags))
+        return 0;
 
     const serve::ServeResult res = serve::runServe(opts);
 
-    if (table) {
+    if (!no_table) {
         Table t({"dataset", "discipline", "devices", "offered", "done",
                  "lost", "p50(ms)", "p99(ms)", "util", "rps"});
         std::vector<std::string> row{opts.dataset, opts.discipline,
@@ -320,48 +272,30 @@ runServeCli(int argc, char **argv, int first)
 }
 
 int
-runServeSweepCli(int argc, char **argv, int first)
+runServeSweepCli(CommandLine &cl)
 {
     ServeSweepOptions opts;
-    bool table = true;
+    bool no_table = false;
     std::string json_path = "awbsim_serve_sweep.json";
-    for (int i = first; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (parseServeFlag(opts.base, a, need)) continue;
-        if (a == "--rates") {
-            opts.rates.clear();
-            for (const auto &r : splitCsv(need("--rates")))
-                opts.rates.push_back(parseDouble("--rates", r));
-        } else if (a == "--disciplines") {
-            opts.disciplines.clear();
-            for (const auto &d : splitCsv(need("--disciplines")))
-                opts.disciplines.push_back(
-                    serve::DisciplineRegistry::instance().get(d).name);
-        } else if (a == "--devices") {
-            opts.deviceCounts.clear();
-            for (const auto &d : splitCsv(need("--devices")))
-                opts.deviceCounts.push_back(parseInt("--devices", d));
-        } else if (a == "--threads") {
-            opts.threads = parseInt("--threads", need("--threads"));
-        } else if (a == "--json") {
-            json_path = need("--json");
-        } else if (a == "--no-table") {
-            table = false;
-        } else {
-            fatal("unknown serve-sweep flag: " + a);
-        }
-    }
-    if (opts.rates.empty() || opts.disciplines.empty() ||
-        opts.deviceCounts.empty())
-        fatal("serve-sweep grid has an empty axis");
+    std::vector<Flag> flags = serveFlags(opts.base);
+    flags.insert(
+        flags.end(),
+        {numbers({"--rates"}, "r1,r2,..", opts.rates, "rate axis"),
+         texts({"--disciplines"}, "d1,d2,..", opts.disciplines,
+               "discipline axis", resolveDiscipline),
+         numbers({"--devices"}, "n1,n2,..", opts.deviceCounts,
+                 "device-count axis"),
+         number({"--threads"}, "N", opts.threads, "workers (0 = hardware)"),
+         text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+         toggle({"--no-table"}, no_table, "suppress the table")});
+    if (!cl.bind("A rate x discipline x device-count grid of --serve runs "
+                 "on a worker pool (same JSON at any thread count).",
+                 flags))
+        return 0;
 
     const auto outcomes = runServeSweep(opts);
 
-    if (table) {
+    if (!no_table) {
         Table t({"rate", "discipline", "devices", "offered", "done",
                  "lost", "p50(ms)", "p99(ms)", "util", "rps"});
         for (const auto &o : outcomes) {

@@ -2,7 +2,7 @@
  * @file
  * CLI front end of the inference-serving subsystem (`awbsim --serve`,
  * `awbsim --serve-sweep`, `awbsim --list-disciplines`; DESIGN.md §10).
- * The serving core (src/serve) is driver-free; this layer parses flags,
+ * The serving core (src/serve) is driver-free; this layer binds flags,
  * renders tables and owns the JSON rendering — one fixed formatting
  * path, so serving documents inherit the sweep determinism guarantee
  * (same options ⇒ byte-identical bytes at any thread count).
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/cli.hpp"
 #include "driver/json.hpp"
 #include "serve/serve.hpp"
 
@@ -48,9 +49,9 @@ std::vector<ServeSweepOutcome> runServeSweep(const ServeSweepOptions &opts);
 int listDisciplines();
 
 /** CLI front-end for `awbsim --serve`; returns the exit code. */
-int runServeCli(int argc, char **argv, int first);
+int runServeCli(CommandLine &cl);
 
 /** CLI front-end for `awbsim --serve-sweep`; returns the exit code. */
-int runServeSweepCli(int argc, char **argv, int first);
+int runServeSweepCli(CommandLine &cl);
 
 } // namespace awb::driver

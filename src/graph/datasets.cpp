@@ -140,7 +140,7 @@ findDataset(const std::string &name)
 DatasetSpec
 scaledSpec(const DatasetSpec &spec, double scale)
 {
-    if (scale <= 0.0 || scale > 1.0)
+    if (!(scale > 0.0 && scale <= 1.0))  // also refuses NaN
         fatal("dataset scale must be in (0, 1]");
     DatasetSpec s = spec;
     s.nodes = std::max<Index>(

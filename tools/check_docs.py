@@ -9,8 +9,13 @@ Verifies, across every git-tracked file:
 3. `#anchor` fragments in those links match a heading of the target
    markdown file (GitHub heading-slug rules).
 
+With `--awbsim PATH` it checks instead that every README
+"### `<command>` flags" table lists exactly the flags (aliases included)
+that `PATH --help`, generated from the parser's own flag tables, lists
+for that command.
+
 Run from the repository root (CI docs job and the `docs_check` ctest do).
-Exits non-zero listing every dangling reference found.
+Exits non-zero listing every problem found.
 """
 
 import re
@@ -23,6 +28,7 @@ TEXT_SUFFIXES = {".md", ".hpp", ".cpp", ".py", ".yml", ".yaml", ".txt",
 SECTION_REF = re.compile(r"DESIGN\.md\s*§(\d+)")
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
+FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
 
 
 def tracked_files():
@@ -72,7 +78,41 @@ def design_sections():
     return design, secs
 
 
-def main():
+def usage_flags(awbsim):
+    """Flags per command, read from the generated `awbsim --help`."""
+    usage = subprocess.run([awbsim, "--help"], check=True,
+                           capture_output=True, text=True).stdout
+    flags, cmd = {}, None
+    for line in usage.splitlines():
+        m = re.match(r"  awbsim (\S+)", line)
+        if m:
+            cmd = m.group(1)
+            flags[cmd] = set()
+        elif re.match(r"  \S", line):
+            cmd = None
+        elif cmd and line.startswith("      -"):
+            names = re.split(r"\s{2,}", line.strip())[0]
+            flags[cmd].update(FLAG.findall(names))
+    return flags
+
+
+def check_flag_tables(awbsim):
+    usage, tables, cmd = usage_flags(awbsim), {}, None
+    for line in Path("README.md").read_text(encoding="utf-8").splitlines():
+        m = re.match(r"#+ `([^`]+)` flags\s*$", line)
+        if m or line.startswith("#"):
+            cmd = m.group(1) if m else None
+        elif cmd and line.startswith("|"):
+            tables.setdefault(cmd, set()).update(
+                FLAG.findall(line.split("|")[1]))
+    return [f"README.md `{cmd}` flags table "
+            f"{'lists' if f in documented else 'lacks'} {f}, but "
+            f"`awbsim --help` {'does not' if f in documented else 'does'}"
+            for cmd, documented in tables.items()
+            for f in sorted(documented ^ usage.get(cmd, set()))]
+
+
+def check_links():
     errors = []
     design, sections = design_sections()
 
@@ -119,13 +159,23 @@ def main():
                 if anchor not in anchors_of(dest):
                     errors.append(f"{path}: dangling anchor '{target}'")
 
+    return errors
+
+
+def main():
+    if len(sys.argv) == 3 and sys.argv[1] == "--awbsim":
+        errors = check_flag_tables(sys.argv[2])
+        ok = "every README flags table matches `awbsim --help`"
+    else:
+        errors = check_links()
+        ok = ("all markdown links, anchors and DESIGN.md section "
+              "references resolve")
     if errors:
         print(f"docs check: {len(errors)} problem(s)")
         for e in errors:
             print("  " + e)
         return 1
-    print("docs check: all markdown links, anchors and DESIGN.md section "
-          "references resolve")
+    print("docs check: " + ok)
     return 0
 
 
