@@ -50,15 +50,16 @@ class Pe
     }
 
     /**
-     * Enqueue a task into the shortest queue. Returns false when all
-     * queues are full (backpressure to the distribution network).
+     * Enqueue a task into the shortest queue. Returns the depth of the
+     * queue it joined, or 0 when all queues are full (backpressure to
+     * the distribution network).
      */
-    bool
+    std::size_t
     enqueue(const Task &task)
     {
         if (!canAccept()) {
             ++enqueueRejects_;
-            return false;
+            return 0;
         }
         Fifo<Task> *best = nullptr;
         for (auto &q : queues_) {
@@ -68,7 +69,7 @@ class Pe
         best->push(task);
         ++pending_;
         roundPeak_ = std::max(roundPeak_, best->size());
-        return true;
+        return best->size();
     }
 
     /**

@@ -7,11 +7,14 @@
 namespace awb {
 
 RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
-    : numPes_(num_pes), owner_(static_cast<std::size_t>(rows)),
-      rowsOf_(static_cast<std::size_t>(num_pes))
+    : numPes_(num_pes)
 {
+    // Check before sizing: a negative count would otherwise throw
+    // std::length_error from the vector constructor.
     if (rows <= 0 || num_pes <= 0)
         fatal("RowPartition: rows and PEs must be positive");
+    owner_.resize(static_cast<std::size_t>(rows));
+    rowsOf_.resize(static_cast<std::size_t>(num_pes));
     // Blocked: contiguous blocks as in paper Fig. 6, with the remainder
     // spread one row each over the first (rows % numPes) PEs so every PE
     // owns either floor or ceil rows (a ceil-sized block for everyone

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "accel/cursor_models.hpp"
 #include "accel/local_share.hpp"
 #include "accel/omega.hpp"
 #include "accel/pe.hpp"
@@ -64,20 +65,34 @@ struct RoundCore
         stats.perPeTasks.assign(static_cast<std::size_t>(cfg.numPes), 0);
     }
 
-    /** The state the next round's dynamics depend on (replay key). */
+    /** The state the next round's dynamics depend on (replay key);
+     *  without the arbiter cursors unless `with_cursors`. */
     RoundEntryKey
-    entryKey(const RowPartition &part) const
+    entryKey(const RowPartition &part, bool with_cursors) const
     {
-        return {part.owners(), cursors,
+        return {part.owners(),
+                with_cursors ? cursors : std::vector<std::size_t>{},
                 useNet ? static_cast<int>(now & 1) : 0};
     }
 
-    /** Advance a round from a cached outcome without stepping it. */
-    void
+    /** Advance a round from a cached outcome without stepping it, and
+     *  return its peak queue depth from the current entry cursors. */
+    std::size_t
     replay(const RoundRecord &rec)
     {
-        cursors = rec.arbiterAfter;
         now += rec.roundCycles;
+        if (rec.cursorTable.empty()) {
+            cursors = rec.arbiterAfter;
+            return rec.peakQueue;
+        }
+        const auto Q = static_cast<std::size_t>(cfg.numQueuesPerPe);
+        std::size_t peak = 0;
+        for (std::size_t p = 0; p < cursors.size(); ++p) {
+            const CursorOutcome &o = rec.cursorTable[p * Q + cursors[p]];
+            cursors[p] = o.exit;
+            peak = std::max<std::size_t>(peak, o.peak);
+        }
+        return peak;
     }
 
     /** Build the PE array, the Omega fabric and their scratch on the
@@ -111,7 +126,9 @@ struct RoundCore
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
         Pe &pe = pes[p];
-        if (!pe.enqueue(t)) return false;
+        const std::size_t depth = pe.enqueue(t);
+        if (depth == 0) return false;
+        if (tabulate) models.enqueue(p, depth);
         // A PE is on the active list exactly while it has queued work.
         if (pe.pending() == 1) active.push_back(target);
         if (accepted[p]++ == 0) touched.push_back(target);
@@ -121,9 +138,9 @@ struct RoundCore
 
     RoundRecord step(const std::vector<Index> &row,
                      const std::vector<Count> *scan_pos, Count scan_width,
-                     const RowPartition &part);
-    void account(const RoundRecord &rec, MemoryTraffic traffic, bool last,
-                 RowPartition &part);
+                     const RowPartition &part, bool with_table);
+    void account(const RoundRecord &rec, std::size_t peak_queue,
+                 MemoryTraffic traffic, bool last, RowPartition &part);
     SpmmStats finish();
 
     const AccelConfig &cfg;
@@ -156,20 +173,27 @@ struct RoundCore
     std::vector<Count> home;
     std::vector<std::size_t> lane;
     std::vector<int> active;
+    // Whether this round fills a cursor table, and its models.
+    bool tabulate = false;
+    CursorModels models;
 };
 
 /**
  * Event-step one round of tasks for result rows `row`, in stream order.
  * TDQ-1 passes each task's dense-scan position in `scan_pos` and scans
  * `scan_width` positions per cycle; otherwise tasks enter through the
- * Omega lanes, or directly on a single PE.
+ * Omega lanes, or directly on a single PE. `with_table` fills the
+ * record's cursor table (cursorFreeKey configurations only).
  */
 RoundRecord
 RoundCore::step(const std::vector<Index> &row,
                 const std::vector<Count> *scan_pos, Count scan_width,
-                const RowPartition &part)
+                const RowPartition &part, bool with_table)
 {
     if (pes.empty()) buildFabric();
+    if (with_table && !cursorFreeKey(cfg))
+        panic("SpmmEngine: cursor table needs macLatency == 1");
+    tabulate = with_table;
     const std::size_t n = row.size();
     const std::size_t P = pes.size();
     const int inject_width = cfg.injectWidth > 0 ? cfg.injectWidth
@@ -179,6 +203,9 @@ RoundCore::step(const std::vector<Index> &row,
         pes[p].resetRound();
         pes[p].setArbiterCursor(cursors[p]);
     }
+    if (tabulate)
+        models.begin(P, static_cast<std::size_t>(cfg.numQueuesPerPe),
+                     cfg.queueDepth);
     // Align the fabric's input-priority toggles with the global cycle
     // parity (identity under pure event stepping; required after
     // replayed rounds advanced the clock without ticking).
@@ -205,10 +232,12 @@ RoundCore::step(const std::vector<Index> &row,
         //    An idle PE's tick is a no-op and no PE's tick touches
         //    another, so only the active ones tick, in any order.
         for (std::size_t i = 0; i < active.size();) {
-            Pe &pe = pes[static_cast<std::size_t>(active[i])];
+            const auto p = static_cast<std::size_t>(active[i]);
+            Pe &pe = pes[p];
             if (pe.tick(now)) {
                 ++issued;
                 drain_at = now + cfg.macLatency;
+                if (tabulate) models.issue(p);
             }
             if (pe.pending() == 0) {
                 active[i] = active.back();
@@ -280,14 +309,15 @@ RoundCore::step(const std::vector<Index> &row,
         out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
     }
     out.peakNet = useNet ? net->roundPeakBufferDepth() : 0;
+    if (tabulate) out.cursorTable = models.finish(pes, cursors);
     cursors = out.arbiterAfter;
     return out;
 }
 
 /** Bill a stepped or replayed round and let the policy observe it. */
 void
-RoundCore::account(const RoundRecord &rec, MemoryTraffic traffic,
-                   bool last, RowPartition &part)
+RoundCore::account(const RoundRecord &rec, std::size_t peak_queue,
+                   MemoryTraffic traffic, bool last, RowPartition &part)
 {
     // Roofline composition: row migrations ordered after the previous
     // round must land before this round's stream, so their bytes bill to
@@ -317,8 +347,9 @@ RoundCore::account(const RoundRecord &rec, MemoryTraffic traffic,
     stats.idealCycles += (round_tasks + P - 1) / P;
     stats.rawStalls += rec.rawStallDelta;
     // Peaks fold from per-round maxima: a replayed round repeats the
-    // dynamics of the stepped round that produced its record.
-    stats.peakQueueDepth = std::max(stats.peakQueueDepth, rec.peakQueue);
+    // dynamics of the stepped round that produced its record, up to the
+    // cursor-dependent queue peak that replay() rebuilt.
+    stats.peakQueueDepth = std::max(stats.peakQueueDepth, peak_queue);
     stats.peakNetworkDepth = std::max(stats.peakNetworkDepth, rec.peakNet);
 
     // The rebalance policy auto-tunes the row map for the next round; it
@@ -414,8 +445,11 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
     // Replay a round whose entry state was simulated before instead of
     // event-stepping it again: the batched engine's within-run memo
     // (hash-bucketed, exact key compare; lock-free) first, then (both
-    // engines) the process-wide shared cache (DESIGN.md §13).
+    // engines) the process-wide shared cache (DESIGN.md §13). The memo
+    // keys on the cursors; the shared cache drops them under
+    // cursorFreeKey and rebuilds them from the record's cursor table.
     const bool batched = cfg_.engine == EngineKind::Batched;
+    const bool cursor_free = cursorFreeKey(cfg_);
     std::unordered_map<std::uint64_t,
                        std::vector<std::pair<
                            RoundEntryKey, std::shared_ptr<const RoundRecord>>>>
@@ -428,12 +462,10 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
         std::shared_ptr<const RoundRecord> record;
         bool local_hit = false;
         std::uint64_t h = 0;
-        RoundEntryKey key;
-        if (batched || shared_on) {
-            key = core.entryKey(partition);
-            h = hashRoundKey(key);
-        }
+        RoundEntryKey key;  // the within-run memo's
         if (batched) {
+            key = core.entryKey(partition, /*with_cursors=*/true);
+            h = hashRoundKey(key);
             for (const auto &entry : local[h]) {
                 if (entry.first == key) {
                     record = entry.second;
@@ -442,15 +474,20 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
                 }
             }
         }
-        if (record == nullptr && shared_on)
-            record = shared.lookup(shared_ctx, key);
+        RoundEntryKey shared_key;
+        if (record == nullptr && shared_on) {
+            shared_key = core.entryKey(partition, !cursor_free);
+            record = shared.lookup(shared_ctx, shared_key);
+        }
+        std::size_t peak_queue = 0;
         if (record != nullptr) {
-            core.replay(*record);
+            peak_queue = core.replay(*record);
         } else {
             record = std::make_shared<RoundRecord>(core.step(
                 a.rowId(), dense_scan ? &scan_pos : nullptr, scan_width,
-                partition));
-            if (shared_on) shared.insert(shared_ctx, key, record);
+                partition, shared_on && cursor_free));
+            peak_queue = record->peakQueue;
+            if (shared_on) shared.insert(shared_ctx, shared_key, record);
         }
         // Charged per round the within-run memo missed (every round for
         // the event engine), so counts are bit-identical with the shared
@@ -459,7 +496,8 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
             ++core.stats.roundsSimulated;
             if (batched) local[h].emplace_back(key, record);
         }
-        core.account(*record, steady_traffic, k + 1 == cols, partition);
+        core.account(*record, peak_queue, steady_traffic, k + 1 == cols,
+                     partition);
     }
     return core.finish();
 }
@@ -495,6 +533,7 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
     core.stats.rounds = K;
     RoundStateCache &shared = RoundStateCache::instance();
     const bool shared_on = shared.enabled();
+    const bool cursor_free = cursorFreeKey(cfg_);
     std::vector<Index> rows;
     for (Index k = 0; k < K; ++k) {
         // Round-k task stream: B column k's non-zeros in ascending inner
@@ -524,13 +563,14 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
             admitted = shared.admit(stream);
         }
         if (admitted) {
-            key = core.entryKey(partition);
+            key = core.entryKey(partition, !cursor_free);
             cached = shared.lookup(stream, key);
         }
         RoundRecord stepped;
         const RoundRecord *rec = cached.get();
+        std::size_t peak_queue = 0;
         if (rec != nullptr) {
-            core.replay(*rec);
+            peak_queue = core.replay(*rec);
         } else {
             rows.clear();
             for (Count p = b_begin; p < b_end; ++p) {
@@ -539,8 +579,10 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
                 rows.insert(rows.end(), a.rowId().begin() + a.colPtr()[j],
                             a.rowId().begin() + a.colPtr()[j + 1]);
             }
-            stepped = core.step(rows, nullptr, 0, partition);
+            stepped = core.step(rows, nullptr, 0, partition,
+                                admitted && cursor_free);
             rec = &stepped;
+            peak_queue = stepped.peakQueue;
             if (admitted)
                 shared.insert(stream, key,
                               std::make_shared<RoundRecord>(stepped));
@@ -554,7 +596,7 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
         // column, and the written sparse C column (values + row ids).
         const MemoryTraffic traffic = core.mem.spgemmRoundTraffic(
             tasks, b_end - b_begin, c.colPtr()[kk + 1] - c.colPtr()[kk]);
-        core.account(*rec, traffic, k + 1 == K, partition);
+        core.account(*rec, peak_queue, traffic, k + 1 == K, partition);
     }
     return {std::move(c), core.finish()};
 }

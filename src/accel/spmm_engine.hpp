@@ -68,9 +68,12 @@ struct SpmmStats
     std::size_t peakQueueDepth = 0;    ///< worst per-PE TQ occupancy
     std::size_t peakNetworkDepth = 0;  ///< worst Omega buffer occupancy
     Count rounds = 0;
-    /** Rounds that were event-stepped: == rounds for EngineKind::Event;
-     *  smaller under EngineKind::Batched whenever cached round-entry
-     *  states were replayed instead of simulated. */
+    /** Rounds the batched engine's within-run memo missed: == rounds
+     *  for EngineKind::Event and for executeSpgemm; smaller under
+     *  EngineKind::Batched when the memo replayed a round. A replay
+     *  from the shared round cache still counts, so the value is the
+     *  same with that cache on or off; it is not the number of rounds
+     *  actually event-stepped. */
     Count roundsSimulated = 0;
     Count rowsSwitched = 0;    ///< rows moved by remote switching
     Count convergedRound = -1; ///< auto-tuning convergence round

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the accelerator building blocks: configuration factory,
  * row partition, PE (RaW hazards, arbitration, issue timing, idle ticks,
- * occupancy counters), local sharing policy, and the remote-switching
- * controller (Eq. 5 dynamics and convergence).
+ * occupancy counters), the per-entry-cursor queue models, local sharing
+ * policy, and the remote-switching controller (Eq. 5 dynamics and
+ * convergence).
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <numeric>
 
 #include "accel/config.hpp"
+#include "accel/cursor_models.hpp"
 #include "accel/local_share.hpp"
 #include "accel/pe.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/row_map.hpp"
+#include "common/rng.hpp"
 
 using namespace awb;
 
@@ -90,6 +93,21 @@ TEST(RowPartition, SwapRows)
     EXPECT_TRUE(part.consistent());
     EXPECT_EQ(part.rowsOf(0).size(), 4u);
     EXPECT_EQ(part.rowsOf(1).size(), 4u);
+}
+
+// A non-positive row or PE count is refused with fatal(), not with the
+// std::length_error a negative size would throw from a vector.
+TEST(RowPartitionDeath, NonPositiveSizesAreRefused)
+{
+    const char *msg = "RowPartition: rows and PEs must be positive";
+    EXPECT_EXIT(RowPartition(10, -1, RowMapPolicy::Blocked),
+                ::testing::ExitedWithCode(1), msg);
+    EXPECT_EXIT(RowPartition(-5, 4, RowMapPolicy::Cyclic),
+                ::testing::ExitedWithCode(1), msg);
+    EXPECT_EXIT(RowPartition(0, 4, RowMapPolicy::Blocked),
+                ::testing::ExitedWithCode(1), msg);
+    EXPECT_EXIT(RowPartition(std::vector<int>{0, 1}, -2),
+                ::testing::ExitedWithCode(1), msg);
 }
 
 TEST(Pe, ExecutesAndAccumulates)
@@ -226,6 +244,57 @@ TEST(Pe, PendingIsEnqueuedMinusIssued)
     }
     EXPECT_EQ(pe.pending(), 0u);
     EXPECT_GT(pe.rawStallCycles(), 0);
+}
+
+// CursorModels against real PEs: one single-cycle-MAC Pe per entry
+// cursor, all fed the same random accept/issue sequence. The table must
+// hold each Pe's exit cursor and round peak, whichever of them is the
+// stepped PE, across the drains that regroup the copies. A burst builds
+// the round's peak first; the sparser tail drains often, so the peak
+// must survive the regroups.
+TEST(CursorModels, MatchOnePePerEntryCursor)
+{
+    for (int queues : {1, 2, 4, 8}) {
+        for (std::size_t depth : {0, 1, 3}) {
+            SCOPED_TRACE("queues " + std::to_string(queues) + " depth " +
+                         std::to_string(depth));
+            const auto Q = static_cast<std::size_t>(queues);
+            std::vector<Pe> ref;
+            for (std::size_t c = 0; c < Q; ++c) {
+                ref.emplace_back(0, queues, depth, 1);
+                ref.back().setArbiterCursor(c);
+            }
+            CursorModels models;
+            models.begin(1, Q, depth);
+            Rng rng(Q * 16 + depth);
+            Cycle now = 0;
+            auto issueAll = [&] {
+                for (Pe &pe : ref) ASSERT_TRUE(pe.tick(now));
+                models.issue(0);
+            };
+            for (Index op = 0; op < 600; ++op, ++now) {
+                const double accept = op < 150 ? 0.7 : 0.35;
+                if (ref[0].canAccept() && rng.nextBool(accept)) {
+                    std::size_t joined = 0;
+                    for (Pe &pe : ref) joined = pe.enqueue({op, 0});
+                    models.enqueue(0, joined);
+                } else if (ref[0].pending() > 0) {
+                    issueAll();
+                }
+            }
+            for (; ref[0].pending() > 0; ++now) issueAll();
+
+            for (std::size_t e = 0; e < Q; ++e) {
+                const std::vector<CursorOutcome> table =
+                    models.finish({ref[e]}, {e});
+                for (std::size_t c = 0; c < Q; ++c) {
+                    EXPECT_EQ(table[c].exit, ref[c].arbiterCursor()) << c;
+                    EXPECT_EQ(table[c].peak, ref[c].roundPeakQueueDepth())
+                        << c;
+                }
+            }
+        }
+    }
 }
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)

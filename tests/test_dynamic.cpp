@@ -369,6 +369,17 @@ TEST(DynamicRunner, IdenticalRunsAreDeterministic)
     }
 }
 
+// DynamicRunner builds its partition before validating the config, so
+// the partition's own check must refuse a bad PE count cleanly.
+TEST(DynamicRunnerDeath, NegativePeCountIsRefused)
+{
+    const CscMatrix a = smallAdjacency();
+    AccelConfig cfg = makePolicyConfig("baseline", 8);
+    cfg.numPes = -1;
+    EXPECT_EXIT(DynamicRunner(cfg, a, ChurnParams{}, DynamicOptions{}),
+                ::testing::ExitedWithCode(1), "must be positive");
+}
+
 TEST(DynamicRunner, ModelAndCycleShareTheChurnTrajectory)
 {
     const CscMatrix a = smallAdjacency();

@@ -7,7 +7,8 @@
  *  - the cycle engine's functional exactness and exact task delivery are
  *    insensitive to every distribution-path knob (queue counts/depths,
  *    scan width, inject width, network speedup/buffers, MAC latency),
- *    and each knob's timing fields match a recorded digest;
+ *    and each knob's timing fields match a recorded digest, with the
+ *    shared round cache off, cold and warm;
  *  - water-filling monotonicity and bounds;
  *  - workload conservation under arbitrary remote-switching sequences;
  *  - randomized CSR/CSC churn mutation: structural invariants and
@@ -26,6 +27,7 @@
 #include "accel/omega.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/rebalance.hpp"
+#include "accel/round_cache.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "dynamic/churn.hpp"
@@ -140,31 +142,37 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     b.fillUniform(rng, -1.0f, 1.0f);
     auto golden = spmmCsc(a, b);
 
-    Digest timing;
-    for (TdqKind kind :
-         {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc}) {
-        // Remote-D exercises sharing and row moves; the baseline pins
-        // every task to its home PE, so per-PE counts are exact too.
-        for (Design design : {Design::RemoteD, Design::Baseline}) {
-            SCOPED_TRACE(std::string(kc.name) +
-                         " kind=" + std::to_string(static_cast<int>(kind)) +
-                         " design=" +
-                         std::to_string(static_cast<int>(design)));
-            AccelConfig cfg = makeConfig(design, 8);
-            kc.apply(cfg);
-            RowPartition part(60, 8, cfg.mapPolicy);
-            auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
-            EXPECT_LT(golden.maxAbsDiff(c), 1e-4);
-            expectExactDelivery(a, 5, cfg, part, stats);
-            timing.add(static_cast<std::uint64_t>(stats.cycles));
-            timing.addAll(stats.roundCycles);
-            timing.addAll(stats.perPeTasks);
-            timing.add(static_cast<std::uint64_t>(stats.rawStalls));
-            timing.add(stats.peakQueueDepth);
-            timing.add(stats.peakNetworkDepth);
-            timing.add(static_cast<std::uint64_t>(stats.rowsSwitched));
-        }
-    }
+    // One run's timing fields, folded into `timing`.
+    auto addRun = [&](TdqKind kind, Design design, EngineKind engine,
+                      Digest &timing) {
+        SCOPED_TRACE(std::string(kc.name) +
+                     " kind=" + std::to_string(static_cast<int>(kind)) +
+                     " design=" + std::to_string(static_cast<int>(design)));
+        AccelConfig cfg = makeConfig(design, 8);
+        kc.apply(cfg);
+        cfg.engine = engine;
+        RowPartition part(60, 8, cfg.mapPolicy);
+        auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
+        EXPECT_LT(golden.maxAbsDiff(c), 1e-4);
+        expectExactDelivery(a, 5, cfg, part, stats);
+        timing.add(static_cast<std::uint64_t>(stats.cycles));
+        timing.addAll(stats.roundCycles);
+        timing.addAll(stats.perPeTasks);
+        timing.add(static_cast<std::uint64_t>(stats.rawStalls));
+        timing.add(stats.peakQueueDepth);
+        timing.add(stats.peakNetworkDepth);
+        timing.add(static_cast<std::uint64_t>(stats.rowsSwitched));
+    };
+    // Both TDQ paths. Remote-D exercises sharing and row moves; the
+    // baseline pins every task to its home PE, so per-PE counts are
+    // exact too.
+    auto digestRuns = [&](EngineKind engine) {
+        Digest timing;
+        for (TdqKind kind : {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc})
+            for (Design design : {Design::RemoteD, Design::Baseline})
+                addRun(kind, design, engine, timing);
+        return timing.h;
+    };
     // Every timing field of the four runs, recorded per knob case before
     // the event step was made work-proportional. Bounded queues, deep
     // MAC, slow inject and one receive port never run in the default
@@ -174,8 +182,32 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
         0xf88a5d681697983eULL, 0xbfb82f947e135f17ULL, 0xddc5c92f1f197084ULL,
         0x817cbbfbeac5c03bULL, 0xcf7e05a9aa0094adULL, 0x2f0b8f41ac990e4fULL,
     };
-    EXPECT_EQ(timing.h, recorded[static_cast<std::size_t>(GetParam())])
-        << kc.name << " 0x" << std::hex << timing.h;
+    const std::uint64_t want = recorded[static_cast<std::size_t>(GetParam())];
+    const std::uint64_t off = digestRuns(EngineKind::Event);
+    EXPECT_EQ(off, want) << kc.name << " 0x" << std::hex << off;
+
+    // The same digest with the shared round cache on: cold, warm, and
+    // warm under the batched engine's within-run memo. These knobs are
+    // where the cursor-free key's argument has edges (DESIGN.md §13).
+    struct CacheOn
+    {
+        CacheOn()
+        {
+            RoundStateCache::instance().clear();
+            RoundStateCache::instance().setEnabled(true);
+        }
+        ~CacheOn()
+        {
+            RoundStateCache::instance().setEnabled(false);
+            RoundStateCache::instance().clear();
+        }
+    } cache_on;
+    const std::uint64_t cold = digestRuns(EngineKind::Event);
+    EXPECT_EQ(cold, want) << kc.name << " cold 0x" << std::hex << cold;
+    const std::uint64_t warm = digestRuns(EngineKind::Event);
+    EXPECT_EQ(warm, want) << kc.name << " warm 0x" << std::hex << warm;
+    const std::uint64_t memo = digestRuns(EngineKind::Batched);
+    EXPECT_EQ(memo, want) << kc.name << " batched 0x" << std::hex << memo;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKnobs, EngineKnobs, ::testing::Range(0, 9));
