@@ -11,6 +11,7 @@
 
 #include "accel/omega.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "graph/datasets.hpp"
@@ -96,7 +97,7 @@ void
 BM_CycleEngineCora(benchmark::State &state)
 {
     auto ds = loadSyntheticByName("cora", 1, 0.2);
-    AccelConfig cfg = makeConfig(Design::RemoteD, 32);
+    AccelConfig cfg = makePolicyConfig("remote-d", 32);
     Rng rng(4);
     DenseMatrix b(ds.spec.nodes, 4);
     b.fillUniform(rng, -1.0f, 1.0f);
@@ -112,7 +113,7 @@ void
 BM_RoundModelFullCora(benchmark::State &state)
 {
     auto prof = loadProfile(findDataset("cora"), 1, 1.0);
-    AccelConfig cfg = makeConfig(Design::RemoteD, 1024);
+    AccelConfig cfg = makePolicyConfig("remote-d", 1024);
     for (auto _ : state) {
         auto res = PerfModel(cfg).runGcn(prof);
         benchmark::DoNotOptimize(res.totalCycles);

@@ -11,15 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "accel/config.hpp"
+#include "accel/policy.hpp"
 #include "graph/datasets.hpp"
 
 namespace awb::bench {
 
-/** The paper's five evaluation design points (Fig. 14 legend order). */
-inline const std::vector<Design> kFig14Designs = {
-    Design::Baseline, Design::LocalA, Design::LocalB, Design::RemoteC,
-    Design::RemoteD,
+/** Registry names of the paper's five evaluation design points (Fig. 14
+ *  legend order). */
+inline const std::vector<std::string> kFig14Designs = {
+    "baseline", "local-a", "local-b", "remote-c", "remote-d",
 };
 
 /** Uppercase dataset label as the paper prints it. */

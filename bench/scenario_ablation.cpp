@@ -46,8 +46,8 @@ runAblation(driver::ScenarioContext &ctx)
         Table t({"dataset", "variant", "cycles", "util", "rows switched"});
         for (const auto *p : {&cora, &nell}) {
             for (bool approx : {false, true}) {
-                AccelConfig cfg = makeConfig(Design::RemoteD, 1024,
-                                             hopBase(p->spec));
+                AccelConfig cfg = makePolicyConfig("remote-d", 1024,
+                                                   hopBase(p->spec));
                 cfg.approximateEq5 = approx;
                 auto res = runModel(*p, cfg);
                 Count switched = 0;
@@ -68,7 +68,7 @@ runAblation(driver::ScenarioContext &ctx)
         Table t({"window", "cycles", "util"});
         for (int w : {1, 2, 4, 8}) {
             AccelConfig cfg =
-                makeConfig(Design::RemoteD, 1024, hopBase(nell.spec));
+                makePolicyConfig("remote-d", 1024, hopBase(nell.spec));
             cfg.trackingWindow = w;
             auto res = runModel(nell, cfg);
             t.addRow({std::to_string(w),
@@ -84,7 +84,7 @@ runAblation(driver::ScenarioContext &ctx)
         for (const auto *p : {&cora, &nell}) {
             for (RowMapPolicy pol :
                  {RowMapPolicy::Blocked, RowMapPolicy::Cyclic}) {
-                AccelConfig cfg = makeConfig(Design::Baseline, 1024);
+                AccelConfig cfg = makePolicyConfig("baseline", 1024);
                 cfg.mapPolicy = pol;
                 auto res = runModel(*p, cfg);
                 t.addRow({bench::datasetLabel(p->spec),
@@ -111,7 +111,7 @@ runAblation(driver::ScenarioContext &ctx)
         Table t({"speedup", "buffer", "cycles", "util",
                  "blocked moves"});
         for (int sp : {1, 2, 4, 8}) {
-            AccelConfig cfg = makeConfig(Design::LocalB, 32);
+            AccelConfig cfg = makePolicyConfig("local-b", 32);
             cfg.networkSpeedup = sp;
             RowPartition part(ds.spec.nodes, 32, cfg.mapPolicy);
             SpmmStats stats = SpmmEngine(cfg)

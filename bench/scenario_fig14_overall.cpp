@@ -51,16 +51,18 @@ runFig14Overall(driver::ScenarioContext &ctx)
         const auto &paper = paper_util.at(spec.name);
         driver::Json ds_json = driver::Json::object();
         for (std::size_t d = 0; d < bench::kFig14Designs.size(); ++d) {
-            AccelConfig cfg = makeConfig(bench::kFig14Designs[d], 512,
-                                         hopBase(spec));
+            const std::string &policy = bench::kFig14Designs[d];
+            AccelConfig cfg = makePolicyConfig(policy, 512, hopBase(spec));
+            const std::string &label =
+                PolicyRegistry::instance().get(policy).label;
             auto res = PerfModel(cfg).runGcn(prof);
             if (d == 0) base_total = res.totalCycles;
             driver::Json dj = driver::Json::object();
             dj.set("cycles", res.totalCycles);
             dj.set("utilization", res.utilization);
             dj.set("paper_utilization", paper[d] / 100.0);
-            ds_json.set(designName(bench::kFig14Designs[d]), std::move(dj));
-            t.addRow({designName(bench::kFig14Designs[d]),
+            ds_json.set(label, std::move(dj));
+            t.addRow({label,
                       humanCount(static_cast<double>(
                           res.layers[0].pipelinedCycles)),
                       humanCount(static_cast<double>(

@@ -31,8 +31,8 @@ runFig14Resources(driver::ScenarioContext &ctx)
         Table t({"design", "peak TQ depth", "TQ CLB", "other CLB",
                  "total CLB", "vs baseline"});
         double base_total = 0.0;
-        for (Design d : bench::kFig14Designs) {
-            AccelConfig cfg = makeConfig(d, 512, hopBase(spec));
+        for (const std::string &d : bench::kFig14Designs) {
+            AccelConfig cfg = makePolicyConfig(d, 512, hopBase(spec));
             auto res = PerfModel(cfg).runGcn(prof);
             std::size_t depth = 0;
             for (const auto &layer : res.layers) {
@@ -40,8 +40,9 @@ runFig14Resources(driver::ScenarioContext &ctx)
                 depth = std::max(depth, layer.ax.peakQueueDepth);
             }
             auto area = estimateArea(cfg, depth);
-            if (d == Design::Baseline) base_total = area.totalClb;
-            t.addRow({designName(d), std::to_string(depth),
+            if (d == "baseline") base_total = area.totalClb;
+            t.addRow({PolicyRegistry::instance().get(d).label,
+                      std::to_string(depth),
                       humanCount(area.tqClb), humanCount(area.otherClb),
                       humanCount(area.totalClb),
                       percent(area.totalClb / base_total)});

@@ -26,8 +26,8 @@ runFig14Spmm(driver::ScenarioContext &ctx)
         const WorkloadProfile &prof = *prof_p;
         std::printf("\n%s:\n", bench::datasetLabel(spec).c_str());
         Table t({"design", "SPMM", "ideal", "sync", "total", "util"});
-        for (Design d : bench::kFig14Designs) {
-            AccelConfig cfg = makeConfig(d, 512, hopBase(spec));
+        for (const std::string &d : bench::kFig14Designs) {
+            AccelConfig cfg = makePolicyConfig(d, 512, hopBase(spec));
             auto res = PerfModel(cfg).runGcn(prof);
             const struct
             {
@@ -40,7 +40,7 @@ runFig14Spmm(driver::ScenarioContext &ctx)
                 {"L2 A*(XW)", &res.layers[1].ax},
             };
             for (const auto &s : spmms) {
-                t.addRow({designName(d), s.name,
+                t.addRow({PolicyRegistry::instance().get(d).label, s.name,
                           humanCount(static_cast<double>(s.r->idealCycles)),
                           humanCount(static_cast<double>(s.r->syncCycles)),
                           humanCount(static_cast<double>(s.r->cycles)),

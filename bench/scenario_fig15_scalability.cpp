@@ -32,10 +32,9 @@ runFig15(driver::ScenarioContext &ctx)
         Table t({"design", "PEs", "cycles", "speedup", "util",
                  "area (CLB)"});
         double base512 = 0.0;
-        for (Design d :
-             {Design::Baseline, Design::LocalA, Design::RemoteC}) {
+        for (const std::string d : {"baseline", "local-a", "remote-c"}) {
             for (int pes : pe_counts) {
-                AccelConfig cfg = makeConfig(d, pes, hopBase(spec));
+                AccelConfig cfg = makePolicyConfig(d, pes, hopBase(spec));
                 auto res = PerfModel(cfg).runGcn(prof);
                 std::size_t depth = 0;
                 for (const auto &layer : res.layers) {
@@ -43,9 +42,10 @@ runFig15(driver::ScenarioContext &ctx)
                     depth = std::max(depth, layer.ax.peakQueueDepth);
                 }
                 auto area = estimateArea(cfg, depth);
-                if (d == Design::Baseline && pes == 512)
+                if (d == "baseline" && pes == 512)
                     base512 = static_cast<double>(res.totalCycles);
-                t.addRow({designName(d), std::to_string(pes),
+                t.addRow({PolicyRegistry::instance().get(d).label,
+                          std::to_string(pes),
                           humanCount(static_cast<double>(res.totalCycles)),
                           fixed(base512 /
                                 static_cast<double>(res.totalCycles), 2) +

@@ -64,15 +64,15 @@ runCase(const char *label, const CooMatrix &coo)
 
     Table t({"design", "cycles", "cycles/column", "vs ideal", "PE util"});
     Cycle ideal = 0;
-    for (Design d : {Design::Baseline, Design::LocalA, Design::LocalB,
-                     Design::RemoteC, Design::RemoteD}) {
-        AccelConfig cfg = makeConfig(d, 8);
+    for (const std::string &d : bench::kFig14Designs) {
+        AccelConfig cfg = makePolicyConfig(d, 8);
         RowPartition part(32, 8, cfg.mapPolicy);
         SpmmStats stats = SpmmEngine(cfg)
                               .execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                               .stats;
-        if (d == Design::Baseline) ideal = stats.idealCycles;
-        t.addRow({designName(d), std::to_string(stats.cycles),
+        if (d == "baseline") ideal = stats.idealCycles;
+        t.addRow({PolicyRegistry::instance().get(d).label,
+                  std::to_string(stats.cycles),
                   fixed(static_cast<double>(stats.cycles) /
                         static_cast<double>(stats.rounds), 1),
                   fixed(static_cast<double>(stats.cycles) /

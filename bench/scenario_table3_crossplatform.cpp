@@ -52,7 +52,6 @@ runTable3(driver::ScenarioContext &ctx)
             accel_platform = findPlatform(a.substr(9)).name;
     }
 
-    const double kFpgaMhz = 275.0, kEieMhz = 285.0;
     Table t({"dataset", "platform", "freq", "latency (ms)",
              "inference/kJ", "bw-bound", "AWB speedup"});
     double sum_cpu = 0, sum_gpu = 0, sum_base = 0, sum_eie = 0;
@@ -92,21 +91,22 @@ runTable3(driver::ScenarioContext &ctx)
             Count bwBoundRounds = 0;
             Count rounds = 0;
         };
-        auto run_design = [&](Design d, double mhz) {
-            AccelConfig cfg = makeConfig(d, 1024, hopBase(spec));
+        auto run_design = [&](const std::string &policy) {
+            AccelConfig cfg = makePolicyConfig(policy, 1024, hopBase(spec));
             cfg.platform = accel_platform;
             auto res = PerfModel(cfg).runGcn(prof);
             AccelRow r;
             r.energy =
-                evaluateEnergy(res.totalCycles, res.totalTasks, mhz);
+                evaluateEnergy(res.totalCycles, res.totalTasks,
+                               policyClockMhz(cfg));
             r.bwBoundRounds = res.bwBoundRounds;
             for (const auto &layer : res.layers)
                 r.rounds += layer.xw.rounds + layer.ax.rounds;
             return r;
         };
-        auto eie = run_design(Design::EieLike, kEieMhz);
-        auto base = run_design(Design::Baseline, kFpgaMhz);
-        auto awb = run_design(Design::RemoteD, kFpgaMhz);
+        auto eie = run_design("eie-like");
+        auto base = run_design("baseline");
+        auto awb = run_design("remote-d");
 
         auto row = [&](const char *platform, const char *freq,
                        const EnergyReport &r, const AccelRow *accel) {

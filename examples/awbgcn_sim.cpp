@@ -3,14 +3,16 @@
  * Command-line simulator driver: run any dataset x design x PE-count
  * configuration in either fidelity and print a full report (per-SPMM
  * cycles, utilization, Fig. 10-style per-PE heat maps, latency/energy at
- * 275 MHz), optionally saving/restoring the auto-tuned row map.
+ * the design's clock), optionally saving/restoring the auto-tuned row map.
  *
  * Usage:
  *   awbgcn_sim [--dataset cora|citeseer|pubmed|nell|reddit]
- *              [--design base|a|b|c|d|eie] [--pes N] [--scale S]
+ *              [--design POLICY] [--pes N] [--scale S]
  *              [--mode model|cycle] [--seed N]
  *              [--save-map FILE] [--load-map FILE]
  *
+ * `--design` takes any registered balance policy or alias (base, a, b,
+ * c, d, eie, work-steal, ...; `awbsim --list-designs` shows them all).
  * `--mode model` (default) runs the round-level performance model at any
  * scale; `--mode cycle` runs the cycle-accurate engine (use --scale to
  * keep it tractable).
@@ -22,6 +24,7 @@
 
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/report.hpp"
 #include "common/log.hpp"
 #include "gcn/reference.hpp"
@@ -32,22 +35,10 @@ using namespace awb;
 
 namespace {
 
-Design
-parseDesign(const std::string &s)
-{
-    if (s == "base") return Design::Baseline;
-    if (s == "a") return Design::LocalA;
-    if (s == "b") return Design::LocalB;
-    if (s == "c") return Design::RemoteC;
-    if (s == "d") return Design::RemoteD;
-    if (s == "eie") return Design::EieLike;
-    fatal("unknown design '" + s + "' (base|a|b|c|d|eie)");
-}
-
 struct Options
 {
     std::string dataset = "cora";
-    Design design = Design::RemoteD;
+    std::string design = "remote-d";
     int pes = 512;
     double scale = 1.0;
     bool cycleMode = false;
@@ -69,7 +60,7 @@ parseArgs(int argc, char **argv)
         if (a == "--dataset") {
             opt.dataset = need("--dataset");
         } else if (a == "--design") {
-            opt.design = parseDesign(need("--design"));
+            opt.design = need("--design");
         } else if (a == "--pes") {
             opt.pes = std::stoi(need("--pes"));
         } else if (a == "--scale") {
@@ -109,12 +100,12 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
     const DatasetSpec &spec = findDataset(opt.dataset);
-    int hop_base = spec.hopOverride > 0 ? spec.hopOverride : 1;
-    AccelConfig cfg = makeConfig(opt.design, opt.pes, hop_base);
+    AccelConfig cfg = makePolicyConfig(opt.design, opt.pes, hopBase(spec));
 
     std::printf("AWB-GCN simulator — %s on %s (%d PEs, scale %.2f, %s)\n",
-                designName(opt.design).c_str(), spec.name.c_str(), opt.pes,
-                opt.scale, opt.cycleMode ? "cycle-accurate" : "round model");
+                PolicyRegistry::instance().get(opt.design).label.c_str(),
+                spec.name.c_str(), opt.pes, opt.scale,
+                opt.cycleMode ? "cycle-accurate" : "round model");
 
     Cycle total = 0;
     Count tasks = 0;
@@ -156,10 +147,11 @@ main(int argc, char **argv)
         tasks = run.totalTasks;
     }
 
-    auto energy = evaluateEnergy(total, tasks, 275.0);
-    std::printf("\ntotal: %lld cycles -> %.4f ms at 275 MHz, "
+    const double mhz = policyClockMhz(cfg);
+    auto energy = evaluateEnergy(total, tasks, mhz);
+    std::printf("\ntotal: %lld cycles -> %.4f ms at %g MHz, "
                 "%.3g inferences/kJ\n",
-                static_cast<long long>(total), energy.latencyMs,
+                static_cast<long long>(total), energy.latencyMs, mhz,
                 energy.inferencesPerKj);
 
     // Row-map persistence demo: save/restore a tuned adjacency map.

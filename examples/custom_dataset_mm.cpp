@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "common/rng.hpp"
 #include "gcn/reference.hpp"
 #include "graph/generator.hpp"
@@ -75,7 +76,7 @@ main(int argc, char **argv)
     ds.adjacency = a_hat;
     ds.features = features;
 
-    GcnRunResult run = runGcn(makeConfig(Design::RemoteD, 32), ds, model);
+    GcnRunResult run = runGcn(makePolicyConfig("remote-d", 32), ds, model);
     InferenceResult golden = inferGcn(ds.adjacency, ds.features, model);
 
     std::printf("inference done: %lld cycles, util %.1f%%, "

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "common/table.hpp"
 #include "driver/scenario.hpp"
 #include "graph/datasets.hpp"
@@ -43,18 +44,18 @@ runCitationNetwork(driver::ScenarioContext &ctx)
              "area (CLB)"});
     const int pes = 512;
     Cycle base = 0;
-    for (Design d : {Design::Baseline, Design::LocalA, Design::LocalB,
-                     Design::RemoteC, Design::RemoteD}) {
-        AccelConfig cfg = makeConfig(d, pes, hopBase(spec));
+    for (const std::string d :
+         {"baseline", "local-a", "local-b", "remote-c", "remote-d"}) {
+        AccelConfig cfg = makePolicyConfig(d, pes, hopBase(spec));
         auto res = PerfModel(cfg).runGcn(prof);
-        if (d == Design::Baseline) base = res.totalCycles;
+        if (d == "baseline") base = res.totalCycles;
         std::size_t depth = 0;
         for (const auto &layer : res.layers) {
             depth = std::max(depth, layer.xw.peakQueueDepth);
             depth = std::max(depth, layer.ax.peakQueueDepth);
         }
         auto area = estimateArea(cfg, depth);
-        t.addRow({designName(d),
+        t.addRow({PolicyRegistry::instance().get(d).label,
                   humanCount(static_cast<double>(res.totalCycles)),
                   fixed(static_cast<double>(base) /
                         static_cast<double>(res.totalCycles), 2) + "x",

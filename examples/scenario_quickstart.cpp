@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "driver/scenario.hpp"
 #include "gcn/reference.hpp"
 #include "graph/datasets.hpp"
@@ -38,12 +39,13 @@ runQuickstart(driver::ScenarioContext &ctx)
     InferenceResult golden = inferGcn(ds, model);
 
     // 4. Run the cycle-accurate accelerator in two configurations.
-    for (Design design : {Design::Baseline, Design::RemoteD}) {
-        GcnRunResult run = runGcn(makeConfig(design, /*num_pes=*/64), ds,
-                                  model);
+    for (const char *policy : {"baseline", "remote-d"}) {
+        GcnRunResult run =
+            runGcn(makePolicyConfig(policy, /*num_pes=*/64), ds, model);
 
         double err = run.output.maxAbsDiff(golden.output);
-        std::printf("\n%s (64 PEs):\n", designName(design).c_str());
+        std::printf("\n%s (64 PEs):\n",
+                    PolicyRegistry::instance().get(policy).label.c_str());
         std::printf("  total cycles (pipelined): %lld\n",
                     static_cast<long long>(run.totalCycles));
         std::printf("  PE utilization:           %.1f%%\n",

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "driver/scenario.hpp"
@@ -35,8 +36,8 @@ runSocialAutotune(driver::ScenarioContext &ctx)
     DenseMatrix activations(ds.spec.nodes, 32);
     activations.fillUniform(rng, -1.0f, 1.0f);
 
-    auto show = [&](Design d) {
-        AccelConfig cfg = makeConfig(d, 32, /*hop_base=*/2);
+    auto show = [&](const std::string &policy) {
+        AccelConfig cfg = makePolicyConfig(policy, 32, /*hop_base=*/2);
         RowPartition part(ds.spec.nodes, cfg.numPes, cfg.mapPolicy);
         SpmmStats stats = SpmmEngine(cfg)
                               .execute(ds.adjacency, activations,
@@ -44,7 +45,7 @@ runSocialAutotune(driver::ScenarioContext &ctx)
                               .stats;
         std::printf("%s: %lld cycles, util %.1f%%, rows switched %lld, "
                     "converged at round %lld\n",
-                    designName(d).c_str(),
+                    PolicyRegistry::instance().get(policy).label.c_str(),
                     static_cast<long long>(stats.cycles),
                     stats.utilization * 100.0,
                     static_cast<long long>(stats.rowsSwitched),
@@ -58,11 +59,11 @@ runSocialAutotune(driver::ScenarioContext &ctx)
         std::printf("\n\n");
     };
 
-    show(Design::Baseline);   // flat, slow rounds: the celebrity band
-                              // pins a couple of PEs at 100%
-    show(Design::LocalB);     // 3-hop sharing flattens the band locally
-    show(Design::RemoteD);    // remote switching keeps improving round by
-                              // round until the map converges
+    show("baseline");  // flat, slow rounds: the celebrity band pins a
+                       // couple of PEs at 100%
+    show("local-b");   // 3-hop sharing flattens the band locally
+    show("remote-d");  // remote switching keeps improving round by round
+                       // until the map converges
 
     std::printf("Watch Design(D)'s early rounds shrink as the Shuffling\n"
                 "Switches spread the celebrity rows, then hold steady: the\n"

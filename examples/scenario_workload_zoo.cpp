@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "driver/scenario.hpp"
 #include "gcn/model.hpp"
@@ -51,9 +52,9 @@ runWorkloadZoo(driver::ScenarioContext &ctx)
     bool all_exact = true;
     for (const auto &bundle : zoo) {
         DenseMatrix golden = sim::referenceEval(bundle);
-        for (Design design : {Design::Baseline, Design::RemoteD}) {
+        for (const char *policy : {"baseline", "remote-d"}) {
             sim::Session session(
-                makeConfig(design, 16, hopBase(ds.spec)));
+                makePolicyConfig(policy, 16, hopBase(ds.spec)));
             sim::CollectingSink sink;
             sim::SessionResult res =
                 sim::runWorkload(session, bundle, &sink);
@@ -61,7 +62,8 @@ runWorkloadZoo(driver::ScenarioContext &ctx)
             bool exact = err < 1e-3;
             all_exact = all_exact && exact;
             std::printf("%-18s %-10s %12lld %12lld %7.1f%% %6zu %s\n",
-                        bundle.name.c_str(), designName(design).c_str(),
+                        bundle.name.c_str(),
+                        PolicyRegistry::instance().get(policy).label.c_str(),
                         static_cast<long long>(res.totalCycles),
                         static_cast<long long>(res.totalCyclesSerial),
                         res.utilization * 100.0, sink.stats.size(),

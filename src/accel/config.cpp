@@ -25,20 +25,6 @@ parseEngineKind(const std::string &s)
 }
 
 std::string
-designName(Design d)
-{
-    switch (d) {
-      case Design::Baseline: return "Baseline";
-      case Design::LocalA:   return "Design(A)";
-      case Design::LocalB:   return "Design(B)";
-      case Design::RemoteC:  return "Design(C)";
-      case Design::RemoteD:  return "Design(D)";
-      case Design::EieLike:  return "EIE-like";
-    }
-    return "?";
-}
-
-std::string
 AccelConfig::validate(bool cycle_accurate_tdq2) const
 {
     if (numPes <= 0) return "numPes must be positive";
@@ -80,12 +66,6 @@ AccelConfig::validate(bool cycle_accurate_tdq2) const
         return "cycle-accurate TDQ-2 needs a power-of-two PE count "
                "(Omega network); use the round-level model otherwise";
     return "";
-}
-
-AccelConfig
-makeConfig(Design design, int num_pes, int hop_base)
-{
-    return makePolicyConfig(designPolicyName(design), num_pes, hop_base);
 }
 
 } // namespace awb

@@ -23,26 +23,6 @@ enum class RowMapPolicy
 };
 
 /**
- * Evaluated paper design points. Since the balance-policy redesign this
- * enum is a thin shorthand: each value names a policy registered in the
- * PolicyRegistry (accel/policy.hpp), and makeConfig() is a lookup over
- * that registry. Non-paper policies have no enum value — address them by
- * registry name (makePolicyConfig).
- */
-enum class Design
-{
-    Baseline,      ///< static equal partition, no rebalancing
-    LocalA,        ///< dynamic local sharing, base hops (1-hop)
-    LocalB,        ///< dynamic local sharing, base+1 hops (2-hop)
-    RemoteC,       ///< LocalA + dynamic remote switching
-    RemoteD,       ///< LocalB + dynamic remote switching
-    EieLike,       ///< EIE-style column-major forwarding, single TQ per PE
-};
-
-/** Printable design name matching the paper's legend. */
-std::string designName(Design d);
-
-/**
  * Which cycle-engine implementation executes an SPMM (DESIGN.md §6).
  *
  * Both produce bit-identical timing statistics (cycles, rowsSwitched,
@@ -63,12 +43,6 @@ std::string engineKindName(EngineKind e);
 
 /** Parse an engine name; fatal() with the valid set on an unknown one. */
 EngineKind parseEngineKind(const std::string &s);
-
-/** All six design points in evaluation order. */
-inline constexpr Design kAllDesigns[] = {
-    Design::Baseline, Design::LocalA, Design::LocalB,
-    Design::RemoteC,  Design::RemoteD, Design::EieLike,
-};
 
 /** Full accelerator configuration. */
 struct AccelConfig
@@ -107,9 +81,10 @@ struct AccelConfig
      *  only distinct round-entry states (DESIGN.md §6). */
     EngineKind engine = EngineKind::Event;
     /** Registered balance-policy name (accel/policy.hpp) driving the
-     *  initial partition and per-round rebalancing. Empty = derive from
-     *  the legacy fields (mapPolicy, remoteSwitching), which is what the
-     *  hand-built configs of tests and ablations rely on. */
+     *  initial partition and per-round rebalancing. Empty = derive both
+     *  from mapPolicy and remoteSwitching alone: DynamicRunner clears the
+     *  name on purpose so epochs run unbalanced at the policy's queue
+     *  shape and clock, and hand-built test configs rely on it. */
     std::string balancePolicy;
     /** Registered platform name (model/memory_model.hpp) bounding the
      *  off-chip bandwidth of both fidelities. Empty = `unconstrained`:
@@ -142,17 +117,5 @@ struct AccelConfig
      */
     std::string validate(bool cycle_accurate_tdq2 = false) const;
 };
-
-/**
- * Build the configuration for a paper design point: a thin lookup of the
- * design's registered policy (equivalent to
- * `makePolicyConfig(designPolicyName(design), num_pes, hop_base)`).
- *
- * @param design    design point
- * @param num_pes   PE-array size
- * @param hop_base  base hop distance (1 for most datasets; 2 for Nell, the
- *                  DatasetSpec::hopOverride)
- */
-AccelConfig makeConfig(Design design, int num_pes, int hop_base = 1);
 
 } // namespace awb

@@ -18,7 +18,7 @@ constexpr double kEieMhz = 285.0;   ///< EIE-like reference frequency
 
 // ------------------------------------------------- partition policies
 
-/** The enum-era static mappings (paper Fig. 6): blocked or cyclic. */
+/** The paper's static mappings (Fig. 6): blocked or cyclic. */
 class StaticMapPartition : public PartitionPolicy
 {
   public:
@@ -76,6 +76,38 @@ class DegreeSortedPartition : public PartitionPolicy
 };
 
 // ------------------------------------------------- rebalance policies
+
+/**
+ * Rebuild `partition` as contiguous row chunks of near-equal cumulative
+ * work: each row goes to the chunk holding its midpoint in prefix-sum
+ * space (split at total·p/P). Returns the rows whose owner changed; the
+ * partition is left untouched when that is 0 (a fixed point) or when
+ * there is no work to chunk.
+ */
+int
+rechunkEqualWork(const std::vector<Count> &row_work, RowPartition &partition)
+{
+    const int P = partition.numPes();
+    const Index n = partition.rows();
+    Count total = std::accumulate(row_work.begin(), row_work.end(),
+                                  Count(0));
+    if (total <= 0) return 0;
+
+    std::vector<int> owner(static_cast<std::size_t>(n), 0);
+    int moved = 0;
+    Count prefix = 0;
+    for (Index r = 0; r < n; ++r) {
+        Count w = row_work[static_cast<std::size_t>(r)];
+        // Monotonic in r, so chunks stay contiguous.
+        Count mid = prefix + w / 2;
+        int pe = static_cast<int>(std::min<Count>(P - 1, (mid * P) / total));
+        owner[static_cast<std::size_t>(r)] = pe;
+        if (partition.owner(r) != pe) ++moved;
+        prefix += w;
+    }
+    if (moved > 0) partition = RowPartition(std::move(owner), P);
+    return moved;
+}
 
 /**
  * Greedy round-level work stealing: each round the most-loaded PE (by
@@ -177,36 +209,12 @@ class PeriodicRechunkRebalance : public RebalancePolicy
     {
         ++round_;
         if (converged_ || round_ % period_ != 0) return 0;
-        const int P = partition.numPes();
-        const Index n = partition.rows();
-        Count total = std::accumulate(row_work.begin(), row_work.end(),
-                                      Count(0));
-        if (total <= 0) {
-            converged_ = true;
-            convergedRound_ = round_;
-            return 0;
-        }
-
-        std::vector<int> owner(static_cast<std::size_t>(n), 0);
-        int moved = 0;
-        Count prefix = 0;
-        for (Index r = 0; r < n; ++r) {
-            Count w = row_work[static_cast<std::size_t>(r)];
-            // Chunk of the row's midpoint in prefix-sum space; monotonic
-            // in r, so chunks stay contiguous.
-            Count mid = prefix + w / 2;
-            int pe = static_cast<int>(
-                std::min<Count>(P - 1, (mid * P) / total));
-            owner[static_cast<std::size_t>(r)] = pe;
-            if (partition.owner(r) != pe) ++moved;
-            prefix += w;
-        }
+        const int moved = rechunkEqualWork(row_work, partition);
         if (moved == 0) {
             converged_ = true;
             convergedRound_ = round_;
             return 0;
         }
-        partition = RowPartition(std::move(owner), P);
         totalMoved_ += moved;
         return moved;
     }
@@ -327,11 +335,11 @@ class DeltaRebalance : public RebalancePolicy
 
 /**
  * From-scratch baseline for the streaming experiments: every
- * observation rebuilds the contiguous equal-work chunking (the
- * PeriodicRechunkRebalance math with period 1 and no convergence
- * latch). Under a static workload the rebuild is a fixed point after
- * its first application; under churn it re-tunes completely each
- * epoch — the "retune from scratch" upper bound the delta policies
+ * observation rebuilds the contiguous equal-work chunking
+ * (rechunkEqualWork, as PeriodicRechunkRebalance with period 1 but no
+ * convergence latch). Under a static workload the rebuild is a fixed
+ * point after its first application; under churn it re-tunes completely
+ * each epoch — the "retune from scratch" upper bound the delta policies
  * are measured against.
  */
 class RescratchRebalance : public RebalancePolicy
@@ -341,25 +349,7 @@ class RescratchRebalance : public RebalancePolicy
                          const std::vector<Count> &row_work,
                          RowPartition &partition) override
     {
-        const int P = partition.numPes();
-        const Index n = partition.rows();
-        Count total = std::accumulate(row_work.begin(), row_work.end(),
-                                      Count(0));
-        if (total <= 0) return 0;
-        std::vector<int> owner(static_cast<std::size_t>(n), 0);
-        int moved = 0;
-        Count prefix = 0;
-        for (Index r = 0; r < n; ++r) {
-            Count w = row_work[static_cast<std::size_t>(r)];
-            Count mid = prefix + w / 2;
-            int pe = static_cast<int>(
-                std::min<Count>(P - 1, (mid * P) / total));
-            owner[static_cast<std::size_t>(r)] = pe;
-            if (partition.owner(r) != pe) ++moved;
-            prefix += w;
-        }
-        if (moved == 0) return 0;
-        partition = RowPartition(std::move(owner), P);
+        const int moved = rechunkEqualWork(row_work, partition);
         totalMoved_ += moved;
         return moved;
     }
@@ -374,16 +364,16 @@ class RescratchRebalance : public RebalancePolicy
 
 // ------------------------------------------------------------ helpers
 
-/** The enum-era derivation of the paper designs: partition from
+/** The field derivation of the paper designs: partition from
  *  cfg.mapPolicy, rebalancing from cfg.remoteSwitching. */
 std::unique_ptr<PartitionPolicy>
-legacyPartition(const AccelConfig &cfg)
+partitionFromFields(const AccelConfig &cfg)
 {
     return std::make_unique<StaticMapPartition>(cfg.mapPolicy);
 }
 
 std::unique_ptr<RebalancePolicy>
-legacyRebalance(const AccelConfig &cfg, Index rows)
+rebalanceFromFields(const AccelConfig &cfg, Index rows)
 {
     if (cfg.remoteSwitching)
         return std::make_unique<RemoteSwitchRebalance>(cfg, rows);
@@ -402,9 +392,10 @@ PolicyRegistry::instance()
 PolicyRegistry::PolicyRegistry()
 {
     // The six paper design points (§5.2 / Table 3). Their partition and
-    // rebalance factories are left empty on purpose: they inherit the
-    // legacy config-field derivation, so code that mutates mapPolicy /
-    // remoteSwitching after makeConfig keeps its enum-era meaning.
+    // rebalance factories are left empty on purpose: they derive both
+    // from the config fields, so code that mutates mapPolicy /
+    // remoteSwitching after makePolicyConfig (ablations) gets what the
+    // fields say.
     auto paper = [this](std::string name, std::string label,
                         std::string desc, std::vector<std::string> aliases,
                         std::function<void(AccelConfig &, int)> conf,
@@ -420,7 +411,7 @@ PolicyRegistry::PolicyRegistry()
     };
     paper("baseline", "Baseline",
           "static equal partition, no rebalancing (paper Fig. 6)",
-          {"base"}, [](AccelConfig &, int) {});
+          {"base"}, {});
     paper("local-a", "Design(A)",
           "dynamic local sharing, base hops (paper §4.1)", {"a"},
           [](AccelConfig &cfg, int hop_base) {
@@ -458,7 +449,6 @@ PolicyRegistry::PolicyRegistry()
         p.description = "static degree-sorted LPT partition: heaviest "
                         "rows spread greedily, no runtime rebalancing";
         p.aliases = {"degsort"};
-        p.configure = [](AccelConfig &, int) {};
         p.partition = [](const AccelConfig &) {
             return std::make_unique<DegreeSortedPartition>();
         };
@@ -471,7 +461,6 @@ PolicyRegistry::PolicyRegistry()
         p.description = "greedy round-level work stealing: the hottest PE "
                         "hands heaviest rows to the coldest each round";
         p.aliases = {"steal"};
-        p.configure = [](AccelConfig &, int) {};
         p.rebalance = [](const AccelConfig &, Index) {
             return std::make_unique<GreedyStealRebalance>();
         };
@@ -483,7 +472,6 @@ PolicyRegistry::PolicyRegistry()
         p.label = "Rechunk";
         p.description = "periodic contiguous re-chunking: rebuild "
                         "equal-work row chunks every 4 rounds";
-        p.configure = [](AccelConfig &, int) {};
         p.rebalance = [](const AccelConfig &, Index) {
             return std::make_unique<PeriodicRechunkRebalance>(4);
         };
@@ -501,7 +489,6 @@ PolicyRegistry::PolicyRegistry()
         p.description = "delta-reacting rebalance: only rows whose work "
                         "changed migrate, heaviest-first to the coldest PE";
         p.aliases = {"dgreedy"};
-        p.configure = [](AccelConfig &, int) {};
         p.rebalance = [](const AccelConfig &, Index) {
             return std::make_unique<DeltaRebalance>(1.0);
         };
@@ -514,7 +501,6 @@ PolicyRegistry::PolicyRegistry()
         p.description = "delta-reacting rebalance gated on imbalance: "
                         "acts once max PE load exceeds 1.15x the mean";
         p.aliases = {"dthresh"};
-        p.configure = [](AccelConfig &, int) {};
         p.rebalance = [](const AccelConfig &, Index) {
             return std::make_unique<DeltaRebalance>(1.15);
         };
@@ -527,7 +513,6 @@ PolicyRegistry::PolicyRegistry()
         p.description = "from-scratch streaming baseline: rebuild the "
                         "equal-work chunking at every observation";
         p.aliases = {"scratch"};
-        p.configure = [](AccelConfig &, int) {};
         p.rebalance = [](const AccelConfig &, Index) {
             return std::make_unique<RescratchRebalance>();
         };
@@ -607,20 +592,6 @@ PolicyRegistry::nearest(const std::string &s) const
     return nearestOf(s, candidates);
 }
 
-std::string
-designPolicyName(Design d)
-{
-    switch (d) {
-      case Design::Baseline: return "baseline";
-      case Design::LocalA:   return "local-a";
-      case Design::LocalB:   return "local-b";
-      case Design::RemoteC:  return "remote-c";
-      case Design::RemoteD:  return "remote-d";
-      case Design::EieLike:  return "eie-like";
-    }
-    return "?";
-}
-
 AccelConfig
 configureForPolicy(const BalancePolicy &spec, int num_pes, int hop_base)
 {
@@ -650,7 +621,7 @@ makePartitionPolicy(const AccelConfig &cfg)
             PolicyRegistry::instance().get(cfg.balancePolicy);
         if (spec.partition) return spec.partition(cfg);
     }
-    return legacyPartition(cfg);
+    return partitionFromFields(cfg);
 }
 
 std::unique_ptr<RebalancePolicy>
@@ -661,7 +632,7 @@ makeRebalancePolicy(const AccelConfig &cfg, Index rows)
             PolicyRegistry::instance().get(cfg.balancePolicy);
         if (spec.rebalance) return spec.rebalance(cfg, rows);
     }
-    return legacyRebalance(cfg, rows);
+    return rebalanceFromFields(cfg, rows);
 }
 
 void
@@ -705,8 +676,8 @@ policyClockMhz(const AccelConfig &cfg)
             PolicyRegistry::instance().find(cfg.balancePolicy);
         if (spec != nullptr) return spec->clockMhz;
     }
-    // Legacy configs without a named policy: the single-queue EIE shape
-    // is the only one clocked differently.
+    // Configs without a named policy (DynamicRunner's static epochs): the
+    // single-queue EIE shape is the only one clocked differently.
     return cfg.numQueuesPerPe == 1 ? kEieMhz : kFpgaMhz;
 }
 

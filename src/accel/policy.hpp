@@ -2,11 +2,9 @@
  * @file
  * Pluggable balance-policy API. The paper's workload-rebalancing machinery
  * (static row mapping, local sharing hops, the PESM/UGT/SLT remote
- * switcher) used to be a closed surface: six hard-coded `Design` enum
- * values whose behaviour was scattered across `AccelConfig` field checks
- * in both simulators. This header splits that machinery into two small
- * interfaces plus a string-keyed registry, so a new balancing idea is one
- * registration instead of a cross-cutting patch:
+ * switcher) is split into two small interfaces plus a string-keyed
+ * registry, so a new balancing idea is one registration instead of a
+ * cross-cutting patch:
  *
  *  - `PartitionPolicy`: builds the initial row→PE map (subsumes the old
  *    `RowMapPolicy` blocked/cyclic switch);
@@ -16,12 +14,15 @@
  *  - `BalancePolicy`: a named composition of the two plus a config hook,
  *    registered in the process-wide `PolicyRegistry`.
  *
- * The six paper design points are themselves registered policies (the
- * `Design` enum and `makeConfig` are thin lookups over this registry),
- * locked bit-identical to the enum era by tests/test_policy.cpp. Three
- * non-paper policies ship as examples: `degree-sorted` (static LPT
- * partition), `work-steal` (greedy round-level stealing) and `rechunk`
- * (periodic contiguous re-chunking).
+ * The six paper design points are themselves registered policies, and
+ * the registry is the only place they are named: `baseline`, `local-a`,
+ * `local-b`, `remote-c`, `remote-d` and `eie-like` (aliases base, a, b,
+ * c, d, eie), each with its paper legend label and modelled clock.
+ * tests/test_policy.cpp locks them bit-identical to a reference
+ * implementation of the original hard-wired designs. Non-paper policies
+ * ship alongside: `degree-sorted` (static LPT partition), `work-steal`
+ * (greedy round-level stealing), `rechunk` (periodic contiguous
+ * re-chunking) and the streaming policies of DESIGN.md §12.
  *
  * Both fidelities — the cycle-accurate SpmmEngine and the round-level
  * PerfModel — resolve their policy objects through `makePartitionPolicy`
@@ -148,11 +149,10 @@ class RemoteSwitchRebalance : public RebalancePolicy
  *
  * `configure` runs inside makePolicyConfig and sets the config fields the
  * policy needs (sharing hops, remote-switching flag, queue shape, ...).
- * `partition` / `rebalance` may be left empty to inherit the legacy
- * derivation from config fields (`mapPolicy`, `remoteSwitching`) — the
- * paper designs do exactly that, which keeps hand-mutated configs (e.g.
- * ablations flipping `mapPolicy` after makeConfig) behaving as they
- * always have.
+ * `partition` / `rebalance` may be left empty to derive them from the
+ * config fields (`mapPolicy`, `remoteSwitching`) — the paper designs do
+ * exactly that, so hand-mutated configs (e.g. ablations flipping
+ * `mapPolicy` after makePolicyConfig) get what their fields say.
  */
 struct BalancePolicy
 {
@@ -202,15 +202,12 @@ class PolicyRegistry
     std::vector<std::unique_ptr<BalancePolicy>> policies_;
 };
 
-/** Registry name of a paper design point ("baseline", "remote-c", ...). */
-std::string designPolicyName(Design d);
-
 /**
  * Build the configuration for a registered policy: baseline AccelConfig
  * with `numPes`, `balancePolicy` set to the canonical policy name and the
  * policy's `configure` hook applied. fatal() on an unknown policy (with a
- * near-miss suggestion) or an invalid resulting config. The generalized
- * `makeConfig`.
+ * near-miss suggestion) or an invalid resulting config. `hop_base` is
+ * the base hop distance: 1 for most datasets, 2 for Nell (hopBase()).
  */
 AccelConfig makePolicyConfig(const std::string &policy, int num_pes,
                              int hop_base = 1);
@@ -227,14 +224,14 @@ AccelConfig configureForPolicy(const BalancePolicy &spec, int num_pes,
 /**
  * Resolve the partition policy of a configuration: the registered
  * policy's factory when `cfg.balancePolicy` names one (and it provides
- * one), else the legacy blocked/cyclic derivation from `cfg.mapPolicy`.
+ * one), else the blocked/cyclic mapping `cfg.mapPolicy` names.
  */
 std::unique_ptr<PartitionPolicy> makePartitionPolicy(const AccelConfig &cfg);
 
 /**
  * Resolve the rebalance policy of a configuration for one SPMM over
  * `rows` rows: the registered policy's factory when `cfg.balancePolicy`
- * names one (and it provides one), else the legacy derivation — the
+ * names one (and it provides one), else the field derivation — the
  * RemoteSwitcher when `cfg.remoteSwitching`, a NullRebalance otherwise.
  */
 std::unique_ptr<RebalancePolicy> makeRebalancePolicy(const AccelConfig &cfg,
@@ -265,8 +262,9 @@ void tuneWithPolicy(RebalancePolicy &policy,
                     const std::vector<Count> &row_work,
                     RowPartition &partition, int max_rounds = 64);
 
-/** Modelled clock of a configuration's policy (kFpgaMhz-style constant
- *  lives with the policy: the EIE-like reference runs at 285 MHz). */
+/** Modelled clock of a configuration: its policy's `clockMhz` (275 MHz;
+ *  the EIE-like reference runs at 285 MHz). A config without a policy
+ *  name is clocked by its queue shape. */
 double policyClockMhz(const AccelConfig &cfg);
 
 } // namespace awb

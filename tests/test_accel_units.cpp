@@ -15,6 +15,7 @@
 #include "accel/cursor_models.hpp"
 #include "accel/local_share.hpp"
 #include "accel/pe.hpp"
+#include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/row_map.hpp"
 #include "common/rng.hpp"
@@ -23,26 +24,26 @@ using namespace awb;
 
 TEST(Config, DesignPoints)
 {
-    auto base = makeConfig(Design::Baseline, 64);
+    auto base = makePolicyConfig("baseline", 64);
     EXPECT_EQ(base.sharingHops, 0);
     EXPECT_FALSE(base.remoteSwitching);
 
-    auto a = makeConfig(Design::LocalA, 64);
+    auto a = makePolicyConfig("local-a", 64);
     EXPECT_EQ(a.sharingHops, 1);
     EXPECT_FALSE(a.remoteSwitching);
 
-    auto b = makeConfig(Design::LocalB, 64);
+    auto b = makePolicyConfig("local-b", 64);
     EXPECT_EQ(b.sharingHops, 2);
 
-    auto c = makeConfig(Design::RemoteC, 64);
+    auto c = makePolicyConfig("remote-c", 64);
     EXPECT_EQ(c.sharingHops, 1);
     EXPECT_TRUE(c.remoteSwitching);
 
-    auto d = makeConfig(Design::RemoteD, 64);
+    auto d = makePolicyConfig("remote-d", 64);
     EXPECT_EQ(d.sharingHops, 2);
     EXPECT_TRUE(d.remoteSwitching);
 
-    auto eie = makeConfig(Design::EieLike, 64);
+    auto eie = makePolicyConfig("eie-like", 64);
     EXPECT_EQ(eie.numQueuesPerPe, 1);
     EXPECT_FALSE(eie.rebalancing());
 }
@@ -50,9 +51,9 @@ TEST(Config, DesignPoints)
 TEST(Config, NellHopOverride)
 {
     // Nell uses 2/3-hop instead of 1/2-hop (paper §5.2).
-    auto a = makeConfig(Design::LocalA, 64, 2);
+    auto a = makePolicyConfig("local-a", 64, 2);
     EXPECT_EQ(a.sharingHops, 2);
-    auto d = makeConfig(Design::RemoteD, 64, 2);
+    auto d = makePolicyConfig("remote-d", 64, 2);
     EXPECT_EQ(d.sharingHops, 3);
 }
 
@@ -366,7 +367,7 @@ namespace {
 AccelConfig
 remoteOnlyConfig(int pes)
 {
-    AccelConfig cfg = makeConfig(Design::RemoteC, pes);
+    AccelConfig cfg = makePolicyConfig("remote-c", pes);
     cfg.sharingHops = 0;
     return cfg;
 }

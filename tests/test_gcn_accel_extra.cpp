@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/reference.hpp"
@@ -58,7 +59,7 @@ TEST(MultiHop, AcceleratorMatchesReference)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 6);
     model.adjHops = 2;
 
-    auto run = runGcn(makeConfig(Design::RemoteD, 16), ds, model);
+    auto run = runGcn(makePolicyConfig("remote-d", 16), ds, model);
     auto golden = inferGcn(ds, model);
 
     EXPECT_LT(run.output.maxAbsDiff(golden.output), 1e-3);
@@ -75,7 +76,7 @@ TEST(DeepGcn, FourLayerAcceleratorMatchesReference)
     auto ds = loadSyntheticByName("citeseer", 7, 0.02);
     auto model = makeDeepGcnModel({ds.spec.f1, 32, 24, 16, ds.spec.f3}, 7);
 
-    auto run = runGcn(makeConfig(Design::LocalB, 16), ds, model);
+    auto run = runGcn(makePolicyConfig("local-b", 16), ds, model);
     auto golden = inferGcn(ds, model);
 
     ASSERT_EQ(run.layers.size(), 4u);
@@ -84,7 +85,7 @@ TEST(DeepGcn, FourLayerAcceleratorMatchesReference)
 
 /** Functional sweep: every dataset x every design on the full pipeline. */
 class AccelDatasetSweep
-    : public ::testing::TestWithParam<std::tuple<const char *, Design>>
+    : public ::testing::TestWithParam<std::tuple<const char *, std::string>>
 {};
 
 TEST_P(AccelDatasetSweep, ExactAcrossDatasetsAndDesigns)
@@ -96,10 +97,8 @@ TEST_P(AccelDatasetSweep, ExactAcrossDatasetsAndDesigns)
     auto ds = loadSynthetic(spec, 8, scale);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 8);
 
-    auto run = runGcn(makeConfig(design, 16, spec.hopOverride > 0
-                                                     ? spec.hopOverride
-                                                     : 1),
-                      ds, model);
+    auto run = runGcn(makePolicyConfig(design, 16, hopBase(spec)), ds,
+                      model);
     auto golden = inferGcn(ds, model);
 
     EXPECT_LT(run.output.maxAbsDiff(golden.output), 2e-3);
@@ -111,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllDatasets, AccelDatasetSweep,
     ::testing::Combine(::testing::Values("cora", "citeseer", "pubmed",
                                          "nell", "reddit"),
-                       ::testing::Values(Design::Baseline,
-                                         Design::RemoteD)));
+                       ::testing::Values(std::string("baseline"),
+                                         std::string("remote-d"))));
 
 TEST(BoundedQueues, BackpressureStillExact)
 {
@@ -121,7 +120,7 @@ TEST(BoundedQueues, BackpressureStillExact)
     auto ds = loadSyntheticByName("cora", 9, 0.05);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 9);
 
-    AccelConfig cfg = makeConfig(Design::LocalA, 16);
+    AccelConfig cfg = makePolicyConfig("local-a", 16);
     cfg.queueDepth = 2;
     cfg.omegaBufferDepth = 1;
     auto run = runGcn(cfg, ds, model);
@@ -140,11 +139,11 @@ TEST(BoundedQueues, SlowerThanUnbounded)
     auto ds = loadSyntheticByName("cora", 9, 0.05);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 9);
 
-    AccelConfig tight = makeConfig(Design::Baseline, 16);
+    AccelConfig tight = makePolicyConfig("baseline", 16);
     tight.queueDepth = 1;
     tight.omegaBufferDepth = 1;
     tight.networkSpeedup = 1;
-    AccelConfig roomy = makeConfig(Design::Baseline, 16);
+    AccelConfig roomy = makePolicyConfig("baseline", 16);
 
     auto run_tight = runGcn(tight, ds, model);
     auto run_roomy = runGcn(roomy, ds, model);
@@ -158,7 +157,7 @@ TEST(StatsInvariants, RoundCyclesSumToTotal)
     DenseMatrix b(ds.spec.nodes, 6);
     b.fillUniform(rng, -1.0f, 1.0f);
 
-    AccelConfig cfg = makeConfig(Design::RemoteC, 16);
+    AccelConfig cfg = makePolicyConfig("remote-c", 16);
     RowPartition part(ds.spec.nodes, 16, cfg.mapPolicy);
     SpmmStats stats = SpmmEngine(cfg)
                           .execute(ds.adjacency, b,
@@ -181,7 +180,7 @@ TEST(StatsInvariants, UtilizationIdentity)
     DenseMatrix b(ds.spec.nodes, 4);
     b.fillUniform(rng, -1.0f, 1.0f);
 
-    AccelConfig cfg = makeConfig(Design::Baseline, 8);
+    AccelConfig cfg = makePolicyConfig("baseline", 8);
     RowPartition part(ds.spec.nodes, 8, cfg.mapPolicy);
     SpmmStats stats = SpmmEngine(cfg)
                           .execute(ds.adjacency, b,
@@ -197,8 +196,8 @@ TEST(EieLike, FunctionalAndComparableToBaseline)
     auto ds = loadSyntheticByName("pubmed", 12, 0.02);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 12);
 
-    auto run_eie = runGcn(makeConfig(Design::EieLike, 16), ds, model);
-    auto run_base = runGcn(makeConfig(Design::Baseline, 16), ds, model);
+    auto run_eie = runGcn(makePolicyConfig("eie-like", 16), ds, model);
+    auto run_base = runGcn(makePolicyConfig("baseline", 16), ds, model);
     EXPECT_LT(run_eie.output.maxAbsDiff(run_base.output), 1e-3);
     // Table 3: EIE-like and baseline land within ~10% of each other.
     double ratio = static_cast<double>(run_eie.totalCycles) /
@@ -212,8 +211,8 @@ TEST(CyclicMap, FunctionalAndDeclustersNell)
     auto ds = loadSyntheticByName("nell", 13, 0.02);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 13);
 
-    AccelConfig blocked = makeConfig(Design::Baseline, 16);
-    AccelConfig cyclic = makeConfig(Design::Baseline, 16);
+    AccelConfig blocked = makePolicyConfig("baseline", 16);
+    AccelConfig cyclic = makePolicyConfig("baseline", 16);
     cyclic.mapPolicy = RowMapPolicy::Cyclic;
 
     auto run_b = runGcn(blocked, ds, model);
@@ -230,7 +229,7 @@ TEST(AdjacencyMapReuse, SecondLayerBenefitsFromTunedMap)
     // not be slower per round than layer 1's late rounds.
     auto ds = loadSyntheticByName("nell", 14, 0.03);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 14);
-    auto run = runGcn(makeConfig(Design::RemoteD, 16, 2), ds, model);
+    auto run = runGcn(makePolicyConfig("remote-d", 16, 2), ds, model);
 
     ASSERT_FALSE(run.layers[0].ax.roundCycles.empty());
     ASSERT_FALSE(run.layers[1].ax.roundCycles.empty());

@@ -80,12 +80,11 @@ struct FidelityPair
 };
 
 FidelityPair
-runBoth(Design design, const char *dataset, double scale, int pes,
-        Index rounds)
+runBoth(const std::string &design, const char *dataset, double scale,
+        int pes, Index rounds)
 {
     auto ds = loadSyntheticByName(dataset, 11, scale);
-    const auto &hop = ds.spec.hopOverride;
-    AccelConfig cfg = makeConfig(design, pes, hop > 0 ? hop : 1);
+    AccelConfig cfg = makePolicyConfig(design, pes, hopBase(ds.spec));
 
     DenseMatrix b(ds.spec.nodes, rounds);
     Rng rng(3);
@@ -118,7 +117,7 @@ class CrossValidateBaseline
 TEST_P(CrossValidateBaseline, ModelMatchesCycleEngine)
 {
     auto [dataset, scale] = GetParam();
-    auto pair = runBoth(Design::Baseline, dataset, scale, 16, 8);
+    auto pair = runBoth("baseline", dataset, scale, 16, 8);
     double ratio = static_cast<double>(pair.prf.cycles) /
                    static_cast<double>(pair.cyc.cycles);
     // 35% band: the round model cannot see stream-order effects — e.g.
@@ -144,14 +143,14 @@ INSTANTIATE_TEST_SUITE_P(
  *  that it brackets the engine from below but stays within 2x, and that
  *  both fidelities agree rebalancing beats the baseline. */
 class CrossValidateRebalanced
-    : public ::testing::TestWithParam<std::tuple<Design, const char *,
+    : public ::testing::TestWithParam<std::tuple<std::string, const char *,
                                                  double>>
 {};
 
 TEST_P(CrossValidateRebalanced, ModelIsTightLowerEnvelope)
 {
     auto [design, dataset, scale] = GetParam();
-    auto base = runBoth(Design::Baseline, dataset, scale, 16, 8);
+    auto base = runBoth("baseline", dataset, scale, 16, 8);
     auto reb = runBoth(design, dataset, scale, 16, 8);
 
     // Envelope: model <= engine <= 2x model.
@@ -168,7 +167,8 @@ TEST_P(CrossValidateRebalanced, ModelIsTightLowerEnvelope)
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, CrossValidateRebalanced,
-    ::testing::Combine(::testing::Values(Design::LocalA, Design::RemoteD),
+    ::testing::Combine(::testing::Values(std::string("local-a"),
+                                         std::string("remote-d")),
                        ::testing::Values("cora", "pubmed"),
                        ::testing::Values(0.2)));
 
@@ -177,8 +177,8 @@ TEST(PerfModel, RebalancingHelpsSkewAtScale)
     // Full-scale Nell profile: baseline utilization must collapse (the
     // paper reports 13%) and Design(D) must recover most of it (77%).
     auto prof = loadProfile(findDataset("nell"), 1, 1.0);
-    auto base = PerfModel(makeConfig(Design::Baseline, 1024)).runGcn(prof);
-    auto d = PerfModel(makeConfig(Design::RemoteD, 1024, 2)).runGcn(prof);
+    auto base = PerfModel(makePolicyConfig("baseline", 1024)).runGcn(prof);
+    auto d = PerfModel(makePolicyConfig("remote-d", 1024, 2)).runGcn(prof);
 
     EXPECT_LT(base.utilization, 0.45);
     EXPECT_GT(d.utilization, 2.0 * base.utilization);
@@ -188,8 +188,8 @@ TEST(PerfModel, RebalancingHelpsSkewAtScale)
 TEST(PerfModel, RedditAlreadyBalanced)
 {
     auto prof = loadProfile(findDataset("reddit"), 1, 0.25);
-    auto base = PerfModel(makeConfig(Design::Baseline, 1024)).runGcn(prof);
-    auto d = PerfModel(makeConfig(Design::RemoteD, 1024)).runGcn(prof);
+    auto base = PerfModel(makePolicyConfig("baseline", 1024)).runGcn(prof);
+    auto d = PerfModel(makePolicyConfig("remote-d", 1024)).runGcn(prof);
     EXPECT_GT(base.utilization, 0.7);
     double speedup = static_cast<double>(base.totalCycles) /
                      static_cast<double>(d.totalCycles);
@@ -199,7 +199,7 @@ TEST(PerfModel, RedditAlreadyBalanced)
 TEST(PerfModel, FullScaleRedditRuns)
 {
     auto prof = loadProfile(findDataset("reddit"), 1, 1.0);
-    auto res = PerfModel(makeConfig(Design::RemoteD, 1024)).runGcn(prof);
+    auto res = PerfModel(makePolicyConfig("remote-d", 1024)).runGcn(prof);
     EXPECT_GT(res.totalTasks, Count(1000000000));  // ~6.6G per Table 2
     EXPECT_GT(res.totalCycles, 0);
     EXPECT_LE(res.utilization, 1.0);
@@ -208,7 +208,7 @@ TEST(PerfModel, FullScaleRedditRuns)
 TEST(PerfModel, PipelineNeverSlowerThanSerial)
 {
     auto prof = loadProfile(findDataset("citeseer"), 2, 0.3);
-    auto res = PerfModel(makeConfig(Design::RemoteC, 64)).runGcn(prof);
+    auto res = PerfModel(makePolicyConfig("remote-c", 64)).runGcn(prof);
     EXPECT_LE(res.totalCycles, res.totalCyclesSerial);
 }
 
@@ -398,7 +398,7 @@ TEST(PerfModel, CarriedWorkMatchesPerRoundRecompute)
 
 TEST(PerfModelDeath, RowWorkSizeMustMatchPartition)
 {
-    PerfModel model(makeConfig(Design::Baseline, 4));
+    PerfModel model(makePolicyConfig("baseline", 4));
     RowPartition part(16, 4, RowMapPolicy::Blocked);
     std::vector<Count> short_work(15, 1);
     EXPECT_DEATH(model.runSpmm(short_work, 4, part),
@@ -407,7 +407,7 @@ TEST(PerfModelDeath, RowWorkSizeMustMatchPartition)
 
 TEST(AreaModel, TqDominatedByDepth)
 {
-    AccelConfig cfg = makeConfig(Design::Baseline, 64);
+    AccelConfig cfg = makePolicyConfig("baseline", 64);
     auto small = estimateArea(cfg, 64);
     auto big = estimateArea(cfg, 65128);
     EXPECT_GT(big.tqClb, 100.0 * small.tqClb);
@@ -416,8 +416,8 @@ TEST(AreaModel, TqDominatedByDepth)
 
 TEST(AreaModel, RebalancingLogicOverheadSmall)
 {
-    auto base = estimateArea(makeConfig(Design::Baseline, 64), 100);
-    auto d = estimateArea(makeConfig(Design::RemoteD, 64), 100);
+    auto base = estimateArea(makePolicyConfig("baseline", 64), 100);
+    auto d = estimateArea(makePolicyConfig("remote-d", 64), 100);
     double frac = d.otherClb / base.otherClb;
     EXPECT_NEAR(frac, 1.0 + 0.043 + 0.019, 1e-9);
 }
@@ -426,8 +426,8 @@ TEST(AreaModel, NetAreaCanShrinkWithRebalancing)
 {
     // Paper: rebalancing REDUCES total area because the TQ savings dwarf
     // the logic overhead (Fig. 14 K-O).
-    auto base = estimateArea(makeConfig(Design::Baseline, 64), 65128);
-    auto d = estimateArea(makeConfig(Design::RemoteD, 64), 2675);
+    auto base = estimateArea(makePolicyConfig("baseline", 64), 65128);
+    auto d = estimateArea(makePolicyConfig("remote-d", 64), 2675);
     EXPECT_LT(d.totalClb, base.totalClb);
 }
 
@@ -471,7 +471,7 @@ TEST(Platforms, AnalyticOrdering)
     double gpu = modelGpuLatencyMs(ops, 2);
     EXPECT_GT(cpu, gpu);
 
-    auto accel = PerfModel(makeConfig(Design::RemoteD, 1024)).runGcn(prof);
+    auto accel = PerfModel(makePolicyConfig("remote-d", 1024)).runGcn(prof);
     double accel_ms =
         evaluateEnergy(accel.totalCycles, accel.totalTasks, 275.0).latencyMs;
     EXPECT_GT(gpu, accel_ms);

@@ -26,6 +26,7 @@
 
 #include "accel/omega.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/round_cache.hpp"
 #include "accel/spmm_engine.hpp"
@@ -143,12 +144,12 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     auto golden = spmmCsc(a, b);
 
     // One run's timing fields, folded into `timing`.
-    auto addRun = [&](TdqKind kind, Design design, EngineKind engine,
+    auto addRun = [&](TdqKind kind, const char *design, EngineKind engine,
                       Digest &timing) {
         SCOPED_TRACE(std::string(kc.name) +
                      " kind=" + std::to_string(static_cast<int>(kind)) +
-                     " design=" + std::to_string(static_cast<int>(design)));
-        AccelConfig cfg = makeConfig(design, 8);
+                     " design=" + design);
+        AccelConfig cfg = makePolicyConfig(design, 8);
         kc.apply(cfg);
         cfg.engine = engine;
         RowPartition part(60, 8, cfg.mapPolicy);
@@ -169,7 +170,7 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     auto digestRuns = [&](EngineKind engine) {
         Digest timing;
         for (TdqKind kind : {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc})
-            for (Design design : {Design::RemoteD, Design::Baseline})
+            for (const char *design : {"remote-d", "baseline"})
                 addRun(kind, design, engine, timing);
         return timing.h;
     };
@@ -243,7 +244,7 @@ TEST(RemoteSwitchProperty, WorkloadConservedUnderAnySequence)
     for (auto &v : work) v = rng.nextIndex(40);
     Count total = std::accumulate(work.begin(), work.end(), Count(0));
 
-    AccelConfig cfg = makeConfig(Design::RemoteC, pes);
+    AccelConfig cfg = makePolicyConfig("remote-c", pes);
     cfg.sharingHops = 0;
     RowPartition part(rows, pes, cfg.mapPolicy);
     RemoteSwitcher sw(cfg, rows);
@@ -269,7 +270,7 @@ TEST(RemoteSwitchProperty, NeverIncreasesMaxLoadAfterConvergence)
     for (int i = 0; i < 12; ++i)
         work[static_cast<std::size_t>(rng.nextIndex(rows))] = 30;
 
-    AccelConfig cfg = makeConfig(Design::RemoteC, pes);
+    AccelConfig cfg = makePolicyConfig("remote-c", pes);
     cfg.sharingHops = 0;
     RowPartition part(rows, pes, cfg.mapPolicy);
     RemoteSwitcher sw(cfg, rows);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "gcn/model.hpp"
 #include "gcn/reference.hpp"
@@ -94,7 +95,7 @@ legacyReferenceRun(const AccelConfig &cfg, const Dataset &ds,
 
 /** Session vs legacy orchestration on Cora and Citeseer, all six designs. */
 class SessionVsLegacy
-    : public ::testing::TestWithParam<std::tuple<const char *, Design>>
+    : public ::testing::TestWithParam<std::tuple<const char *, std::string>>
 {};
 
 TEST_P(SessionVsLegacy, BitIdenticalCyclesAndUtilization)
@@ -104,7 +105,7 @@ TEST_P(SessionVsLegacy, BitIdenticalCyclesAndUtilization)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 31);
     model.adjHops = 2;  // exercise the multi-hop chain too
 
-    AccelConfig cfg = makeConfig(design, 16);
+    AccelConfig cfg = makePolicyConfig(design, 16);
     GcnRunResult legacy = legacyReferenceRun(cfg, ds, model);
     GcnRunResult session = runGcn(cfg, ds, model);
 
@@ -133,10 +134,12 @@ TEST_P(SessionVsLegacy, BitIdenticalCyclesAndUtilization)
 INSTANTIATE_TEST_SUITE_P(
     CoraCiteseerAllDesigns, SessionVsLegacy,
     ::testing::Combine(::testing::Values("cora", "citeseer"),
-                       ::testing::Values(Design::Baseline, Design::LocalA,
-                                         Design::LocalB, Design::RemoteC,
-                                         Design::RemoteD,
-                                         Design::EieLike)));
+                       ::testing::Values(std::string("baseline"),
+                                         std::string("local-a"),
+                                         std::string("local-b"),
+                                         std::string("remote-c"),
+                                         std::string("remote-d"),
+                                         std::string("eie-like"))));
 
 TEST(PipelineMultiEdge, EmptyStageListIsZero)
 {
@@ -186,7 +189,7 @@ TEST_P(FactoryFunctional, ExactAgainstDenseReference)
     else
         bundle = sim::buildMultiHopGcn(ds, model, 3);
 
-    sim::Session session(makeConfig(Design::RemoteD, 16));
+    sim::Session session(makePolicyConfig("remote-d", 16));
     sim::SessionResult res = sim::runWorkload(session, bundle);
     DenseMatrix golden = sim::referenceEval(bundle);
 
@@ -207,7 +210,7 @@ TEST(Session, GcnMatchesGoldenInference)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 34);
     auto golden = inferGcn(ds, model);
 
-    sim::Session session(makeConfig(Design::RemoteD, 16));
+    sim::Session session(makePolicyConfig("remote-d", 16));
     auto res = sim::runWorkload(session, sim::buildGcn(ds, model));
     EXPECT_LT(res.output.maxAbsDiff(golden.output), 1e-3);
 }
@@ -218,7 +221,7 @@ TEST(Session, CarriesRowMapPerSparseOperand)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 35);
     sim::WorkloadBundle bundle = sim::buildGcn(ds, model);
 
-    sim::Session session(makeConfig(Design::RemoteD, 16, 2));
+    sim::Session session(makePolicyConfig("remote-d", 16, 2));
     EXPECT_EQ(session.rowMap("A"), nullptr);
     sim::SessionResult first = sim::runWorkload(session, bundle);
     ASSERT_NE(session.rowMap("A"), nullptr);
@@ -256,7 +259,7 @@ TEST(Session, DenseBoundLeftOperandWorks)
     auto c = b.denseMm(b.input("X"), b.input("W"));
     sim::WorkloadGraph g = b.build(c);
 
-    sim::Session session(makeConfig(Design::LocalA, 8));
+    sim::Session session(makePolicyConfig("local-a", 8));
     session.bindDense("X", x);
     session.bindDense("W", w);
     sim::SessionResult res = session.run(g);
@@ -273,7 +276,7 @@ TEST(Session, ProducedTensorRowMapsArePerRun)
     auto sageA = sim::buildGraphSage(dsA, 8, 4, true, 41);
     auto sageB = sim::buildGraphSage(dsB, 8, 4, true, 41);
 
-    sim::Session session(makeConfig(Design::RemoteD, 8));
+    sim::Session session(makePolicyConfig("remote-d", 8));
     sim::SessionResult a = sim::runWorkload(session, sageA);
     sim::SessionResult b = sim::runWorkload(session, sageB);
     EXPECT_LT(a.output.maxAbsDiff(sim::referenceEval(sageA)), 1e-3);
@@ -285,7 +288,7 @@ TEST(Session, StatsSinkSeesEveryCostedNodeAndChain)
     auto ds = loadSyntheticByName("cora", 36, 0.04);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 36);
 
-    sim::Session session(makeConfig(Design::LocalA, 16));
+    sim::Session session(makePolicyConfig("local-a", 16));
     sim::CollectingSink sink;
     auto res = sim::runWorkload(session, sim::buildGcn(ds, model), &sink);
 
@@ -307,14 +310,14 @@ TEST(SessionDeath, UnboundTensorIsDescriptive)
     sim::WorkloadBuilder b;
     auto c = b.spmm(b.input("A"), b.input("B"), TdqKind::Tdq2OmegaCsc);
     sim::WorkloadGraph g = b.build(c);
-    sim::Session session(makeConfig(Design::Baseline, 4));
+    sim::Session session(makePolicyConfig("baseline", 4));
     EXPECT_EXIT(session.run(g), ::testing::ExitedWithCode(1),
                 "not bound");
 }
 
 TEST(SessionDeath, InvalidConfigIsDescriptive)
 {
-    AccelConfig cfg = makeConfig(Design::Baseline, 8);
+    AccelConfig cfg = makePolicyConfig("baseline", 8);
     cfg.maxCyclesPerRound = 0;
     EXPECT_EXIT(sim::Session{cfg}, ::testing::ExitedWithCode(1),
                 "maxCyclesPerRound");
@@ -327,7 +330,7 @@ TEST(Engine, RepeatedExecuteFromFreshPartitionsIsDeterministic)
     // is that execute() from identical fresh partitions reproduces
     // identical stats and values.
     auto ds = loadSyntheticByName("cora", 37, 0.04);
-    AccelConfig cfg = makeConfig(Design::RemoteC, 16);
+    AccelConfig cfg = makePolicyConfig("remote-c", 16);
 
     Rng rng(37);
     DenseMatrix b(ds.spec.nodes, 5);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/config.hpp"
+#include "accel/policy.hpp"
 #include "sim/factories.hpp"
 #include "sim/workload.hpp"
 
@@ -231,6 +232,6 @@ TEST(ConfigValidate, DescribesEveryFieldError)
 
 TEST(ConfigValidateDeath, MakeConfigSurfacesDescriptiveError)
 {
-    EXPECT_EXIT(makeConfig(Design::Baseline, 0),
+    EXPECT_EXIT(makePolicyConfig("baseline", 0),
                 ::testing::ExitedWithCode(1), "numPes must be positive");
 }

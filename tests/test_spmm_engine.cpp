@@ -11,6 +11,7 @@
 #include "engine_checks.hpp"
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/reference.hpp"
@@ -63,7 +64,7 @@ skewedSparse(Rng &rng, Index rows, Index cols)
 /** Property: the engine is functionally exact and delivers every task
  *  exactly once for every design point and both TDQ paths. */
 class EngineFunctional
-    : public ::testing::TestWithParam<std::tuple<Design, TdqKind, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, TdqKind, int>>
 {};
 
 TEST_P(EngineFunctional, MatchesReferenceSpmm)
@@ -76,7 +77,7 @@ TEST_P(EngineFunctional, MatchesReferenceSpmm)
     auto a = randomSparse(rng, m, n, 0.05 + rng.nextDouble() * 0.2);
     auto b = randomDense(rng, n, k);
 
-    AccelConfig cfg = makeConfig(design, 8);
+    AccelConfig cfg = makePolicyConfig(design, 8);
     RowPartition part(m, cfg.numPes, cfg.mapPolicy);
     auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
 
@@ -90,9 +91,12 @@ TEST_P(EngineFunctional, MatchesReferenceSpmm)
 
 INSTANTIATE_TEST_SUITE_P(
     AllDesigns, EngineFunctional,
-    ::testing::Combine(::testing::Values(Design::Baseline, Design::LocalA,
-                                         Design::LocalB, Design::RemoteC,
-                                         Design::RemoteD, Design::EieLike),
+    ::testing::Combine(::testing::Values(std::string("baseline"),
+                                         std::string("local-a"),
+                                         std::string("local-b"),
+                                         std::string("remote-c"),
+                                         std::string("remote-d"),
+                                         std::string("eie-like")),
                        ::testing::Values(TdqKind::Tdq1DenseScan,
                                          TdqKind::Tdq2OmegaCsc),
                        ::testing::Values(1, 2)));
@@ -102,7 +106,7 @@ TEST(Engine, IdealCyclesLowerBound)
     Rng rng(3);
     auto a = randomSparse(rng, 64, 64, 0.1);
     auto b = randomDense(rng, 64, 4);
-    AccelConfig cfg = makeConfig(Design::Baseline, 8);
+    AccelConfig cfg = makePolicyConfig("baseline", 8);
     RowPartition part(64, 8, cfg.mapPolicy);
     SpmmStats stats =
         SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).stats;
@@ -118,14 +122,14 @@ TEST(Engine, LocalSharingImprovesSkewedUtilization)
 
     SpmmStats base_stats, shared_stats;
     {
-        AccelConfig cfg = makeConfig(Design::Baseline, 16);
+        AccelConfig cfg = makePolicyConfig("baseline", 16);
         RowPartition part(128, 16, cfg.mapPolicy);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
-        AccelConfig cfg = makeConfig(Design::LocalB, 16);
+        AccelConfig cfg = makePolicyConfig("local-b", 16);
         RowPartition part(128, 16, cfg.mapPolicy);
         shared_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
@@ -152,14 +156,14 @@ TEST(Engine, RemoteSwitchingBeatsLocalOnlyOnClusteredRows)
 
     SpmmStats local_stats, remote_stats;
     {
-        AccelConfig cfg = makeConfig(Design::LocalA, 16);
+        AccelConfig cfg = makePolicyConfig("local-a", 16);
         RowPartition part(128, 16, cfg.mapPolicy);
         local_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
-        AccelConfig cfg = makeConfig(Design::RemoteC, 16);
+        AccelConfig cfg = makePolicyConfig("remote-c", 16);
         RowPartition part(128, 16, cfg.mapPolicy);
         remote_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
@@ -174,7 +178,7 @@ TEST(Engine, RemoteSwitchingConvergesAndReusesMap)
     Rng rng(6);
     auto a = skewedSparse(rng, 128, 128);
     auto b = randomDense(rng, 128, 32);
-    AccelConfig cfg = makeConfig(Design::RemoteD, 16);
+    AccelConfig cfg = makePolicyConfig("remote-d", 16);
     RowPartition part(128, 16, cfg.mapPolicy);
     SpmmStats stats =
         SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).stats;
@@ -196,14 +200,14 @@ TEST(Engine, RebalancingShrinksPeakQueueDepth)
 
     SpmmStats base_stats, d_stats;
     {
-        AccelConfig cfg = makeConfig(Design::Baseline, 16);
+        AccelConfig cfg = makePolicyConfig("baseline", 16);
         RowPartition part(256, 16, cfg.mapPolicy);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
-        AccelConfig cfg = makeConfig(Design::RemoteD, 16);
+        AccelConfig cfg = makePolicyConfig("remote-d", 16);
         RowPartition part(256, 16, cfg.mapPolicy);
         d_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
@@ -226,14 +230,14 @@ TEST(Engine, UniformWorkloadAlreadyBalanced)
 
     SpmmStats base_stats, d_stats;
     {
-        AccelConfig cfg = makeConfig(Design::Baseline, 16);
+        AccelConfig cfg = makePolicyConfig("baseline", 16);
         RowPartition part(256, 16, cfg.mapPolicy);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
-        AccelConfig cfg = makeConfig(Design::RemoteD, 16);
+        AccelConfig cfg = makePolicyConfig("remote-d", 16);
         RowPartition part(256, 16, cfg.mapPolicy);
         d_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
@@ -263,7 +267,7 @@ TEST(GcnAccel, FunctionallyExactVsGoldenModel)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 2);
     auto golden = inferGcn(ds, model);
 
-    AccelConfig cfg = makeConfig(Design::RemoteD, 16);
+    AccelConfig cfg = makePolicyConfig("remote-d", 16);
     auto run = runGcn(cfg, ds, model);
 
     ASSERT_TRUE(run.output.sameShape(golden.output));
@@ -277,7 +281,7 @@ TEST(GcnAccel, PipeliningSavesCycles)
 {
     auto ds = loadSyntheticByName("citeseer", 3, 0.03);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 3);
-    auto run = runGcn(makeConfig(Design::Baseline, 16), ds, model);
+    auto run = runGcn(makePolicyConfig("baseline", 16), ds, model);
     EXPECT_LT(run.totalCycles, run.totalCyclesSerial);
 }
 
@@ -286,8 +290,8 @@ TEST(GcnAccel, DesignDFasterThanBaselineOnPowerLawGraph)
     auto ds = loadSyntheticByName("cora", 4, 0.08);
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 4);
 
-    auto run_base = runGcn(makeConfig(Design::Baseline, 32), ds, model);
-    auto run_d = runGcn(makeConfig(Design::RemoteD, 32), ds, model);
+    auto run_base = runGcn(makePolicyConfig("baseline", 32), ds, model);
+    auto run_d = runGcn(makePolicyConfig("remote-d", 32), ds, model);
 
     EXPECT_LT(run_d.totalCycles, run_base.totalCycles);
     EXPECT_GT(run_d.utilization, run_base.utilization);
