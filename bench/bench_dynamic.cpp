@@ -6,15 +6,11 @@
  * the convergence-half-life methodology the gates here enforce.
  */
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <unordered_map>
 
 #include "accel/policy.hpp"
-#include "common/table.hpp"
 #include "driver/bench.hpp"
-#include "driver/json.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
@@ -57,24 +53,6 @@ struct Options
     double scale = 1.0;
     std::string platform = "unconstrained";
     std::string jsonPath = "BENCH_dynamic.json";
-};
-
-/** One dataset × policy point of the benchmark. */
-struct DynamicPoint
-{
-    std::string dataset;
-    std::string policy;
-    Count epochs = 0;
-    Cycle cycles = 0;       ///< summed carried-partition epoch cycles
-    Count tasks = 0;
-    Count rowsMoved = 0;
-    Count rowsChanged = 0;
-    Count halfLifeEpochs = -1;
-    std::vector<double> drift;       ///< per-epoch carried/fresh - 1
-    std::vector<Cycle> epochCycles;  ///< per-epoch carried cycles
-    std::vector<Cycle> freshCycles;  ///< per-epoch fresh-tune cycles
-    Count bytesTotal = 0;
-    double wallMs = 0.0;
 };
 
 bool
@@ -161,10 +139,7 @@ rebuildIdentical(const CscMatrix &initial, const ChurnParams &churn,
 int
 runBenchDynamic(const Options &opts)
 {
-    std::vector<std::string> policies = opts.policies;  // canonical names
-    if (std::find(policies.begin(), policies.end(), "baseline") ==
-        policies.end())
-        policies.insert(policies.begin(), "baseline");
+    const std::vector<std::string> policies = withBaseline(opts.policies);
 
     ChurnParams churn;
     churn.insertFrac = opts.insertFrac;
@@ -178,14 +153,24 @@ runBenchDynamic(const Options &opts)
     dopts.fidelity = DynamicFidelity::Cycle;
     dopts.seed = opts.seed;
 
-    bool deterministic = true;
-    bool engines_identical = true;
-    bool rebuild_identical = true;
-    bool trajectory_ok = true;
-    std::vector<DynamicPoint> points;
-
-    Table t({"dataset", "design", "epochs", "cycles", "moved",
-             "end drift", "half-life"});
+    BenchDoc doc("bench-dynamic",
+                 {{"schema", "awbsim-bench-dynamic-v1"},
+                  {"pes", opts.pes},
+                  {"seed", opts.seed},
+                  {"scale", opts.scale},
+                  {"epochs", opts.epochs},
+                  {"events_per_epoch", opts.eventsPerEpoch},
+                  {"dense_cols", opts.denseCols},
+                  {"insert_frac", opts.insertFrac},
+                  {"drift_tolerance", opts.driftTolerance},
+                  {"platform", opts.platform}},
+                 {"dataset", "design", "epochs", "cycles", "moved",
+                  "end drift", "half-life"});
+    bool &deterministic = doc.gate("deterministic");
+    bool &engines_identical = doc.gate("engines_identical");
+    bool &rebuild_identical = doc.gate("rebuild_identical");
+    bool &trajectory_ok = doc.gate("trajectory_ok");
+    Json half_life = Json::object();
     for (const auto &dataset : opts.datasets) {
         const DatasetSpec &spec = findDataset(dataset);
         const auto a_p = exec::cachedAdjacency(spec, opts.seed, opts.scale);
@@ -196,15 +181,19 @@ runBenchDynamic(const Options &opts)
         if (!rebuildIdentical(a, churn, opts.epochs, opts.eventsPerEpoch))
             rebuild_identical = false;
 
+        Json dataset_half_life = Json::object();
         for (const auto &policy : policies) {
             AccelConfig cfg =
                 makePolicyConfig(policy, opts.pes, hopBase(spec));
             cfg.platform = opts.platform;
             cfg.engine = EngineKind::Event;
 
-            auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = std::chrono::steady_clock::now();
             DynamicRunStats ev = dynamic::runChurnGcn(cfg, a, churn, dopts);
-            auto t1 = std::chrono::steady_clock::now();
+            const double wall_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
 
             // Gate 1: a second event run must reproduce the first.
             DynamicRunStats again =
@@ -226,96 +215,45 @@ runBenchDynamic(const Options &opts)
                 dynamic::runChurnGcn(cfg, a, churn, mopts);
             if (!sameTrajectory(ev, mod)) trajectory_ok = false;
 
-            DynamicPoint pt;
-            pt.dataset = spec.name;
-            pt.policy = policy;
-            pt.epochs = static_cast<Count>(ev.epochs.size());
-            pt.cycles = ev.totalCycles;
-            pt.tasks = ev.totalTasks;
-            pt.rowsMoved = ev.rowsMoved;
-            pt.rowsChanged = ev.rowsChanged;
-            pt.halfLifeEpochs = ev.halfLifeEpochs;
+            std::vector<double> drift;        // per-epoch carried/fresh - 1
+            std::vector<Cycle> epoch_cycles;  // per-epoch carried cycles
+            std::vector<Cycle> fresh_cycles;  // per-epoch fresh-tune cycles
             for (const auto &e : ev.epochs) {
-                pt.drift.push_back(e.drift);
-                pt.epochCycles.push_back(e.cycles);
-                pt.freshCycles.push_back(e.freshCycles);
+                drift.push_back(e.drift);
+                epoch_cycles.push_back(e.cycles);
+                fresh_cycles.push_back(e.freshCycles);
             }
-            pt.bytesTotal = ev.traffic.total();
-            pt.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
+            dataset_half_life.set(policy, ev.halfLifeEpochs);
 
-            t.addRow({pt.dataset,
-                      PolicyRegistry::instance().get(pt.policy).label,
-                      std::to_string(pt.epochs),
-                      humanCount(static_cast<double>(pt.cycles)),
-                      std::to_string(pt.rowsMoved),
-                      fixed(pt.drift.empty() ? 0.0 : pt.drift.back(), 3),
-                      pt.halfLifeEpochs < 0
-                          ? "never"
-                          : std::to_string(pt.halfLifeEpochs)});
-            points.push_back(std::move(pt));
+            const auto epochs = static_cast<Count>(ev.epochs.size());
+            doc.point(
+                Json::object(
+                    {{"dataset", spec.name},
+                     {"policy", policy},
+                     {"epochs", epochs},
+                     {"cycles", ev.totalCycles},
+                     {"tasks", ev.totalTasks},
+                     {"rows_moved", ev.rowsMoved},
+                     {"rows_changed", ev.rowsChanged},
+                     {"half_life_epochs", ev.halfLifeEpochs},
+                     {"drift", Json::array(drift)},
+                     {"epoch_cycles", Json::array(epoch_cycles)},
+                     {"fresh_cycles", Json::array(fresh_cycles)},
+                     {"bytes_total", ev.traffic.total()},
+                     {"wall_ms", wall_ms}}),
+                {spec.name, PolicyRegistry::instance().get(policy).label,
+                 std::to_string(epochs),
+                 humanCount(static_cast<double>(ev.totalCycles)),
+                 std::to_string(ev.rowsMoved),
+                 fixed(drift.empty() ? 0.0 : drift.back(), 3),
+                 ev.halfLifeEpochs < 0
+                     ? "never"
+                     : std::to_string(ev.halfLifeEpochs)});
         }
+        half_life.set(dataset, std::move(dataset_half_life));
     }
-    std::printf("%s", t.render().c_str());
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-dynamic-v1");
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("epochs", opts.epochs);
-    doc.set("events_per_epoch", opts.eventsPerEpoch);
-    doc.set("dense_cols", opts.denseCols);
-    doc.set("insert_frac", opts.insertFrac);
-    doc.set("drift_tolerance", opts.driftTolerance);
-    doc.set("platform", opts.platform);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("dataset", pt.dataset);
-        p.set("policy", pt.policy);
-        p.set("epochs", pt.epochs);
-        p.set("cycles", pt.cycles);
-        p.set("tasks", pt.tasks);
-        p.set("rows_moved", pt.rowsMoved);
-        p.set("rows_changed", pt.rowsChanged);
-        p.set("half_life_epochs", pt.halfLifeEpochs);
-        Json drift = Json::array();
-        for (double d : pt.drift) drift.push(d);
-        p.set("drift", std::move(drift));
-        Json epoch_cycles = Json::array();
-        for (Cycle c : pt.epochCycles) epoch_cycles.push(c);
-        p.set("epoch_cycles", std::move(epoch_cycles));
-        Json fresh_cycles = Json::array();
-        for (Cycle c : pt.freshCycles) fresh_cycles.push(c);
-        p.set("fresh_cycles", std::move(fresh_cycles));
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("wall_ms", pt.wallMs);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-    Json summary = Json::object();
-    summary.set("deterministic", deterministic);
-    summary.set("engines_identical", engines_identical);
-    summary.set("rebuild_identical", rebuild_identical);
-    summary.set("trajectory_ok", trajectory_ok);
-    Json half_life = Json::object();
-    for (const auto &dataset : opts.datasets) {
-        Json per = Json::object();
-        for (const auto &pt : points)
-            if (pt.dataset == dataset)
-                per.set(pt.policy, pt.halfLifeEpochs);
-        half_life.set(dataset, std::move(per));
-    }
-    summary.set("half_life", std::move(half_life));
-    doc.set("summary", std::move(summary));
-
-    writeDoc(doc, opts.jsonPath, "bench-dynamic");
-    return gateExit("bench-dynamic",
-                    {{"deterministic", deterministic},
-                     {"engines_identical", engines_identical},
-                     {"rebuild_identical", rebuild_identical},
-                     {"trajectory_ok", trajectory_ok}});
+    doc.summary().set("half_life", std::move(half_life));
+    return doc.finish(opts.jsonPath);
 }
 
 } // namespace

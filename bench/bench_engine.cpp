@@ -10,11 +10,7 @@
 #include <cstdio>
 #include <optional>
 
-#include "common/log.hpp"
-#include "common/table.hpp"
 #include "driver/bench.hpp"
-#include "driver/json.hpp"
-#include "exec/run.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
 
@@ -41,226 +37,146 @@ struct Options
     std::string jsonPath = "BENCH_engine.json";
 };
 
-/** One engine's run of one grid point. */
-struct EngineRun
-{
-    double wallMs = 0.0;
-    Cycle cycles = 0;
-    Count tasks = 0;
-    Count rowsSwitched = 0;
-    Count convergedRound = -1;
-    Count rounds = 0;
-    Count roundsSimulated = 0;
-};
-
-/** One dataset × PEs × policy point (event run absent for batched-only). */
-struct BenchPoint
-{
-    std::string dataset;
-    int pes = 0;
-    std::string policy;
-    Index nodes = 0;
-    Count nnz = 0;
-    std::optional<EngineRun> event;
-    EngineRun batched;
-    bool identical = true;  ///< event/batched stats agreed bit for bit
-    double speedup = 0.0;   ///< event wall / batched wall (0 if no event)
-};
-
-/** One TDQ-2 engine run through the execution core (exec/run.hpp): the
- *  core's wallMs times only the engine execution, exactly what this
- *  bench has always measured (synthesis, the B fill and the partition
- *  build stay outside the clock). */
-EngineRun
-runOnce(const std::string &dataset, int pes, const std::string &policy,
-        EngineKind engine, const Options &opts)
-{
-    exec::RunRequest req;
-    req.dataset = dataset;
-    req.policy = policy;
-    req.pes = pes;
-    req.mode = exec::Mode::SpmmTdq2;
-    req.engine = engine;
-    req.seed = opts.seed;
-    req.scale = opts.scale;
-    req.denseCols = opts.k;
-    exec::RunResult r = exec::run(req);
-    if (!r.ok)
-        fatal("--bench-engine " + dataset + "@" + std::to_string(pes) +
-              " " + policy + ": " + r.error);
-    EngineRun run;
-    run.wallMs = r.wallMs;
-    run.cycles = r.cycles;
-    run.tasks = r.tasks;
-    run.rowsSwitched = r.rowsSwitched;
-    run.convergedRound = r.convergedRound;
-    run.rounds = r.rounds;
-    run.roundsSimulated = r.roundsSimulated;
-    return run;
-}
-
-BenchPoint
-runPoint(const std::string &dataset, const DatasetSpec &spec, int pes,
-         const std::string &policy, bool with_event,
-         const Options &opts)
-{
-    BenchPoint pt;
-    pt.dataset = dataset;
-    pt.pes = pes;
-    pt.policy = policy;
-    auto adj = exec::WorkloadCache::instance().adjacency(spec, opts.seed,
-                                                         opts.scale);
-    pt.nodes = adj->rows();
-    pt.nnz = adj->nnz();
-
-    if (with_event)
-        pt.event = runOnce(dataset, pes, policy, EngineKind::Event, opts);
-    pt.batched = runOnce(dataset, pes, policy, EngineKind::Batched, opts);
-
-    if (pt.event) {
-        pt.identical = pt.event->cycles == pt.batched.cycles &&
-                       pt.event->tasks == pt.batched.tasks &&
-                       pt.event->rowsSwitched == pt.batched.rowsSwitched &&
-                       pt.event->convergedRound ==
-                           pt.batched.convergedRound;
-        pt.speedup = pt.batched.wallMs > 0.0
-            ? pt.event->wallMs / pt.batched.wallMs
-            : 0.0;
-    }
-    return pt;
-}
-
 Json
-engineJson(const EngineRun &run)
+engineJson(const exec::RunResult &run)
 {
-    Json j = Json::object();
-    j.set("wall_ms", run.wallMs);
-    j.set("cycles", run.cycles);
-    j.set("tasks", run.tasks);
-    j.set("rows_switched", run.rowsSwitched);
-    j.set("converged_round", run.convergedRound);
-    j.set("rounds", run.rounds);
-    j.set("rounds_simulated", run.roundsSimulated);
-    return j;
+    return Json::object({{"wall_ms", run.wallMs},
+                         {"cycles", run.cycles},
+                         {"tasks", run.tasks},
+                         {"rows_switched", run.rowsSwitched},
+                         {"converged_round", run.convergedRound},
+                         {"rounds", run.rounds},
+                         {"rounds_simulated", run.roundsSimulated}});
 }
 
 int
 runBenchEngine(const Options &opts)
 {
-    std::vector<BenchPoint> points;
+    BenchDoc doc("bench-engine",
+                 {{"schema", "awbsim-bench-engine-v1"},
+                  {"seed", opts.seed},
+                  {"scale", opts.scale},
+                  {"k", opts.k}},
+                 {"dataset", "PEs", "policy", "nnz", "event(ms)",
+                  "batched(ms)", "speedup", "cycles", "rounds sim",
+                  "identical"});
+    bool all_identical = true;
+    // Headline perf-trajectory number: the largest event-vs-batched
+    // config (nodes × PEs), aggregated over every policy run at that
+    // size so slow-converging policies (whose rounds mostly have to be
+    // event-stepped either way) cannot be cherry-picked away.
+    std::string largest_dataset;
+    int largest_pes = 0;
+    double largest_size = -1.0;
+    double largest_event_ms = 0.0;
+    double largest_batched_ms = 0.0;
+
+    // One dataset × PEs × policy point; the event run is skipped for
+    // the batched-only Reddit point. Each is one TDQ-2 run through the
+    // execution core (exec/run.hpp), whose wallMs times only the engine
+    // execution, exactly what this bench has always measured
+    // (synthesis, the B fill and the partition build stay outside).
+    auto runPoint = [&](const std::string &dataset, int pes,
+                        const std::string &policy, bool with_event) {
+        auto adj = exec::WorkloadCache::instance().adjacency(
+            findDataset(dataset), opts.seed, opts.scale);
+        exec::RunRequest req;
+        req.dataset = dataset;
+        req.policy = policy;
+        req.pes = pes;
+        req.mode = exec::Mode::SpmmTdq2;
+        req.seed = opts.seed;
+        req.scale = opts.scale;
+        req.denseCols = opts.k;
+        std::optional<exec::RunResult> event;
+        if (with_event) {
+            req.engine = EngineKind::Event;
+            event = benchRun("bench-engine", req);
+        }
+        req.engine = EngineKind::Batched;
+        const exec::RunResult batched = benchRun("bench-engine", req);
+
+        Json entry = Json::object({{"dataset", dataset},
+                                   {"pes", pes},
+                                   {"policy", policy},
+                                   {"nodes", adj->rows()},
+                                   {"nnz", adj->nnz()},
+                                   {"k", opts.k}});
+        bool identical = true;
+        double speedup = 0.0;  // event wall / batched wall
+        if (event) {
+            identical = event->cycles == batched.cycles &&
+                        event->tasks == batched.tasks &&
+                        event->rowsSwitched == batched.rowsSwitched &&
+                        event->convergedRound == batched.convergedRound;
+            all_identical = all_identical && identical;
+            speedup = batched.wallMs > 0.0 ? event->wallMs / batched.wallMs
+                                           : 0.0;
+            entry.set("event", engineJson(*event));
+            entry.set("speedup", speedup);
+            entry.set("identical", identical);
+
+            const double size = static_cast<double>(adj->rows()) * pes;
+            if (size > largest_size) {
+                largest_dataset = dataset;
+                largest_pes = pes;
+                largest_size = size;
+                largest_event_ms = largest_batched_ms = 0.0;
+            }
+            if (dataset == largest_dataset && pes == largest_pes) {
+                largest_event_ms += event->wallMs;
+                largest_batched_ms += batched.wallMs;
+            }
+        }
+        entry.set("batched", engineJson(batched));
+        doc.point(std::move(entry),
+                  {dataset, std::to_string(pes), policy,
+                   humanCount(static_cast<double>(adj->nnz())),
+                   event ? fixed(event->wallMs, 1) : "-",
+                   fixed(batched.wallMs, 1),
+                   event ? fixed(speedup, 1) + "x" : "-",
+                   humanCount(static_cast<double>(batched.cycles)),
+                   std::to_string(batched.roundsSimulated) + "/" +
+                       std::to_string(batched.rounds),
+                   event ? (identical ? "yes" : "NO") : "n/a"});
+    };
 
     for (const std::string &dataset : opts.datasets) {
-        const DatasetSpec &spec = findDataset(dataset);
         for (int pes : opts.peCounts) {
             for (const std::string &policy : opts.policies) {
                 std::fprintf(stderr, "bench-engine: %s @ %d PEs %s ...\n",
                              dataset.c_str(), pes, policy.c_str());
-                points.push_back(runPoint(dataset, spec, pes, policy,
-                                          /*with_event=*/true, opts));
+                runPoint(dataset, pes, policy, /*with_event=*/true);
             }
         }
     }
-
     if (opts.redditPes > 0) {
-        const DatasetSpec &spec = findDataset("reddit");
         std::fprintf(stderr,
                      "bench-engine: reddit @ %d PEs %s (batched only, "
                      "%d nodes) ...\n",
-                     opts.redditPes, opts.redditPolicy.c_str(), spec.nodes);
-        points.push_back(runPoint("reddit", spec, opts.redditPes,
-                                  opts.redditPolicy, /*with_event=*/false,
-                                  opts));
+                     opts.redditPes, opts.redditPolicy.c_str(),
+                     findDataset("reddit").nodes);
+        runPoint("reddit", opts.redditPes, opts.redditPolicy,
+                 /*with_event=*/false);
     }
 
-    // --- Table.
-    Table t({"dataset", "PEs", "policy", "nnz", "event(ms)", "batched(ms)",
-             "speedup", "cycles", "rounds sim", "identical"});
-    bool all_identical = true;
-    for (const BenchPoint &p : points) {
-        all_identical = all_identical && p.identical;
-        t.addRow({p.dataset, std::to_string(p.pes), p.policy,
-                  humanCount(static_cast<double>(p.nnz)),
-                  p.event ? fixed(p.event->wallMs, 1) : "-",
-                  fixed(p.batched.wallMs, 1),
-                  p.event ? fixed(p.speedup, 1) + "x" : "-",
-                  humanCount(static_cast<double>(p.batched.cycles)),
-                  std::to_string(p.batched.roundsSimulated) + "/" +
-                      std::to_string(p.batched.rounds),
-                  p.event ? (p.identical ? "yes" : "NO") : "n/a"});
-    }
-    std::printf("%s", t.render().c_str());
-
-    // --- Headline perf-trajectory number: the largest event-vs-batched
-    // config (nodes × PEs), aggregated over every policy run at that
-    // size so slow-converging policies (whose rounds mostly have to be
-    // event-stepped either way) cannot be cherry-picked away.
-    const BenchPoint *largest = nullptr;
-    for (const BenchPoint &p : points) {
-        if (!p.event) continue;
-        if (largest == nullptr ||
-            static_cast<double>(p.nodes) * p.pes >
-                static_cast<double>(largest->nodes) * largest->pes)
-            largest = &p;
-    }
-    double largest_event_ms = 0.0;
-    double largest_batched_ms = 0.0;
-    double largest_speedup = 0.0;
-    if (largest != nullptr) {
-        for (const BenchPoint &p : points) {
-            if (!p.event || p.dataset != largest->dataset ||
-                p.pes != largest->pes)
-                continue;
-            largest_event_ms += p.event->wallMs;
-            largest_batched_ms += p.batched.wallMs;
-        }
-        largest_speedup = largest_batched_ms > 0.0
+    if (largest_size >= 0.0) {
+        const double speedup = largest_batched_ms > 0.0
             ? largest_event_ms / largest_batched_ms
             : 0.0;
         std::printf("largest paired config %s @ %d PEs (all policies): "
                     "%.1fx batched speedup\n",
-                    largest->dataset.c_str(), largest->pes,
-                    largest_speedup);
+                    largest_dataset.c_str(), largest_pes, speedup);
+        doc.summary().set(
+            "largest_paired_config",
+            Json::object({{"dataset", largest_dataset},
+                          {"pes", largest_pes},
+                          {"event_wall_ms", largest_event_ms},
+                          {"batched_wall_ms", largest_batched_ms},
+                          {"speedup", speedup}}));
     }
-
-    // --- JSON document.
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-engine-v1");
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("k", opts.k);
-    Json arr = Json::array();
-    for (const BenchPoint &p : points) {
-        Json j = Json::object();
-        j.set("dataset", p.dataset);
-        j.set("pes", p.pes);
-        j.set("policy", p.policy);
-        j.set("nodes", p.nodes);
-        j.set("nnz", p.nnz);
-        j.set("k", opts.k);
-        if (p.event) {
-            j.set("event", engineJson(*p.event));
-            j.set("speedup", p.speedup);
-            j.set("identical", p.identical);
-        }
-        j.set("batched", engineJson(p.batched));
-        arr.push(std::move(j));
-    }
-    doc.set("points", std::move(arr));
-    Json summary = Json::object();
-    if (largest != nullptr) {
-        Json l = Json::object();
-        l.set("dataset", largest->dataset);
-        l.set("pes", largest->pes);
-        l.set("event_wall_ms", largest_event_ms);
-        l.set("batched_wall_ms", largest_batched_ms);
-        l.set("speedup", largest_speedup);
-        summary.set("largest_paired_config", std::move(l));
-    }
-    summary.set("all_identical", all_identical);
-    doc.set("summary", std::move(summary));
-
-    writeDoc(doc, opts.jsonPath, "bench-engine");
-    return gateExit("bench-engine", {{"all_identical", all_identical}});
+    doc.gate("all_identical", all_identical);
+    return doc.finish(opts.jsonPath);
 }
 
 } // namespace
@@ -277,7 +193,7 @@ runBenchEngineCli(CommandLine &cl)
               "policies run at every size", resolvePolicy),
         number({"--k"}, "N", o.k, "dense-operand columns", 1),
         number({"--reddit-pes"}, "N", o.redditPes,
-               "add Reddit at N PEs, batched engine only (0 = skip)"),
+               "add Reddit at N PEs, batched engine only (0 = skip)", 0),
         text({"--reddit-policy"}, "P", o.redditPolicy,
              "policy of the Reddit point", resolvePolicy),
         number({"--seed"}, "N", o.seed, "global seed"),

@@ -6,18 +6,8 @@
  * monotonicity argument the gate here enforces.
  */
 
-#include <chrono>
-#include <cstdio>
-
-#include "accel/policy.hpp"
-#include "accel/scaleout.hpp"
-#include "common/table.hpp"
 #include "driver/bench.hpp"
-#include "driver/json.hpp"
-#include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
-#include "model/energy_model.hpp"
-#include "model/memory_model.hpp"
 
 namespace awb::driver {
 
@@ -36,128 +26,73 @@ struct Options
     std::string jsonPath = "BENCH_scaleout.json";
 };
 
-/** One chips × platform point of the scaling curve. */
-struct ScaleoutPoint
-{
-    std::string platform;
-    int chips = 1;
-    Cycle cycles = 0;
-    Count haloBytes = 0;
-    Cycle haloCycles = 0;
-    Count haloBoundRounds = 0;
-    double chipImbalance = 1.0;
-    Count bytesTotal = 0;
-    Cycle memoryCycles = 0;
-    Count bwBoundRounds = 0;
-    double latencyMs = 0.0;
-    double speedup = 1.0;  ///< 1-chip cycles / cycles, same platform
-    double wallMs = 0.0;
-};
-
 int
 runBenchScaleout(const Options &opts)
 {
-    const DatasetSpec &spec = findDataset(opts.dataset);
-    const auto prof_p = exec::cachedProfile(spec, opts.seed, opts.scale);
-    const WorkloadProfile &prof = *prof_p;
-    const auto adj_p = exec::cachedAdjacency(spec, opts.seed, opts.scale);
-    const CscMatrix &adjacency = *adj_p;
-
-    std::vector<ScaleoutPoint> points;
-    bool halo_ok = true;
-
-    Table t({"platform", "chips", "cycles", "speedup", "halo GB",
-             "halo cycles", "imbalance", "latency(ms)"});
+    BenchDoc doc("bench-scaleout",
+                 {{"schema", "awbsim-bench-scaleout-v1"},
+                  {"dataset", findDataset(opts.dataset).name},
+                  {"policy", opts.policy},
+                  {"pes", opts.pes},
+                  {"seed", opts.seed},
+                  {"scale", opts.scale}},
+                 {"platform", "chips", "cycles", "speedup", "halo GB",
+                  "halo cycles", "imbalance", "latency(ms)"});
+    bool &halo_ok = doc.gate("halo_monotone");
     for (const auto &platform : opts.platforms) {
         Cycle one_chip_cycles = 0;
         Count prev_halo = 0;
         for (std::size_t i = 0; i < opts.chipCounts.size(); ++i) {
             const int chips = opts.chipCounts[i];
-            AccelConfig cfg =
-                makePolicyConfig(opts.policy, opts.pes, hopBase(spec));
-            cfg.platform = platform;
-            cfg.chips = chips;
+            exec::RunRequest req;
+            req.dataset = opts.dataset;
+            req.policy = opts.policy;
+            req.platform = platform;
+            req.pes = opts.pes;
+            req.chips = chips;
+            req.seed = opts.seed;
+            req.scale = opts.scale;
+            const exec::RunResult r = benchRun("bench-scaleout", req);
 
-            auto t0 = std::chrono::steady_clock::now();
-            ShardedPerfGcnResult res =
-                modelGcnSharded(cfg, prof, &adjacency);
-            auto t1 = std::chrono::steady_clock::now();
-
-            ScaleoutPoint pt;
-            pt.platform = platform;
-            pt.chips = chips;
-            pt.cycles = res.result.totalCycles;
-            pt.haloBytes = res.scaleout.haloBytes;
-            pt.haloCycles = res.scaleout.haloCycles;
-            pt.haloBoundRounds = res.scaleout.haloBoundRounds;
-            pt.chipImbalance = res.scaleout.chipImbalance;
-            pt.bytesTotal = res.result.traffic.total();
-            pt.memoryCycles = res.result.memoryCycles;
-            pt.bwBoundRounds = res.result.bwBoundRounds;
-            pt.latencyMs =
-                evaluateEnergy(res.result.totalCycles,
-                               res.result.totalTasks, policyClockMhz(cfg))
-                    .latencyMs;
-            pt.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-            if (chips == 1) one_chip_cycles = pt.cycles;
-            if (one_chip_cycles > 0 && pt.cycles > 0)
-                pt.speedup = static_cast<double>(one_chip_cycles) /
-                             static_cast<double>(pt.cycles);
+            // 1-chip cycles / cycles, same platform.
+            double speedup = 1.0;
+            if (chips == 1) one_chip_cycles = r.cycles;
+            if (one_chip_cycles > 0 && r.cycles > 0)
+                speedup = static_cast<double>(one_chip_cycles) /
+                          static_cast<double>(r.cycles);
 
             // The halo gate (DESIGN.md §9): one chip has no boundary,
             // and cutting the graph into more shards can only turn more
             // edges into boundary edges.
-            if (chips == 1 && pt.haloBytes != 0) halo_ok = false;
+            if (chips == 1 && r.haloBytes != 0) halo_ok = false;
             if (i > 0 && opts.chipCounts[i] > opts.chipCounts[i - 1] &&
-                pt.haloBytes < prev_halo)
+                r.haloBytes < prev_halo)
                 halo_ok = false;
-            prev_halo = pt.haloBytes;
+            prev_halo = r.haloBytes;
 
-            t.addRow({pt.platform, std::to_string(pt.chips),
-                      humanCount(static_cast<double>(pt.cycles)),
-                      fixed(pt.speedup, 2) + "x",
-                      fixed(static_cast<double>(pt.haloBytes) / 1e9, 3),
-                      humanCount(static_cast<double>(pt.haloCycles)),
-                      fixed(pt.chipImbalance, 3), fixed(pt.latencyMs, 3)});
-            points.push_back(std::move(pt));
+            doc.point(
+                Json::object({{"platform", platform},
+                              {"chips", chips},
+                              {"cycles", r.cycles},
+                              {"halo_bytes", r.haloBytes},
+                              {"halo_cycles", r.haloCycles},
+                              {"halo_bound_rounds", r.haloBoundRounds},
+                              {"chip_imbalance", r.chipImbalance},
+                              {"bytes_total", r.bytesTotal},
+                              {"memory_cycles", r.memoryCycles},
+                              {"bw_bound_rounds", r.bwBoundRounds},
+                              {"latency_ms", r.latencyMs},
+                              {"speedup", speedup},
+                              {"wall_ms", r.wallMs}}),
+                {platform, std::to_string(chips),
+                 humanCount(static_cast<double>(r.cycles)),
+                 fixed(speedup, 2) + "x",
+                 fixed(static_cast<double>(r.haloBytes) / 1e9, 3),
+                 humanCount(static_cast<double>(r.haloCycles)),
+                 fixed(r.chipImbalance, 3), fixed(r.latencyMs, 3)});
         }
     }
-    std::printf("%s", t.render().c_str());
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-scaleout-v1");
-    doc.set("dataset", spec.name);
-    doc.set("policy", opts.policy);
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("platform", pt.platform);
-        p.set("chips", pt.chips);
-        p.set("cycles", pt.cycles);
-        p.set("halo_bytes", pt.haloBytes);
-        p.set("halo_cycles", pt.haloCycles);
-        p.set("halo_bound_rounds", pt.haloBoundRounds);
-        p.set("chip_imbalance", pt.chipImbalance);
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("memory_cycles", pt.memoryCycles);
-        p.set("bw_bound_rounds", pt.bwBoundRounds);
-        p.set("latency_ms", pt.latencyMs);
-        p.set("speedup", pt.speedup);
-        p.set("wall_ms", pt.wallMs);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-    Json summary = Json::object();
-    summary.set("halo_monotone", halo_ok);
-    doc.set("summary", std::move(summary));
-
-    writeDoc(doc, opts.jsonPath, "bench-scaleout");
-    return gateExit("bench-scaleout", {{"halo_monotone", halo_ok}});
+    return doc.finish(opts.jsonPath);
 }
 
 } // namespace

@@ -9,10 +9,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "common/log.hpp"
-#include "common/table.hpp"
 #include "driver/bench.hpp"
-#include "driver/json.hpp"
 #include "driver/serve_cli.hpp"
 #include "serve/serve.hpp"
 
@@ -36,16 +33,6 @@ struct Options
     int pes = 64;
     std::uint64_t seed = 1;
     std::string jsonPath = "BENCH_serving.json";
-};
-
-/** One dataset × rate point of the latency curve. */
-struct ServingPoint
-{
-    std::string dataset;
-    double rate = 0.0;
-    serve::ServeOptions opts;
-    serve::ServeResult result;
-    bool deterministic = true;  ///< double-run byte-identical JSON
 };
 
 serve::ServeOptions
@@ -80,129 +67,22 @@ int
 runBenchServing(const Options &opts)
 {
     const auto bench_t0 = std::chrono::steady_clock::now();
-    std::vector<ServingPoint> points;
-    bool gates_ok = true;
+    BenchDoc doc("bench-serving",
+                 {{"schema", "awbsim-bench-serving-v1"},
+                  {"discipline", opts.discipline},
+                  {"devices", opts.devices},
+                  {"duration_ms", opts.durationMs},
+                  {"policy", opts.policy},
+                  {"pes", opts.pes},
+                  {"seed", opts.seed}},
+                 {"dataset", "rate", "offered", "done", "lost", "p50(ms)",
+                  "p99(ms)", "batch", "rps"});
+    bool &gates_ok = doc.gate("gates_ok");
     std::string gate_error;
     auto fail = [&](const std::string &why) {
         gates_ok = false;
         if (gate_error.empty()) gate_error = why;
     };
-
-    Table t({"dataset", "rate", "offered", "done", "lost", "p50(ms)",
-             "p99(ms)", "batch", "rps"});
-    for (const auto &dataset : opts.datasets) {
-        for (double rate : opts.rates) {
-            ServingPoint pt;
-            pt.dataset = dataset;
-            pt.rate = rate;
-            pt.opts = baseOptions(opts, dataset);
-            pt.opts.ratePerSec = rate;
-            pt.result = serve::runServe(pt.opts);
-
-            // Determinism gate: a second run of the same options must
-            // render byte-identical JSON (DESIGN.md §10).
-            const serve::ServeResult again = serve::runServe(pt.opts);
-            pt.deterministic = serveToJson(pt.opts, pt.result).dump(2) ==
-                               serveToJson(pt.opts, again).dump(2);
-            if (!pt.deterministic)
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": double run diverged");
-            if (!conserved(pt.result))
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": request conservation violated");
-            if (pt.result.completed > 0 &&
-                !percentilesOrdered(pt.result.latency))
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": latency percentiles out of order");
-
-            t.addRow({dataset, fixed(rate, 0),
-                      std::to_string(pt.result.offered),
-                      std::to_string(pt.result.completed),
-                      std::to_string(pt.result.dropped +
-                                     pt.result.timedOut),
-                      fixed(serve::cyclesToMs(pt.result.latency.p50,
-                                              pt.result.clockMhz),
-                            3),
-                      fixed(serve::cyclesToMs(pt.result.latency.p99,
-                                              pt.result.clockMhz),
-                            3),
-                      fixed(pt.result.meanBatchSize, 2),
-                      fixed(pt.result.throughputRps, 1)});
-            points.push_back(std::move(pt));
-        }
-    }
-    std::printf("%s", t.render().c_str());
-
-    // Closed-loop saturation point per dataset: C clients issuing
-    // back-to-back measure the device pool's peak service throughput.
-    struct Saturation
-    {
-        std::string dataset;
-        serve::ServeResult result;
-    };
-    std::vector<Saturation> saturation;
-    for (const auto &dataset : opts.datasets) {
-        serve::ServeOptions o = baseOptions(opts, dataset);
-        o.arrivals = serve::ArrivalMode::Closed;
-        o.clients = opts.clients;
-        Saturation s{dataset, serve::runServe(o)};
-        if (!conserved(s.result))
-            fail(dataset + " closed loop: request conservation violated");
-        std::printf("%s closed loop: %lld done, %.1f rps saturation, "
-                    "p99 %.3f ms\n",
-                    dataset.c_str(),
-                    static_cast<long long>(s.result.completed),
-                    s.result.throughputRps,
-                    serve::cyclesToMs(s.result.latency.p99,
-                                      s.result.clockMhz));
-        saturation.push_back(std::move(s));
-    }
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-serving-v1");
-    doc.set("discipline", opts.discipline);
-    doc.set("devices", opts.devices);
-    doc.set("duration_ms", opts.durationMs);
-    doc.set("policy", opts.policy);
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("dataset", pt.dataset);
-        p.set("rate_rps", pt.rate);
-        p.set("offered", pt.result.offered);
-        p.set("completed", pt.result.completed);
-        p.set("dropped", pt.result.dropped);
-        p.set("timed_out", pt.result.timedOut);
-        p.set("batches", pt.result.batches);
-        p.set("mean_batch_size", pt.result.meanBatchSize);
-        p.set("end_cycle", pt.result.endCycle);
-        p.set("p50_cycles", pt.result.latency.p50);
-        p.set("p95_cycles", pt.result.latency.p95);
-        p.set("p99_cycles", pt.result.latency.p99);
-        p.set("p999_cycles", pt.result.latency.p999);
-        p.set("p99_ms", serve::cyclesToMs(pt.result.latency.p99,
-                                          pt.result.clockMhz));
-        p.set("throughput_rps", pt.result.throughputRps);
-        p.set("peak_queue_depth", pt.result.peakQueueDepth);
-        p.set("deterministic", pt.deterministic);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-
-    Json jsat = Json::array();
-    for (const auto &s : saturation) {
-        Json p = Json::object();
-        p.set("dataset", s.dataset);
-        p.set("clients", opts.clients);
-        p.set("completed", s.result.completed);
-        p.set("saturation_rps", s.result.throughputRps);
-        p.set("p99_cycles", s.result.latency.p99);
-        p.set("mean_batch_size", s.result.meanBatchSize);
-        jsat.push(std::move(p));
-    }
-    doc.set("closed_loop", std::move(jsat));
 
     // The saturation knee of each open-loop curve: the first rate whose
     // p99 is at least twice the lowest rate's p99 (0 = no knee in range).
@@ -210,27 +90,91 @@ runBenchServing(const Options &opts)
     for (const auto &dataset : opts.datasets) {
         Cycle base_p99 = -1;
         double knee = 0.0;
-        for (const auto &pt : points) {
-            if (pt.dataset != dataset || pt.result.completed == 0)
-                continue;
-            if (base_p99 < 0) base_p99 = pt.result.latency.p99;
-            if (knee == 0.0 && pt.result.latency.p99 >= 2 * base_p99)
-                knee = pt.rate;
+        for (double rate : opts.rates) {
+            serve::ServeOptions o = baseOptions(opts, dataset);
+            o.ratePerSec = rate;
+            const serve::ServeResult r = serve::runServe(o);
+
+            // Determinism gate: a second run of the same options must
+            // render byte-identical JSON (DESIGN.md §10).
+            const serve::ServeResult again = serve::runServe(o);
+            const bool deterministic = serveToJson(o, r).dump(2) ==
+                                       serveToJson(o, again).dump(2);
+            if (!deterministic)
+                fail(dataset + " rate " + fixed(rate, 0) +
+                     ": double run diverged");
+            if (!conserved(r))
+                fail(dataset + " rate " + fixed(rate, 0) +
+                     ": request conservation violated");
+            if (r.completed > 0 && !percentilesOrdered(r.latency))
+                fail(dataset + " rate " + fixed(rate, 0) +
+                     ": latency percentiles out of order");
+            if (r.completed > 0) {
+                if (base_p99 < 0) base_p99 = r.latency.p99;
+                if (knee == 0.0 && r.latency.p99 >= 2 * base_p99)
+                    knee = rate;
+            }
+
+            const double p99_ms = serve::cyclesToMs(r.latency.p99,
+                                                    r.clockMhz);
+            doc.point(Json::object({{"dataset", dataset},
+                                    {"rate_rps", rate},
+                                    {"offered", r.offered},
+                                    {"completed", r.completed},
+                                    {"dropped", r.dropped},
+                                    {"timed_out", r.timedOut},
+                                    {"batches", r.batches},
+                                    {"mean_batch_size", r.meanBatchSize},
+                                    {"end_cycle", r.endCycle},
+                                    {"p50_cycles", r.latency.p50},
+                                    {"p95_cycles", r.latency.p95},
+                                    {"p99_cycles", r.latency.p99},
+                                    {"p999_cycles", r.latency.p999},
+                                    {"p99_ms", p99_ms},
+                                    {"throughput_rps", r.throughputRps},
+                                    {"peak_queue_depth", r.peakQueueDepth},
+                                    {"deterministic", deterministic}}),
+                      {dataset, fixed(rate, 0), std::to_string(r.offered),
+                       std::to_string(r.completed),
+                       std::to_string(r.dropped + r.timedOut),
+                       fixed(serve::cyclesToMs(r.latency.p50, r.clockMhz),
+                             3),
+                       fixed(p99_ms, 3), fixed(r.meanBatchSize, 2),
+                       fixed(r.throughputRps, 1)});
         }
         knees.set(dataset, knee);
     }
-    const auto bench_t1 = std::chrono::steady_clock::now();
-    Json summary = Json::object();
-    summary.set("gates_ok", gates_ok);
-    summary.set("knee_rate_rps", std::move(knees));
-    summary.set("wall_ms",
-                std::chrono::duration<double, std::milli>(bench_t1 -
-                                                          bench_t0)
-                    .count());
-    doc.set("summary", std::move(summary));
 
-    writeDoc(doc, opts.jsonPath, "bench-serving");
-    return gateExit("bench-serving", {{"gates_ok", gates_ok}}, gate_error);
+    // Closed-loop saturation point per dataset: C clients issuing
+    // back-to-back measure the device pool's peak service throughput.
+    Json saturation = Json::array();
+    for (const auto &dataset : opts.datasets) {
+        serve::ServeOptions o = baseOptions(opts, dataset);
+        o.arrivals = serve::ArrivalMode::Closed;
+        o.clients = opts.clients;
+        const serve::ServeResult r = serve::runServe(o);
+        if (!conserved(r))
+            fail(dataset + " closed loop: request conservation violated");
+        std::printf("%s closed loop: %lld done, %.1f rps saturation, "
+                    "p99 %.3f ms\n",
+                    dataset.c_str(), static_cast<long long>(r.completed),
+                    r.throughputRps,
+                    serve::cyclesToMs(r.latency.p99, r.clockMhz));
+        saturation.push(Json::object({{"dataset", dataset},
+                                      {"clients", opts.clients},
+                                      {"completed", r.completed},
+                                      {"saturation_rps", r.throughputRps},
+                                      {"p99_cycles", r.latency.p99},
+                                      {"mean_batch_size", r.meanBatchSize}}));
+    }
+    doc.set("closed_loop", std::move(saturation));
+
+    doc.summary().set("knee_rate_rps", std::move(knees));
+    doc.summary().set("wall_ms",
+                      std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - bench_t0)
+                          .count());
+    return doc.finish(opts.jsonPath, gate_error);
 }
 
 } // namespace
@@ -247,7 +191,7 @@ runBenchServingCli(CommandLine &cl)
              resolveDiscipline),
         number({"--devices"}, "N", o.devices, "simulated accelerators", 1),
         number({"--duration-ms"}, "D", o.durationMs,
-               "admission horizon per point"),
+               "admission horizon per point", 0.0),
         number({"--clients"}, "N", o.clients, "closed-loop population"),
         text({"--policy"}, "P", o.policy, "balance policy", resolvePolicy),
         number({"--pes"}, "N", o.pes, "PE-array size"),

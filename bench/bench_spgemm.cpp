@@ -7,16 +7,11 @@
  * gates here enforce.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 
 #include "accel/policy.hpp"
-#include "common/log.hpp"
-#include "common/table.hpp"
 #include "driver/bench.hpp"
-#include "driver/json.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
 #include "kernels/bfs.hpp"
@@ -44,26 +39,6 @@ struct Options
     double scale = 1.0;
     std::string platform = "unconstrained";
     std::string jsonPath = "BENCH_spgemm.json";
-};
-
-/** One kernel × policy point of the benchmark. */
-struct SpgemmPoint
-{
-    std::string kernel;
-    std::string policy;
-    Count iterations = 0;
-    Cycle cycles = 0;
-    Count tasks = 0;
-    Count rowsSwitched = 0;
-    std::vector<Count> frontier;    ///< per-iteration frontier non-zeros
-    std::vector<Cycle> iterCycles;  ///< per-iteration system cycles
-    Count bytesTotal = 0;
-    Count bRowBytes = 0;
-    Count outputIndexBytes = 0;
-    Count migrationBytes = 0;
-    double cyclesVsBaseline = 1.0;  ///< cycles / same-kernel baseline
-    std::string verdict = "baseline";
-    double wallMs = 0.0;
 };
 
 /** One engine execution of a kernel, reduced to what the gates need. */
@@ -113,10 +88,7 @@ runBenchSpgemm(const Options &opts)
         fatal("bench-spgemm: --source out of range for the scaled graph");
 
     // The verdict needs the static baseline's cycle count first.
-    std::vector<std::string> policies = opts.policies;  // canonical names
-    if (std::find(policies.begin(), policies.end(), "baseline") ==
-        policies.end())
-        policies.insert(policies.begin(), "baseline");
+    const std::vector<std::string> policies = withBaseline(opts.policies);
 
     const kernels::BfsResult bfs_ref = kernels::bfsReference(a, opts.source);
     const kernels::PagerankResult pr_ref = kernels::pagerankReference(
@@ -148,25 +120,38 @@ runBenchSpgemm(const Options &opts)
         return out;
     };
 
-    bool deterministic = true;
-    bool engines_identical = true;
-    bool functional_ok = true;
-    bool model_traffic_ok = true;
-    std::vector<SpgemmPoint> points;
-
-    Table t({"kernel", "design", "iters", "cycles", "vs base", "switched",
-             "bytes", "verdict"});
+    BenchDoc doc("bench-spgemm",
+                 {{"schema", "awbsim-bench-spgemm-v1"},
+                  {"dataset", spec.name},
+                  {"pes", opts.pes},
+                  {"seed", opts.seed},
+                  {"scale", opts.scale},
+                  {"source", opts.source},
+                  {"damping", opts.damping},
+                  {"tol", opts.tol},
+                  {"platform", opts.platform}},
+                 {"kernel", "design", "iters", "cycles", "vs base",
+                  "switched", "bytes", "verdict"});
+    bool &deterministic = doc.gate("deterministic");
+    bool &engines_identical = doc.gate("engines_identical");
+    bool &functional_ok = doc.gate("functional_ok");
+    bool &model_traffic_ok = doc.gate("model_traffic_ok");
+    Json verdicts = Json::object();
     for (const std::string kernel : {"bfs", "pagerank"}) {
         Cycle baseline_cycles = 0;
+        Json kernel_verdicts = Json::object();
         for (const auto &policy : policies) {
             AccelConfig cfg =
                 makePolicyConfig(policy, opts.pes, hopBase(spec));
             cfg.platform = opts.platform;
             cfg.engine = EngineKind::Event;
 
-            auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = std::chrono::steady_clock::now();
             KernelRun ev = runOnce(kernel, cfg);
-            auto t1 = std::chrono::steady_clock::now();
+            const double wall_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
 
             // Gate 1: a second event run must reproduce the first.
             KernelRun again = runOnce(kernel, cfg);
@@ -197,103 +182,54 @@ runBenchSpgemm(const Options &opts)
                     model_traffic_ok = false;
             }
 
-            SpgemmPoint pt;
-            pt.kernel = kernel;
-            pt.policy = policy;
-            pt.iterations =
-                static_cast<Count>(ev.stats.iterations.size());
-            pt.cycles = ev.stats.totalCycles;
-            pt.tasks = ev.stats.totalTasks;
-            pt.rowsSwitched = ev.stats.rowsSwitched;
-            for (const auto &it : ev.stats.iterations) {
-                pt.frontier.push_back(it.frontierNnz);
-                pt.iterCycles.push_back(it.cycles);
+            const kernels::FrontierRunStats &st = ev.stats;
+            std::vector<Count> frontier;    // per-iteration non-zeros
+            std::vector<Cycle> iter_cycles; // per-iteration system cycles
+            for (const auto &it : st.iterations) {
+                frontier.push_back(it.frontierNnz);
+                iter_cycles.push_back(it.cycles);
             }
-            pt.bytesTotal = ev.stats.traffic.total();
-            pt.bRowBytes = ev.stats.traffic.bRowBytes;
-            pt.outputIndexBytes = ev.stats.traffic.outputIndexBytes;
-            pt.migrationBytes = ev.stats.traffic.migrationBytes;
-            pt.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
-
+            double vs_baseline = 1.0;  // cycles / same-kernel baseline
+            std::string verdict = "baseline";
             if (policy == "baseline") {
-                baseline_cycles = pt.cycles;
+                baseline_cycles = st.totalCycles;
             } else if (baseline_cycles > 0) {
-                pt.cyclesVsBaseline =
-                    static_cast<double>(pt.cycles) /
-                    static_cast<double>(baseline_cycles);
-                pt.verdict = verdictOf(pt.cycles, baseline_cycles);
+                vs_baseline = static_cast<double>(st.totalCycles) /
+                              static_cast<double>(baseline_cycles);
+                verdict = verdictOf(st.totalCycles, baseline_cycles);
             }
+            kernel_verdicts.set(policy, verdict);
 
-            t.addRow({pt.kernel,
-                      PolicyRegistry::instance().get(pt.policy).label,
-                      std::to_string(pt.iterations),
-                      humanCount(static_cast<double>(pt.cycles)),
-                      fixed(pt.cyclesVsBaseline, 3) + "x",
-                      std::to_string(pt.rowsSwitched),
-                      humanCount(static_cast<double>(pt.bytesTotal)),
-                      pt.verdict});
-            points.push_back(std::move(pt));
+            const auto iterations = static_cast<Count>(frontier.size());
+            doc.point(
+                Json::object(
+                    {{"kernel", kernel},
+                     {"policy", policy},
+                     {"iterations", iterations},
+                     {"cycles", st.totalCycles},
+                     {"tasks", st.totalTasks},
+                     {"rows_switched", st.rowsSwitched},
+                     {"frontier", Json::array(frontier)},
+                     {"iter_cycles", Json::array(iter_cycles)},
+                     {"bytes_total", st.traffic.total()},
+                     {"b_row_bytes", st.traffic.bRowBytes},
+                     {"output_index_bytes", st.traffic.outputIndexBytes},
+                     {"migration_bytes", st.traffic.migrationBytes},
+                     {"cycles_vs_baseline", vs_baseline},
+                     {"verdict", verdict},
+                     {"wall_ms", wall_ms}}),
+                {kernel, PolicyRegistry::instance().get(policy).label,
+                 std::to_string(iterations),
+                 humanCount(static_cast<double>(st.totalCycles)),
+                 fixed(vs_baseline, 3) + "x",
+                 std::to_string(st.rowsSwitched),
+                 humanCount(static_cast<double>(st.traffic.total())),
+                 verdict});
         }
+        verdicts.set(kernel, std::move(kernel_verdicts));
     }
-    std::printf("%s", t.render().c_str());
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-spgemm-v1");
-    doc.set("dataset", spec.name);
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("source", opts.source);
-    doc.set("damping", opts.damping);
-    doc.set("tol", opts.tol);
-    doc.set("platform", opts.platform);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("kernel", pt.kernel);
-        p.set("policy", pt.policy);
-        p.set("iterations", pt.iterations);
-        p.set("cycles", pt.cycles);
-        p.set("tasks", pt.tasks);
-        p.set("rows_switched", pt.rowsSwitched);
-        Json frontier = Json::array();
-        for (Count f : pt.frontier) frontier.push(f);
-        p.set("frontier", std::move(frontier));
-        Json iter_cycles = Json::array();
-        for (Cycle c : pt.iterCycles) iter_cycles.push(c);
-        p.set("iter_cycles", std::move(iter_cycles));
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("b_row_bytes", pt.bRowBytes);
-        p.set("output_index_bytes", pt.outputIndexBytes);
-        p.set("migration_bytes", pt.migrationBytes);
-        p.set("cycles_vs_baseline", pt.cyclesVsBaseline);
-        p.set("verdict", pt.verdict);
-        p.set("wall_ms", pt.wallMs);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-    Json summary = Json::object();
-    summary.set("deterministic", deterministic);
-    summary.set("engines_identical", engines_identical);
-    summary.set("functional_ok", functional_ok);
-    summary.set("model_traffic_ok", model_traffic_ok);
-    Json verdicts = Json::object();
-    for (const std::string kernel : {"bfs", "pagerank"}) {
-        Json per = Json::object();
-        for (const auto &pt : points)
-            if (pt.kernel == kernel) per.set(pt.policy, pt.verdict);
-        verdicts.set(kernel, std::move(per));
-    }
-    summary.set("verdicts", std::move(verdicts));
-    doc.set("summary", std::move(summary));
-
-    writeDoc(doc, opts.jsonPath, "bench-spgemm");
-    return gateExit("bench-spgemm",
-                    {{"deterministic", deterministic},
-                     {"engines_identical", engines_identical},
-                     {"functional_ok", functional_ok},
-                     {"model_traffic_ok", model_traffic_ok}});
+    doc.summary().set("verdicts", std::move(verdicts));
+    return doc.finish(opts.jsonPath);
 }
 
 } // namespace

@@ -15,18 +15,22 @@
  * c, d, eie, work-steal, ...; `awbsim --list-designs` shows them all).
  * `--mode model` (default) runs the round-level performance model at any
  * scale; `--mode cycle` runs the cycle-accurate engine (use --scale to
- * keep it tractable).
+ * keep it tractable). Flags are parsed from one table, like every awbsim
+ * command's (driver/cli.hpp): a malformed number or an unknown mode is
+ * fatal.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
 #include "accel/report.hpp"
 #include "common/log.hpp"
+#include "common/text.hpp"
+#include "driver/cli.hpp"
 #include "gcn/reference.hpp"
 #include "graph/datasets.hpp"
 #include "model/energy_model.hpp"
@@ -35,50 +39,69 @@ using namespace awb;
 
 namespace {
 
+enum class Mode
+{
+    Model,  ///< round-level performance model, any scale
+    Cycle,  ///< cycle-accurate engine
+};
+
+Mode
+parseMode(const std::string &s)
+{
+    if (s == "model") return Mode::Model;
+    if (s == "cycle") return Mode::Cycle;
+    fatal("unknown --mode '" + s + "' — did you mean '" +
+          nearestOf(s, {"model", "cycle"}) + "'? (model|cycle)");
+}
+
+std::string
+modeName(Mode m)
+{
+    return m == Mode::Cycle ? "cycle" : "model";
+}
+
 struct Options
 {
     std::string dataset = "cora";
     std::string design = "remote-d";
     int pes = 512;
     double scale = 1.0;
-    bool cycleMode = false;
+    Mode mode = Mode::Model;
     std::uint64_t seed = 1;
     std::string saveMap;
     std::string loadMap;
+    bool help = false;
 };
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--dataset") {
-            opt.dataset = need("--dataset");
-        } else if (a == "--design") {
-            opt.design = need("--design");
-        } else if (a == "--pes") {
-            opt.pes = std::stoi(need("--pes"));
-        } else if (a == "--scale") {
-            opt.scale = std::stod(need("--scale"));
-        } else if (a == "--mode") {
-            opt.cycleMode = (need("--mode") == std::string("cycle"));
-        } else if (a == "--seed") {
-            opt.seed = std::stoull(need("--seed"));
-        } else if (a == "--save-map") {
-            opt.saveMap = need("--save-map");
-        } else if (a == "--load-map") {
-            opt.loadMap = need("--load-map");
-        } else if (a == "--help" || a == "-h") {
-            std::printf("see file header for usage\n");
-            std::exit(0);
-        } else {
-            fatal("unknown flag: " + a);
-        }
+    const std::vector<driver::Flag> flags = {
+        driver::text({"--dataset"}, "D", opt.dataset, "registered dataset",
+                     driver::checkDataset),
+        driver::text({"--design"}, "P", opt.design,
+                     "balance policy or alias", driver::resolvePolicy),
+        driver::number({"--pes"}, "N", opt.pes, "PE-array size", 1),
+        driver::number({"--scale"}, "S", opt.scale,
+                       "dataset node-count scale"),
+        driver::choice({"--mode"}, "M", opt.mode, "model or cycle",
+                       parseMode, modeName),
+        driver::number({"--seed"}, "N", opt.seed, "global seed"),
+        driver::text({"--save-map"}, "FILE", opt.saveMap,
+                     "save the tuned adjacency row map"),
+        driver::text({"--load-map"}, "FILE", opt.loadMap,
+                     "load a saved row map"),
+        driver::toggle({"--help", "-h"}, opt.help, "print this help")};
+    const char *summary = "Run one dataset x design x PE-count "
+                          "configuration and print its report.";
+    driver::CommandLine("awbgcn_sim",
+                        std::vector<std::string>(argv + 1, argv + argc))
+        .bind(summary, flags);
+    if (opt.help) {
+        std::printf("usage: awbgcn_sim [options]\n    %s\n%s", summary,
+                    driver::flagUsage(flags).c_str());
+        std::exit(0);
     }
     return opt;
 }
@@ -105,11 +128,11 @@ main(int argc, char **argv)
     std::printf("AWB-GCN simulator — %s on %s (%d PEs, scale %.2f, %s)\n",
                 PolicyRegistry::instance().get(opt.design).label.c_str(),
                 spec.name.c_str(), opt.pes, opt.scale,
-                opt.cycleMode ? "cycle-accurate" : "round model");
+                opt.mode == Mode::Cycle ? "cycle-accurate" : "round model");
 
     Cycle total = 0;
     Count tasks = 0;
-    if (opt.cycleMode) {
+    if (opt.mode == Mode::Cycle) {
         Dataset ds = loadSynthetic(spec, opt.seed, opt.scale);
         GcnModel model =
             makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, opt.seed);

@@ -276,17 +276,4 @@ writeDoc(const Json &doc, const std::string &path, const char *what)
     std::printf("%s JSON written to %s\n", what, path.c_str());
 }
 
-int
-gateExit(const char *cmd, std::initializer_list<Gate> gates,
-         const std::string &detail)
-{
-    std::string failed;
-    for (const Gate &g : gates)
-        if (!g.ok) failed += std::string(failed.empty() ? "" : ", ") + g.name;
-    if (failed.empty()) return 0;
-    std::fprintf(stderr, "%s: GATE FAILED — %s%s%s\n", cmd, failed.c_str(),
-                 detail.empty() ? "" : ": ", detail.c_str());
-    return 1;
-}
-
 } // namespace awb::driver

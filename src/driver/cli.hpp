@@ -245,16 +245,4 @@ class CommandLine
 /** Write `doc` to `path` (stdout for "-") and say where it went. */
 void writeDoc(const Json &doc, const std::string &path, const char *what);
 
-/** A named pass/fail check a benchmark's exit code rides on. */
-struct Gate
-{
-    const char *name;
-    bool ok;
-};
-
-/** 0 when every gate passed; otherwise print the failed gates' names
- *  (and `detail`) to stderr and return 1. */
-int gateExit(const char *cmd, std::initializer_list<Gate> gates,
-             const std::string &detail = "");
-
 } // namespace awb::driver

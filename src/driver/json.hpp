@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -47,6 +48,25 @@ class Json
 
     static Json array() { Json j; j.type_ = Type::Array; return j; }
     static Json object() { Json j; j.type_ = Type::Object; return j; }
+
+    /** An array of `items`, in order. */
+    template <typename T>
+    static Json
+    array(const std::vector<T> &items)
+    {
+        Json j = array();
+        for (const T &v : items) j.push(v);
+        return j;
+    }
+
+    /** An object of `members`, in order. */
+    static Json
+    object(std::initializer_list<std::pair<std::string, Json>> members)
+    {
+        Json j = object();
+        for (const auto &[key, value] : members) j.set(key, value);
+        return j;
+    }
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }

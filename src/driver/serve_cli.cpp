@@ -43,7 +43,8 @@ serveFlags(serve::ServeOptions &o)
         number({"--clients"}, "N", o.clients, "closed-loop clients"),
         number({"--think-cycles"}, "N", o.thinkCycles,
                "closed-loop gap before reissue"),
-        number({"--duration-ms"}, "D", o.durationMs, "admission horizon"),
+        number({"--duration-ms"}, "D", o.durationMs, "admission horizon",
+               0.0),
         number({"--requests"}, "N", o.requestCap,
                "stop after N requests (0 = horizon only)"),
         text({"--discipline"}, "D", o.discipline, "batch discipline",

@@ -96,6 +96,7 @@ fold(RunResult &out, const SpmmStats &s)
     out.convergedRound = std::max(out.convergedRound, s.convergedRound);
     out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
     out.bytesTotal += s.traffic.total();
+    out.migrationBytes += s.traffic.migrationBytes;
     out.memoryCycles += s.memoryCycles;
     out.bwBoundRounds += s.bwBoundRounds;
 }
@@ -110,6 +111,7 @@ fold(RunResult &out, const PerfSpmmResult &s)
     out.convergedRound = std::max(out.convergedRound, s.convergedRound);
     out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
     out.bytesTotal += s.traffic.total();
+    out.migrationBytes += s.traffic.migrationBytes;
     out.memoryCycles += s.memoryCycles;
     out.bwBoundRounds += s.bwBoundRounds;
 }
@@ -125,6 +127,7 @@ fold(RunResult &out, const kernels::FrontierRunStats &s)
     out.convergedRound = std::max(out.convergedRound, s.convergedRound);
     out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
     out.bytesTotal += s.traffic.total();
+    out.migrationBytes += s.traffic.migrationBytes;
     out.memoryCycles += s.memoryCycles;
     out.bwBoundRounds += s.bwBoundRounds;
     out.haloBytes += s.haloBytes;
@@ -143,6 +146,7 @@ fold(RunResult &out, const dynamic::DynamicRunStats &s)
     out.rowsSwitched += s.rowsMoved;
     out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
     out.bytesTotal += s.traffic.total();
+    out.migrationBytes += s.traffic.migrationBytes;
     out.memoryCycles += s.memoryCycles;
     out.bwBoundRounds += s.bwBoundRounds;
     out.halfLifeEpochs = s.halfLifeEpochs;

@@ -3,18 +3,21 @@
  * The awbsim command layer (driver/cli.hpp) end to end: every command
  * on a tiny grid, with its JSON document locked by a digest (advisory
  * wall-clock keys dropped, as tools/check_bench.py does) and its exit
- * code checked; the rejections of empty axes and malformed numbers; and
- * the generated usage against the options each flag table binds.
+ * code checked; the rejections of empty axes and malformed numbers; the
+ * shared bench tail's gates; and the generated usage against the
+ * options each flag table binds.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "driver/bench.hpp"
 #include "driver/driver.hpp"
 #include "engine_checks.hpp"
 #include "graph/datasets.hpp"
@@ -165,6 +168,57 @@ TEST(CliDeath, UnknownFlagsAndMissingValuesAreFatal)
                 ::testing::ExitedWithCode(1), "--rate needs a value");
     EXPECT_EXIT(runAwbsim({"--bench-dynamic", "--epochs", "0"}),
                 ::testing::ExitedWithCode(1), "--epochs must be >= 1");
+    for (const char *cmd : {"--serve", "--serve-sweep", "--bench-serving"})
+        EXPECT_EXIT(runAwbsim({cmd, "--duration-ms", "-1"}),
+                    ::testing::ExitedWithCode(1),
+                    "--duration-ms must be >= 0")
+            << cmd;
+    EXPECT_EXIT(runAwbsim({"--bench-engine", "--reddit-pes", "-3"}),
+                ::testing::ExitedWithCode(1), "--reddit-pes must be >= 0");
+}
+
+/** The shared bench tail: every gate lands in the summary, in its
+ *  declared place among the extra keys, and in the exit code; a failed
+ *  one is named on stderr. */
+TEST(BenchDoc, GatesFeedTheSummaryAndTheExitCode)
+{
+    const std::string out = ::testing::TempDir() + "awbsim_bench_doc.json";
+    auto finish = [&out](bool first_ok, std::string *err) {
+        driver::BenchDoc doc("bench-test", {{"schema", "test-v1"}},
+                             {"x"});
+        bool &first = doc.gate("first_gate");
+        doc.summary().set("extra", 7);
+        doc.gate("second_gate");
+        doc.point(driver::Json::object({{"x", 1}}), {"1"});
+        first = first_ok;
+        ::testing::internal::CaptureStdout();
+        ::testing::internal::CaptureStderr();
+        const int rc = doc.finish(out, "why");
+        ::testing::internal::GetCapturedStdout();
+        *err = ::testing::internal::GetCapturedStderr();
+        return rc;
+    };
+    auto expected = [](const char *first) {
+        return std::string("{\n  \"schema\": \"test-v1\",\n"
+                           "  \"points\": [\n    {\n      \"x\": 1\n"
+                           "    }\n  ],\n  \"summary\": {\n"
+                           "    \"first_gate\": ") +
+               first +
+               ",\n    \"extra\": 7,\n    \"second_gate\": true\n  }\n}\n";
+    };
+    auto read = [&out] {
+        std::ifstream in(out);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    std::string err;
+    EXPECT_EQ(finish(true, &err), 0);
+    EXPECT_EQ(err, "");
+    EXPECT_EQ(read(), expected("true"));
+
+    EXPECT_EQ(finish(false, &err), 1);
+    EXPECT_EQ(err, "bench-test: GATE FAILED — first_gate: why\n");
+    EXPECT_EQ(read(), expected("false"));
+    std::remove(out.c_str());
 }
 
 /** The entry of `flag` in the `awbsim <command>` block of `usage`: its
