@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
-#include "accel/scaleout.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "driver/scenario.hpp"
@@ -48,16 +48,16 @@ runScaleOut(driver::ScenarioContext &ctx)
                 makePolicyConfig("remote-d", 1024, hopBase(spec));
             cfg.platform = platform;
             cfg.chips = chips;
-            ShardedPerfGcnResult res = modelGcnSharded(cfg, prof, &a);
+            PerfGcnResult res = PerfModel(cfg).runGcn(prof, &a);
 
-            if (chips == 1) one_chip = res.result.totalCycles;
+            if (chips == 1) one_chip = res.totalCycles;
             const double speedup =
-                res.result.totalCycles > 0
+                res.totalCycles > 0
                     ? static_cast<double>(one_chip) /
-                          static_cast<double>(res.result.totalCycles)
+                          static_cast<double>(res.totalCycles)
                     : 0.0;
             t.addRow({std::to_string(chips),
-                      humanCount(static_cast<double>(res.result.totalCycles)),
+                      humanCount(static_cast<double>(res.totalCycles)),
                       fixed(speedup, 2) + "x",
                       percent(speedup / static_cast<double>(chips)),
                       fixed(static_cast<double>(res.scaleout.haloBytes) / 1e6,
@@ -67,7 +67,7 @@ runScaleOut(driver::ScenarioContext &ctx)
 
             driver::Json p = driver::Json::object();
             p.set("chips", chips);
-            p.set("cycles", res.result.totalCycles);
+            p.set("cycles", res.totalCycles);
             p.set("speedup", speedup);
             p.set("halo_bytes", res.scaleout.haloBytes);
             p.set("chip_imbalance", res.scaleout.chipImbalance);

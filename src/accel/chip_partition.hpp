@@ -29,6 +29,20 @@
 
 namespace awb {
 
+/** Scale-out-specific aggregates of a run on one or more chips. */
+struct ScaleOutSummary
+{
+    int chips = 1;
+    /** Inter-chip bytes moved (all rounds, all chips). */
+    Count haloBytes = 0;
+    /** Summed per-round link floors (0 on an unconstrained link). */
+    Cycle haloCycles = 0;
+    /** Rounds stretched to the link floor at the barrier. */
+    Count haloBoundRounds = 0;
+    /** Chip-level load imbalance: max(W_c) / mean(W_c). */
+    double chipImbalance = 1.0;
+};
+
 /** Ownership of sparse-operand rows by chips, plus shard extraction. */
 class ChipPartition
 {
@@ -87,6 +101,11 @@ class ChipPartition
     /** Chip c's slice of a per-row vector, in rowsOf(c) order. */
     std::vector<Count> extractWork(const std::vector<Count> &row_work,
                                    int chip) const;
+
+    bool operator==(const ChipPartition &o) const
+    {
+        return chips_ == o.chips_ && chipOf_ == o.chipOf_;
+    }
 
   private:
     int chips_ = 1;

@@ -53,6 +53,7 @@ runGcn(const AccelConfig &cfg, const Dataset &ds, const GcnModel &model)
     res.totalCyclesSerial = sres.totalCyclesSerial;
     res.totalTasks = sres.totalTasks;
     res.utilization = sres.utilization;
+    res.scaleout = sres.scaleout;
 
     // Map the flat schedule-order stats back onto the historical
     // per-layer layout: each layer contributed XW, A(XW), then

@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "accel/chip_partition.hpp"
 #include "accel/spmm_engine.hpp"
 #include "gcn/model.hpp"
 #include "graph/datasets.hpp"
@@ -45,7 +46,8 @@ struct GcnRunResult
     Cycle totalCycles = 0;        ///< sum of pipelined layer delays
     Cycle totalCyclesSerial = 0;  ///< without inter-SPMM pipelining
     Count totalTasks = 0;
-    double utilization = 0.0;     ///< tasks / (P · serial cycles)
+    double utilization = 0.0;     ///< tasks / (chips · P · serial cycles)
+    ScaleOutSummary scaleout;     ///< halo and chip balance (§9)
 };
 
 /**
@@ -54,7 +56,8 @@ struct GcnRunResult
  * workload-graph API (sim/factories.hpp): it composes the per-layer
  * X×W → A^hops(XW) → ReLU graph and maps the SessionResult back onto
  * the historical per-layer result layout, cycle-for-cycle identical to
- * the original hand-rolled orchestration.
+ * the original hand-rolled orchestration. cfg.chips > 1 shards every
+ * SPMM by node ownership (Session, DESIGN.md §9).
  */
 GcnRunResult runGcn(const AccelConfig &cfg, const Dataset &ds,
                     const GcnModel &model);

@@ -5,6 +5,7 @@
 
 #include "accel/gcn_accel.hpp"
 #include "accel/policy.hpp"
+#include "accel/scaleout.hpp"
 #include "common/log.hpp"
 #include "kernels/spgemm.hpp"
 
@@ -344,13 +345,28 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
 }
 
 PerfGcnResult
-PerfModel::runGcn(const WorkloadProfile &profile) const
+PerfModel::runGcn(const WorkloadProfile &profile,
+                  const CscMatrix *structure) const
 {
     const Index n = profile.spec.nodes;
     PerfGcnResult res;
-    std::unique_ptr<PartitionPolicy> partitioner =
-        makePartitionPolicy(cfg_);
-    RowPartition part_a = partitioner->build(n, profile.aRowNnz, cfg_);
+    res.scaleout.chips = cfg_.chips;
+
+    // Multi-chip (DESIGN.md §9): one node-ownership partition over the
+    // adjacency's rows shards every SPMM; only A×(XW) pays a halo.
+    ChipPartition owners;
+    std::vector<Count> a_halo;
+    if (cfg_.chips > 1) {
+        if (!structure || structure->rows() != n || structure->cols() != n)
+            fatal("PerfModel::runGcn: chips > 1 needs the profile's "
+                  "adjacency structure for halo counting "
+                  "(loadSyntheticAdjacency)");
+        owners = ChipPartition::build(cfg_, n, profile.aRowNnz);
+        a_halo = owners.haloRows(*structure);
+        res.scaleout.chipImbalance = owners.imbalance(profile.aRowNnz);
+    }
+    const ChipPartition *cp = cfg_.chips > 1 ? &owners : nullptr;
+    ShardedOperand a = shardOperand(cfg_, cp, profile.aRowNnz);
 
     struct LayerIn
     {
@@ -370,9 +386,11 @@ PerfModel::runGcn(const WorkloadProfile &profile) const
     };
     for (const LayerIn &li : layers) {
         PerfGcnResult::Layer layer;
-        RowPartition part_x = partitioner->build(n, *li.xRow, cfg_);
-        layer.xw = runSpmm(*li.xRow, li.rounds, part_x, li.innerDim);
-        layer.ax = runSpmm(profile.aRowNnz, li.rounds, part_a, n);
+        ShardedOperand x = shardOperand(cfg_, cp, *li.xRow);
+        layer.xw = modelSpmm(cfg_, *li.xRow, li.rounds, li.innerDim, x, {},
+                             res.scaleout);
+        layer.ax = modelSpmm(cfg_, profile.aRowNnz, li.rounds, n, a, a_halo,
+                             res.scaleout);
         layer.pipelinedCycles =
             pipelineCycles(layer.xw.roundCycles, layer.ax.roundCycles);
         res.totalCycles += layer.pipelinedCycles;
@@ -385,7 +403,8 @@ PerfModel::runGcn(const WorkloadProfile &profile) const
 
     res.utilization = res.totalCyclesSerial > 0
         ? static_cast<double>(res.totalTasks) /
-          (static_cast<double>(cfg_.numPes) *
+          (static_cast<double>(cfg_.chips) *
+           static_cast<double>(cfg_.numPes) *
            static_cast<double>(res.totalCyclesSerial))
         : 0.0;
     return res;

@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
 #include "accel/row_map.hpp"
 #include "graph/datasets.hpp"
@@ -66,6 +67,7 @@ struct PerfGcnResult
     MemoryTraffic traffic;        ///< summed over every SPMM
     Cycle memoryCycles = 0;
     Count bwBoundRounds = 0;
+    ScaleOutSummary scaleout;     ///< halo and chip balance (§9)
 };
 
 /** The model. Stateless between runs apart from configuration. */
@@ -109,9 +111,17 @@ class PerfModel
     /**
      * Model a full 2-layer GCN inference from a workload profile
      * (full-scale capable). The adjacency partition persists across
-     * layers, as in the cycle-accurate accelerator.
+     * layers, as in the cycle-accurate accelerator. Every SPMM runs
+     * through the sharded SPMM step (accel/scaleout.hpp), so cfg.chips
+     * > 1 shards the inference by node ownership (DESIGN.md §9).
+     *
+     * @param structure  adjacency structure for halo counting; required
+     *                   when cfg.chips > 1 (pass loadSyntheticAdjacency
+     *                   — the profile alone cannot locate boundary
+     *                   rows), else fatal(); ignored otherwise
      */
-    PerfGcnResult runGcn(const WorkloadProfile &profile) const;
+    PerfGcnResult runGcn(const WorkloadProfile &profile,
+                         const CscMatrix *structure = nullptr) const;
 
     /**
      * Given per-PE workloads and the sharing hop distance, the minimum

@@ -2,30 +2,22 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
+#include <type_traits>
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/spmm.hpp"
 
 namespace awb {
 
 namespace {
 
-/** Stat fields only the cycle engine tracks. */
-void
-foldExtras(SpmmStats &out, const SpmmStats &s)
+/** What each chip runs: the configuration with the chip axis removed. */
+AccelConfig
+oneChip(const AccelConfig &cfg)
 {
-    out.peakNetworkDepth =
-        std::max(out.peakNetworkDepth, s.peakNetworkDepth);
-    out.roundsSimulated += s.roundsSimulated;
-    out.rawStalls += s.rawStalls;
-}
-
-void
-foldExtras(PerfSpmmResult &, const PerfSpmmResult &)
-{
+    AccelConfig one = cfg;
+    one.chips = 1;
+    return one;
 }
 
 /**
@@ -37,10 +29,12 @@ foldExtras(PerfSpmmResult &, const PerfSpmmResult &)
 template <class T>
 T
 combineShards(const std::vector<T> &per_chip,
-              const std::vector<Count> &halo_rows, const MemoryModel &mem,
-              int num_pes, ScaleOutSummary &scale)
+              const std::vector<Count> &halo_rows, const AccelConfig &cfg,
+              ScaleOutSummary &scale)
 {
     const int chips = static_cast<int>(per_chip.size());
+    const int num_pes = cfg.numPes;
+    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
     T out;
     const std::size_t K = per_chip.front().roundCycles.size();
     for (const T &s : per_chip)
@@ -87,7 +81,13 @@ combineShards(const std::vector<T> &per_chip,
                 : std::max(out.convergedRound, s.convergedRound);
         out.perPeTasks.insert(out.perPeTasks.end(), s.perPeTasks.begin(),
                               s.perPeTasks.end());
-        foldExtras(out, s);
+        if constexpr (std::is_same_v<T, SpmmStats>) {
+            // Fields only the cycle engine tracks.
+            out.peakNetworkDepth =
+                std::max(out.peakNetworkDepth, s.peakNetworkDepth);
+            out.roundsSimulated += s.roundsSimulated;
+            out.rawStalls += s.rawStalls;
+        }
     }
     out.traffic.haloBytes += static_cast<Count>(K) * halo_per_round;
     out.rounds = static_cast<Count>(K);
@@ -112,263 +112,85 @@ combineShards(const std::vector<T> &per_chip,
 
 } // namespace
 
+ShardedOperand
+shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
+             const std::vector<Count> &row_work)
+{
+    const AccelConfig one = oneChip(cfg);
+    std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(one);
+    ShardedOperand op;
+    op.rows = static_cast<Index>(row_work.size());
+    if (owners == nullptr) {
+        op.maps.push_back(partitioner->build(op.rows, row_work, one));
+        return op;
+    }
+    for (int c = 0; c < owners->chips(); ++c) {
+        op.work.push_back(owners->extractWork(row_work, c));
+        op.maps.push_back(partitioner->build(
+            static_cast<Index>(op.work.back().size()), op.work.back(), one));
+    }
+    return op;
+}
+
+ShardedOperand
+shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
+             const CscMatrix &a)
+{
+    ShardedOperand op = shardOperand(cfg, owners, a.rowNnz());
+    if (owners != nullptr)
+        for (int c = 0; c < owners->chips(); ++c)
+            op.shards.push_back(owners->extractRows(a, c));
+    return op;
+}
+
+SpmmStats
+simulateSpmm(const AccelConfig &cfg, const CscMatrix &a, Index cols,
+             TdqKind kind, ShardedOperand &op,
+             const std::vector<Count> &halo, ScaleOutSummary &scale)
+{
+    if (cfg.chips <= 1)
+        return SpmmEngine(cfg).simulate(a, cols, kind, op.maps.front());
+    SpmmEngine engine(oneChip(cfg));
+    std::vector<SpmmStats> per_chip;
+    for (std::size_t c = 0; c < op.maps.size(); ++c)
+        per_chip.push_back(
+            engine.simulate(op.shards[c], cols, kind, op.maps[c]));
+    return combineShards(per_chip, halo, cfg, scale);
+}
+
+PerfSpmmResult
+modelSpmm(const AccelConfig &cfg, const std::vector<Count> &row_work,
+          Index rounds, Index inner_dim, ShardedOperand &op,
+          const std::vector<Count> &halo, ScaleOutSummary &scale)
+{
+    if (cfg.chips <= 1)
+        return PerfModel(cfg).runSpmm(row_work, rounds, op.maps.front(),
+                                      inner_dim);
+    const PerfModel model(oneChip(cfg));
+    std::vector<PerfSpmmResult> per_chip;
+    for (std::size_t c = 0; c < op.maps.size(); ++c)
+        per_chip.push_back(
+            model.runSpmm(op.work[c], rounds, op.maps[c], inner_dim));
+    return combineShards(per_chip, halo, cfg, scale);
+}
+
 ShardedSpmmResult
-executeSpmmSharded(const AccelConfig &cfg, const CscMatrix &a,
-                   const DenseMatrix &b, TdqKind kind)
+executeSpmmSharded(const AccelConfig &cfg, const CscMatrix &a, Index cols,
+                   TdqKind kind)
 {
     ShardedSpmmResult out;
-    out.scaleout.chips = std::max(1, cfg.chips);
-    const std::vector<Count> row_work = a.rowNnz();
-    if (cfg.chips <= 1) {
-        // Timing no-op: the plain single-accelerator path, bit for bit.
-        SpmmEngine engine(cfg);
-        RowPartition part =
-            makePartitionPolicy(cfg)->build(a.rows(), row_work, cfg);
-        out.result = engine.execute(a, b, kind, part);
-        return out;
+    out.scaleout.chips = cfg.chips;
+    ChipPartition owners;
+    std::vector<Count> halo;
+    if (cfg.chips > 1) {
+        const std::vector<Count> row_work = a.rowNnz();
+        owners = ChipPartition::build(cfg, a.rows(), row_work);
+        out.scaleout.chipImbalance = owners.imbalance(row_work);
+        if (kind == TdqKind::Tdq2OmegaCsc) halo = owners.haloRows(a);
     }
-
-    AccelConfig sub = cfg;
-    sub.chips = 1;
-    ChipPartition cp = ChipPartition::build(cfg, a.rows(), row_work);
-    const std::vector<Count> halo = cp.haloRows(a);
-    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
-    std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
-
-    // Sharding moves rows between chips, never the products summed into
-    // a row, so C is the unsharded product.
-    out.result.c = spmmCsr(cscToCsr(a), b);
-    std::vector<SpmmStats> per_chip;
-    per_chip.reserve(static_cast<std::size_t>(cfg.chips));
-    for (int c = 0; c < cfg.chips; ++c) {
-        CscMatrix shard = cp.extractRows(a, c);
-        std::vector<Count> work = cp.extractWork(row_work, c);
-        RowPartition part = partitioner->build(shard.rows(), work, sub);
-        per_chip.push_back(
-            SpmmEngine(sub).simulate(shard, b.cols(), kind, part));
-    }
-    out.result.stats =
-        combineShards(per_chip, halo, mem, cfg.numPes, out.scaleout);
-    out.scaleout.chipImbalance = cp.imbalance(row_work);
-    return out;
-}
-
-ShardedGcnResult
-runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
-              const GcnModel &model)
-{
-    ShardedGcnResult out;
-    out.scaleout.chips = std::max(1, cfg.chips);
-    if (cfg.chips <= 1) {
-        // Timing no-op: the Session-backed single-accelerator inference.
-        out.result = runGcn(cfg, ds, model);
-        return out;
-    }
-    if (ds.features.cols() != model.inDim(0))
-        fatal("runGcnSharded: feature dim mismatch");
-
-    AccelConfig sub = cfg;
-    sub.chips = 1;
-    const CscMatrix &a = ds.adjacency;
-    const Index n = a.rows();
-    const std::vector<Count> a_work = a.rowNnz();
-    ChipPartition cp = ChipPartition::build(cfg, n, a_work);
-    const std::vector<Count> halo = cp.haloRows(a);
-    const std::vector<Count> no_halo(static_cast<std::size_t>(cfg.chips),
-                                     0);
-    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
-    out.scaleout.chipImbalance = cp.imbalance(a_work);
-    std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
-
-    // Per-chip persistent state: engine plus the adjacency shard and its
-    // tuned row map, carried across layers (auto-tuning, §4).
-    std::vector<SpmmEngine> engines;
-    std::vector<CscMatrix> a_shard;
-    std::vector<RowPartition> a_part;
-    for (int c = 0; c < cfg.chips; ++c) {
-        engines.emplace_back(sub);
-        a_shard.push_back(cp.extractRows(a, c));
-        a_part.push_back(partitioner->build(
-            a_shard.back().rows(), a_shard.back().rowNnz(), sub));
-    }
-
-    GcnRunResult &res = out.result;
-    const CsrMatrix a_csr = cscToCsr(a);
-    CscMatrix h = csrToCsc(ds.features);
-    for (Index l = 0; l < model.layers(); ++l) {
-        const std::string tag = "L" + std::to_string(l + 1);
-        const DenseMatrix &w =
-            model.weights[static_cast<std::size_t>(l)];
-        GcnLayerResult layer;
-
-        // X×W via TDQ-1: W is replicated on every chip, no halo. Values
-        // are the unsharded products (sharding only moves rows).
-        {
-            const std::vector<Count> h_work = h.rowNnz();
-            std::vector<SpmmStats> per_chip;
-            for (int c = 0; c < cfg.chips; ++c) {
-                CscMatrix shard = cp.extractRows(h, c);
-                std::vector<Count> work = cp.extractWork(h_work, c);
-                RowPartition part =
-                    partitioner->build(shard.rows(), work, sub);
-                per_chip.push_back(
-                    engines[static_cast<std::size_t>(c)].simulate(
-                        shard, w.cols(), TdqKind::Tdq1DenseScan, part));
-            }
-            layer.xw = combineShards(per_chip, no_halo, mem, cfg.numPes,
-                                     out.scaleout);
-            layer.xw.label = tag + ".XW";
-        }
-
-        // A×(XW) (+ extra hops) via TDQ-2: boundary XW rows produced on
-        // other chips cross the inter-chip link each round.
-        DenseMatrix z = spmmCsr(cscToCsr(h), w);
-        for (Index hop = 0; hop < model.adjHops; ++hop) {
-            std::vector<SpmmStats> per_chip;
-            for (int c = 0; c < cfg.chips; ++c) {
-                per_chip.push_back(
-                    engines[static_cast<std::size_t>(c)].simulate(
-                        a_shard[static_cast<std::size_t>(c)], z.cols(),
-                        TdqKind::Tdq2OmegaCsc,
-                        a_part[static_cast<std::size_t>(c)]));
-            }
-            SpmmStats combined = combineShards(per_chip, halo, mem,
-                                               cfg.numPes, out.scaleout);
-            combined.label =
-                hop == 0 ? tag + ".A(XW)"
-                         : tag + ".A^" + std::to_string(hop + 1) + "(XW)";
-            if (hop == 0) {
-                layer.ax = std::move(combined);
-            } else {
-                layer.extraHops.push_back(std::move(combined));
-            }
-            z = spmmCsr(a_csr, z);
-        }
-
-        std::vector<const std::vector<Cycle> *> stages;
-        stages.push_back(&layer.xw.roundCycles);
-        stages.push_back(&layer.ax.roundCycles);
-        for (const SpmmStats &e : layer.extraHops)
-            stages.push_back(&e.roundCycles);
-        layer.pipelinedCycles = pipelineCyclesMulti(stages);
-
-        res.totalCycles += layer.pipelinedCycles;
-        res.totalCyclesSerial += layer.xw.cycles + layer.ax.cycles;
-        res.totalTasks += layer.xw.tasks + layer.ax.tasks;
-        for (const SpmmStats &e : layer.extraHops) {
-            res.totalCyclesSerial += e.cycles;
-            res.totalTasks += e.tasks;
-        }
-
-        const bool last = l == model.layers() - 1;
-        if (!last) {
-            z.relu();
-            h = denseToCsc(z);
-        } else {
-            res.output = std::move(z);
-        }
-        res.layers.push_back(std::move(layer));
-    }
-
-    res.utilization = res.totalCyclesSerial > 0
-        ? static_cast<double>(res.totalTasks) /
-          (static_cast<double>(cfg.chips) *
-           static_cast<double>(cfg.numPes) *
-           static_cast<double>(res.totalCyclesSerial))
-        : 0.0;
-    return out;
-}
-
-ShardedPerfGcnResult
-modelGcnSharded(const AccelConfig &cfg, const WorkloadProfile &profile,
-                const CscMatrix *structure)
-{
-    ShardedPerfGcnResult out;
-    out.scaleout.chips = std::max(1, cfg.chips);
-    if (cfg.chips <= 1) {
-        // Timing no-op: the plain round-level model.
-        out.result = PerfModel(cfg).runGcn(profile);
-        return out;
-    }
-    if (structure == nullptr)
-        fatal("modelGcnSharded: chips > 1 needs the adjacency structure "
-              "for halo counting (loadSyntheticAdjacency)");
-    const Index n = profile.spec.nodes;
-    if (structure->rows() != n || structure->cols() != n)
-        fatal("modelGcnSharded: adjacency structure does not match the "
-              "profile's node count");
-
-    AccelConfig sub = cfg;
-    sub.chips = 1;
-    ChipPartition cp = ChipPartition::build(cfg, n, profile.aRowNnz);
-    const std::vector<Count> halo = cp.haloRows(*structure);
-    const std::vector<Count> no_halo(static_cast<std::size_t>(cfg.chips),
-                                     0);
-    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
-    out.scaleout.chipImbalance = cp.imbalance(profile.aRowNnz);
-
-    const PerfModel pm(sub);
-    std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
-
-    std::vector<std::vector<Count>> a_work;
-    std::vector<RowPartition> a_part;
-    for (int c = 0; c < cfg.chips; ++c) {
-        a_work.push_back(cp.extractWork(profile.aRowNnz, c));
-        a_part.push_back(partitioner->build(
-            static_cast<Index>(a_work.back().size()), a_work.back(), sub));
-    }
-
-    struct LayerIn
-    {
-        const std::vector<Count> *xRow;
-        Index rounds;
-        Index innerDim;
-    };
-    const LayerIn layers[2] = {
-        {&profile.x1RowNnz, profile.spec.f2, profile.spec.f1},
-        {&profile.x2RowNnz, profile.spec.f3, profile.spec.f2},
-    };
-
-    PerfGcnResult &res = out.result;
-    auto fold = [&res](const PerfSpmmResult &s) {
-        res.traffic += s.traffic;
-        res.memoryCycles += s.memoryCycles;
-        res.bwBoundRounds += s.bwBoundRounds;
-    };
-    for (const LayerIn &li : layers) {
-        PerfGcnResult::Layer layer;
-        std::vector<PerfSpmmResult> xws, axs;
-        for (int c = 0; c < cfg.chips; ++c) {
-            std::vector<Count> x_work = cp.extractWork(*li.xRow, c);
-            RowPartition part_x = partitioner->build(
-                static_cast<Index>(x_work.size()), x_work, sub);
-            xws.push_back(
-                pm.runSpmm(x_work, li.rounds, part_x, li.innerDim));
-            axs.push_back(pm.runSpmm(a_work[static_cast<std::size_t>(c)],
-                                     li.rounds,
-                                     a_part[static_cast<std::size_t>(c)],
-                                     n));
-        }
-        layer.xw = combineShards(xws, no_halo, mem, cfg.numPes,
-                                 out.scaleout);
-        layer.ax =
-            combineShards(axs, halo, mem, cfg.numPes, out.scaleout);
-        layer.pipelinedCycles =
-            pipelineCycles(layer.xw.roundCycles, layer.ax.roundCycles);
-        res.totalCycles += layer.pipelinedCycles;
-        res.totalCyclesSerial += layer.xw.cycles + layer.ax.cycles;
-        res.totalTasks += layer.xw.tasks + layer.ax.tasks;
-        fold(layer.xw);
-        fold(layer.ax);
-        res.layers.push_back(std::move(layer));
-    }
-
-    res.utilization = res.totalCyclesSerial > 0
-        ? static_cast<double>(res.totalTasks) /
-          (static_cast<double>(cfg.chips) *
-           static_cast<double>(cfg.numPes) *
-           static_cast<double>(res.totalCyclesSerial))
-        : 0.0;
+    ShardedOperand op =
+        shardOperand(cfg, cfg.chips > 1 ? &owners : nullptr, a);
+    out.stats = simulateSpmm(cfg, a, cols, kind, op, halo, out.scaleout);
     return out;
 }
 

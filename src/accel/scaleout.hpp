@@ -2,11 +2,11 @@
  * @file
  * Multi-chip scale-out execution (DESIGN.md §9).
  *
- * Shards one SPMM (or a whole GCN inference) across `AccelConfig::chips`
- * simulated accelerators: a ChipPartition assigns sparse-operand rows to
- * chips, each chip runs its shard on its own numPes-wide array, and the
- * chips synchronize at the per-column round barrier (the same barrier
- * that separates rounds within one chip, §3.3, applied across chips):
+ * Shards one SPMM across `AccelConfig::chips` simulated accelerators: a
+ * ChipPartition assigns sparse-operand rows to chips, each chip runs its
+ * shard on its own numPes-wide array, and the chips synchronize at the
+ * per-column round barrier (the same barrier that separates rounds
+ * within one chip, §3.3, applied across chips):
  *
  *     system_round_k = max( max_c chip_round_c[k],  link_floor )
  *
@@ -19,94 +19,92 @@
  * link-bandwidth figure (PlatformSpec::interChipGBs — 0 on
  * `unconstrained`, keeping it the no-op reference).
  *
- * `chips == 1` short-circuits to the unsharded engines, making the
- * default a provable timing no-op (bit-identical statistics, locked by
- * tests/test_scaleout.cpp).
+ * The sharded SPMM step below is the only multi-chip SPMM path: both
+ * fidelities' GCN front ends (sim::Session on the cycle engines,
+ * PerfModel::runGcn on the round-level model) run every SPMM through
+ * it. At `chips == 1` it is the unsharded engine call on the unsharded
+ * operand, making the default a provable timing no-op (bit-identical
+ * statistics, locked by tests/test_scaleout.cpp).
  */
 
 #pragma once
 
+#include <vector>
+
 #include "accel/chip_partition.hpp"
-#include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/spmm_engine.hpp"
-#include "graph/datasets.hpp"
 
 namespace awb {
 
-/** Scale-out-specific aggregates of one sharded execution. */
-struct ScaleOutSummary
+/**
+ * A sparse operand as the SPMM step runs it, carried across every SPMM
+ * over that operand the way one RowPartition is carried on a single
+ * chip (auto-tuning, §4). Unsharded it holds only the operand's row map;
+ * sharded, chip c's slice of the row work, its rows of the operand (cycle
+ * engine only) and the map chip c tunes over its own PEs.
+ */
+struct ShardedOperand
 {
-    int chips = 1;
-    /** Inter-chip bytes moved (all rounds, all chips). */
-    Count haloBytes = 0;
-    /** Summed per-round link floors (0 on an unconstrained link). */
-    Cycle haloCycles = 0;
-    /** Rounds stretched to the link floor at the barrier. */
-    Count haloBoundRounds = 0;
-    /** Chip-level load imbalance: max(W_c) / mean(W_c). */
-    double chipImbalance = 1.0;
-
-    ScaleOutSummary &operator+=(const ScaleOutSummary &o)
-    {
-        haloBytes += o.haloBytes;
-        haloCycles += o.haloCycles;
-        haloBoundRounds += o.haloBoundRounds;
-        return *this;
-    }
+    Index rows = 0;                        ///< rows of the whole operand
+    std::vector<RowPartition> maps;        ///< per chip; one unsharded
+    std::vector<std::vector<Count>> work;  ///< per chip, sharded only
+    std::vector<CscMatrix> shards;         ///< per chip, cycle engine only
 };
 
-/** A sharded cycle-accurate SPMM: combined stats plus scale-out view. */
+/**
+ * Build an operand's step state from its per-row work (the model's view).
+ * `owners` is the node-ownership partition when cfg.chips > 1, nullptr
+ * otherwise (no ChipPartition, no shard copies).
+ */
+ShardedOperand shardOperand(const AccelConfig &cfg,
+                            const ChipPartition *owners,
+                            const std::vector<Count> &row_work);
+
+/** The same for the cycle engine, which also runs each chip's rows. */
+ShardedOperand shardOperand(const AccelConfig &cfg,
+                            const ChipPartition *owners,
+                            const CscMatrix &a);
+
+/**
+ * The sharded SPMM step, cycle fidelity: the timing of C = a × B for a
+ * dense B of `cols` columns. At cfg.chips == 1 this is
+ * SpmmEngine::simulate on `a` with op's one map. Otherwise every chip
+ * runs its shard on a one-chip engine and the chips meet at the round
+ * barrier: the combined statistics cover the whole system (perPeTasks
+ * has chips × numPes entries, utilization is over all PEs) and `scale`
+ * accumulates the halo.
+ *
+ * @param halo  per-chip halo rows (ChipPartition::haloRows for a TDQ-2
+ *              operand); empty for none, as for TDQ-1 and chips == 1
+ */
+SpmmStats simulateSpmm(const AccelConfig &cfg, const CscMatrix &a,
+                       Index cols, TdqKind kind, ShardedOperand &op,
+                       const std::vector<Count> &halo,
+                       ScaleOutSummary &scale);
+
+/** The sharded SPMM step, model fidelity: PerfModel::runSpmm on
+ *  `row_work` at cfg.chips == 1, per-chip runs combined otherwise. */
+PerfSpmmResult modelSpmm(const AccelConfig &cfg,
+                         const std::vector<Count> &row_work, Index rounds,
+                         Index inner_dim, ShardedOperand &op,
+                         const std::vector<Count> &halo,
+                         ScaleOutSummary &scale);
+
+/** Timing of one standalone sharded SPMM plus its scale-out view. */
 struct ShardedSpmmResult
 {
-    SpmmResult result;
-    ScaleOutSummary scaleout;
-};
-
-/** A sharded cycle-accurate GCN inference. */
-struct ShardedGcnResult
-{
-    GcnRunResult result;
-    ScaleOutSummary scaleout;
-};
-
-/** A sharded round-level GCN model run. */
-struct ShardedPerfGcnResult
-{
-    PerfGcnResult result;
+    SpmmStats stats;
     ScaleOutSummary scaleout;
 };
 
 /**
- * Execute C = a × b cycle-accurately across cfg.chips chips. Combined
- * statistics cover the whole system (perPeTasks has chips × numPes
- * entries, utilization is over all PEs); the result matrix is exact.
- * chips == 1 is the plain SpmmEngine path, bit for bit.
+ * Time C = a × B (B with `cols` columns) across cfg.chips chips with a
+ * fresh row map, the ownership built from `a`'s own rows. chips == 1 is
+ * the plain SpmmEngine::simulate path, bit for bit.
  */
 ShardedSpmmResult executeSpmmSharded(const AccelConfig &cfg,
-                                     const CscMatrix &a,
-                                     const DenseMatrix &b, TdqKind kind);
-
-/**
- * Run a full GCN inference cycle-accurately across cfg.chips chips.
- * Node ownership (one ChipPartition over the adjacency's rows) is shared
- * by every SPMM: chip c computes XW rows and output rows of the nodes it
- * owns, so the A×(XW) halo is exactly the boundary XW rows produced on
- * other chips. chips == 1 delegates to runGcn() unchanged.
- */
-ShardedGcnResult runGcnSharded(const AccelConfig &cfg, const Dataset &ds,
-                               const GcnModel &model);
-
-/**
- * Round-level (PerfModel) twin of runGcnSharded, full-scale capable.
- *
- * @param structure  adjacency structure for halo counting; required when
- *                   cfg.chips > 1 (pass loadSyntheticAdjacency(...) —
- *                   the profile alone cannot locate boundary rows),
- *                   ignored otherwise.
- */
-ShardedPerfGcnResult modelGcnSharded(const AccelConfig &cfg,
-                                     const WorkloadProfile &profile,
-                                     const CscMatrix *structure = nullptr);
+                                     const CscMatrix &a, Index cols,
+                                     TdqKind kind);
 
 } // namespace awb

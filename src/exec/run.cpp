@@ -10,7 +10,6 @@
 #include "accel/scaleout.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "exec/workload_cache.hpp"
 #include "gcn/model.hpp"
@@ -238,24 +237,12 @@ run(const RunRequest &req)
     switch (req.mode) {
       case Mode::Model: {
         auto prof = wl.profile(spec, req.seed, req.scale);
-        if (sharded) {
-            // Halo counting needs the adjacency structure, which the
-            // profile alone cannot provide.
-            auto a = wl.adjacency(spec, req.seed, req.scale);
-            Stopwatch timer;
-            ShardedPerfGcnResult sr = modelGcnSharded(cfg, *prof, a.get());
-            out.wallMs = timer.elapsedMs();
-            out.cycles = sr.result.totalCycles;
-            out.tasks = sr.result.totalTasks;
-            for (const auto &layer : sr.result.layers) {
-                fold(out, layer.xw);
-                fold(out, layer.ax);
-            }
-            fold(out, sr.scaleout);
-            break;
-        }
+        // Halo counting needs the adjacency structure, which the profile
+        // alone cannot provide; one chip has no halo.
+        auto a = sharded ? wl.adjacency(spec, req.seed, req.scale)
+                         : nullptr;
         Stopwatch timer;
-        PerfGcnResult res = PerfModel(cfg).runGcn(*prof);
+        PerfGcnResult res = PerfModel(cfg).runGcn(*prof, a.get());
         out.wallMs = timer.elapsedMs();
         out.cycles = res.totalCycles;
         out.tasks = res.totalTasks;
@@ -263,26 +250,13 @@ run(const RunRequest &req)
             fold(out, layer.xw);
             fold(out, layer.ax);
         }
+        fold(out, res.scaleout);
         break;
       }
       case Mode::Cycle: {
         auto ds = wl.dataset(spec, req.seed, req.scale);
         GcnModel model =
             makeGcnModel(ds->spec.f1, ds->spec.f2, ds->spec.f3, req.seed);
-        if (sharded) {
-            Stopwatch timer;
-            ShardedGcnResult sr = runGcnSharded(cfg, *ds, model);
-            out.wallMs = timer.elapsedMs();
-            for (const auto &layer : sr.result.layers) {
-                fold(out, layer.xw);
-                fold(out, layer.ax);
-                for (const auto &hop : layer.extraHops) fold(out, hop);
-            }
-            out.cycles = sr.result.totalCycles;
-            out.tasks = sr.result.totalTasks;
-            fold(out, sr.scaleout);
-            break;
-        }
         Stopwatch timer;
         GcnRunResult res = runGcn(cfg, *ds, model);
         out.wallMs = timer.elapsedMs();
@@ -293,30 +267,19 @@ run(const RunRequest &req)
         }
         out.cycles = res.totalCycles;  // pipelined end-to-end delay
         out.tasks = res.totalTasks;
+        fold(out, res.scaleout);
         break;
       }
       case Mode::SpmmTdq1: {
+        // Timing only: the streamed W needs a column count, no values.
         auto ds = wl.dataset(spec, req.seed, req.scale);
         CscMatrix x = csrToCsc(ds->features);
-        Rng rng(req.seed, /*seq=*/1);
-        DenseMatrix w(ds->spec.f1, ds->spec.f2);
-        w.fillUniform(rng, -1.0f, 1.0f);
-        if (sharded) {
-            Stopwatch timer;
-            ShardedSpmmResult sr =
-                executeSpmmSharded(cfg, x, w, TdqKind::Tdq1DenseScan);
-            out.wallMs = timer.elapsedMs();
-            fold(out, sr.result.stats);
-            fold(out, sr.scaleout);
-            break;
-        }
-        RowPartition part =
-            makePartitionPolicy(cfg)->build(x.rows(), x.rowNnz(), cfg);
         Stopwatch timer;
-        SpmmStats s = SpmmEngine(cfg).simulate(x, w.cols(),
-                                               TdqKind::Tdq1DenseScan, part);
+        ShardedSpmmResult r = executeSpmmSharded(cfg, x, ds->spec.f2,
+                                                 TdqKind::Tdq1DenseScan);
         out.wallMs = timer.elapsedMs();
-        fold(out, s);
+        fold(out, r.stats);
+        fold(out, r.scaleout);
         break;
       }
       case Mode::SpmmTdq2: {
@@ -326,25 +289,13 @@ run(const RunRequest &req)
         // member loadSynthetic would produce for the same key.
         auto a = wl.adjacency(spec, req.seed, req.scale);
         const DatasetSpec sc = scaledSpec(spec, req.scale);
-        Rng rng(req.seed, /*seq=*/2);
-        DenseMatrix b(sc.nodes, req.denseCols > 0 ? req.denseCols : sc.f2);
-        b.fillUniform(rng, -1.0f, 1.0f);
-        if (sharded) {
-            Stopwatch timer;
-            ShardedSpmmResult sr =
-                executeSpmmSharded(cfg, *a, b, TdqKind::Tdq2OmegaCsc);
-            out.wallMs = timer.elapsedMs();
-            fold(out, sr.result.stats);
-            fold(out, sr.scaleout);
-            break;
-        }
-        RowPartition part =
-            makePartitionPolicy(cfg)->build(a->rows(), a->rowNnz(), cfg);
         Stopwatch timer;
-        SpmmStats s = SpmmEngine(cfg).simulate(*a, b.cols(),
-                                               TdqKind::Tdq2OmegaCsc, part);
+        ShardedSpmmResult r = executeSpmmSharded(
+            cfg, *a, req.denseCols > 0 ? req.denseCols : sc.f2,
+            TdqKind::Tdq2OmegaCsc);
         out.wallMs = timer.elapsedMs();
-        fold(out, s);
+        fold(out, r.stats);
+        fold(out, r.scaleout);
         break;
       }
       case Mode::GraphSage: {

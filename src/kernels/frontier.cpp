@@ -29,22 +29,49 @@ frontierVector(Index rows,
                                 std::move(row_id), std::move(val));
 }
 
+namespace {
+
+/** Close one iteration: record it and add it to the run totals. */
+void
+finishIteration(FrontierRunStats &stats, const FrontierIteration &it)
+{
+    stats.iterations.push_back(it);
+    stats.totalCycles += it.cycles;
+    stats.totalTasks += it.tasks;
+    stats.rowsSwitched += it.rowsSwitched;
+    stats.rounds += 1;
+}
+
+/** Fold one SpGEMM's statistics (a chip's, or the whole operand's) into
+ *  the iteration and the run; the iteration's cycles are the caller's. */
+void
+foldSpgemm(FrontierRunStats &stats, FrontierIteration &it,
+           const SpmmStats &s)
+{
+    it.tasks += s.tasks;
+    it.rowsSwitched += s.rowsSwitched;
+    stats.roundsSimulated += s.roundsSimulated;
+    stats.traffic += s.traffic;
+    stats.memoryCycles += s.memoryCycles;
+    stats.bwBoundRounds += s.bwBoundRounds;
+    stats.peakQueueDepth = std::max(stats.peakQueueDepth, s.peakQueueDepth);
+    stats.convergedRound = s.convergedRound;
+}
+
+} // namespace
+
 void
 accumulateModelIteration(FrontierRunStats &stats, const PerfSpmmResult &r,
                          Count frontier_nnz)
 {
-    stats.iterations.push_back(
-        {frontier_nnz, r.cycles, r.tasks, r.rowsSwitched});
-    stats.totalCycles += r.cycles;
-    stats.totalTasks += r.tasks;
-    stats.rowsSwitched += r.rowsSwitched;
-    stats.rounds += 1;
     stats.traffic += r.traffic;
     stats.memoryCycles += r.memoryCycles;
     stats.bwBoundRounds += r.bwBoundRounds;
     stats.peakQueueDepth =
         std::max(stats.peakQueueDepth, r.peakQueueDepth);
     stats.convergedRound = r.convergedRound;
+    finishIteration(stats,
+                    {frontier_nnz, r.cycles, r.tasks, r.rowsSwitched});
 }
 
 FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
@@ -100,20 +127,8 @@ FrontierRunner::step(const CscMatrix &x)
     if (cfg_.chips <= 1) {
         SpgemmResult r = engine_.executeSpgemm(a_, x, part_, aContext_);
         it.cycles = r.stats.cycles;
-        it.tasks = r.stats.tasks;
-        it.rowsSwitched = r.stats.rowsSwitched;
-        stats_.roundsSimulated += r.stats.roundsSimulated;
-        stats_.traffic += r.stats.traffic;
-        stats_.memoryCycles += r.stats.memoryCycles;
-        stats_.bwBoundRounds += r.stats.bwBoundRounds;
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, r.stats.peakQueueDepth);
-        stats_.convergedRound = r.stats.convergedRound;
-        stats_.iterations.push_back(it);
-        stats_.totalCycles += it.cycles;
-        stats_.totalTasks += it.tasks;
-        stats_.rowsSwitched += it.rowsSwitched;
-        stats_.rounds += 1;
+        foldSpgemm(stats_, it, r.stats);
+        finishIteration(stats_, it);
         return std::move(r.c);
     }
 
@@ -131,15 +146,7 @@ FrontierRunner::step(const CscMatrix &x)
         SpgemmResult r = engine_.executeSpgemm(shards_[s], x, shardParts_[s],
                                                shardContexts_[s]);
         chip_max = std::max(chip_max, r.stats.cycles);
-        it.tasks += r.stats.tasks;
-        it.rowsSwitched += r.stats.rowsSwitched;
-        stats_.roundsSimulated += r.stats.roundsSimulated;
-        stats_.traffic += r.stats.traffic;
-        stats_.memoryCycles += r.stats.memoryCycles;
-        stats_.bwBoundRounds += r.stats.bwBoundRounds;
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, r.stats.peakQueueDepth);
-        stats_.convergedRound = r.stats.convergedRound;
+        foldSpgemm(stats_, it, r.stats);
 
         // Dynamic halo: frontier entries this chip references (its shard
         // has non-zeros in that column) but does not own cross the link.
@@ -171,12 +178,7 @@ FrontierRunner::step(const CscMatrix &x)
     stats_.haloBytes += halo_total;
     stats_.haloCycles += halo_floor;
     stats_.traffic.haloBytes += halo_total;
-
-    stats_.iterations.push_back(it);
-    stats_.totalCycles += it.cycles;
-    stats_.totalTasks += it.tasks;
-    stats_.rowsSwitched += it.rowsSwitched;
-    stats_.rounds += 1;
+    finishIteration(stats_, it);
 
     std::sort(merged.begin(), merged.end(),
               [](const auto &l, const auto &r) { return l.first < r.first; });

@@ -6,6 +6,7 @@
 #include "accel/gcn_accel.hpp"
 #include "common/log.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/spmm.hpp"
 
 namespace awb::sim {
 
@@ -13,7 +14,6 @@ Session::Session(const AccelConfig &cfg) : cfg_(cfg)
 {
     std::string err = cfg.validate();
     if (!err.empty()) fatal("Session: " + err);
-    partitioner_ = makePartitionPolicy(cfg_);
 }
 
 void
@@ -29,7 +29,7 @@ Session::bindSparse(const TensorId &name, CscMatrix m)
                           it->second.cols() == m.cols() &&
                           it->second.colPtr() == m.colPtr() &&
                           it->second.rowId() == m.rowId();
-    if (!same_structure) rowMaps_.erase(name);
+    if (!same_structure) operands_.erase(name);
     sparse_.insert_or_assign(name, std::move(m));
 }
 
@@ -48,8 +48,8 @@ Session::bindDense(const TensorId &name, DenseMatrix m)
 const RowPartition *
 Session::rowMap(const TensorId &name) const
 {
-    auto it = rowMaps_.find(name);
-    return it == rowMaps_.end() ? nullptr : &it->second;
+    auto it = operands_.find(name);
+    return it == operands_.end() ? nullptr : &it->second.maps.front();
 }
 
 SessionResult
@@ -104,18 +104,62 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
     };
 
     SessionResult res;
-    // One engine for the whole run. cfg_.engine selects event-stepped or
-    // round-batched execution (DESIGN.md §6); the two are bit-identical
-    // on every statistic and on the auto-tuned row maps carried below,
-    // so Sessions may switch engines between runs without perturbing
-    // the tuning trajectory.
-    SpmmEngine engine(cfg_);
+    res.scaleout.chips = cfg_.chips;
+
+    // Multi-chip runs (DESIGN.md §9): one node ownership, cut from the
+    // rows of the first TDQ-2 node's sparse operand, shards every costed
+    // node, so chip c produces exactly the XW rows its A×(XW) rows need
+    // locally and the halo is the boundary rows produced elsewhere.
+    const ChipPartition *owners = nullptr;
+    if (cfg_.chips > 1) {
+        const WorkloadNode *first = nullptr;
+        for (std::size_t id : order) {
+            const WorkloadNode &n = graph.nodes()[id];
+            if (n.kind == OpKind::Spgemm)
+                fatal("Session: Spgemm node '" + n.out +
+                      "' runs unsharded only, not at chips > 1");
+            if (!first && n.costed() && n.tdq == TdqKind::Tdq2OmegaCsc)
+                first = &n;
+        }
+        if (!first || (!sparse_.count(first->a) && !dense_.count(first->a)))
+            fatal("Session: chips > 1 cuts node ownership from the first "
+                  "TDQ-2 node's sparse operand, which must be bound");
+        const CscMatrix &a = sparseOf(first->a);
+        const std::vector<Count> row_work = a.rowNnz();
+        ChipPartition cut = ChipPartition::build(cfg_, a.rows(), row_work);
+        // Carried per-chip maps are only valid under the ownership that
+        // cut them.
+        if (!(cut == owners_)) {
+            operands_.clear();
+            owners_ = std::move(cut);
+        }
+        owners = &owners_;
+        res.scaleout.chipImbalance = owners_.imbalance(row_work);
+    }
 
     // Only sparse-bound operands (stable across run() calls, e.g. the
     // adjacency) carry their tuned row maps in the Session; maps for
     // produced or dense-bound left operands live for this run only —
     // their content (and possibly shape) changes between runs/graphs.
-    std::map<TensorId, RowPartition> localMaps;
+    // Both engines (cfg_.engine) tune the maps bit-identically (§6), so
+    // Sessions may switch engines between runs.
+    std::map<TensorId, ShardedOperand> localOperands;
+    auto operandOf = [&](const TensorId &name,
+                         const CscMatrix &a) -> ShardedOperand & {
+        if (owners != nullptr && a.rows() != owners->rows())
+            fatal("Session: sparse operand '" + name + "' has " +
+                  std::to_string(a.rows()) + " rows, node ownership " +
+                  std::to_string(owners->rows()));
+        auto &ops = sparse_.count(name) ? operands_ : localOperands;
+        auto it = ops.find(name);
+        if (it == ops.end())
+            return ops.emplace(name, shardOperand(cfg_, owners, a))
+                .first->second;
+        if (it->second.rows != a.rows())
+            fatal("Session: sparse operand '" + name +
+                  "' changed row count; rebind it under a new name");
+        return it->second;
+    };
 
     // Chain tracking: the open chain's nodeStats indices and the tensor
     // its tail produced.
@@ -138,6 +182,33 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
         chainTail.clear();
     };
 
+    // A costed node extends the open chain when it streams the chain
+    // tail's output as its dense operand — column k of the tail feeds
+    // stage k+1 as soon as it completes (Fig. 8). A Spgemm completes
+    // output column k at the end of round k, so it chains the same way
+    // (the A×A-power case). A mismatched round count (re-tiled operand)
+    // breaks the chain.
+    auto record = [&](std::size_t id, const WorkloadNode &n,
+                      SpmmStats stats) {
+        stats.label = n.label.empty() ? n.out : n.label;
+        bool extends = !chain.stages.empty() && n.b == chainTail &&
+                       res.nodeStats[chain.stages.back()]
+                               .roundCycles.size() ==
+                           stats.roundCycles.size();
+        if (!extends) flushChain();
+
+        res.totalCyclesSerial += stats.cycles;
+        res.totalTasks += stats.tasks;
+        res.traffic += stats.traffic;
+        res.memoryCycles += stats.memoryCycles;
+        res.bwBoundRounds += stats.bwBoundRounds;
+        res.nodeIds.push_back(id);
+        res.nodeStats.push_back(std::move(stats));
+        chain.stages.push_back(res.nodeStats.size() - 1);
+        chainTail = n.out;
+        if (sink) sink->onNode(n, res.nodeStats.back());
+    };
+
     for (std::size_t id : order) {
         const WorkloadNode &n = graph.nodes()[id];
         switch (n.kind) {
@@ -145,81 +216,26 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
           case OpKind::DenseMm: {
             const CscMatrix &a = sparseOf(n.a);
             const DenseMatrix &b = denseOf(n.b);
-            auto &maps = sparse_.count(n.a) ? rowMaps_ : localMaps;
-            auto mapIt = maps.find(n.a);
-            const bool fresh = mapIt == maps.end();
-            if (fresh) {
-                mapIt = maps.emplace(n.a, partitioner_->build(
-                                              a.rows(), a.rowNnz(), cfg_))
-                            .first;
-            }
-            if (!fresh && mapIt->second.rows() != a.rows())
-                fatal("Session: sparse operand '" + n.a +
-                      "' changed row count; rebind it under a new name");
-            SpmmResult r = engine.execute(a, b, n.tdq, mapIt->second);
-            r.stats.label = n.label.empty() ? n.out : n.label;
-
-            // A node extends the open chain when it streams the chain
-            // tail's output as its dense operand — column k of the tail
-            // feeds stage k+1 as soon as it completes (Fig. 8). A
-            // mismatched round count (re-tiled operand) breaks the chain.
-            bool extends = !chain.stages.empty() && n.b == chainTail &&
-                           res.nodeStats[chain.stages.back()]
-                                   .roundCycles.size() ==
-                               r.stats.roundCycles.size();
-            if (!extends) flushChain();
-
-            res.totalCyclesSerial += r.stats.cycles;
-            res.totalTasks += r.stats.tasks;
-            res.traffic += r.stats.traffic;
-            res.memoryCycles += r.stats.memoryCycles;
-            res.bwBoundRounds += r.stats.bwBoundRounds;
-            res.nodeIds.push_back(id);
-            res.nodeStats.push_back(std::move(r.stats));
-            chain.stages.push_back(res.nodeStats.size() - 1);
-            chainTail = n.out;
-            if (sink) sink->onNode(n, res.nodeStats.back());
-            env.insert_or_assign(n.out, std::move(r.c));
+            if (a.cols() != b.rows())
+                fatal("Session: node '" + n.out +
+                      "': inner dimensions differ");
+            const std::vector<Count> halo =
+                owners != nullptr && n.tdq == TdqKind::Tdq2OmegaCsc
+                    ? owners->haloRows(a)
+                    : std::vector<Count>{};
+            SpmmStats stats = simulateSpmm(cfg_, a, b.cols(), n.tdq,
+                                           operandOf(n.a, a), halo,
+                                           res.scaleout);
+            DenseMatrix c = spmmCsr(cscToCsr(a), b);
+            record(id, n, std::move(stats));
+            env.insert_or_assign(n.out, std::move(c));
             break;
           }
           case OpKind::Spgemm: {
             const CscMatrix &a = sparseOf(n.a);
-            const CscMatrix &b = sparseOf(n.b);
-            auto &maps = sparse_.count(n.a) ? rowMaps_ : localMaps;
-            auto mapIt = maps.find(n.a);
-            const bool fresh = mapIt == maps.end();
-            if (fresh) {
-                mapIt = maps.emplace(n.a, partitioner_->build(
-                                              a.rows(), a.rowNnz(), cfg_))
-                            .first;
-            }
-            if (!fresh && mapIt->second.rows() != a.rows())
-                fatal("Session: sparse operand '" + n.a +
-                      "' changed row count; rebind it under a new name");
-            SpgemmResult r = engine.executeSpgemm(a, b, mapIt->second);
-            r.stats.label = n.label.empty() ? n.out : n.label;
-
-            // A Spgemm completes output column k at the end of round k,
-            // so it chains exactly like a dense-output node: a consumer
-            // streaming n.out column by column overlaps with it, and a
-            // Spgemm whose sparse *streamed* operand n.b is the chain
-            // tail extends the chain (the A×A-power case).
-            bool extends = !chain.stages.empty() && n.b == chainTail &&
-                           res.nodeStats[chain.stages.back()]
-                                   .roundCycles.size() ==
-                               r.stats.roundCycles.size();
-            if (!extends) flushChain();
-
-            res.totalCyclesSerial += r.stats.cycles;
-            res.totalTasks += r.stats.tasks;
-            res.traffic += r.stats.traffic;
-            res.memoryCycles += r.stats.memoryCycles;
-            res.bwBoundRounds += r.stats.bwBoundRounds;
-            res.nodeIds.push_back(id);
-            res.nodeStats.push_back(std::move(r.stats));
-            chain.stages.push_back(res.nodeStats.size() - 1);
-            chainTail = n.out;
-            if (sink) sink->onNode(n, res.nodeStats.back());
+            SpgemmResult r = SpmmEngine(cfg_).executeSpgemm(
+                a, sparseOf(n.b), operandOf(n.a, a).maps.front());
+            record(id, n, std::move(r.stats));
             sparseEnv.insert_or_assign(n.out, std::move(r.c));
             break;
           }
@@ -240,10 +256,10 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
     }
     flushChain();
 
-    const int P = cfg_.numPes;
     res.utilization = res.totalCyclesSerial > 0
         ? static_cast<double>(res.totalTasks) /
-          (static_cast<double>(P) *
+          (static_cast<double>(cfg_.chips) *
+           static_cast<double>(cfg_.numPes) *
            static_cast<double>(res.totalCyclesSerial))
         : 0.0;
 

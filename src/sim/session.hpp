@@ -21,12 +21,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
+#include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
-#include "accel/policy.hpp"
 #include "accel/row_map.hpp"
+#include "accel/scaleout.hpp"
 #include "accel/spmm_engine.hpp"
 #include "sim/workload.hpp"
 #include "sparse/csc.hpp"
@@ -59,12 +59,13 @@ struct SessionResult
     Cycle totalCycles = 0;        ///< sum of pipelined chain delays
     Cycle totalCyclesSerial = 0;  ///< without inter-SPMM pipelining
     Count totalTasks = 0;         ///< MACs executed
-    double utilization = 0.0;     ///< tasks / (P * serial cycles)
+    double utilization = 0.0;     ///< tasks / (chips * P * serial cycles)
     /** Off-chip traffic summed over every costed node; per-node (per
      *  layer) figures live in nodeStats[i].traffic (DESIGN.md §8). */
     MemoryTraffic traffic;
     Cycle memoryCycles = 0;       ///< summed per-round bandwidth floors
     Count bwBoundRounds = 0;      ///< rounds stretched to their floor
+    ScaleOutSummary scaleout;     ///< halo and chip balance (§9)
 };
 
 /**
@@ -126,22 +127,24 @@ class Session
      */
     SessionResult run(const WorkloadGraph &graph, StatsSink *sink = nullptr);
 
-    /** The tuned row map carried for a sparse operand; nullptr before the
-     *  operand's first SPMM. Only operands bound via bindSparse carry
-     *  across run() calls — maps for produced intermediates are per-run
-     *  (their content changes between runs). */
+    /** The tuned row map carried for a sparse operand (chip 0's when
+     *  cfg.chips > 1); nullptr before the operand's first SPMM. Only
+     *  operands bound via bindSparse carry across run() calls — maps for
+     *  produced intermediates are per-run (their content changes between
+     *  runs). */
     const RowPartition *rowMap(const TensorId &name) const;
 
     const AccelConfig &config() const { return cfg_; }
 
   private:
     AccelConfig cfg_;
-    /** Initial row→PE mapping strategy of cfg_'s balance policy; used to
-     *  build the map of every sparse operand on first touch. */
-    std::unique_ptr<PartitionPolicy> partitioner_;
     std::map<TensorId, CscMatrix> sparse_;
     std::map<TensorId, DenseMatrix> dense_;
-    std::map<TensorId, RowPartition> rowMaps_;
+    /** Row maps (per chip when sharded) of the sparse-bound operands,
+     *  built on first touch by cfg_'s balance policy. */
+    std::map<TensorId, ShardedOperand> operands_;
+    /** The node ownership operands_ were sharded by (chips > 1). */
+    ChipPartition owners_;
 };
 
 } // namespace awb::sim
