@@ -108,8 +108,7 @@ runAblation(driver::ScenarioContext &ctx)
         Rng rng(9);
         DenseMatrix b(ds.spec.nodes, 8);
         b.fillUniform(rng, -1.0f, 1.0f);
-        Table t({"speedup", "buffer", "cycles", "util",
-                 "blocked moves"});
+        Table t({"speedup", "buffer", "cycles", "util"});
         for (int sp : {1, 2, 4, 8}) {
             AccelConfig cfg = makePolicyConfig("local-b", 32);
             cfg.networkSpeedup = sp;
@@ -121,8 +120,7 @@ runAblation(driver::ScenarioContext &ctx)
             t.addRow({std::to_string(sp),
                       std::to_string(cfg.omegaBufferDepth),
                       std::to_string(stats.cycles),
-                      percent(stats.utilization),
-                      std::to_string(stats.rawStalls)});
+                      percent(stats.utilization)});
         }
         std::printf("%s", t.render().c_str());
         std::printf("An under-provisioned fabric (speedup 1) bottlenecks\n"

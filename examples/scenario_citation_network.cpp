@@ -7,7 +7,7 @@
  * utilization, hotspot severity, and how deep the physical task queues
  * would have to be.
  *
- * Run:  ./citation_network [dataset] (default pubmed)
+ * Run:  awbsim run citation-network [dataset]   (default pubmed)
  */
 
 #include <algorithm>

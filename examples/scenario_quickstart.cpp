@@ -5,7 +5,7 @@
  * against the software golden model, and compare the baseline design with
  * Design(D) (2-hop local sharing + remote switching).
  *
- * Run:  ./quickstart
+ * Run:  awbsim run quickstart
  */
 
 #include <cstdio>

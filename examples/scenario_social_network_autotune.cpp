@@ -6,7 +6,7 @@
  * pipeline rewrites the row map, then the converged configuration is
  * reused for the remaining columns and for the next layer.
  *
- * Run:  ./social_network_autotune
+ * Run:  awbsim run social-autotune
  */
 
 #include <cstdio>

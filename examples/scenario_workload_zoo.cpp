@@ -7,7 +7,7 @@
  * builder-composed DAGs, automatic row-map carrying per sparse operand,
  * chained-SPMM column pipelining and StatsSink reporting.
  *
- * Run:  ./workload_zoo [dataset]   (default cora)
+ * Run:  awbsim run workload-zoo [dataset]   (default cora)
  */
 
 #include <cstdio>

@@ -28,7 +28,6 @@ std::string
 AccelConfig::validate(bool cycle_accurate_tdq2) const
 {
     if (numPes <= 0) return "numPes must be positive";
-    if (macLatency < 1) return "macLatency must be >= 1";
     if (numQueuesPerPe < 1) return "numQueuesPerPe must be >= 1";
     if (receivePorts < 1) return "receivePorts must be positive";
     if (sharingHops < 0) return "sharingHops must be non-negative";

@@ -5,6 +5,9 @@
  * 2-hop, Design(C) 1-hop + remote switching, Design(D) 2-hop + remote
  * switching, plus the EIE-like reference of Table 3. Nell overrides the
  * hop counts to 2/3 (paper §5.2).
+ *
+ * The MAC latency is not a field: every design point accumulates in one
+ * cycle, as the D5005's DSP MACCs do (accel/pe.hpp, DESIGN.md §6).
  */
 
 #pragma once
@@ -48,13 +51,6 @@ EngineKind parseEngineKind(const std::string &s);
 struct AccelConfig
 {
     int numPes = 64;          ///< PE-array size (power of two for TDQ-2)
-    /** MAC accumulate-to-accumulate latency T. Default 1: FPGA DSP-slice
-     *  MACCs forward the accumulator register in a single cycle, so
-     *  back-to-back accumulations to the same row do not stall; the RaW
-     *  scoreboard (paper §3.3) exists for deeper floating-point pipelines
-     *  (set T > 1 to model them — heavy rows then serialize at T
-     *  cycles/task, which measurably tanks utilization). */
-    int macLatency = 1;
     int numQueuesPerPe = 4;   ///< TQs per PE (TDQ-1 arbitration, Fig. 7)
     /** Tasks a PE can receive per cycle (distribution fan-in ports).
      *  Independent of queue count: the EIE-like design has one deep

@@ -1,7 +1,9 @@
 /**
  * @file
  * Per-entry-cursor queue models that fill a round's cursor table
- * (accel/round_cache.hpp, DESIGN.md §13).
+ * (accel/round_cache.hpp, DESIGN.md §13). They apply the same queue
+ * rules as `Pe` (accel/pe.hpp), so each model is a PE started at
+ * another cursor.
  */
 
 #pragma once
@@ -17,14 +19,13 @@
 namespace awb {
 
 /**
- * The cursor-dependent half of a round under cursorFreeKey
- * (DESIGN.md §13). For every PE and every entry cursor c it runs a
- * size-only copy of the PE's queues: an accepted task joins the
- * shortest non-full queue (lowest index on ties) and an issue pops the
- * first non-empty queue from the cursor, just as `Pe` does when no RaW
- * hazard can block. The arrival and issue sequence does not depend on
- * the cursors, so one stepped round fills the exit cursor and peak of
- * every entry cursor.
+ * The cursor-dependent half of a round (DESIGN.md §13). For every PE
+ * and every entry cursor c it runs a copy of the PE's queue sizes: an
+ * accepted task joins the queue joinQueue picks and an issue pops the
+ * queue issueQueue picks from the copy's cursor, just as `Pe` does.
+ * The arrival and issue sequence does not depend on the cursors, so
+ * one stepped round fills the exit cursor and peak of every entry
+ * cursor.
  *
  * Copies that reach the same state stay equal, so only one copy per
  * group is stepped. Whenever a PE drains, every copy's queues are
@@ -69,11 +70,7 @@ class CursorModels
         for (std::size_t c = 0; c < q_; ++c) {
             if (group_[p * q_ + c] != c) continue;
             std::uint32_t *s = &sizes_[(p * q_ + c) * q_];
-            std::size_t best = q_;
-            for (std::size_t q = 0; q < q_; ++q) {
-                if (depth_ != 0 && s[q] >= depth_) continue;
-                if (best == q_ || s[q] < s[best]) best = q;
-            }
+            const std::size_t best = joinQueue(s, q_, depth_);
             // The PE accepted, so its total was below depth x queues;
             // every copy holds that same total.
             if (best == q_) panic("CursorModels: no queue has room");
@@ -91,10 +88,8 @@ class CursorModels
             if (group_[p * q_ + c] != c) continue;
             std::uint32_t *s = &sizes_[(p * q_ + c) * q_];
             std::uint32_t &cur = cursor_[p * q_ + c];
-            std::size_t q = cur;
-            for (std::size_t i = 0; i < q_ && s[q] == 0; ++i)
-                q = q + 1 == q_ ? 0 : q + 1;
-            if (s[q] == 0) panic("CursorModels: issue from empty queues");
+            const std::size_t q = issueQueue(s, q_, cur);
+            if (q == q_) panic("CursorModels: issue from empty queues");
             --s[q];
             cur = static_cast<std::uint32_t>(q + 1 == q_ ? 0 : q + 1);
         }

@@ -1,44 +1,74 @@
 /**
  * @file
- * Processing element: multiple task queues, an arbiter, a pipelined
- * floating-point MAC with a RaW-hazard scoreboard, and the AGU/ACC
- * accumulation path (paper Fig. 7).
+ * Processing element: multiple task queues, an arbiter and a single-cycle
+ * MAC feeding the AGU/ACC accumulation path (paper Fig. 7).
  *
- * The MAC is pipelined with latency T (`macLatency`): it accepts one task
- * per cycle but a task whose accumulation target row is still in flight
- * must wait (the scoreboard / stall-buffer of §3.3), otherwise it would
- * read a stale partial sum from the ACC bank.
+ * The D5005's DSP MACCs forward the accumulator register in one cycle,
+ * so an op issued at cycle t has retired by t + 1: back-to-back
+ * accumulations into one row never conflict and the arbiter issues
+ * whenever a task is queued (DESIGN.md §6). Tasks carry no operand
+ * values, and with no RaW hazard no issue decision reads which row a
+ * task targets, so a PE keeps only how many tasks each queue holds.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "accel/task.hpp"
-#include "sim/fifo.hpp"
+#include "common/types.hpp"
 
 namespace awb {
+
+/**
+ * The queue an arriving task joins: the shortest queue with room, the
+ * lowest index on ties; `n` when all `n` are full (`depth` 0 =
+ * unbounded). Shared by Pe and CursorModels.
+ */
+inline std::size_t
+joinQueue(const std::uint32_t *sizes, std::size_t n, std::size_t depth)
+{
+    std::size_t best = n;
+    for (std::size_t q = 0; q < n; ++q) {
+        if (depth != 0 && sizes[q] >= depth) continue;
+        if (best == n || sizes[q] < sizes[best]) best = q;
+    }
+    return best;
+}
+
+/** The queue the arbiter issues from: the first non-empty one from
+ *  `cursor` on, wrapping; `n` when all `n` are empty. */
+inline std::size_t
+issueQueue(const std::uint32_t *sizes, std::size_t n, std::size_t cursor)
+{
+    std::size_t q = cursor;
+    for (std::size_t i = 0; i < n; ++i, q = q + 1 == n ? 0 : q + 1)
+        if (sizes[q] != 0) return q;
+    return n;
+}
 
 /** One PE plus its slice of the accumulator-buffer array. */
 class Pe
 {
   public:
     /**
-     * @param id           PE index in the array
      * @param num_queues   task queues in front of the arbiter
      * @param queue_depth  per-queue capacity (0 = unbounded, measured)
-     * @param mac_latency  MAC pipeline depth T
      */
-    Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency);
-
-    int id() const { return id_; }
+    Pe(int num_queues, std::size_t queue_depth)
+        : depth_(queue_depth),
+          sizes_(static_cast<std::size_t>(std::max(num_queues, 1)), 0)
+    {
+    }
 
     /** Total buffered tasks across this PE's queues ("pending counter"). */
     std::size_t pending() const { return pending_; }
 
-    /** True when queues are empty and the MAC pipeline has drained. */
-    bool drained(Cycle now) const;
+    /** True when nothing is queued and the last issued op has retired,
+     *  that is, the last issue was before `now`. */
+    bool drained(Cycle now) const { return pending_ == 0 && lastBusy_ < now; }
 
     /** Can at least one queue accept a task? Every queue has the same
      *  capacity, so one has room exactly when the total is below
@@ -46,7 +76,7 @@ class Pe
     bool
     canAccept() const
     {
-        return depth_ == 0 || pending_ < depth_ * queues_.size();
+        return depth_ == 0 || pending_ < depth_ * sizes_.size();
     }
 
     /**
@@ -55,37 +85,38 @@ class Pe
      * the distribution network).
      */
     std::size_t
-    enqueue(const Task &task)
+    enqueue()
     {
         if (!canAccept()) {
             ++enqueueRejects_;
             return 0;
         }
-        Fifo<Task> *best = nullptr;
-        for (auto &q : queues_) {
-            if (q.full()) continue;
-            if (best == nullptr || q.size() < best->size()) best = &q;
-        }
-        best->push(task);
+        std::uint32_t &s = sizes_[joinQueue(sizes_.data(), sizes_.size(),
+                                            depth_)];
         ++pending_;
-        roundPeak_ = std::max(roundPeak_, best->size());
-        return best->size();
+        roundPeak_ = std::max<std::size_t>(roundPeak_, ++s);
+        return s;
     }
 
     /**
-     * One clock: retire finished MAC ops, then let the arbiter issue the
-     * first hazard-free queue head into the MAC. Returns whether a task
-     * issued. An empty PE does nothing, not even retirement: completion
-     * (`done <= now`) only becomes more true as time advances, the
-     * scoreboard is read only when issuing, and drained() already
-     * ignores finished ops, so retiring lazily at the next issue attempt
-     * is exact (DESIGN.md §6). That also lets the engine tick only the
-     * PEs with queued work.
+     * One clock: the arbiter issues the first non-empty queue from its
+     * round-robin cursor into the MAC. Returns whether a task issued,
+     * which is exactly whether one was queued; an empty PE's tick
+     * changes nothing, so the engine ticks only the PEs with queued
+     * work.
      */
     bool
     tick(Cycle now)
     {
-        return pending_ != 0 && issue(now);
+        if (pending_ == 0) return false;
+        const std::size_t n = sizes_.size();
+        const std::size_t q = issueQueue(sizes_.data(), n, nextQueue_);
+        --sizes_[q];
+        --pending_;
+        nextQueue_ = q + 1 == n ? 0 : q + 1;
+        lastBusy_ = now;
+        ++tasksRound_;
+        return true;
     }
 
     /** Cycle the PE last issued real work (utilization accounting). */
@@ -93,10 +124,6 @@ class Pe
 
     /** Tasks executed since the last resetRound(). */
     Count tasksThisRound() const { return tasksRound_; }
-
-    /** Cycles since the last resetRound() in which a queued task could
-     *  not issue because of a RaW hazard. */
-    Count rawStallCycles() const { return rawStallCycles_; }
 
     /** Enqueue attempts rejected because every queue was full. */
     Count enqueueRejects() const { return enqueueRejects_; }
@@ -111,86 +138,34 @@ class Pe
     std::size_t roundPeakQueueDepth() const { return roundPeak_; }
 
     /** Per-round reset of drain bookkeeping (queues must be empty). */
-    void resetRound();
+    void
+    resetRound()
+    {
+        tasksRound_ = 0;
+        roundPeak_ = 0;
+    }
 
     /**
      * The arbiter's round-robin cursor — the only PE state that carries
-     * meaning across round boundaries (queues and the MAC pipeline are
-     * drained at every per-column barrier). The batched engine keys its
-     * round memoization on it and restores it when replaying a cached
-     * round (DESIGN.md §6).
+     * meaning across round boundaries (queues are empty at every
+     * per-column barrier). The batched engine keys its round
+     * memoization on it and restores it when replaying a cached round
+     * (DESIGN.md §6).
      */
     std::size_t arbiterCursor() const { return nextQueue_; }
-    void setArbiterCursor(std::size_t q) { nextQueue_ = q % queues_.size(); }
+    void setArbiterCursor(std::size_t q) { nextQueue_ = q % sizes_.size(); }
 
   private:
-    /** tick() body for a PE with queued work. */
-    bool
-    issue(Cycle now)
-    {
-        // Retire MAC ops whose pipeline delay has elapsed.
-        if (!inflight_.empty())
-            inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
-                                           [now](const InFlight &f) {
-                                               return f.done <= now;
-                                           }),
-                            inflight_.end());
-
-        // Arbiter: round-robin over queues, issue the first whose head
-        // does not RaW-conflict with an in-flight accumulation.
-        const std::size_t nq = queues_.size();
-        std::size_t qi = nextQueue_;
-        for (std::size_t i = 0; i < nq; ++i, qi = qi + 1 == nq ? 0 : qi + 1) {
-            Fifo<Task> &q = queues_[qi];
-            if (q.empty() || rowInFlight(q.front().row)) continue;
-
-            const Task t = q.pop();
-            --pending_;
-            nextQueue_ = qi + 1 == nq ? 0 : qi + 1;
-            // The result row is busy until the pipeline delay elapses,
-            // which the scoreboard enforces.
-            inflight_.push_back({t.row, now + macLatency_});
-            lastBusy_ = now;
-            ++tasksRound_;
-            return true;
-        }
-
-        // Work is queued (issue() runs only then) but every head
-        // conflicts.
-        ++rawStallCycles_;
-        return false;
-    }
-
-    /** True if `row` is being accumulated in the MAC pipeline. */
-    bool
-    rowInFlight(Index row) const
-    {
-        for (const auto &f : inflight_)
-            if (f.row == row) return true;
-        return false;
-    }
-
-    int id_;
-    int macLatency_;
     /** Capacity of every queue (0 = unbounded). */
     std::size_t depth_;
-    std::vector<Fifo<Task>> queues_;
+    /** Tasks held per queue. */
+    std::vector<std::uint32_t> sizes_;
     /** Tasks across all queues; kept on enqueue and on issue. */
     std::size_t pending_ = 0;
     std::size_t nextQueue_ = 0;  ///< round-robin arbiter state
-
-    /** Scoreboard: (row, completion cycle) of in-flight MAC ops. */
-    struct InFlight
-    {
-        Index row;
-        Cycle done;
-    };
-    std::vector<InFlight> inflight_;
-
     Cycle lastBusy_ = -1;
     Count tasksRound_ = 0;
     std::size_t roundPeak_ = 0;
-    Count rawStallCycles_ = 0;
     Count enqueueRejects_ = 0;
 };
 

@@ -228,7 +228,8 @@ PerfModel::runSpmm(const std::vector<Count> &row_work, Index rounds,
     std::unique_ptr<RebalancePolicy> rebalance =
         makeRebalancePolicy(cfg_, partition.rows());
     res.perPeTasks.assign(static_cast<std::size_t>(P), 0);
-    const Cycle overhead = cfg_.macLatency + log2i(P) + 2;
+    // The one-cycle MAC plus the log2(P)-stage network traversal.
+    const Cycle overhead = 1 + log2i(P) + 2;
 
     // Off-chip memory model (DESIGN.md §8): same accounting and
     // roofline composition as the cycle engine, at round granularity.
@@ -289,7 +290,8 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
     std::unique_ptr<RebalancePolicy> rebalance =
         makeRebalancePolicy(cfg_, partition.rows());
     res.perPeTasks.assign(static_cast<std::size_t>(P), 0);
-    const Cycle overhead = cfg_.macLatency + log2i(P) + 2;
+    // The one-cycle MAC plus the log2(P)-stage network traversal.
+    const Cycle overhead = 1 + log2i(P) + 2;
 
     const MemoryModel mem(findPlatform(cfg_.platform),
                           policyClockMhz(cfg_));

@@ -43,7 +43,6 @@ roundContextDigest(const CscMatrix &a, const AccelConfig &cfg, int tdq_kind)
     // Timing-relevant configuration. Platform/engine/policy/chips are
     // excluded on purpose (see the file header in round_cache.hpp).
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.numPes));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.macLatency));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.numQueuesPerPe));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.receivePorts));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.queueDepth));

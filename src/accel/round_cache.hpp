@@ -25,21 +25,19 @@
  * the operand's digest mixed with the streamed column's row ids, and
  * they enter the cache only through admit() (DESIGN.md §13).
  *
- * Under `macLatency == 1` the key is smaller: {owners, parity}, with
- * no arbiter cursors (cursorFreeKey). An op issued at cycle t retires
- * by t + 1, so the scoreboard is empty at every issue attempt and a PE
- * issues exactly when it has a queued task. Acceptance and local
- * sharing read only the PE's total pending count. So every timing field
- * of a round is independent of the cursors; they change only each PE's
- * exit cursor and its per-queue peak depth, and those depend only on
- * that PE's own entry cursor and its cursor-independent arrival and
- * issue sequence. A record stored under such a key carries that
- * dependence as a per-(PE, entry cursor) table (`cursorTable`), and a
- * replay rebuilds the exit cursors and the peak from it. With a deeper
- * MAC pipeline a RaW hazard makes issue depend on which row heads each
- * queue, so the cursors stay in the key. The batched engine's
- * within-run memo always keeps them: `roundsSimulated` counts its
- * misses, and that count must not depend on the shared cache.
+ * The shared key is smaller than the memo's: {owners, parity}, with no
+ * arbiter cursors. The MAC retires an op by the cycle after it issues,
+ * so a PE issues exactly when it has a queued task, and acceptance and
+ * local sharing read only the PE's total pending count. So every
+ * timing field of a round is independent of the cursors; they change
+ * only each PE's exit cursor and its per-queue peak depth, and those
+ * depend only on that PE's own entry cursor and its cursor-independent
+ * arrival and issue sequence. Every record the shared cache holds
+ * carries that dependence as a per-(PE, entry cursor) table
+ * (`cursorTable`), and a replay rebuilds the exit cursors and the peak
+ * from it. The batched engine's within-run memo keeps the cursors in
+ * its key: `roundsSimulated` counts its misses, and that count must
+ * not depend on the shared cache.
  *
  * Disabled by default so unit tests and library embedders see the
  * uncached engine; `awbsim` enables it (escape hatch: `--no-cache`).
@@ -77,27 +75,15 @@ struct RoundRecord
     std::vector<Count> homeTasks;    ///< obs.peWork (dispatch-attributed)
     std::vector<Cycle> drainCycle;   ///< obs.drainCycle
     std::vector<Count> execTasks;    ///< tasks executed per PE
-    Count rawStallDelta = 0;         ///< RaW stall cycles this round
     std::vector<std::size_t> arbiterAfter;  ///< post-round PE cursors
     std::size_t peakQueue = 0;       ///< max PE queue depth this round
     std::size_t peakNet = 0;         ///< max Omega buffer depth this round
     /// Outcome per PE p and entry cursor c, at [p * numQueuesPerPe + c].
-    /// Filled only for records the shared cache keys without cursors
-    /// (cursorFreeKey); arbiterAfter and peakQueue are its entries for
-    /// the cursors the round was stepped with.
+    /// Filled for every record the shared cache holds; arbiterAfter and
+    /// peakQueue are its entries for the cursors the round was stepped
+    /// with.
     std::vector<CursorOutcome> cursorTable;
 };
-
-/**
- * Whether the shared cache keys a round on {owners, parity} alone: only
- * when an issued op retires before its PE's next tick (see the file
- * header and DESIGN.md §13).
- */
-inline bool
-cursorFreeKey(const AccelConfig &cfg)
-{
-    return cfg.macLatency == 1;
-}
 
 /** Round-entry state the dynamics depend on (and nothing else). */
 struct RoundEntryKey

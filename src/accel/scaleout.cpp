@@ -86,7 +86,6 @@ combineShards(const std::vector<T> &per_chip,
             out.peakNetworkDepth =
                 std::max(out.peakNetworkDepth, s.peakNetworkDepth);
             out.roundsSimulated += s.roundsSimulated;
-            out.rawStalls += s.rawStalls;
         }
     }
     out.traffic.haloBytes += static_cast<Count>(K) * halo_per_round;

@@ -109,9 +109,7 @@ struct RoundCore
         lane.assign(P, 0);
         active.reserve(P);
         touched.reserve(P);
-        for (int p = 0; p < cfg.numPes; ++p)
-            pes.emplace_back(p, cfg.numQueuesPerPe, cfg.queueDepth,
-                             cfg.macLatency);
+        pes.assign(P, Pe(cfg.numQueuesPerPe, cfg.queueDepth));
     }
 
     /** Hand a task to its home PE or, under local sharing, the least
@@ -126,7 +124,7 @@ struct RoundCore
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
         Pe &pe = pes[p];
-        const std::size_t depth = pe.enqueue(t);
+        const std::size_t depth = pe.enqueue();
         if (depth == 0) return false;
         if (tabulate) models.enqueue(p, depth);
         // A PE is on the active list exactly while it has queued work.
@@ -183,7 +181,7 @@ struct RoundCore
  * TDQ-1 passes each task's dense-scan position in `scan_pos` and scans
  * `scan_width` positions per cycle; otherwise tasks enter through the
  * Omega lanes, or directly on a single PE. `with_table` fills the
- * record's cursor table (cursorFreeKey configurations only).
+ * record's cursor table.
  */
 RoundRecord
 RoundCore::step(const std::vector<Index> &row,
@@ -191,8 +189,6 @@ RoundCore::step(const std::vector<Index> &row,
                 const RowPartition &part, bool with_table)
 {
     if (pes.empty()) buildFabric();
-    if (with_table && !cursorFreeKey(cfg))
-        panic("SpmmEngine: cursor table needs macLatency == 1");
     tabulate = with_table;
     const std::size_t n = row.size();
     const std::size_t P = pes.size();
@@ -223,7 +219,8 @@ RoundCore::step(const std::vector<Index> &row,
     for (std::size_t p = 0; p < P; ++p) lane[p] = p;
     // Every task issues exactly once, and issue times only grow, so the
     // round is over once all n have issued and the last one's MAC op has
-    // retired: nothing is left in the lanes, the fabric or any queue.
+    // retired, one cycle after its issue: nothing is left in the lanes,
+    // the fabric or any queue.
     std::size_t issued = 0;
     Cycle drain_at = start;
 
@@ -236,7 +233,7 @@ RoundCore::step(const std::vector<Index> &row,
             Pe &pe = pes[p];
             if (pe.tick(now)) {
                 ++issued;
-                drain_at = now + cfg.macLatency;
+                drain_at = now + 1;
                 if (tabulate) models.issue(p);
             }
             if (pe.pending() == 0) {
@@ -305,7 +302,6 @@ RoundCore::step(const std::vector<Index> &row,
         out.execTasks.push_back(t);
         out.drainCycle.push_back(t > 0 && last >= start ? last - start : 0);
         out.arbiterAfter.push_back(pe.arbiterCursor());
-        out.rawStallDelta += pe.rawStallCycles();
         out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
     }
     out.peakNet = useNet ? net->roundPeakBufferDepth() : 0;
@@ -345,7 +341,6 @@ RoundCore::account(const RoundRecord &rec, std::size_t peak_queue,
     const auto P = static_cast<Count>(cfg.numPes);
     stats.tasks += round_tasks;
     stats.idealCycles += (round_tasks + P - 1) / P;
-    stats.rawStalls += rec.rawStallDelta;
     // Peaks fold from per-round maxima: a replayed round repeats the
     // dynamics of the stepped round that produced its record, up to the
     // cursor-dependent queue peak that replay() rebuilt.
@@ -446,10 +441,9 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
     // event-stepping it again: the batched engine's within-run memo
     // (hash-bucketed, exact key compare; lock-free) first, then (both
     // engines) the process-wide shared cache (DESIGN.md §13). The memo
-    // keys on the cursors; the shared cache drops them under
-    // cursorFreeKey and rebuilds them from the record's cursor table.
+    // keys on the cursors; the shared cache drops them and rebuilds
+    // them from the record's cursor table.
     const bool batched = cfg_.engine == EngineKind::Batched;
-    const bool cursor_free = cursorFreeKey(cfg_);
     std::unordered_map<std::uint64_t,
                        std::vector<std::pair<
                            RoundEntryKey, std::shared_ptr<const RoundRecord>>>>
@@ -476,7 +470,7 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
         }
         RoundEntryKey shared_key;
         if (record == nullptr && shared_on) {
-            shared_key = core.entryKey(partition, !cursor_free);
+            shared_key = core.entryKey(partition, /*with_cursors=*/false);
             record = shared.lookup(shared_ctx, shared_key);
         }
         std::size_t peak_queue = 0;
@@ -485,7 +479,7 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
         } else {
             record = std::make_shared<RoundRecord>(core.step(
                 a.rowId(), dense_scan ? &scan_pos : nullptr, scan_width,
-                partition, shared_on && cursor_free));
+                partition, shared_on));
             peak_queue = record->peakQueue;
             if (shared_on) shared.insert(shared_ctx, shared_key, record);
         }
@@ -533,7 +527,6 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
     core.stats.rounds = K;
     RoundStateCache &shared = RoundStateCache::instance();
     const bool shared_on = shared.enabled();
-    const bool cursor_free = cursorFreeKey(cfg_);
     std::vector<Index> rows;
     for (Index k = 0; k < K; ++k) {
         // Round-k task stream: B column k's non-zeros in ascending inner
@@ -563,7 +556,7 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
             admitted = shared.admit(stream);
         }
         if (admitted) {
-            key = core.entryKey(partition, !cursor_free);
+            key = core.entryKey(partition, /*with_cursors=*/false);
             cached = shared.lookup(stream, key);
         }
         RoundRecord stepped;
@@ -579,8 +572,7 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
                 rows.insert(rows.end(), a.rowId().begin() + a.colPtr()[j],
                             a.rowId().begin() + a.colPtr()[j + 1]);
             }
-            stepped = core.step(rows, nullptr, 0, partition,
-                                admitted && cursor_free);
+            stepped = core.step(rows, nullptr, 0, partition, admitted);
             rec = &stepped;
             peak_queue = stepped.peakQueue;
             if (admitted)

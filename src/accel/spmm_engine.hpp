@@ -77,7 +77,6 @@ struct SpmmStats
     Count roundsSimulated = 0;
     Count rowsSwitched = 0;    ///< rows moved by remote switching
     Count convergedRound = -1; ///< auto-tuning convergence round
-    Count rawStalls = 0;       ///< cycles lost to RaW hazards (summed)
     /** Off-chip traffic accounted by the memory model (DESIGN.md §8);
      *  filled on every platform, unconstrained included. */
     MemoryTraffic traffic;

@@ -135,12 +135,12 @@ int
 runCli(CommandLine &cl)
 {
     ScenarioCli cli;
-    if (!bindScenarioCli(cl, cli, /*warn_unknown=*/true)) return 0;
+    if (!bindScenarioCli(cl, cli)) return 0;
     if (cli.help) {
         printUsage();
         return 0;
     }
-    return runScenarioCli(cli, /*default_all=*/false);
+    return runScenarioCli(cli);
 }
 
 /** The global execution-core flags (DESIGN.md §13). */

@@ -59,7 +59,7 @@ scenarioBanner(const Scenario &s)
 }
 
 bool
-bindScenarioCli(CommandLine &cl, ScenarioCli &cli, bool warn_unknown)
+bindScenarioCli(CommandLine &cl, ScenarioCli &cli)
 {
     return cl.bind(
         "Run scenarios by name ('all' = every one); other positional "
@@ -72,34 +72,31 @@ bindScenarioCli(CommandLine &cl, ScenarioCli &cli, bool warn_unknown)
          text({"--json"}, "FILE", cli.jsonPath,
               "machine-readable scenario results ('-' = stdout)"),
          toggle({"--help", "-h"}, cli.help, "print the usage")},
-        {"<scenario ...>", [&cli, warn_unknown](const std::string &a) {
+        {"<scenario ...>", [&cli](const std::string &a) {
              if (a == "all") {
                  cli.runAll = true;
              } else if (ScenarioRegistry::instance().find(a)) {
                  cli.names.push_back(a);
              } else {
-                 if (warn_unknown)
-                     warn("'" + a + "' is not a scenario name; passing it "
-                          "to the selected scenarios as an argument");
+                 warn("'" + a + "' is not a scenario name; passing it "
+                      "to the selected scenarios as an argument");
                  cli.ctx.args.push_back(a);
              }
          }});
 }
 
 int
-runScenarioCli(ScenarioCli &cli, bool default_all)
+runScenarioCli(ScenarioCli &cli)
 {
     std::vector<const Scenario *> to_run;
-    if (cli.runAll || (default_all && cli.names.empty())) {
+    if (cli.runAll) {
         to_run = ScenarioRegistry::instance().all();
     } else {
         for (const auto &n : cli.names)
             to_run.push_back(ScenarioRegistry::instance().find(n));
     }
-    if (to_run.empty()) {
-        if (default_all) fatal("no scenarios linked into this binary");
+    if (to_run.empty())
         fatal("no scenario named; try 'awbsim --list-scenarios'");
-    }
 
     Json results = Json::object();
     for (const Scenario *s : to_run) {
@@ -120,24 +117,6 @@ runScenarioCli(ScenarioCli &cli, bool default_all)
             writeDoc(results, cli.jsonPath, "scenario");
     }
     return 0;
-}
-
-int
-scenarioMain(int argc, char **argv)
-{
-    CommandLine cl("run", std::vector<std::string>(argv + 1, argv + argc));
-    ScenarioCli cli;
-    bindScenarioCli(cl, cli);
-    if (cli.help) {
-        std::printf("usage: %s [scenario ...] [--seed N] [--scale S] "
-                    "[--repeat N] [--json FILE] [args ...]\n\nscenarios:\n",
-                    argv[0]);
-        for (const Scenario *s : ScenarioRegistry::instance().all())
-            std::printf("  %-24s %s\n", s->name.c_str(),
-                        s->summary.c_str());
-        return 0;
-    }
-    return runScenarioCli(cli, /*default_all=*/true);
 }
 
 } // namespace awb::driver

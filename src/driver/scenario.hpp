@@ -1,9 +1,8 @@
 /**
  * @file
- * Scenario registry: every paper experiment (bench_* figure/table
- * reproduction, example walk-through) registers itself here as a named
- * scenario and is then runnable from the unified `awbsim` driver or from
- * its historical thin per-scenario executable.
+ * Scenario registry: every paper experiment (figure/table reproduction,
+ * example walk-through) registers itself here as a named scenario and
+ * is then runnable as `awbsim run <name>`.
  *
  * A scenario is a function taking a ScenarioContext — shared argument
  * parsing, seeding, scaling and repeat logic live in the driver, not in
@@ -73,8 +72,7 @@ struct ScenarioRegistrar
 /** Print the scenario banner the old bench mains printed. */
 void scenarioBanner(const Scenario &s);
 
-/** Parsed state of the shared scenario CLI (`awbsim run ...` and the
- *  per-scenario executables use the same contract). */
+/** Parsed state of the scenario CLI (`awbsim run ...`). */
 struct ScenarioCli
 {
     ScenarioContext ctx;
@@ -86,26 +84,18 @@ struct ScenarioCli
 };
 
 /**
- * Bind the shared scenario flags (--seed/--scale/--repeat/--json/--help)
- * and the positional tokens: scenario names, "all", and
- * scenario-specific args. With `warn_unknown` (the multi-scenario
- * `awbsim run` surface), a token that names no scenario goes to
- * ctx.args with a warning — a misspelled scenario name would otherwise
- * vanish silently; the per-scenario executables expect positional args
- * and stay quiet. Returns false when `cl` only inspects the table.
+ * Bind the scenario flags (--seed/--scale/--repeat/--json/--help) and
+ * the positional tokens: scenario names, "all", and scenario-specific
+ * args. A token that names no scenario goes to ctx.args with a warning
+ * — a misspelled scenario name would otherwise vanish silently.
+ * Returns false when `cl` only inspects the table.
  */
-bool bindScenarioCli(CommandLine &cl, ScenarioCli &cli,
-                     bool warn_unknown = false);
+bool bindScenarioCli(CommandLine &cl, ScenarioCli &cli);
 
 /**
- * Run the scenarios the CLI selected. With no names, runs every linked
- * scenario when `default_all` (per-scenario executables) and fails
- * otherwise (`awbsim run` demands an explicit name or "all").
- * Returns a process exit code.
+ * Run the scenarios the CLI selected; fails when it named none (an
+ * explicit name or "all" is required). Returns a process exit code.
  */
-int runScenarioCli(ScenarioCli &cli, bool default_all);
-
-/** main() body of every per-scenario executable. */
-int scenarioMain(int argc, char **argv);
+int runScenarioCli(ScenarioCli &cli);
 
 } // namespace awb::driver

@@ -233,6 +233,18 @@ run(const RunRequest &req)
                     "shard boundaries";
         return out;
     }
+    // The GCN modes shard the node-indexed operand (the adjacency, or
+    // the features for tdq1) across chips; a chip without rows has no
+    // row map. The frontier kernels skip empty shards instead.
+    if (sharded && req.mode != Mode::Bfs && req.mode != Mode::Pagerank) {
+        const Index rows = scaledSpec(spec, req.scale).nodes;
+        if (req.chips > rows) {
+            out.error = "chips=" + std::to_string(req.chips) +
+                        " exceeds the operand's " + std::to_string(rows) +
+                        " rows: every chip must own a row";
+            return out;
+        }
+    }
 
     switch (req.mode) {
       case Mode::Model: {

@@ -107,7 +107,9 @@ struct RunResult
     /** Churn mode only: first epoch whose carried-vs-fresh cycle drift
      *  reached the tolerance (-1 = never went stale; DESIGN.md §12). */
     Count halfLifeEpochs = -1;
-    double latencyMs = 0.0;        ///< at the paper's 275 MHz
+    /** At the policy's clock (policyClockMhz: 275 MHz for the AWB-GCN
+     *  designs, 285 MHz for EIE-like). */
+    double latencyMs = 0.0;
     double inferencesPerKj = 0.0;
     double areaTotalClb = 0.0;
     double areaTqClb = 0.0;

@@ -2,18 +2,15 @@
  * @file
  * Bounded FIFO queue with occupancy statistics.
  *
- * The PE task queues and the serving queue are modelled with this class;
- * the Omega fabric keeps its fixed-depth router buffers in one flat slot
- * array instead (omega.hpp). Peak occupancy is tracked because the paper
- * sizes the physical task queues by worst-case depth (§5.2: Nell's TQ
- * depth drops from 65128 to 2675 once rebalancing is enabled) and the
- * Fig. 14 K-O area results are dominated by it.
+ * The serving queue is modelled with this class; a PE keeps only a
+ * count per task queue (accel/pe.hpp) and the Omega fabric keeps its
+ * fixed-depth router buffers in one flat slot array (omega.hpp). Peak
+ * occupancy is tracked because a physical queue is sized by its
+ * worst-case depth.
  *
- * Storage is a power-of-two ring over one std::vector (DESIGN.md §6): the
- * event engine pushes and pops these queues every simulated cycle, so
- * push/pop/front are a masked index with no allocation. A bounded queue
- * allocates its ring once, at construction; an unbounded one doubles it
- * on demand.
+ * Storage is a power-of-two ring over one std::vector: push/pop/front
+ * are a masked index with no allocation. A bounded queue allocates its
+ * ring once, at construction; an unbounded one doubles it on demand.
  */
 
 #pragma once

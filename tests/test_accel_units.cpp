@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the accelerator building blocks: configuration factory,
- * row partition, PE (RaW hazards, arbitration, issue timing, idle ticks,
- * occupancy counters), the per-entry-cursor queue models, local sharing
+ * row partition, PE (arbitration, issue and drain timing, idle ticks,
+ * occupancy counters, against a Fifo<Task> reference), the
+ * per-entry-cursor queue models, local sharing
  * policy, and the remote-switching controller (Eq. 5 dynamics and
  * convergence).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "accel/config.hpp"
@@ -18,7 +20,9 @@
 #include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/row_map.hpp"
+#include "accel/task.hpp"
 #include "common/rng.hpp"
+#include "sim/fifo.hpp"
 
 using namespace awb;
 
@@ -111,114 +115,196 @@ TEST(RowPartitionDeath, NonPositiveSizesAreRefused)
                 ::testing::ExitedWithCode(1), msg);
 }
 
-TEST(Pe, ExecutesAndAccumulates)
-{
-    // Two independent rows issue back to back and drain after the MAC
-    // latency, with no hazard stalls.
-    Pe pe(0, 4, 0, 4);
-    pe.enqueue({0, 0});
-    pe.enqueue({1, 0});
-    for (Cycle t = 0; t < 10; ++t) pe.tick(t);
-    EXPECT_TRUE(pe.drained(10));
-    EXPECT_EQ(pe.tasksThisRound(), 2);
-    EXPECT_EQ(pe.lastBusyCycle(), 1);
-    EXPECT_EQ(pe.rawStallCycles(), 0);
-}
+namespace {
 
-TEST(Pe, RawHazardStallsSameRow)
+/**
+ * The PE as it was modelled with a Fifo<Task> ring per queue and a RaW
+ * scoreboard, at the single-cycle MAC: the reference the count-only Pe
+ * and CursorModels must match. An op issued at t retires at t + 1, so
+ * the scoreboard must never stall.
+ */
+class RefPe
 {
-    // Two tasks on the same row with MAC latency 4: the second must wait
-    // for the first to retire -> it issues at t=4, after 3 stall cycles.
-    Pe pe(0, 4, 0, 4);
-    pe.enqueue({0, 0});
-    pe.enqueue({0, 0});
-    Cycle done = -1;
-    for (Cycle t = 0; t < 20; ++t) {
-        pe.tick(t);
-        if (done < 0 && pe.tasksThisRound() == 2) done = t;
+  public:
+    RefPe(int num_queues, std::size_t depth) : depth_(depth)
+    {
+        for (int q = 0; q < num_queues; ++q) queues_.emplace_back(depth);
     }
-    EXPECT_EQ(done, 4);  // issue at t=0, retire at t=4, reissue at t=4
-    EXPECT_EQ(pe.rawStallCycles(), 3);
-    EXPECT_TRUE(pe.drained(20));
+
+    std::size_t pending() const { return pending_; }
+    bool
+    drained(Cycle now) const
+    {
+        if (pending_ != 0) return false;
+        for (const InFlight &f : inflight_)
+            if (f.done > now) return false;
+        return true;
+    }
+    bool
+    canAccept() const
+    {
+        return depth_ == 0 || pending_ < depth_ * queues_.size();
+    }
+
+    std::size_t
+    enqueue(const Task &task)
+    {
+        if (!canAccept()) return 0;
+        Fifo<Task> *best = nullptr;
+        for (auto &q : queues_) {
+            if (q.full()) continue;
+            if (best == nullptr || q.size() < best->size()) best = &q;
+        }
+        best->push(task);
+        ++pending_;
+        roundPeak_ = std::max(roundPeak_, best->size());
+        return best->size();
+    }
+
+    bool
+    tick(Cycle now)
+    {
+        if (pending_ == 0) return false;
+        inflight_.erase(std::remove_if(inflight_.begin(), inflight_.end(),
+                                       [now](const InFlight &f) {
+                                           return f.done <= now;
+                                       }),
+                        inflight_.end());
+        const std::size_t nq = queues_.size();
+        std::size_t qi = cursor_;
+        for (std::size_t i = 0; i < nq; ++i, qi = (qi + 1) % nq) {
+            Fifo<Task> &q = queues_[qi];
+            if (q.empty() || rowInFlight(q.front().row)) continue;
+            const Task t = q.pop();
+            --pending_;
+            cursor_ = (qi + 1) % nq;
+            inflight_.push_back({t.row, now + 1});
+            lastBusy_ = now;
+            ++tasks_;
+            return true;
+        }
+        ++rawStalls_;
+        return false;
+    }
+
+    Cycle lastBusyCycle() const { return lastBusy_; }
+    Count tasksThisRound() const { return tasks_; }
+    Count rawStalls() const { return rawStalls_; }
+    std::size_t roundPeakQueueDepth() const { return roundPeak_; }
+    std::size_t arbiterCursor() const { return cursor_; }
+    void setArbiterCursor(std::size_t q) { cursor_ = q % queues_.size(); }
+
+  private:
+    bool
+    rowInFlight(Index row) const
+    {
+        for (const InFlight &f : inflight_)
+            if (f.row == row) return true;
+        return false;
+    }
+
+    struct InFlight
+    {
+        Index row;
+        Cycle done;
+    };
+    std::size_t depth_;
+    std::vector<Fifo<Task>> queues_;
+    std::vector<InFlight> inflight_;
+    std::size_t pending_ = 0;
+    std::size_t cursor_ = 0;
+    Cycle lastBusy_ = -1;
+    Count tasks_ = 0;
+    Count rawStalls_ = 0;
+    std::size_t roundPeak_ = 0;
+};
+
+/** Every counter the engine reads agrees between the two PEs. */
+void
+expectSamePe(const Pe &pe, const RefPe &ref, Cycle now)
+{
+    EXPECT_EQ(pe.pending(), ref.pending()) << now;
+    EXPECT_EQ(pe.canAccept(), ref.canAccept()) << now;
+    EXPECT_EQ(pe.arbiterCursor(), ref.arbiterCursor()) << now;
+    EXPECT_EQ(pe.roundPeakQueueDepth(), ref.roundPeakQueueDepth()) << now;
+    EXPECT_EQ(pe.lastBusyCycle(), ref.lastBusyCycle()) << now;
+    EXPECT_EQ(pe.tasksThisRound(), ref.tasksThisRound()) << now;
+    EXPECT_EQ(pe.drained(now), ref.drained(now)) << now;
+    EXPECT_EQ(pe.drained(now + 1), ref.drained(now + 1)) << now;
 }
 
-TEST(Pe, DifferentRowsPipelineBackToBack)
+/** The grid both reference tests run: queues x per-queue depth. */
+template <class F>
+void
+forQueueShapes(F &&body)
 {
-    // Independent rows issue 1/cycle despite the 4-cycle MAC latency.
-    Pe pe(0, 4, 0, 4);
-    for (Index r = 0; r < 8; ++r) pe.enqueue({r, 0});
-    Cycle t = 0;
-    for (; t < 30 && pe.tasksThisRound() < 8; ++t) pe.tick(t);
+    for (int queues : {1, 2, 4, 8}) {
+        for (std::size_t depth : {0, 1, 3}) {
+            SCOPED_TRACE("queues " + std::to_string(queues) + " depth " +
+                         std::to_string(depth));
+            body(queues, depth);
+        }
+    }
+}
+
+} // namespace
+
+TEST(Pe, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
+{
+    Pe pe(4, 0);
+    for (int i = 0; i < 8; ++i) pe.enqueue();
+    for (Cycle t = 0; t < 8; ++t) {
+        EXPECT_FALSE(pe.drained(t));
+        EXPECT_TRUE(pe.tick(t));
+    }
+    EXPECT_FALSE(pe.tick(8));
     EXPECT_EQ(pe.tasksThisRound(), 8);
-    EXPECT_LE(t, 9);  // 8 issues + at most one skew cycle
-}
-
-TEST(Pe, MultipleQueuesDodgeHazard)
-{
-    // With 2 queues, a same-row pair in one queue does not block an
-    // independent task in the other queue.
-    Pe pe(0, 2, 0, 8);
-    pe.enqueue({0, 0});  // queue A
-    pe.enqueue({0, 0});  // queue B (shortest-queue placement)
-    pe.enqueue({1, 0});  // queue A again
-    int issued_by_cycle3 = 0;
-    for (Cycle t = 0; t < 3; ++t) {
-        pe.tick(t);
-        issued_by_cycle3 = static_cast<int>(pe.tasksThisRound());
-    }
-    // Cycle 0 issues row 0; cycle 1 skips the second row-0 task and
-    // issues row 1 from the other queue.
-    EXPECT_GE(issued_by_cycle3, 2);
+    EXPECT_EQ(pe.lastBusyCycle(), 7);
+    // The last op retires one cycle after its issue.
+    EXPECT_FALSE(pe.drained(7));
+    EXPECT_TRUE(pe.drained(8));
 }
 
 TEST(Pe, BoundedQueueBackpressure)
 {
-    Pe pe(0, 1, 2, 4);
-    EXPECT_TRUE(pe.enqueue({0, 0}));
-    EXPECT_TRUE(pe.enqueue({1, 0}));
+    Pe pe(1, 2);
+    EXPECT_EQ(pe.enqueue(), 1u);
+    EXPECT_EQ(pe.enqueue(), 2u);
     EXPECT_FALSE(pe.canAccept());
-    EXPECT_FALSE(pe.enqueue({2, 0}));
+    EXPECT_EQ(pe.enqueue(), 0u);
     EXPECT_EQ(pe.enqueueRejects(), 1);
 }
 
 TEST(Pe, TickOnEmptyPeChangesNothing)
 {
     // Idle ticks are skipped outright; they must leave every counter the
-    // engine reads exactly as a full retire-and-arbitrate pass would.
-    Pe pe(0, 2, 2, 4);
-    for (Cycle t = 0; t < 5; ++t) pe.tick(t);
-    EXPECT_EQ(pe.rawStallCycles(), 0);
+    // engine reads unchanged.
+    Pe pe(2, 2);
+    for (Cycle t = 0; t < 5; ++t) EXPECT_FALSE(pe.tick(t));
     EXPECT_EQ(pe.tasksThisRound(), 0);
     EXPECT_EQ(pe.lastBusyCycle(), -1);
+    EXPECT_EQ(pe.arbiterCursor(), 0u);
 
-    // After real work drains, further idle ticks still change nothing,
-    // and the ops left unretired by the skipped ticks do not block a
-    // later same-row issue.
-    pe.enqueue({3, 0});
-    pe.tick(5);
-    for (Cycle t = 6; t < 20; ++t) pe.tick(t);
+    pe.enqueue();
+    EXPECT_TRUE(pe.tick(5));
+    for (Cycle t = 6; t < 20; ++t) EXPECT_FALSE(pe.tick(t));
     EXPECT_TRUE(pe.drained(20));
-    EXPECT_EQ(pe.rawStallCycles(), 0);
     EXPECT_EQ(pe.tasksThisRound(), 1);
     EXPECT_EQ(pe.lastBusyCycle(), 5);
-    pe.enqueue({3, 0});
-    pe.tick(20);
-    EXPECT_EQ(pe.tasksThisRound(), 2);
-    EXPECT_EQ(pe.lastBusyCycle(), 20);
-    EXPECT_EQ(pe.rawStallCycles(), 0);
+    EXPECT_EQ(pe.arbiterCursor(), 1u);
 }
 
 TEST(Pe, CanAcceptMatchesSomeQueueNotFull)
 {
     // Two queues of depth 2: room remains exactly until all four slots
     // hold a task, through both a fill and a drain.
-    Pe pe(0, 2, 2, 1);
-    for (Index r = 0; r < 4; ++r) {
-        EXPECT_TRUE(pe.canAccept()) << "before task " << r;
-        ASSERT_TRUE(pe.enqueue({r, 0}));
+    Pe pe(2, 2);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(pe.canAccept()) << "before task " << i;
+        ASSERT_NE(pe.enqueue(), 0u);
     }
     EXPECT_FALSE(pe.canAccept());
-    EXPECT_FALSE(pe.enqueue({9, 0}));
+    EXPECT_EQ(pe.enqueue(), 0u);
     EXPECT_EQ(pe.enqueueRejects(), 1);
     for (Cycle t = 0; pe.pending() != 0; ++t) {
         pe.tick(t);
@@ -227,84 +313,102 @@ TEST(Pe, CanAcceptMatchesSomeQueueNotFull)
     EXPECT_EQ(pe.tasksThisRound(), 4);
 }
 
-TEST(Pe, PendingIsEnqueuedMinusIssued)
+// The count-only Pe against the Fifo<Task> reference on random bursts:
+// up to three arrivals a cycle, drawn from eight rows so same-row
+// neighbours are common, then one tick. Every queue depth returned,
+// every rejection and every counter must agree, cycle by cycle, and
+// the reference's scoreboard must never stall.
+TEST(Pe, CountOnlyMatchesFifoReference)
 {
-    // Same-row tasks stall behind the MAC, so issue lags enqueue; the
-    // pending count must track the difference every cycle.
-    Pe pe(0, 2, 0, 5);
-    Count enqueued = 0;
-    for (Cycle t = 0; t < 40; ++t) {
-        if (t < 12) {
-            const Index row = t % 3 == 0 ? 0 : static_cast<Index>(t);
-            ASSERT_TRUE(pe.enqueue({row, 0}));
-            ++enqueued;
+    forQueueShapes([](int queues, std::size_t depth) {
+        Pe pe(queues, depth);
+        RefPe ref(queues, depth);
+        Rng rng(static_cast<std::uint64_t>(queues) * 16 + depth);
+        Count enqueued = 0;
+        Cycle now = 0;
+        for (; now < 600 || ref.pending() > 0; ++now) {
+            const Index arrivals =
+                now >= 600 ? 0 : rng.nextIndex(now % 100 < 40 ? 4 : 2);
+            for (Index i = 0; i < arrivals; ++i) {
+                const std::size_t joined = pe.enqueue();
+                ASSERT_EQ(joined, ref.enqueue({rng.nextIndex(8), 0})) << now;
+                if (joined != 0) ++enqueued;
+            }
+            ASSERT_EQ(pe.tick(now), ref.tick(now)) << now;
+            EXPECT_EQ(static_cast<Count>(pe.pending()),
+                      enqueued - pe.tasksThisRound())
+                << now;
+            expectSamePe(pe, ref, now);
         }
-        pe.tick(t);
-        const Count issued = pe.tasksThisRound();
-        EXPECT_EQ(static_cast<Count>(pe.pending()), enqueued - issued) << t;
-    }
-    EXPECT_EQ(pe.pending(), 0u);
-    EXPECT_GT(pe.rawStallCycles(), 0);
+        EXPECT_EQ(ref.rawStalls(), 0);
+        EXPECT_EQ(pe.tasksThisRound(), enqueued);
+        EXPECT_GT(pe.roundPeakQueueDepth(), 0u);
+    });
 }
 
-// CursorModels against real PEs: one single-cycle-MAC Pe per entry
-// cursor, all fed the same random accept/issue sequence. The table must
-// hold each Pe's exit cursor and round peak, whichever of them is the
-// stepped PE, across the drains that regroup the copies. A burst builds
-// the round's peak first; the sparser tail drains often, so the peak
-// must survive the regroups.
+// CursorModels against the reference: one Fifo<Task> PE per entry
+// cursor, all fed the same random accept/issue sequence, each with its
+// count-only twin. The table must hold each reference's exit cursor
+// and round peak, whichever twin is the stepped PE, across the drains
+// that regroup the copies. A burst builds the round's peak first; the
+// sparser tail drains often, so the peak must survive the regroups.
 TEST(CursorModels, MatchOnePePerEntryCursor)
 {
-    for (int queues : {1, 2, 4, 8}) {
-        for (std::size_t depth : {0, 1, 3}) {
-            SCOPED_TRACE("queues " + std::to_string(queues) + " depth " +
-                         std::to_string(depth));
-            const auto Q = static_cast<std::size_t>(queues);
-            std::vector<Pe> ref;
+    forQueueShapes([](int queues, std::size_t depth) {
+        const auto Q = static_cast<std::size_t>(queues);
+        std::vector<RefPe> ref;
+        std::vector<Pe> pes;
+        for (std::size_t c = 0; c < Q; ++c) {
+            ref.emplace_back(queues, depth);
+            ref.back().setArbiterCursor(c);
+            pes.emplace_back(queues, depth);
+            pes.back().setArbiterCursor(c);
+        }
+        CursorModels models;
+        models.begin(1, Q, depth);
+        Rng rng(Q * 16 + depth);
+        Cycle now = 0;
+        auto issueAll = [&] {
             for (std::size_t c = 0; c < Q; ++c) {
-                ref.emplace_back(0, queues, depth, 1);
-                ref.back().setArbiterCursor(c);
+                ASSERT_TRUE(ref[c].tick(now));
+                ASSERT_TRUE(pes[c].tick(now));
             }
-            CursorModels models;
-            models.begin(1, Q, depth);
-            Rng rng(Q * 16 + depth);
-            Cycle now = 0;
-            auto issueAll = [&] {
-                for (Pe &pe : ref) ASSERT_TRUE(pe.tick(now));
-                models.issue(0);
-            };
-            for (Index op = 0; op < 600; ++op, ++now) {
-                const double accept = op < 150 ? 0.7 : 0.35;
-                if (ref[0].canAccept() && rng.nextBool(accept)) {
-                    std::size_t joined = 0;
-                    for (Pe &pe : ref) joined = pe.enqueue({op, 0});
-                    models.enqueue(0, joined);
-                } else if (ref[0].pending() > 0) {
-                    issueAll();
-                }
-            }
-            for (; ref[0].pending() > 0; ++now) issueAll();
-
-            for (std::size_t e = 0; e < Q; ++e) {
-                const std::vector<CursorOutcome> table =
-                    models.finish({ref[e]}, {e});
+            models.issue(0);
+        };
+        for (Index op = 0; op < 600; ++op, ++now) {
+            const double accept = op < 150 ? 0.7 : 0.35;
+            if (ref[0].canAccept() && rng.nextBool(accept)) {
+                std::size_t joined = 0;
                 for (std::size_t c = 0; c < Q; ++c) {
-                    EXPECT_EQ(table[c].exit, ref[c].arbiterCursor()) << c;
-                    EXPECT_EQ(table[c].peak, ref[c].roundPeakQueueDepth())
-                        << c;
+                    joined = ref[c].enqueue({op, 0});
+                    ASSERT_EQ(pes[c].enqueue(), joined);
                 }
+                models.enqueue(0, joined);
+            } else if (ref[0].pending() > 0) {
+                issueAll();
             }
         }
-    }
+        for (; ref[0].pending() > 0; ++now) issueAll();
+        for (std::size_t c = 0; c < Q; ++c) expectSamePe(pes[c], ref[c], now);
+
+        for (std::size_t e = 0; e < Q; ++e) {
+            const std::vector<CursorOutcome> table =
+                models.finish({pes[e]}, {e});
+            for (std::size_t c = 0; c < Q; ++c) {
+                EXPECT_EQ(table[c].exit, ref[c].arbiterCursor()) << c;
+                EXPECT_EQ(table[c].peak, ref[c].roundPeakQueueDepth()) << c;
+            }
+        }
+    });
 }
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)
 {
     std::vector<Pe> pes;
-    for (int i = 0; i < 5; ++i) pes.emplace_back(i, 1, 0, 4);
+    for (int i = 0; i < 5; ++i) pes.emplace_back(1, 0);
     // Load PE 2 with 3 tasks, PE 1 with 1, PE 3 with 0.
-    for (int i = 0; i < 3; ++i) pes[2].enqueue({0, 2});
-    pes[1].enqueue({0, 1});
+    for (int i = 0; i < 3; ++i) pes[2].enqueue();
+    pes[1].enqueue();
 
     LocalSharer s1(1);
     EXPECT_EQ(s1.choose(2, pes), 3);
@@ -316,7 +420,7 @@ TEST(LocalShare, PicksLeastLoadedNeighbour)
 TEST(LocalShare, TieFavoursHome)
 {
     std::vector<Pe> pes;
-    for (int i = 0; i < 3; ++i) pes.emplace_back(i, 1, 0, 4);
+    for (int i = 0; i < 3; ++i) pes.emplace_back(1, 0);
     LocalSharer s(1);
     EXPECT_EQ(s.choose(1, pes), 1);
 }
@@ -324,7 +428,7 @@ TEST(LocalShare, TieFavoursHome)
 TEST(LocalShare, RespectsArrayBounds)
 {
     std::vector<Pe> pes;
-    for (int i = 0; i < 4; ++i) pes.emplace_back(i, 1, 0, 4);
+    for (int i = 0; i < 4; ++i) pes.emplace_back(1, 0);
     LocalSharer s(2);
     EXPECT_GE(s.choose(0, pes), 0);
     EXPECT_LE(s.choose(3, pes), 3);
@@ -333,8 +437,8 @@ TEST(LocalShare, RespectsArrayBounds)
 TEST(LocalShare, SkipsFullPes)
 {
     std::vector<Pe> pes;
-    for (int i = 0; i < 3; ++i) pes.emplace_back(i, 1, 1, 4);
-    pes[1].enqueue({0, 1});  // home full
+    for (int i = 0; i < 3; ++i) pes.emplace_back(1, 1);
+    pes[1].enqueue();  // home full
     LocalSharer s(1);
     int got = s.choose(1, pes);
     EXPECT_NE(got, 1);

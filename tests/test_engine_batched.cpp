@@ -52,7 +52,6 @@ expectStatsIdentical(const SpmmStats &event, const SpmmStats &batched,
     EXPECT_EQ(event.rounds, batched.rounds) << what;
     EXPECT_EQ(event.rowsSwitched, batched.rowsSwitched) << what;
     EXPECT_EQ(event.convergedRound, batched.convergedRound) << what;
-    EXPECT_EQ(event.rawStalls, batched.rawStalls) << what;
     EXPECT_EQ(event.peakQueueDepth, batched.peakQueueDepth) << what;
     EXPECT_EQ(event.peakNetworkDepth, batched.peakNetworkDepth) << what;
     EXPECT_EQ(event.roundCycles, batched.roundCycles) << what;

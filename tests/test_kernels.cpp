@@ -552,7 +552,6 @@ expectSameSpmmStats(const SpmmStats &x, const SpmmStats &y,
     EXPECT_EQ(x.roundsSimulated, y.roundsSimulated) << what;
     EXPECT_EQ(x.rowsSwitched, y.rowsSwitched) << what;
     EXPECT_EQ(x.convergedRound, y.convergedRound) << what;
-    EXPECT_EQ(x.rawStalls, y.rawStalls) << what;
     EXPECT_EQ(x.peakQueueDepth, y.peakQueueDepth) << what;
     EXPECT_EQ(x.peakNetworkDepth, y.peakNetworkDepth) << what;
     expectSameTraffic(x.traffic, y.traffic, what);

@@ -55,7 +55,6 @@ expectStatsIdentical(const SpmmStats &a, const SpmmStats &b,
     EXPECT_EQ(a.rounds, b.rounds) << what;
     EXPECT_EQ(a.rowsSwitched, b.rowsSwitched) << what;
     EXPECT_EQ(a.convergedRound, b.convergedRound) << what;
-    EXPECT_EQ(a.rawStalls, b.rawStalls) << what;
     EXPECT_EQ(a.peakQueueDepth, b.peakQueueDepth) << what;
     EXPECT_EQ(a.peakNetworkDepth, b.peakNetworkDepth) << what;
     EXPECT_EQ(a.roundCycles, b.roundCycles) << what;

@@ -294,7 +294,7 @@ legacyRunSpmm(const AccelConfig &cfg, const std::vector<Count> &row_work,
     res.perPeTasks.assign(static_cast<std::size_t>(P), 0);
     int log2p = 0;
     while ((1 << log2p) < P) ++log2p;
-    const Cycle overhead = cfg.macLatency + log2p + 2;
+    const Cycle overhead = 1 + log2p + 2;  // one-cycle MAC
     constexpr double kSharingInefficiency = 1.15;
 
     std::vector<Count> served;

@@ -56,7 +56,6 @@ refFoldExtras(SpmmStats &out, const SpmmStats &s)
     out.peakNetworkDepth =
         std::max(out.peakNetworkDepth, s.peakNetworkDepth);
     out.roundsSimulated += s.roundsSimulated;
-    out.rawStalls += s.rawStalls;
 }
 
 void
@@ -388,7 +387,6 @@ expectStatsIdentical(const SpmmStats &a, const SpmmStats &b)
     expectSpmmIdentical(a, b);
     EXPECT_EQ(a.peakNetworkDepth, b.peakNetworkDepth);
     EXPECT_EQ(a.roundsSimulated, b.roundsSimulated);
-    EXPECT_EQ(a.rawStalls, b.rawStalls);
 }
 
 void
@@ -821,4 +819,40 @@ TEST(ScaleoutSweep, ChipsAxisSurfacesInJson)
           "\"halo_cycles\"", "\"halo_bound_rounds\"",
           "\"chip_imbalance\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
+// More chips than the operand has rows leaves a chip without a row map.
+// Each such GCN point is an error row, not a fatal that ends the sweep;
+// the frontier kernels skip empty shards and still run.
+TEST(ScaleoutSweep, ChipsBeyondRowsAreErrorRows)
+{
+    driver::SweepOptions opts;
+    opts.datasets = {"cora"};
+    opts.modes = {driver::SweepMode::Model, driver::SweepMode::Cycle,
+                  driver::SweepMode::SpmmTdq1, driver::SweepMode::SpmmTdq2};
+    opts.chipCounts = {64};
+    opts.scale = 0.005;  // 16 rows
+    opts.threads = 2;
+
+    auto outcomes = driver::runSweep(opts);
+    ASSERT_EQ(outcomes.size(), opts.designs.size() * opts.modes.size());
+    for (const auto &o : outcomes) {
+        EXPECT_FALSE(o.ok) << driver::sweepModeName(o.point.mode);
+        EXPECT_NE(o.error.find("chips=64 exceeds the operand's 16 rows"),
+                  std::string::npos)
+            << o.error;
+    }
+    const std::string json = driver::sweepToJson(opts, outcomes).dump(2);
+    std::size_t errors = 0;
+    for (std::size_t at = json.find("\"ok\": false"); at != std::string::npos;
+         at = json.find("\"ok\": false", at + 1))
+        ++errors;
+    EXPECT_EQ(errors, outcomes.size());
+
+    opts.designs = {"remote-d"};
+    opts.peCounts = {16};
+    opts.modes = {driver::SweepMode::Bfs};
+    outcomes = driver::runSweep(opts);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
 }
