@@ -2,8 +2,9 @@
  * @file
  * Per-entry-cursor queue models that fill a round's cursor table
  * (accel/round_cache.hpp, DESIGN.md §13). They apply the same queue
- * rules as `Pe` (accel/pe.hpp), so each model is a PE started at
- * another cursor.
+ * rules as `PeArray` (accel/pe.hpp), so each model is a PE started at
+ * another cursor, and finish() checks each PE's real entry cursor
+ * against the array's slot for that PE.
  */
 
 #pragma once
@@ -22,7 +23,7 @@ namespace awb {
  * The cursor-dependent half of a round (DESIGN.md §13). For every PE
  * and every entry cursor c it runs a copy of the PE's queue sizes: an
  * accepted task joins the queue joinQueue picks and an issue pops the
- * queue issueQueue picks from the copy's cursor, just as `Pe` does.
+ * queue issueQueue picks from the copy's cursor, just as `PeArray` does.
  * The arrival and issue sequence does not depend on the cursors, so
  * one stepped round fills the exit cursor and peak of every entry
  * cursor.
@@ -99,21 +100,20 @@ class CursorModels
     /** The finished table; the entry of each PE's real entry cursor
      *  must match what the stepped PE did. */
     std::vector<CursorOutcome>
-    finish(const std::vector<Pe> &pes,
-           const std::vector<std::size_t> &entry) const
+    finish(const PeArray &pes, const std::vector<std::size_t> &entry) const
     {
         std::vector<CursorOutcome> table(group_.size());
         for (std::size_t p = 0; p < pes.size(); ++p) {
             // A single group is the stepped PE and shares its cursor.
             const auto cursor =
-                static_cast<std::uint32_t>(pes[p].arbiterCursor());
+                static_cast<std::uint32_t>(pes.arbiterCursor(p));
             for (std::size_t i = p * q_; i < (p + 1) * q_; ++i) {
                 const std::size_t g = p * q_ + group_[i];
                 table[i].exit = single_[p] ? cursor : cursor_[g];
                 table[i].peak = std::max(base_[i], peak_[g]);
             }
             const CursorOutcome &o = table[p * q_ + entry[p]];
-            if (o.exit != cursor || o.peak != pes[p].roundPeakQueueDepth())
+            if (o.exit != cursor || o.peak != pes.roundPeakQueueDepth(p))
                 panic("CursorModels: model disagrees with the stepped PE");
         }
         return table;

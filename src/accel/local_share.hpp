@@ -9,12 +9,15 @@
  * Fig. 11-(B). In TDQ-2 this decision happens at the final network layer,
  * whose boundary links make out-of-group neighbours reachable
  * (Fig. 11-(D)); choosing among [home-hops, home+hops] models exactly
- * that reachable set.
+ * that reachable set. The choice reads the PE array's flat pending
+ * counts and the per-cycle receive-port counts over that window and
+ * keeps the least key with selects, not data-dependent branches.
  */
 
 #pragma once
 
-#include <vector>
+#include <algorithm>
+#include <cstdint>
 
 #include "accel/pe.hpp"
 
@@ -33,41 +36,43 @@ class LocalSharer
 
     /**
      * Least-pending PE within the sharing window of `home`. Ties favour
-     * the home PE, then smaller distance (shorter return path).
-     * PEs that cannot accept (bounded queues full, or whose per-cycle
-     * receive ports are exhausted per `accepted`/`accept_cap`) are
-     * skipped; returns -1 when every candidate is unavailable.
+     * the home PE, then smaller distance (shorter return path), then the
+     * lower index. PEs that cannot accept (bounded queues full, or whose
+     * per-cycle receive ports are exhausted per `accepted`/`accept_cap`)
+     * are skipped; returns -1 when every candidate is unavailable.
      *
      * @param accepted    per-PE count of tasks already accepted this
      *                    cycle (nullptr to ignore port limits)
      * @param accept_cap  per-PE receive ports per cycle
      */
     int
-    choose(int home, const std::vector<Pe> &pes,
-           const std::vector<int> *accepted = nullptr,
+    choose(int home, const PeArray &pes, const int *accepted = nullptr,
            int accept_cap = 0) const
     {
-        const int n = static_cast<int>(pes.size());
+        const int lo = std::max(home - hops_, 0);
+        const int hi =
+            std::min(home + hops_, static_cast<int>(pes.size()) - 1);
+        const std::uint32_t *pending = pes.pendingCounts();
+        const std::uint32_t cap = pes.capacity();
+        // Key: pending count in the high word, then the distance rank
+        // 2·|d| + (d > 0), which orders the home PE first and the lower
+        // of two equidistant PEs before the upper. An unavailable PE
+        // keys above every real one.
+        constexpr std::uint64_t kNone = ~std::uint64_t{0};
+        std::uint64_t best_key = kNone;
         int best = -1;
-        std::size_t best_pending = 0;
-        int best_dist = 0;
-        for (int d = -hops_; d <= hops_; ++d) {
-            int p = home + d;
-            if (p < 0 || p >= n) continue;
-            const Pe &pe = pes[static_cast<std::size_t>(p)];
-            if (!pe.canAccept()) continue;
-            if (accepted != nullptr &&
-                (*accepted)[static_cast<std::size_t>(p)] >= accept_cap)
-                continue;
-            std::size_t pending = pe.pending();
-            int dist = d < 0 ? -d : d;
-            bool better = best == -1 || pending < best_pending ||
-                          (pending == best_pending && dist < best_dist);
-            if (better) {
-                best = p;
-                best_pending = pending;
-                best_dist = dist;
-            }
+        for (int p = lo; p <= hi; ++p) {
+            const std::uint32_t n = pending[p];
+            const int d = p - home;
+            const auto rank =
+                static_cast<std::uint64_t>(2 * (d < 0 ? -d : d) + (d > 0));
+            const bool open = n < cap && (accepted == nullptr ||
+                                          accepted[p] < accept_cap);
+            const std::uint64_t key =
+                open ? (std::uint64_t{n} << 32 | rank) : kNone;
+            const bool lt = key < best_key;
+            best_key = lt ? key : best_key;
+            best = lt ? p : best;
         }
         return best;
     }

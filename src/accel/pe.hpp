@@ -1,14 +1,17 @@
 /**
  * @file
- * Processing element: multiple task queues, an arbiter and a single-cycle
- * MAC feeding the AGU/ACC accumulation path (paper Fig. 7).
+ * The PE array: per PE, multiple task queues, an arbiter and a
+ * single-cycle MAC feeding the AGU/ACC accumulation path (paper Fig. 7).
  *
  * The D5005's DSP MACCs forward the accumulator register in one cycle,
  * so an op issued at cycle t has retired by t + 1: back-to-back
  * accumulations into one row never conflict and the arbiter issues
  * whenever a task is queued (DESIGN.md §6). Tasks carry no operand
  * values, and with no RaW hazard no issue decision reads which row a
- * task targets, so a PE keeps only how many tasks each queue holds.
+ * task targets, so the array keeps only how many tasks each queue
+ * holds. Every per-PE counter lives in one flat array indexed by PE
+ * (queue sizes by PE × queues + queue), so no PE owns a heap block and
+ * the local sharer scans the pending counts as one contiguous run.
  */
 
 #pragma once
@@ -16,6 +19,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -25,7 +29,7 @@ namespace awb {
 /**
  * The queue an arriving task joins: the shortest queue with room, the
  * lowest index on ties; `n` when all `n` are full (`depth` 0 =
- * unbounded). Shared by Pe and CursorModels.
+ * unbounded). Shared by PeArray and CursorModels.
  */
 inline std::size_t
 joinQueue(const std::uint32_t *sizes, std::size_t n, std::size_t depth)
@@ -49,123 +53,153 @@ issueQueue(const std::uint32_t *sizes, std::size_t n, std::size_t cursor)
     return n;
 }
 
-/** One PE plus its slice of the accumulator-buffer array. */
-class Pe
+/** Every PE of the array plus its slice of the accumulator buffers. */
+class PeArray
 {
   public:
+    PeArray() = default;
+
     /**
-     * @param num_queues   task queues in front of the arbiter
+     * @param pes          PEs in the array
+     * @param num_queues   task queues in front of each arbiter
      * @param queue_depth  per-queue capacity (0 = unbounded, measured)
      */
-    Pe(int num_queues, std::size_t queue_depth)
-        : depth_(queue_depth),
-          sizes_(static_cast<std::size_t>(std::max(num_queues, 1)), 0)
+    PeArray(std::size_t pes, int num_queues, std::size_t queue_depth)
+        : q_(static_cast<std::size_t>(std::max(num_queues, 1))),
+          depth_(queue_depth),
+          capacity_(static_cast<std::uint32_t>(
+              queue_depth == 0
+                  ? std::numeric_limits<std::uint32_t>::max()
+                  : std::min<std::size_t>(
+                        queue_depth * q_,
+                        std::numeric_limits<std::uint32_t>::max()))),
+          sizes_(pes * q_, 0), pending_(pes, 0), cursor_(pes, 0),
+          peak_(pes, 0), lastBusy_(pes, -1), tasks_(pes, 0)
     {
     }
 
-    /** Total buffered tasks across this PE's queues ("pending counter"). */
-    std::size_t pending() const { return pending_; }
+    std::size_t size() const { return pending_.size(); }
+    bool empty() const { return pending_.empty(); }
 
-    /** True when nothing is queued and the last issued op has retired,
+    /** Total buffered tasks across PE p's queues ("pending counter"). */
+    std::size_t pending(std::size_t p) const { return pending_[p]; }
+
+    /** Every PE's pending counter, PE p at [p]. */
+    const std::uint32_t *pendingCounts() const { return pending_.data(); }
+
+    /** Tasks one PE holds when every queue is full; the uint32 maximum
+     *  when queues are unbounded, so a PE can accept exactly when its
+     *  pending count is below this. */
+    std::uint32_t capacity() const { return capacity_; }
+
+    /** True when PE p holds nothing and its last issued op has retired,
      *  that is, the last issue was before `now`. */
-    bool drained(Cycle now) const { return pending_ == 0 && lastBusy_ < now; }
-
-    /** Can at least one queue accept a task? Every queue has the same
-     *  capacity, so one has room exactly when the total is below
-     *  depth × queues. */
     bool
-    canAccept() const
+    drained(std::size_t p, Cycle now) const
     {
-        return depth_ == 0 || pending_ < depth_ * sizes_.size();
+        return pending_[p] == 0 && lastBusy_[p] < now;
     }
+
+    /** Can at least one of PE p's queues accept a task? Every queue has
+     *  the same capacity, so one has room exactly when the total is
+     *  below depth × queues. */
+    bool canAccept(std::size_t p) const { return pending_[p] < capacity_; }
 
     /**
-     * Enqueue a task into the shortest queue. Returns the depth of the
-     * queue it joined, or 0 when all queues are full (backpressure to
-     * the distribution network).
+     * Enqueue a task at PE p into its shortest queue. Returns the depth
+     * of the queue it joined, or 0 when all queues are full
+     * (backpressure to the distribution network).
      */
     std::size_t
-    enqueue()
+    enqueue(std::size_t p)
     {
-        if (!canAccept()) {
+        if (!canAccept(p)) {
             ++enqueueRejects_;
             return 0;
         }
-        std::uint32_t &s = sizes_[joinQueue(sizes_.data(), sizes_.size(),
-                                            depth_)];
-        ++pending_;
-        roundPeak_ = std::max<std::size_t>(roundPeak_, ++s);
-        return s;
+        std::uint32_t *s = &sizes_[p * q_];
+        const std::uint32_t joined = ++s[joinQueue(s, q_, depth_)];
+        ++pending_[p];
+        peak_[p] = std::max(peak_[p], joined);
+        return joined;
     }
 
     /**
-     * One clock: the arbiter issues the first non-empty queue from its
-     * round-robin cursor into the MAC. Returns whether a task issued,
-     * which is exactly whether one was queued; an empty PE's tick
-     * changes nothing, so the engine ticks only the PEs with queued
-     * work.
+     * One clock of PE p: the arbiter issues the first non-empty queue
+     * from its round-robin cursor into the MAC. Returns whether a task
+     * issued, which is exactly whether one was queued; an empty PE's
+     * tick changes nothing, so the engine ticks only the PEs with
+     * queued work.
      */
     bool
-    tick(Cycle now)
+    tick(std::size_t p, Cycle now)
     {
-        if (pending_ == 0) return false;
-        const std::size_t n = sizes_.size();
-        const std::size_t q = issueQueue(sizes_.data(), n, nextQueue_);
-        --sizes_[q];
-        --pending_;
-        nextQueue_ = q + 1 == n ? 0 : q + 1;
-        lastBusy_ = now;
-        ++tasksRound_;
+        if (pending_[p] == 0) return false;
+        std::uint32_t *s = &sizes_[p * q_];
+        const std::size_t q = issueQueue(s, q_, cursor_[p]);
+        --s[q];
+        --pending_[p];
+        cursor_[p] = static_cast<std::uint32_t>(q + 1 == q_ ? 0 : q + 1);
+        lastBusy_[p] = now;
+        ++tasks_[p];
         return true;
     }
 
-    /** Cycle the PE last issued real work (utilization accounting). */
-    Cycle lastBusyCycle() const { return lastBusy_; }
+    /** Cycle PE p last issued real work (utilization accounting). */
+    Cycle lastBusyCycle(std::size_t p) const { return lastBusy_[p]; }
 
-    /** Tasks executed since the last resetRound(). */
-    Count tasksThisRound() const { return tasksRound_; }
+    /** Tasks PE p executed since the last resetRound(). */
+    Count tasksThisRound(std::size_t p) const { return tasks_[p]; }
 
-    /** Enqueue attempts rejected because every queue was full. */
+    /** Enqueue attempts rejected, over every PE, because every queue of
+     *  the target was full. */
     Count enqueueRejects() const { return enqueueRejects_; }
 
     /**
-     * Peak queue occupancy since the last resetRound(). Because queues
-     * are empty at every per-column barrier, the lifetime peak equals
-     * the max of these round-local peaks — which is what lets a
+     * PE p's peak queue occupancy since the last resetRound(). Because
+     * queues are empty at every per-column barrier, the lifetime peak
+     * equals the max of these round-local peaks — which is what lets a
      * replayed cached round carry the same peak its event-stepped twin
      * produced (DESIGN.md §13).
      */
-    std::size_t roundPeakQueueDepth() const { return roundPeak_; }
+    std::size_t roundPeakQueueDepth(std::size_t p) const { return peak_[p]; }
 
     /** Per-round reset of drain bookkeeping (queues must be empty). */
     void
     resetRound()
     {
-        tasksRound_ = 0;
-        roundPeak_ = 0;
+        std::fill(tasks_.begin(), tasks_.end(), 0);
+        std::fill(peak_.begin(), peak_.end(), 0);
     }
 
     /**
-     * The arbiter's round-robin cursor — the only PE state that carries
+     * PE p's round-robin arbiter cursor — the only PE state that carries
      * meaning across round boundaries (queues are empty at every
      * per-column barrier). The batched engine keys its round
      * memoization on it and restores it when replaying a cached round
      * (DESIGN.md §6).
      */
-    std::size_t arbiterCursor() const { return nextQueue_; }
-    void setArbiterCursor(std::size_t q) { nextQueue_ = q % sizes_.size(); }
+    std::size_t arbiterCursor(std::size_t p) const { return cursor_[p]; }
+    void
+    setArbiterCursor(std::size_t p, std::size_t q)
+    {
+        cursor_[p] = static_cast<std::uint32_t>(q % q_);
+    }
 
   private:
-    /** Capacity of every queue (0 = unbounded). */
-    std::size_t depth_;
-    /** Tasks held per queue. */
+    std::size_t q_ = 1;      ///< queues per PE
+    std::size_t depth_ = 0;  ///< capacity of every queue (0 = unbounded)
+    std::uint32_t capacity_ = 0;
+    // Per PE p unless noted: tasks held per queue ([p * q_ + queue]),
+    // tasks across all queues, the round-robin arbiter cursor and the
+    // round peak (all kept on enqueue and on issue), the cycle of the
+    // last issue and the tasks issued this round.
     std::vector<std::uint32_t> sizes_;
-    /** Tasks across all queues; kept on enqueue and on issue. */
-    std::size_t pending_ = 0;
-    std::size_t nextQueue_ = 0;  ///< round-robin arbiter state
-    Cycle lastBusy_ = -1;
-    Count tasksRound_ = 0;
-    std::size_t roundPeak_ = 0;
+    std::vector<std::uint32_t> pending_;
+    std::vector<std::uint32_t> cursor_;
+    std::vector<std::uint32_t> peak_;
+    std::vector<Cycle> lastBusy_;
+    std::vector<Count> tasks_;
     Count enqueueRejects_ = 0;
 };
 

@@ -109,7 +109,7 @@ struct RoundCore
         lane.assign(P, 0);
         active.reserve(P);
         touched.reserve(P);
-        pes.assign(P, Pe(cfg.numQueuesPerPe, cfg.queueDepth));
+        pes = PeArray(P, cfg.numQueuesPerPe, cfg.queueDepth);
     }
 
     /** Hand a task to its home PE or, under local sharing, the least
@@ -119,16 +119,15 @@ struct RoundCore
     {
         const auto h = static_cast<std::size_t>(t.homePe);
         const int target = sharer.hops() > 0
-            ? sharer.choose(t.homePe, pes, &accepted, cfg.receivePorts)
+            ? sharer.choose(t.homePe, pes, accepted.data(), cfg.receivePorts)
             : (accepted[h] < cfg.receivePorts ? t.homePe : -1);
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
-        Pe &pe = pes[p];
-        const std::size_t depth = pe.enqueue();
+        const std::size_t depth = pes.enqueue(p);
         if (depth == 0) return false;
         if (tabulate) models.enqueue(p, depth);
         // A PE is on the active list exactly while it has queued work.
-        if (pe.pending() == 1) active.push_back(target);
+        if (pes.pending(p) == 1) active.push_back(target);
         if (accepted[p]++ == 0) touched.push_back(target);
         ++home[h];
         return true;
@@ -157,7 +156,7 @@ struct RoundCore
     std::vector<std::size_t> cursors;
     // Built by the first stepped round (buildFabric).
     std::optional<OmegaNetwork> net;
-    std::vector<Pe> pes;
+    PeArray pes;
     Cycle now = 0;
     Count pendingMigration = 0;
     SpmmStats stats;
@@ -195,10 +194,8 @@ RoundCore::step(const std::vector<Index> &row,
     const int inject_width = cfg.injectWidth > 0 ? cfg.injectWidth
                                                  : cfg.numPes;
     std::fill(home.begin(), home.end(), 0);
-    for (std::size_t p = 0; p < P; ++p) {
-        pes[p].resetRound();
-        pes[p].setArbiterCursor(cursors[p]);
-    }
+    pes.resetRound();
+    for (std::size_t p = 0; p < P; ++p) pes.setArbiterCursor(p, cursors[p]);
     if (tabulate)
         models.begin(P, static_cast<std::size_t>(cfg.numQueuesPerPe),
                      cfg.queueDepth);
@@ -230,13 +227,12 @@ RoundCore::step(const std::vector<Index> &row,
         //    another, so only the active ones tick, in any order.
         for (std::size_t i = 0; i < active.size();) {
             const auto p = static_cast<std::size_t>(active[i]);
-            Pe &pe = pes[p];
-            if (pe.tick(now)) {
+            if (pes.tick(p, now)) {
                 ++issued;
                 drain_at = now + 1;
                 if (tabulate) models.issue(p);
             }
-            if (pe.pending() == 0) {
+            if (pes.pending(p) == 0) {
                 active[i] = active.back();
                 active.pop_back();
             } else {
@@ -288,21 +284,20 @@ RoundCore::step(const std::vector<Index> &row,
             panic("SpmmEngine: round watchdog expired");
         if (issued == n && now >= drain_at) break;
     }
-    if ((useNet && !net->empty()) ||
-        !std::all_of(pes.begin(), pes.end(),
-                     [&](const Pe &pe) { return pe.drained(now); }))
-        panic("SpmmEngine: round ended with work in flight");
+    bool in_flight = useNet && !net->empty();
+    for (std::size_t p = 0; p < P; ++p) in_flight |= !pes.drained(p, now);
+    if (in_flight) panic("SpmmEngine: round ended with work in flight");
 
     RoundRecord out;
     out.roundCycles = now - start;
     out.homeTasks = home;
-    for (const Pe &pe : pes) {
-        const Count t = pe.tasksThisRound();
-        const Cycle last = pe.lastBusyCycle();
+    for (std::size_t p = 0; p < P; ++p) {
+        const Count t = pes.tasksThisRound(p);
+        const Cycle last = pes.lastBusyCycle(p);
         out.execTasks.push_back(t);
         out.drainCycle.push_back(t > 0 && last >= start ? last - start : 0);
-        out.arbiterAfter.push_back(pe.arbiterCursor());
-        out.peakQueue = std::max(out.peakQueue, pe.roundPeakQueueDepth());
+        out.arbiterAfter.push_back(pes.arbiterCursor(p));
+        out.peakQueue = std::max(out.peakQueue, pes.roundPeakQueueDepth(p));
     }
     out.peakNet = useNet ? net->roundPeakBufferDepth() : 0;
     if (tabulate) out.cursorTable = models.finish(pes, cursors);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the accelerator building blocks: configuration factory,
- * row partition, PE (arbitration, issue and drain timing, idle ticks,
+ * row partition, PE array (arbitration, issue and drain timing, idle ticks,
  * occupancy counters, against a Fifo<Task> reference), the
  * per-entry-cursor queue models, local sharing
  * policy, and the remote-switching controller (Eq. 5 dynamics and
@@ -119,7 +119,7 @@ namespace {
 
 /**
  * The PE as it was modelled with a Fifo<Task> ring per queue and a RaW
- * scoreboard, at the single-cycle MAC: the reference the count-only Pe
+ * scoreboard, at the single-cycle MAC: the reference the count-only PeArray
  * and CursorModels must match. An op issued at t retires at t + 1, so
  * the scoreboard must never stall.
  */
@@ -219,18 +219,19 @@ class RefPe
     std::size_t roundPeak_ = 0;
 };
 
-/** Every counter the engine reads agrees between the two PEs. */
+/** Every counter the engine reads agrees between array slot p and its
+ *  reference PE. */
 void
-expectSamePe(const Pe &pe, const RefPe &ref, Cycle now)
+expectSamePe(const PeArray &pes, std::size_t p, const RefPe &ref, Cycle now)
 {
-    EXPECT_EQ(pe.pending(), ref.pending()) << now;
-    EXPECT_EQ(pe.canAccept(), ref.canAccept()) << now;
-    EXPECT_EQ(pe.arbiterCursor(), ref.arbiterCursor()) << now;
-    EXPECT_EQ(pe.roundPeakQueueDepth(), ref.roundPeakQueueDepth()) << now;
-    EXPECT_EQ(pe.lastBusyCycle(), ref.lastBusyCycle()) << now;
-    EXPECT_EQ(pe.tasksThisRound(), ref.tasksThisRound()) << now;
-    EXPECT_EQ(pe.drained(now), ref.drained(now)) << now;
-    EXPECT_EQ(pe.drained(now + 1), ref.drained(now + 1)) << now;
+    EXPECT_EQ(pes.pending(p), ref.pending()) << now;
+    EXPECT_EQ(pes.canAccept(p), ref.canAccept()) << now;
+    EXPECT_EQ(pes.arbiterCursor(p), ref.arbiterCursor()) << now;
+    EXPECT_EQ(pes.roundPeakQueueDepth(p), ref.roundPeakQueueDepth()) << now;
+    EXPECT_EQ(pes.lastBusyCycle(p), ref.lastBusyCycle()) << now;
+    EXPECT_EQ(pes.tasksThisRound(p), ref.tasksThisRound()) << now;
+    EXPECT_EQ(pes.drained(p, now), ref.drained(now)) << now;
+    EXPECT_EQ(pes.drained(p, now + 1), ref.drained(now + 1)) << now;
 }
 
 /** The grid both reference tests run: queues x per-queue depth. */
@@ -249,154 +250,187 @@ forQueueShapes(F &&body)
 
 } // namespace
 
-TEST(Pe, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
+TEST(PeArray, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
 {
-    Pe pe(4, 0);
-    for (int i = 0; i < 8; ++i) pe.enqueue();
+    PeArray pes(3, 4, 0);
+    for (int i = 0; i < 8; ++i) pes.enqueue(1);
     for (Cycle t = 0; t < 8; ++t) {
-        EXPECT_FALSE(pe.drained(t));
-        EXPECT_TRUE(pe.tick(t));
+        EXPECT_FALSE(pes.drained(1, t));
+        EXPECT_TRUE(pes.tick(1, t));
     }
-    EXPECT_FALSE(pe.tick(8));
-    EXPECT_EQ(pe.tasksThisRound(), 8);
-    EXPECT_EQ(pe.lastBusyCycle(), 7);
+    EXPECT_FALSE(pes.tick(1, 8));
+    EXPECT_EQ(pes.tasksThisRound(1), 8);
+    EXPECT_EQ(pes.lastBusyCycle(1), 7);
     // The last op retires one cycle after its issue.
-    EXPECT_FALSE(pe.drained(7));
-    EXPECT_TRUE(pe.drained(8));
+    EXPECT_FALSE(pes.drained(1, 7));
+    EXPECT_TRUE(pes.drained(1, 8));
+    // The neighbours never saw a task.
+    for (std::size_t p : {0, 2}) {
+        EXPECT_EQ(pes.tasksThisRound(p), 0);
+        EXPECT_TRUE(pes.drained(p, 0));
+    }
 }
 
-TEST(Pe, BoundedQueueBackpressure)
+TEST(PeArray, BoundedQueueBackpressure)
 {
-    Pe pe(1, 2);
-    EXPECT_EQ(pe.enqueue(), 1u);
-    EXPECT_EQ(pe.enqueue(), 2u);
-    EXPECT_FALSE(pe.canAccept());
-    EXPECT_EQ(pe.enqueue(), 0u);
-    EXPECT_EQ(pe.enqueueRejects(), 1);
+    PeArray pes(2, 1, 2);
+    EXPECT_EQ(pes.enqueue(0), 1u);
+    EXPECT_EQ(pes.enqueue(0), 2u);
+    EXPECT_FALSE(pes.canAccept(0));
+    EXPECT_TRUE(pes.canAccept(1));
+    EXPECT_EQ(pes.enqueue(0), 0u);
+    EXPECT_EQ(pes.enqueueRejects(), 1);
 }
 
-TEST(Pe, TickOnEmptyPeChangesNothing)
+TEST(PeArray, TickOnEmptyPeChangesNothing)
 {
     // Idle ticks are skipped outright; they must leave every counter the
     // engine reads unchanged.
-    Pe pe(2, 2);
-    for (Cycle t = 0; t < 5; ++t) EXPECT_FALSE(pe.tick(t));
-    EXPECT_EQ(pe.tasksThisRound(), 0);
-    EXPECT_EQ(pe.lastBusyCycle(), -1);
-    EXPECT_EQ(pe.arbiterCursor(), 0u);
+    PeArray pes(2, 2, 2);
+    for (Cycle t = 0; t < 5; ++t) EXPECT_FALSE(pes.tick(0, t));
+    EXPECT_EQ(pes.tasksThisRound(0), 0);
+    EXPECT_EQ(pes.lastBusyCycle(0), -1);
+    EXPECT_EQ(pes.arbiterCursor(0), 0u);
 
-    pe.enqueue();
-    EXPECT_TRUE(pe.tick(5));
-    for (Cycle t = 6; t < 20; ++t) EXPECT_FALSE(pe.tick(t));
-    EXPECT_TRUE(pe.drained(20));
-    EXPECT_EQ(pe.tasksThisRound(), 1);
-    EXPECT_EQ(pe.lastBusyCycle(), 5);
-    EXPECT_EQ(pe.arbiterCursor(), 1u);
+    pes.enqueue(0);
+    EXPECT_TRUE(pes.tick(0, 5));
+    for (Cycle t = 6; t < 20; ++t) EXPECT_FALSE(pes.tick(0, t));
+    EXPECT_TRUE(pes.drained(0, 20));
+    EXPECT_EQ(pes.tasksThisRound(0), 1);
+    EXPECT_EQ(pes.lastBusyCycle(0), 5);
+    EXPECT_EQ(pes.arbiterCursor(0), 1u);
+    EXPECT_EQ(pes.arbiterCursor(1), 0u);
 }
 
-TEST(Pe, CanAcceptMatchesSomeQueueNotFull)
+TEST(PeArray, CanAcceptMatchesSomeQueueNotFull)
 {
     // Two queues of depth 2: room remains exactly until all four slots
     // hold a task, through both a fill and a drain.
-    Pe pe(2, 2);
+    PeArray pes(1, 2, 2);
     for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(pe.canAccept()) << "before task " << i;
-        ASSERT_NE(pe.enqueue(), 0u);
+        EXPECT_TRUE(pes.canAccept(0)) << "before task " << i;
+        ASSERT_NE(pes.enqueue(0), 0u);
     }
-    EXPECT_FALSE(pe.canAccept());
-    EXPECT_EQ(pe.enqueue(), 0u);
-    EXPECT_EQ(pe.enqueueRejects(), 1);
-    for (Cycle t = 0; pe.pending() != 0; ++t) {
-        pe.tick(t);
-        EXPECT_TRUE(pe.canAccept()) << "after tick " << t;
+    EXPECT_FALSE(pes.canAccept(0));
+    EXPECT_EQ(pes.enqueue(0), 0u);
+    EXPECT_EQ(pes.enqueueRejects(), 1);
+    for (Cycle t = 0; pes.pending(0) != 0; ++t) {
+        pes.tick(0, t);
+        EXPECT_TRUE(pes.canAccept(0)) << "after tick " << t;
     }
-    EXPECT_EQ(pe.tasksThisRound(), 4);
+    EXPECT_EQ(pes.tasksThisRound(0), 4);
 }
 
-// The count-only Pe against the Fifo<Task> reference on random bursts:
-// up to three arrivals a cycle, drawn from eight rows so same-row
-// neighbours are common, then one tick. Every queue depth returned,
-// every rejection and every counter must agree, cycle by cycle, and
-// the reference's scoreboard must never stall.
-TEST(Pe, CountOnlyMatchesFifoReference)
+// Each slot of a count-only PeArray against its own Fifo<Task>
+// reference on random bursts: up to three arrivals a cycle per slot,
+// drawn from eight rows so same-row neighbours are common, then one
+// tick of every slot. Every queue depth returned, every rejection and
+// every counter must agree, cycle by cycle, and no reference's
+// scoreboard may stall.
+TEST(PeArray, CountOnlyMatchesFifoReference)
 {
+    constexpr std::size_t kPes = 3;
     forQueueShapes([](int queues, std::size_t depth) {
-        Pe pe(queues, depth);
-        RefPe ref(queues, depth);
+        PeArray pes(kPes, queues, depth);
+        std::vector<RefPe> ref(kPes, RefPe(queues, depth));
         Rng rng(static_cast<std::uint64_t>(queues) * 16 + depth);
-        Count enqueued = 0;
+        std::vector<Count> enqueued(kPes, 0);
+        Count rejects = 0;
+        auto busy = [&] {
+            for (const RefPe &r : ref)
+                if (r.pending() > 0) return true;
+            return false;
+        };
         Cycle now = 0;
-        for (; now < 600 || ref.pending() > 0; ++now) {
-            const Index arrivals =
-                now >= 600 ? 0 : rng.nextIndex(now % 100 < 40 ? 4 : 2);
-            for (Index i = 0; i < arrivals; ++i) {
-                const std::size_t joined = pe.enqueue();
-                ASSERT_EQ(joined, ref.enqueue({rng.nextIndex(8), 0})) << now;
-                if (joined != 0) ++enqueued;
+        for (; now < 600 || busy(); ++now) {
+            for (std::size_t p = 0; p < kPes; ++p) {
+                // Each slot bursts in its own 40-cycle window per 100.
+                const bool burst =
+                    (now + 30 * static_cast<Cycle>(p)) % 100 < 40;
+                const Index arrivals =
+                    now >= 600 ? 0 : rng.nextIndex(burst ? 4 : 2);
+                for (Index i = 0; i < arrivals; ++i) {
+                    const std::size_t joined = pes.enqueue(p);
+                    ASSERT_EQ(joined, ref[p].enqueue({rng.nextIndex(8), 0}))
+                        << now;
+                    ++(joined != 0 ? enqueued[p] : rejects);
+                }
             }
-            ASSERT_EQ(pe.tick(now), ref.tick(now)) << now;
-            EXPECT_EQ(static_cast<Count>(pe.pending()),
-                      enqueued - pe.tasksThisRound())
-                << now;
-            expectSamePe(pe, ref, now);
+            for (std::size_t p = 0; p < kPes; ++p) {
+                ASSERT_EQ(pes.tick(p, now), ref[p].tick(now)) << now;
+                EXPECT_EQ(static_cast<Count>(pes.pending(p)),
+                          enqueued[p] - pes.tasksThisRound(p))
+                    << now;
+                expectSamePe(pes, p, ref[p], now);
+            }
+            EXPECT_EQ(pes.enqueueRejects(), rejects) << now;
         }
-        EXPECT_EQ(ref.rawStalls(), 0);
-        EXPECT_EQ(pe.tasksThisRound(), enqueued);
-        EXPECT_GT(pe.roundPeakQueueDepth(), 0u);
+        for (std::size_t p = 0; p < kPes; ++p) {
+            EXPECT_EQ(ref[p].rawStalls(), 0);
+            EXPECT_EQ(pes.tasksThisRound(p), enqueued[p]);
+            EXPECT_GT(pes.roundPeakQueueDepth(p), 0u);
+        }
+        if (depth != 0) {
+            EXPECT_GT(rejects, 0);
+        }
     });
 }
 
 // CursorModels against the reference: one Fifo<Task> PE per entry
 // cursor, all fed the same random accept/issue sequence, each with its
-// count-only twin. The table must hold each reference's exit cursor
-// and round peak, whichever twin is the stepped PE, across the drains
-// that regroup the copies. A burst builds the round's peak first; the
-// sparser tail drains often, so the peak must survive the regroups.
+// count-only twin in a slot of one PeArray. The models track as many
+// PEs as there are cursors, PE p entering at cursor p, so every slot
+// is some PE's stepped PE. The table must hold each reference's exit
+// cursor and round peak for every PE, across the drains that regroup
+// the copies. A burst builds the round's peak first; the sparser tail
+// drains often, so the peak must survive the regroups.
 TEST(CursorModels, MatchOnePePerEntryCursor)
 {
     forQueueShapes([](int queues, std::size_t depth) {
         const auto Q = static_cast<std::size_t>(queues);
-        std::vector<RefPe> ref;
-        std::vector<Pe> pes;
+        std::vector<RefPe> ref(Q, RefPe(queues, depth));
+        PeArray pes(Q, queues, depth);
+        std::vector<std::size_t> entry(Q);
         for (std::size_t c = 0; c < Q; ++c) {
-            ref.emplace_back(queues, depth);
-            ref.back().setArbiterCursor(c);
-            pes.emplace_back(queues, depth);
-            pes.back().setArbiterCursor(c);
+            ref[c].setArbiterCursor(c);
+            pes.setArbiterCursor(c, c);
+            entry[c] = c;
         }
         CursorModels models;
-        models.begin(1, Q, depth);
+        models.begin(Q, Q, depth);
         Rng rng(Q * 16 + depth);
         Cycle now = 0;
         auto issueAll = [&] {
             for (std::size_t c = 0; c < Q; ++c) {
                 ASSERT_TRUE(ref[c].tick(now));
-                ASSERT_TRUE(pes[c].tick(now));
+                ASSERT_TRUE(pes.tick(c, now));
+                models.issue(c);
             }
-            models.issue(0);
         };
         for (Index op = 0; op < 600; ++op, ++now) {
             const double accept = op < 150 ? 0.7 : 0.35;
             if (ref[0].canAccept() && rng.nextBool(accept)) {
-                std::size_t joined = 0;
                 for (std::size_t c = 0; c < Q; ++c) {
-                    joined = ref[c].enqueue({op, 0});
-                    ASSERT_EQ(pes[c].enqueue(), joined);
+                    const std::size_t joined = ref[c].enqueue({op, 0});
+                    ASSERT_EQ(pes.enqueue(c), joined);
+                    models.enqueue(c, joined);
                 }
-                models.enqueue(0, joined);
             } else if (ref[0].pending() > 0) {
                 issueAll();
             }
         }
         for (; ref[0].pending() > 0; ++now) issueAll();
-        for (std::size_t c = 0; c < Q; ++c) expectSamePe(pes[c], ref[c], now);
+        for (std::size_t c = 0; c < Q; ++c) expectSamePe(pes, c, ref[c], now);
 
-        for (std::size_t e = 0; e < Q; ++e) {
-            const std::vector<CursorOutcome> table =
-                models.finish({pes[e]}, {e});
+        const std::vector<CursorOutcome> table = models.finish(pes, entry);
+        ASSERT_EQ(table.size(), Q * Q);
+        for (std::size_t p = 0; p < Q; ++p) {
             for (std::size_t c = 0; c < Q; ++c) {
-                EXPECT_EQ(table[c].exit, ref[c].arbiterCursor()) << c;
-                EXPECT_EQ(table[c].peak, ref[c].roundPeakQueueDepth()) << c;
+                EXPECT_EQ(table[p * Q + c].exit, ref[c].arbiterCursor())
+                    << p << " " << c;
+                EXPECT_EQ(table[p * Q + c].peak,
+                          ref[c].roundPeakQueueDepth())
+                    << p << " " << c;
             }
         }
     });
@@ -404,11 +438,10 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)
 {
-    std::vector<Pe> pes;
-    for (int i = 0; i < 5; ++i) pes.emplace_back(1, 0);
+    PeArray pes(5, 1, 0);
     // Load PE 2 with 3 tasks, PE 1 with 1, PE 3 with 0.
-    for (int i = 0; i < 3; ++i) pes[2].enqueue();
-    pes[1].enqueue();
+    for (int i = 0; i < 3; ++i) pes.enqueue(2);
+    pes.enqueue(1);
 
     LocalSharer s1(1);
     EXPECT_EQ(s1.choose(2, pes), 3);
@@ -419,16 +452,14 @@ TEST(LocalShare, PicksLeastLoadedNeighbour)
 
 TEST(LocalShare, TieFavoursHome)
 {
-    std::vector<Pe> pes;
-    for (int i = 0; i < 3; ++i) pes.emplace_back(1, 0);
+    PeArray pes(3, 1, 0);
     LocalSharer s(1);
     EXPECT_EQ(s.choose(1, pes), 1);
 }
 
 TEST(LocalShare, RespectsArrayBounds)
 {
-    std::vector<Pe> pes;
-    for (int i = 0; i < 4; ++i) pes.emplace_back(1, 0);
+    PeArray pes(4, 1, 0);
     LocalSharer s(2);
     EXPECT_GE(s.choose(0, pes), 0);
     EXPECT_LE(s.choose(3, pes), 3);
@@ -436,13 +467,121 @@ TEST(LocalShare, RespectsArrayBounds)
 
 TEST(LocalShare, SkipsFullPes)
 {
-    std::vector<Pe> pes;
-    for (int i = 0; i < 3; ++i) pes.emplace_back(1, 1);
-    pes[1].enqueue();  // home full
+    PeArray pes(3, 1, 1);
+    pes.enqueue(1);  // home full
     LocalSharer s(1);
     int got = s.choose(1, pes);
     EXPECT_NE(got, 1);
     EXPECT_GE(got, 0);
+}
+
+namespace {
+
+/**
+ * The sharer's choice as a loop over plain per-PE arrays, the way it
+ * was written over one object per PE: walk the window from home − hops
+ * to home + hops, skip PEs that are full or out of receive ports, and
+ * keep a PE only if it holds fewer tasks than the best so far, or as
+ * many at a smaller distance.
+ */
+int
+referenceChoose(int home, int hops, const std::vector<std::size_t> &pending,
+                const std::vector<bool> &can_accept,
+                const std::vector<int> *accepted, int accept_cap)
+{
+    const int n = static_cast<int>(pending.size());
+    int best = -1;
+    std::size_t best_pending = 0;
+    int best_dist = 0;
+    for (int d = -hops; d <= hops; ++d) {
+        int p = home + d;
+        if (p < 0 || p >= n) continue;
+        const auto i = static_cast<std::size_t>(p);
+        if (!can_accept[i]) continue;
+        if (accepted != nullptr && (*accepted)[i] >= accept_cap) continue;
+        int dist = d < 0 ? -d : d;
+        bool better = best == -1 || pending[i] < best_pending ||
+                      (pending[i] == best_pending && dist < best_dist);
+        if (better) {
+            best = p;
+            best_pending = pending[i];
+            best_dist = dist;
+        }
+    }
+    return best;
+}
+
+} // namespace
+
+// The branch-free choice over the PE array against the reference loop
+// on seeded states: small pending counts so ties are common, homes at
+// both array edges, bounded queues that fill up, and receive ports that
+// run out. Both must pick the same PE every time, and every kind of
+// state must actually occur.
+TEST(LocalShare, CountArrayMatchesReferenceLoop)
+{
+    Rng rng(26);
+    int states = 0, ties = 0, edges = 0, full = 0, no_port = 0, none = 0;
+    for (int hops = 0; hops <= 3; ++hops) {
+        for (int n : {1, 2, 7, 64}) {
+            for (int trial = 0; trial < 700; ++trial, ++states) {
+                const int queues = 1 + static_cast<int>(rng.nextBounded(2));
+                const std::size_t depth = rng.nextBounded(3);  // 0 = inf
+                PeArray pes(static_cast<std::size_t>(n), queues, depth);
+                std::vector<std::size_t> pending(static_cast<std::size_t>(n));
+                std::vector<bool> can_accept(pending.size());
+                std::vector<int> accepted(pending.size());
+                const int accept_cap =
+                    1 + static_cast<int>(rng.nextBounded(2));
+                for (std::size_t p = 0; p < pending.size(); ++p) {
+                    const std::uint32_t tasks = rng.nextBounded(5);
+                    for (std::uint32_t t = 0; t < tasks; ++t)
+                        if (pes.enqueue(p) != 0) ++pending[p];
+                    can_accept[p] = depth == 0 ||
+                        pending[p] < depth * static_cast<std::size_t>(queues);
+                    accepted[p] = static_cast<int>(rng.nextBounded(3));
+                    full += !can_accept[p];
+                    no_port += accepted[p] >= accept_cap;
+                }
+                const int home = trial % 5 == 0
+                    ? (trial % 2 == 0 ? 0 : n - 1)
+                    : static_cast<int>(rng.nextIndex(n));
+                edges += home - hops < 0 || home + hops >= n;
+                const bool ports = rng.nextBool(0.75);
+                const int want = referenceChoose(
+                    home, hops, pending, can_accept,
+                    ports ? &accepted : nullptr, accept_cap);
+                const int got = LocalSharer(hops).choose(
+                    home, pes, ports ? accepted.data() : nullptr,
+                    accept_cap);
+                ASSERT_EQ(got, want)
+                    << "hops " << hops << " n " << n << " trial " << trial;
+                if (want < 0) {
+                    ++none;
+                    continue;
+                }
+                // A tie: another open candidate holds as few tasks.
+                const std::size_t least =
+                    pending[static_cast<std::size_t>(want)];
+                for (int p = std::max(home - hops, 0);
+                     p <= std::min(home + hops, n - 1); ++p) {
+                    const auto i = static_cast<std::size_t>(p);
+                    const bool open = can_accept[i] &&
+                        (!ports || accepted[i] < accept_cap);
+                    if (p != want && open && pending[i] == least) {
+                        ++ties;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GE(states, 10000);
+    EXPECT_GT(ties, 0);
+    EXPECT_GT(edges, 0);
+    EXPECT_GT(full, 0);
+    EXPECT_GT(no_port, 0);
+    EXPECT_GT(none, 0);
 }
 
 namespace {

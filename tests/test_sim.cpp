@@ -277,6 +277,21 @@ TEST(Omega, SeededScheduleDigestAtEngineDefaults)
     EXPECT_EQ(s.digest, 0xe352b67042d1b4ebULL) << std::hex << s.digest;
 }
 
+TEST(Omega, SeededScheduleDigestAt256Ports)
+{
+    // The 256-PE fabric of the event-step benchmark: 256 ports, depth 8,
+    // speedup 8, eight stages.
+    const AccelConfig cfg;
+    const Schedule s =
+        seededSchedule(256, cfg.omegaBufferDepth, cfg.networkSpeedup);
+    EXPECT_EQ(s.delivered, s.offered);
+    EXPECT_EQ(s.delivered, 76945);
+    EXPECT_EQ(s.blocked, 18383);
+    EXPECT_EQ(s.cycles, 410);
+    EXPECT_EQ(s.peak, 8u);
+    EXPECT_EQ(s.digest, 0xb2406d07317e5e93ULL) << std::hex << s.digest;
+}
+
 namespace {
 
 /** Rows in delivery order for eight flits, one per source, all bound for
