@@ -29,13 +29,10 @@ AccelConfig::validate(bool cycle_accurate_tdq2) const
 {
     if (numPes <= 0) return "numPes must be positive";
     if (numQueuesPerPe < 1) return "numQueuesPerPe must be >= 1";
-    if (receivePorts < 1) return "receivePorts must be positive";
     if (sharingHops < 0) return "sharingHops must be non-negative";
     if (trackingWindow < 1) return "trackingWindow must be >= 1";
     if (omegaBufferDepth < 1) return "omegaBufferDepth must be >= 1";
     if (networkSpeedup < 1) return "networkSpeedup must be >= 1";
-    if (injectWidth < 0) return "injectWidth must be non-negative (0 = auto)";
-    if (streamWidth < 0) return "streamWidth must be non-negative (0 = auto)";
     if (maxCyclesPerRound <= 0) return "maxCyclesPerRound must be positive";
     if (chips < 1) return "chips must be >= 1";
     // Combination checks: fields that are individually fine but make no

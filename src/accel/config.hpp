@@ -29,15 +29,18 @@ enum class RowMapPolicy
  * Which cycle-engine implementation executes an SPMM (DESIGN.md §6).
  *
  * Both produce bit-identical timing statistics (cycles, rowsSwitched,
- * convergedRound, per-round durations); the batched engine event-steps
- * only rounds whose entry state (row partition, PE arbiter cursors,
- * Omega arbitration parity) has not been seen before and replays cached
- * per-round aggregates for the rest, which is what makes Reddit-scale
- * cycle-mode sweeps tractable.
+ * convergedRound, per-round durations). Either engine replays a round
+ * the process-wide shared round cache holds (DESIGN.md §13; on by
+ * default in awbsim) instead of stepping it. The batched engine also
+ * event-steps only rounds whose entry state (row partition, PE arbiter
+ * cursors, Omega arbitration parity) has not been seen before in the
+ * run and replays cached per-round aggregates for the rest, which is
+ * what makes Reddit-scale cycle-mode sweeps tractable.
  */
 enum class EngineKind
 {
-    Event,    ///< per-non-zero event stepping of every round
+    Event,    ///< per-non-zero event stepping of every round not in the
+              ///< shared round cache (every round with the cache off)
     Batched,  ///< round-batched: state-keyed memoization of round outcomes
 };
 
@@ -51,12 +54,9 @@ EngineKind parseEngineKind(const std::string &s);
 struct AccelConfig
 {
     int numPes = 64;          ///< PE-array size (power of two for TDQ-2)
-    int numQueuesPerPe = 4;   ///< TQs per PE (TDQ-1 arbitration, Fig. 7)
-    /** Tasks a PE can receive per cycle (distribution fan-in ports).
-     *  Independent of queue count: the EIE-like design has one deep
-     *  activation queue but still ingests at full distribution rate. */
-    int receivePorts = 4;
-    std::size_t queueDepth = 0;  ///< TQ capacity; 0 = unbounded (measure)
+    /** Unbounded TQs per PE (TDQ-1 arbitration, Fig. 7); runs measure
+     *  the depth they need (SpmmStats::peakQueueDepth). */
+    int numQueuesPerPe = 4;
     int sharingHops = 0;      ///< local sharing distance; 0 = disabled
     bool remoteSwitching = false;  ///< enable PESM/UGT/SLT path
     int trackingWindow = 2;   ///< PE-tuples tracked concurrently (PESM)
@@ -67,12 +67,10 @@ struct AccelConfig
      *  router output passes per PE cycle. The paper provisions the
      *  network so task distribution, not routing, limits throughput. */
     int networkSpeedup = 8;
-    int injectWidth = 0;      ///< TDQ-2 flits/cycle; 0 = numPes
-    int streamWidth = 0;      ///< TDQ-1 dense elements scanned per cycle;
-                              ///< 0 = auto (numPes / operand density)
     Cycle maxCyclesPerRound = 100000000;  ///< watchdog
     /** Cycle-engine implementation (accel/spmm_engine.hpp). The default
-     *  event engine steps every non-zero of every round; the batched
+     *  event engine steps every non-zero of every round the shared round
+     *  cache does not hold, and replays those it does; the batched
      *  engine reproduces its statistics bit for bit while event-stepping
      *  only distinct round-entry states (DESIGN.md §6). */
     EngineKind engine = EngineKind::Event;
@@ -99,13 +97,12 @@ struct AccelConfig
     bool rebalancing() const { return sharingHops > 0 || remoteSwitching; }
 
     /**
-     * Check every field for out-of-range values (non-positive PE/queue/
-     * port counts, negative hop distances or stream widths, a zero
-     * watchdog, ...) and for nonsensical field combinations (remote
-     * switching on fewer than 2 PEs, a sharing window wider than the PE
-     * array, the Eq. 5 shift approximation without remote switching, an
-     * unregistered balancePolicy or platform name). With
-     * `cycle_accurate_tdq2`,
+     * Check every field for out-of-range values (non-positive PE or
+     * queue counts, negative hop distances, a zero watchdog, ...) and
+     * for nonsensical field combinations (remote switching on fewer than
+     * 2 PEs, a sharing window wider than the PE array, the Eq. 5 shift
+     * approximation without remote switching, an unregistered
+     * balancePolicy or platform name). With `cycle_accurate_tdq2`,
      * additionally require the power-of-two PE count the Omega network
      * needs. Returns an empty string when valid, else a descriptive
      * error; callers surface the message (CLI error rows, fatal())

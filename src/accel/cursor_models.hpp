@@ -2,9 +2,10 @@
  * @file
  * Per-entry-cursor queue models that fill a round's cursor table
  * (accel/round_cache.hpp, DESIGN.md §13). They apply the same queue
- * rules as `PeArray` (accel/pe.hpp), so each model is a PE started at
- * another cursor, and finish() checks each PE's real entry cursor
- * against the array's slot for that PE.
+ * rules as `PeArray` (accel/pe.hpp): unbounded queues, shortest-queue
+ * join and round-robin issue. So each model is a PE started at another
+ * cursor, and finish() checks each PE's real entry cursor against the
+ * array's slot for that PE.
  */
 
 #pragma once
@@ -22,11 +23,11 @@ namespace awb {
 /**
  * The cursor-dependent half of a round (DESIGN.md §13). For every PE
  * and every entry cursor c it runs a copy of the PE's queue sizes: an
- * accepted task joins the queue joinQueue picks and an issue pops the
+ * arriving task joins the queue joinQueue picks and an issue pops the
  * queue issueQueue picks from the copy's cursor, just as `PeArray` does.
- * The arrival and issue sequence does not depend on the cursors, so
- * one stepped round fills the exit cursor and peak of every entry
- * cursor.
+ * No queue is ever full, so the arrival and issue sequence does not
+ * depend on the cursors, and one stepped round fills the exit cursor
+ * and peak of every entry cursor.
  *
  * Copies that reach the same state stay equal, so only one copy per
  * group is stepped. Whenever a PE drains, every copy's queues are
@@ -42,10 +43,9 @@ class CursorModels
      *  are empty at every round barrier, so the sizes stay 0 after the
      *  first allocation. */
     void
-    begin(std::size_t pes, std::size_t queues, std::size_t depth)
+    begin(std::size_t pes, std::size_t queues)
     {
         q_ = queues;
-        depth_ = depth;
         sizes_.resize(pes * q_ * q_, 0);
         cursor_.resize(pes * q_);
         group_.resize(pes * q_);
@@ -58,7 +58,7 @@ class CursorModels
             cursor_[i] = group_[i] = static_cast<std::uint32_t>(i % q_);
     }
 
-    /** PE p accepted a task into a queue now `depth` deep. */
+    /** PE p took a task into a queue now `depth` deep. */
     void
     enqueue(std::size_t p, std::size_t depth)
     {
@@ -71,12 +71,8 @@ class CursorModels
         for (std::size_t c = 0; c < q_; ++c) {
             if (group_[p * q_ + c] != c) continue;
             std::uint32_t *s = &sizes_[(p * q_ + c) * q_];
-            const std::size_t best = joinQueue(s, q_, depth_);
-            // The PE accepted, so its total was below depth x queues;
-            // every copy holds that same total.
-            if (best == q_) panic("CursorModels: no queue has room");
             std::uint32_t &peak = peak_[p * q_ + c];
-            peak = std::max(peak, ++s[best]);
+            peak = std::max(peak, ++s[joinQueue(s, q_)]);
         }
     }
 
@@ -146,7 +142,6 @@ class CursorModels
     }
 
     std::size_t q_ = 1;
-    std::size_t depth_ = 0;
     // Per PE p and copy c at [p * q + c] unless noted: the queue sizes
     // ([(p * q + c) * q + queue]), the cursor, the stepped copy of c's
     // group (an index in [0, q)), the group's peak since the last

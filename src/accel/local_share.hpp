@@ -9,9 +9,10 @@
  * Fig. 11-(B). In TDQ-2 this decision happens at the final network layer,
  * whose boundary links make out-of-group neighbours reachable
  * (Fig. 11-(D)); choosing among [home-hops, home+hops] models exactly
- * that reachable set. The choice reads the PE array's flat pending
- * counts and the per-cycle receive-port counts over that window and
- * keeps the least key with selects, not data-dependent branches.
+ * that reachable set. Queues are unbounded, so only a PE's receive
+ * ports can turn a task away. The choice reads the PE array's flat
+ * pending counts and the per-cycle receive-port counts over that window
+ * and keeps the least key with selects, not data-dependent branches.
  */
 
 #pragma once
@@ -37,9 +38,9 @@ class LocalSharer
     /**
      * Least-pending PE within the sharing window of `home`. Ties favour
      * the home PE, then smaller distance (shorter return path), then the
-     * lower index. PEs that cannot accept (bounded queues full, or whose
-     * per-cycle receive ports are exhausted per `accepted`/`accept_cap`)
-     * are skipped; returns -1 when every candidate is unavailable.
+     * lower index. PEs whose per-cycle receive ports are exhausted (per
+     * `accepted`/`accept_cap`) are skipped; returns -1 when every
+     * candidate is.
      *
      * @param accepted    per-PE count of tasks already accepted this
      *                    cycle (nullptr to ignore port limits)
@@ -53,7 +54,6 @@ class LocalSharer
         const int hi =
             std::min(home + hops_, static_cast<int>(pes.size()) - 1);
         const std::uint32_t *pending = pes.pendingCounts();
-        const std::uint32_t cap = pes.capacity();
         // Key: pending count in the high word, then the distance rank
         // 2·|d| + (d > 0), which orders the home PE first and the lower
         // of two equidistant PEs before the upper. An unavailable PE
@@ -66,8 +66,8 @@ class LocalSharer
             const int d = p - home;
             const auto rank =
                 static_cast<std::uint64_t>(2 * (d < 0 ? -d : d) + (d > 0));
-            const bool open = n < cap && (accepted == nullptr ||
-                                          accepted[p] < accept_cap);
+            const bool open =
+                accepted == nullptr || accepted[p] < accept_cap;
             const std::uint64_t key =
                 open ? (std::uint64_t{n} << 32 | rank) : kNone;
             const bool lt = key < best_key;

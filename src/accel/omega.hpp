@@ -56,7 +56,8 @@ class OmegaNetwork
      * at most `speedup` flits per output. Flits leaving the final stage
      * are handed to `sink(const Task &, int out_port) -> bool`, where
      * `out_port` always equals the task's `homePe`; if the sink rejects
-     * (PE queue full), the flit stays buffered.
+     * (the PE's receive ports are taken this cycle), the flit stays
+     * buffered.
      */
     template <typename Sink>
     void tick(Cycle now, Sink &&sink);

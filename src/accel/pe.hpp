@@ -3,6 +3,8 @@
  * The PE array: per PE, multiple task queues, an arbiter and a
  * single-cycle MAC feeding the AGU/ACC accumulation path (paper Fig. 7).
  *
+ * Queues are unbounded: the simulator measures the occupancy a run
+ * needs, and the resource model sizes the TQs from that peak (Fig. 14).
  * The D5005's DSP MACCs forward the accumulator register in one cycle,
  * so an op issued at cycle t has retired by t + 1: back-to-back
  * accumulations into one row never conflict and the arbiter issues
@@ -19,7 +21,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -27,18 +28,17 @@
 namespace awb {
 
 /**
- * The queue an arriving task joins: the shortest queue with room, the
- * lowest index on ties; `n` when all `n` are full (`depth` 0 =
- * unbounded). Shared by PeArray and CursorModels.
+ * The queue an arriving task joins: the shortest of the `n`, the lowest
+ * index on ties. Shared by PeArray and CursorModels. Starting from
+ * `best = 0` instead measured slower on event stepping (ROADMAP dead
+ * ends).
  */
 inline std::size_t
-joinQueue(const std::uint32_t *sizes, std::size_t n, std::size_t depth)
+joinQueue(const std::uint32_t *sizes, std::size_t n)
 {
     std::size_t best = n;
-    for (std::size_t q = 0; q < n; ++q) {
-        if (depth != 0 && sizes[q] >= depth) continue;
+    for (std::size_t q = 0; q < n; ++q)
         if (best == n || sizes[q] < sizes[best]) best = q;
-    }
     return best;
 }
 
@@ -60,19 +60,11 @@ class PeArray
     PeArray() = default;
 
     /**
-     * @param pes          PEs in the array
-     * @param num_queues   task queues in front of each arbiter
-     * @param queue_depth  per-queue capacity (0 = unbounded, measured)
+     * @param pes         PEs in the array
+     * @param num_queues  task queues in front of each arbiter
      */
-    PeArray(std::size_t pes, int num_queues, std::size_t queue_depth)
+    PeArray(std::size_t pes, int num_queues)
         : q_(static_cast<std::size_t>(std::max(num_queues, 1))),
-          depth_(queue_depth),
-          capacity_(static_cast<std::uint32_t>(
-              queue_depth == 0
-                  ? std::numeric_limits<std::uint32_t>::max()
-                  : std::min<std::size_t>(
-                        queue_depth * q_,
-                        std::numeric_limits<std::uint32_t>::max()))),
           sizes_(pes * q_, 0), pending_(pes, 0), cursor_(pes, 0),
           peak_(pes, 0), lastBusy_(pes, -1), tasks_(pes, 0)
     {
@@ -87,11 +79,6 @@ class PeArray
     /** Every PE's pending counter, PE p at [p]. */
     const std::uint32_t *pendingCounts() const { return pending_.data(); }
 
-    /** Tasks one PE holds when every queue is full; the uint32 maximum
-     *  when queues are unbounded, so a PE can accept exactly when its
-     *  pending count is below this. */
-    std::uint32_t capacity() const { return capacity_; }
-
     /** True when PE p holds nothing and its last issued op has retired,
      *  that is, the last issue was before `now`. */
     bool
@@ -100,25 +87,13 @@ class PeArray
         return pending_[p] == 0 && lastBusy_[p] < now;
     }
 
-    /** Can at least one of PE p's queues accept a task? Every queue has
-     *  the same capacity, so one has room exactly when the total is
-     *  below depth × queues. */
-    bool canAccept(std::size_t p) const { return pending_[p] < capacity_; }
-
-    /**
-     * Enqueue a task at PE p into its shortest queue. Returns the depth
-     * of the queue it joined, or 0 when all queues are full
-     * (backpressure to the distribution network).
-     */
+    /** Enqueue a task at PE p into its shortest queue; returns the depth
+     *  of the queue it joined. */
     std::size_t
     enqueue(std::size_t p)
     {
-        if (!canAccept(p)) {
-            ++enqueueRejects_;
-            return 0;
-        }
         std::uint32_t *s = &sizes_[p * q_];
-        const std::uint32_t joined = ++s[joinQueue(s, q_, depth_)];
+        const std::uint32_t joined = ++s[joinQueue(s, q_)];
         ++pending_[p];
         peak_[p] = std::max(peak_[p], joined);
         return joined;
@@ -150,10 +125,6 @@ class PeArray
 
     /** Tasks PE p executed since the last resetRound(). */
     Count tasksThisRound(std::size_t p) const { return tasks_[p]; }
-
-    /** Enqueue attempts rejected, over every PE, because every queue of
-     *  the target was full. */
-    Count enqueueRejects() const { return enqueueRejects_; }
 
     /**
      * PE p's peak queue occupancy since the last resetRound(). Because
@@ -187,9 +158,7 @@ class PeArray
     }
 
   private:
-    std::size_t q_ = 1;      ///< queues per PE
-    std::size_t depth_ = 0;  ///< capacity of every queue (0 = unbounded)
-    std::uint32_t capacity_ = 0;
+    std::size_t q_ = 1;  ///< queues per PE
     // Per PE p unless noted: tasks held per queue ([p * q_ + queue]),
     // tasks across all queues, the round-robin arbiter cursor and the
     // round peak (all kept on enqueue and on issue), the cycle of the
@@ -200,7 +169,6 @@ class PeArray
     std::vector<std::uint32_t> peak_;
     std::vector<Cycle> lastBusy_;
     std::vector<Count> tasks_;
-    Count enqueueRejects_ = 0;
 };
 
 } // namespace awb

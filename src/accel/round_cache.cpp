@@ -44,13 +44,9 @@ roundContextDigest(const CscMatrix &a, const AccelConfig &cfg, int tdq_kind)
     // excluded on purpose (see the file header in round_cache.hpp).
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.numPes));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.numQueuesPerPe));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.receivePorts));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.queueDepth));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.sharingHops));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.omegaBufferDepth));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.networkSpeedup));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.injectWidth));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.streamWidth));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.maxCyclesPerRound));
     h = roundMix64(h ^ static_cast<std::uint64_t>(tdq_kind));
     return h;

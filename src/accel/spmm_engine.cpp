@@ -25,6 +25,11 @@ namespace {
  *  both TdqKind values, whose rounds stream a fixed non-zero set. */
 constexpr int kSpgemmContextTag = 2;
 
+/** Tasks a PE can receive per cycle (distribution fan-in ports).
+ *  Independent of queue count: the EIE-like design has one deep
+ *  activation queue but still ingests at full distribution rate. */
+constexpr int kReceivePorts = 4;
+
 /** The cache context of SpGEMM round k: the operand's context mixed
  *  with B column k's row ids, which fix the round's task stream. */
 std::uint64_t
@@ -109,22 +114,24 @@ struct RoundCore
         lane.assign(P, 0);
         active.reserve(P);
         touched.reserve(P);
-        pes = PeArray(P, cfg.numQueuesPerPe, cfg.queueDepth);
+        pes = PeArray(P, cfg.numQueuesPerPe);
     }
 
     /** Hand a task to its home PE or, under local sharing, the least
-     *  loaded neighbour with a free receive port; false = backpressure. */
-    bool
+     *  loaded neighbour with a free receive port; false = backpressure.
+     *  Kept out of line: GCC 12 inlines it into step()'s three call
+     *  sites, the Omega sink among them, and TDQ-2 stepping then ran
+     *  about 20% slower (perfbench event-step, 4-vCPU Xeon). */
+    [[gnu::noinline]] bool
     deliver(const Task &t)
     {
         const auto h = static_cast<std::size_t>(t.homePe);
         const int target = sharer.hops() > 0
-            ? sharer.choose(t.homePe, pes, accepted.data(), cfg.receivePorts)
-            : (accepted[h] < cfg.receivePorts ? t.homePe : -1);
+            ? sharer.choose(t.homePe, pes, accepted.data(), kReceivePorts)
+            : (accepted[h] < kReceivePorts ? t.homePe : -1);
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
         const std::size_t depth = pes.enqueue(p);
-        if (depth == 0) return false;
         if (tabulate) models.enqueue(p, depth);
         // A PE is on the active list exactly while it has queued work.
         if (pes.pending(p) == 1) active.push_back(target);
@@ -191,14 +198,11 @@ RoundCore::step(const std::vector<Index> &row,
     tabulate = with_table;
     const std::size_t n = row.size();
     const std::size_t P = pes.size();
-    const int inject_width = cfg.injectWidth > 0 ? cfg.injectWidth
-                                                 : cfg.numPes;
     std::fill(home.begin(), home.end(), 0);
     pes.resetRound();
     for (std::size_t p = 0; p < P; ++p) pes.setArbiterCursor(p, cursors[p]);
     if (tabulate)
-        models.begin(P, static_cast<std::size_t>(cfg.numQueuesPerPe),
-                     cfg.queueDepth);
+        models.begin(P, static_cast<std::size_t>(cfg.numQueuesPerPe));
     // Align the fabric's input-priority toggles with the global cycle
     // parity (identity under pure event stepping; required after
     // replayed rounds advanced the clock without ticking).
@@ -263,20 +267,14 @@ RoundCore::step(const std::vector<Index> &row,
                 ++next;
             }
         } else if (useNet) {
-            int injected = 0;
-            for (std::size_t p = 0; p < P && injected < inject_width; ++p) {
-                if (lane[p] >= n ||
-                    !net->inject(task(lane[p]), static_cast<int>(p)))
-                    continue;
-                lane[p] += P;
-                ++injected;
-            }
-        } else {
-            // Degenerate single-PE TDQ-2: direct delivery.
-            for (int injected = 0;
-                 next < n && injected < inject_width && deliver(task(next));
-                 ++injected)
-                ++next;
+            // Every lane offers its next task once a cycle.
+            for (std::size_t p = 0; p < P; ++p)
+                if (lane[p] < n &&
+                    net->inject(task(lane[p]), static_cast<int>(p)))
+                    lane[p] += P;
+        } else if (next < n && deliver(task(next))) {
+            // Single-PE TDQ-2: one task a cycle, delivered directly.
+            ++next;
         }
 
         ++now;
@@ -415,7 +413,7 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
     // elements per cycle that, with evenly distributed non-zeros, about
     // P emerge per cycle (paper: N_PE / (1 - sparsity) per cycle).
     std::vector<Count> scan_pos;
-    Count scan_width = cfg_.streamWidth;
+    Count scan_width = 0;
     if (dense_scan) {
         for (Index j = 0; j < a.cols(); ++j)
             for (Count p = a.colPtr()[static_cast<std::size_t>(j)];
@@ -426,10 +424,10 @@ SpmmEngine::simulate(const CscMatrix &a, Index cols, TdqKind kind,
                              static_cast<double>(a.cols());
         const double density =
             elems > 0.0 ? static_cast<double>(a.nnz()) / elems : 1.0;
-        if (scan_width <= 0)
-            scan_width = static_cast<Count>(static_cast<double>(P) /
-                                            std::max(density, 1e-9));
-        scan_width = std::max<Count>(scan_width, 1);
+        scan_width = std::max<Count>(
+            static_cast<Count>(static_cast<double>(P) /
+                               std::max(density, 1e-9)),
+            1);
     }
 
     // Replay a round whose entry state was simulated before instead of

@@ -5,7 +5,8 @@
  * column ("rounds", Eq. 4) through either
  *
  *  - TDQ-1: dense-format scan of a general-sparse operand (the X×W SPMM);
- *    a configurable scan width extracts non-zeros into per-PE task queues;
+ *    P / density elements are scanned per cycle, so about P non-zeros
+ *    a cycle reach the per-PE task queues;
  *  - TDQ-2: CSC non-zero stream routed by the Omega network (the A×(XW)
  *    SPMM over the ultra-sparse adjacency).
  *
@@ -22,7 +23,10 @@
  * the deterministic functional kernels. Two implementations share that
  * one round core (AccelConfig::engine):
  *
- *  - EngineKind::Event steps every non-zero of every round;
+ *  - EngineKind::Event steps every non-zero of every round, except the
+ *    rounds the process-wide shared round cache (DESIGN.md §13; on by
+ *    default in awbsim, off under --no-cache) already holds, which it
+ *    replays from their records;
  *  - EngineKind::Batched exploits that a round's timing is a pure
  *    function of its entry state — the row partition, the PE arbiter
  *    cursors and the Omega arbitration parity — so it event-steps each

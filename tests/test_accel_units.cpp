@@ -126,9 +126,9 @@ namespace {
 class RefPe
 {
   public:
-    RefPe(int num_queues, std::size_t depth) : depth_(depth)
+    explicit RefPe(int num_queues)
     {
-        for (int q = 0; q < num_queues; ++q) queues_.emplace_back(depth);
+        for (int q = 0; q < num_queues; ++q) queues_.emplace_back(0);
     }
 
     std::size_t pending() const { return pending_; }
@@ -140,21 +140,12 @@ class RefPe
             if (f.done > now) return false;
         return true;
     }
-    bool
-    canAccept() const
-    {
-        return depth_ == 0 || pending_ < depth_ * queues_.size();
-    }
-
     std::size_t
     enqueue(const Task &task)
     {
-        if (!canAccept()) return 0;
         Fifo<Task> *best = nullptr;
-        for (auto &q : queues_) {
-            if (q.full()) continue;
+        for (auto &q : queues_)
             if (best == nullptr || q.size() < best->size()) best = &q;
-        }
         best->push(task);
         ++pending_;
         roundPeak_ = std::max(roundPeak_, best->size());
@@ -208,7 +199,6 @@ class RefPe
         Index row;
         Cycle done;
     };
-    std::size_t depth_;
     std::vector<Fifo<Task>> queues_;
     std::vector<InFlight> inflight_;
     std::size_t pending_ = 0;
@@ -225,7 +215,6 @@ void
 expectSamePe(const PeArray &pes, std::size_t p, const RefPe &ref, Cycle now)
 {
     EXPECT_EQ(pes.pending(p), ref.pending()) << now;
-    EXPECT_EQ(pes.canAccept(p), ref.canAccept()) << now;
     EXPECT_EQ(pes.arbiterCursor(p), ref.arbiterCursor()) << now;
     EXPECT_EQ(pes.roundPeakQueueDepth(p), ref.roundPeakQueueDepth()) << now;
     EXPECT_EQ(pes.lastBusyCycle(p), ref.lastBusyCycle()) << now;
@@ -234,17 +223,14 @@ expectSamePe(const PeArray &pes, std::size_t p, const RefPe &ref, Cycle now)
     EXPECT_EQ(pes.drained(p, now + 1), ref.drained(now + 1)) << now;
 }
 
-/** The grid both reference tests run: queues x per-queue depth. */
+/** The queue counts both reference tests run. */
 template <class F>
 void
 forQueueShapes(F &&body)
 {
     for (int queues : {1, 2, 4, 8}) {
-        for (std::size_t depth : {0, 1, 3}) {
-            SCOPED_TRACE("queues " + std::to_string(queues) + " depth " +
-                         std::to_string(depth));
-            body(queues, depth);
-        }
+        SCOPED_TRACE("queues " + std::to_string(queues));
+        body(queues);
     }
 }
 
@@ -252,7 +238,7 @@ forQueueShapes(F &&body)
 
 TEST(PeArray, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
 {
-    PeArray pes(3, 4, 0);
+    PeArray pes(3, 4);
     for (int i = 0; i < 8; ++i) pes.enqueue(1);
     for (Cycle t = 0; t < 8; ++t) {
         EXPECT_FALSE(pes.drained(1, t));
@@ -271,22 +257,11 @@ TEST(PeArray, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
     }
 }
 
-TEST(PeArray, BoundedQueueBackpressure)
-{
-    PeArray pes(2, 1, 2);
-    EXPECT_EQ(pes.enqueue(0), 1u);
-    EXPECT_EQ(pes.enqueue(0), 2u);
-    EXPECT_FALSE(pes.canAccept(0));
-    EXPECT_TRUE(pes.canAccept(1));
-    EXPECT_EQ(pes.enqueue(0), 0u);
-    EXPECT_EQ(pes.enqueueRejects(), 1);
-}
-
 TEST(PeArray, TickOnEmptyPeChangesNothing)
 {
     // Idle ticks are skipped outright; they must leave every counter the
     // engine reads unchanged.
-    PeArray pes(2, 2, 2);
+    PeArray pes(2, 2);
     for (Cycle t = 0; t < 5; ++t) EXPECT_FALSE(pes.tick(0, t));
     EXPECT_EQ(pes.tasksThisRound(0), 0);
     EXPECT_EQ(pes.lastBusyCycle(0), -1);
@@ -302,40 +277,19 @@ TEST(PeArray, TickOnEmptyPeChangesNothing)
     EXPECT_EQ(pes.arbiterCursor(1), 0u);
 }
 
-TEST(PeArray, CanAcceptMatchesSomeQueueNotFull)
-{
-    // Two queues of depth 2: room remains exactly until all four slots
-    // hold a task, through both a fill and a drain.
-    PeArray pes(1, 2, 2);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(pes.canAccept(0)) << "before task " << i;
-        ASSERT_NE(pes.enqueue(0), 0u);
-    }
-    EXPECT_FALSE(pes.canAccept(0));
-    EXPECT_EQ(pes.enqueue(0), 0u);
-    EXPECT_EQ(pes.enqueueRejects(), 1);
-    for (Cycle t = 0; pes.pending(0) != 0; ++t) {
-        pes.tick(0, t);
-        EXPECT_TRUE(pes.canAccept(0)) << "after tick " << t;
-    }
-    EXPECT_EQ(pes.tasksThisRound(0), 4);
-}
-
 // Each slot of a count-only PeArray against its own Fifo<Task>
 // reference on random bursts: up to three arrivals a cycle per slot,
 // drawn from eight rows so same-row neighbours are common, then one
-// tick of every slot. Every queue depth returned, every rejection and
-// every counter must agree, cycle by cycle, and no reference's
-// scoreboard may stall.
+// tick of every slot. Every queue depth returned and every counter must
+// agree, cycle by cycle, and no reference's scoreboard may stall.
 TEST(PeArray, CountOnlyMatchesFifoReference)
 {
     constexpr std::size_t kPes = 3;
-    forQueueShapes([](int queues, std::size_t depth) {
-        PeArray pes(kPes, queues, depth);
-        std::vector<RefPe> ref(kPes, RefPe(queues, depth));
-        Rng rng(static_cast<std::uint64_t>(queues) * 16 + depth);
+    forQueueShapes([](int queues) {
+        PeArray pes(kPes, queues);
+        std::vector<RefPe> ref(kPes, RefPe(queues));
+        Rng rng(static_cast<std::uint64_t>(queues) * 16);
         std::vector<Count> enqueued(kPes, 0);
-        Count rejects = 0;
         auto busy = [&] {
             for (const RefPe &r : ref)
                 if (r.pending() > 0) return true;
@@ -350,10 +304,10 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
                 const Index arrivals =
                     now >= 600 ? 0 : rng.nextIndex(burst ? 4 : 2);
                 for (Index i = 0; i < arrivals; ++i) {
-                    const std::size_t joined = pes.enqueue(p);
-                    ASSERT_EQ(joined, ref[p].enqueue({rng.nextIndex(8), 0}))
+                    ASSERT_EQ(pes.enqueue(p),
+                              ref[p].enqueue({rng.nextIndex(8), 0}))
                         << now;
-                    ++(joined != 0 ? enqueued[p] : rejects);
+                    ++enqueued[p];
                 }
             }
             for (std::size_t p = 0; p < kPes; ++p) {
@@ -363,15 +317,11 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
                     << now;
                 expectSamePe(pes, p, ref[p], now);
             }
-            EXPECT_EQ(pes.enqueueRejects(), rejects) << now;
         }
         for (std::size_t p = 0; p < kPes; ++p) {
             EXPECT_EQ(ref[p].rawStalls(), 0);
             EXPECT_EQ(pes.tasksThisRound(p), enqueued[p]);
             EXPECT_GT(pes.roundPeakQueueDepth(p), 0u);
-        }
-        if (depth != 0) {
-            EXPECT_GT(rejects, 0);
         }
     });
 }
@@ -386,10 +336,10 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
 // drains often, so the peak must survive the regroups.
 TEST(CursorModels, MatchOnePePerEntryCursor)
 {
-    forQueueShapes([](int queues, std::size_t depth) {
+    forQueueShapes([](int queues) {
         const auto Q = static_cast<std::size_t>(queues);
-        std::vector<RefPe> ref(Q, RefPe(queues, depth));
-        PeArray pes(Q, queues, depth);
+        std::vector<RefPe> ref(Q, RefPe(queues));
+        PeArray pes(Q, queues);
         std::vector<std::size_t> entry(Q);
         for (std::size_t c = 0; c < Q; ++c) {
             ref[c].setArbiterCursor(c);
@@ -397,8 +347,8 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
             entry[c] = c;
         }
         CursorModels models;
-        models.begin(Q, Q, depth);
-        Rng rng(Q * 16 + depth);
+        models.begin(Q, Q);
+        Rng rng(Q * 16);
         Cycle now = 0;
         auto issueAll = [&] {
             for (std::size_t c = 0; c < Q; ++c) {
@@ -409,7 +359,7 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
         };
         for (Index op = 0; op < 600; ++op, ++now) {
             const double accept = op < 150 ? 0.7 : 0.35;
-            if (ref[0].canAccept() && rng.nextBool(accept)) {
+            if (rng.nextBool(accept)) {
                 for (std::size_t c = 0; c < Q; ++c) {
                     const std::size_t joined = ref[c].enqueue({op, 0});
                     ASSERT_EQ(pes.enqueue(c), joined);
@@ -438,7 +388,7 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)
 {
-    PeArray pes(5, 1, 0);
+    PeArray pes(5, 1);
     // Load PE 2 with 3 tasks, PE 1 with 1, PE 3 with 0.
     for (int i = 0; i < 3; ++i) pes.enqueue(2);
     pes.enqueue(1);
@@ -452,25 +402,25 @@ TEST(LocalShare, PicksLeastLoadedNeighbour)
 
 TEST(LocalShare, TieFavoursHome)
 {
-    PeArray pes(3, 1, 0);
+    PeArray pes(3, 1);
     LocalSharer s(1);
     EXPECT_EQ(s.choose(1, pes), 1);
 }
 
 TEST(LocalShare, RespectsArrayBounds)
 {
-    PeArray pes(4, 1, 0);
+    PeArray pes(4, 1);
     LocalSharer s(2);
     EXPECT_GE(s.choose(0, pes), 0);
     EXPECT_LE(s.choose(3, pes), 3);
 }
 
-TEST(LocalShare, SkipsFullPes)
+TEST(LocalShare, SkipsPesWithoutAFreePort)
 {
-    PeArray pes(3, 1, 1);
-    pes.enqueue(1);  // home full
+    PeArray pes(3, 1);
+    const int accepted[] = {0, 2, 0};  // home's two ports are taken
     LocalSharer s(1);
-    int got = s.choose(1, pes);
+    int got = s.choose(1, pes, accepted, 2);
     EXPECT_NE(got, 1);
     EXPECT_GE(got, 0);
 }
@@ -480,13 +430,12 @@ namespace {
 /**
  * The sharer's choice as a loop over plain per-PE arrays, the way it
  * was written over one object per PE: walk the window from home − hops
- * to home + hops, skip PEs that are full or out of receive ports, and
- * keep a PE only if it holds fewer tasks than the best so far, or as
- * many at a smaller distance.
+ * to home + hops, skip PEs out of receive ports, and keep a PE only if
+ * it holds fewer tasks than the best so far, or as many at a smaller
+ * distance.
  */
 int
 referenceChoose(int home, int hops, const std::vector<std::size_t> &pending,
-                const std::vector<bool> &can_accept,
                 const std::vector<int> *accepted, int accept_cap)
 {
     const int n = static_cast<int>(pending.size());
@@ -497,7 +446,6 @@ referenceChoose(int home, int hops, const std::vector<std::size_t> &pending,
         int p = home + d;
         if (p < 0 || p >= n) continue;
         const auto i = static_cast<std::size_t>(p);
-        if (!can_accept[i]) continue;
         if (accepted != nullptr && (*accepted)[i] >= accept_cap) continue;
         int dist = d < 0 ? -d : d;
         bool better = best == -1 || pending[i] < best_pending ||
@@ -515,32 +463,26 @@ referenceChoose(int home, int hops, const std::vector<std::size_t> &pending,
 
 // The branch-free choice over the PE array against the reference loop
 // on seeded states: small pending counts so ties are common, homes at
-// both array edges, bounded queues that fill up, and receive ports that
-// run out. Both must pick the same PE every time, and every kind of
-// state must actually occur.
+// both array edges, and receive ports that run out. Both must pick the
+// same PE every time, and every kind of state must actually occur.
 TEST(LocalShare, CountArrayMatchesReferenceLoop)
 {
     Rng rng(26);
-    int states = 0, ties = 0, edges = 0, full = 0, no_port = 0, none = 0;
+    int states = 0, ties = 0, edges = 0, no_port = 0, none = 0;
     for (int hops = 0; hops <= 3; ++hops) {
         for (int n : {1, 2, 7, 64}) {
             for (int trial = 0; trial < 700; ++trial, ++states) {
                 const int queues = 1 + static_cast<int>(rng.nextBounded(2));
-                const std::size_t depth = rng.nextBounded(3);  // 0 = inf
-                PeArray pes(static_cast<std::size_t>(n), queues, depth);
+                PeArray pes(static_cast<std::size_t>(n), queues);
                 std::vector<std::size_t> pending(static_cast<std::size_t>(n));
-                std::vector<bool> can_accept(pending.size());
                 std::vector<int> accepted(pending.size());
                 const int accept_cap =
                     1 + static_cast<int>(rng.nextBounded(2));
                 for (std::size_t p = 0; p < pending.size(); ++p) {
                     const std::uint32_t tasks = rng.nextBounded(5);
-                    for (std::uint32_t t = 0; t < tasks; ++t)
-                        if (pes.enqueue(p) != 0) ++pending[p];
-                    can_accept[p] = depth == 0 ||
-                        pending[p] < depth * static_cast<std::size_t>(queues);
+                    for (std::uint32_t t = 0; t < tasks; ++t) pes.enqueue(p);
+                    pending[p] = tasks;
                     accepted[p] = static_cast<int>(rng.nextBounded(3));
-                    full += !can_accept[p];
                     no_port += accepted[p] >= accept_cap;
                 }
                 const int home = trial % 5 == 0
@@ -548,9 +490,9 @@ TEST(LocalShare, CountArrayMatchesReferenceLoop)
                     : static_cast<int>(rng.nextIndex(n));
                 edges += home - hops < 0 || home + hops >= n;
                 const bool ports = rng.nextBool(0.75);
-                const int want = referenceChoose(
-                    home, hops, pending, can_accept,
-                    ports ? &accepted : nullptr, accept_cap);
+                const int want =
+                    referenceChoose(home, hops, pending,
+                                    ports ? &accepted : nullptr, accept_cap);
                 const int got = LocalSharer(hops).choose(
                     home, pes, ports ? accepted.data() : nullptr,
                     accept_cap);
@@ -566,8 +508,7 @@ TEST(LocalShare, CountArrayMatchesReferenceLoop)
                 for (int p = std::max(home - hops, 0);
                      p <= std::min(home + hops, n - 1); ++p) {
                     const auto i = static_cast<std::size_t>(p);
-                    const bool open = can_accept[i] &&
-                        (!ports || accepted[i] < accept_cap);
+                    const bool open = !ports || accepted[i] < accept_cap;
                     if (p != want && open && pending[i] == least) {
                         ++ties;
                         break;
@@ -579,7 +520,6 @@ TEST(LocalShare, CountArrayMatchesReferenceLoop)
     EXPECT_GE(states, 10000);
     EXPECT_GT(ties, 0);
     EXPECT_GT(edges, 0);
-    EXPECT_GT(full, 0);
     EXPECT_GT(no_port, 0);
     EXPECT_GT(none, 0);
 }

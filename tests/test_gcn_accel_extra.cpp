@@ -113,43 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::string("baseline"),
                                          std::string("remote-d"))));
 
-TEST(BoundedQueues, BackpressureStillExact)
-{
-    // Tiny queues force constant backpressure through TDQ and network;
-    // functional output must be unaffected.
-    auto ds = loadSyntheticByName("cora", 9, 0.05);
-    auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 9);
-
-    AccelConfig cfg = makePolicyConfig("local-a", 16);
-    cfg.queueDepth = 2;
-    cfg.omegaBufferDepth = 1;
-    auto run = runGcn(cfg, ds, model);
-    auto golden = inferGcn(ds, model);
-    EXPECT_LT(run.output.maxAbsDiff(golden.output), 1e-3);
-
-    // Bounded queues cannot report a deeper peak than their capacity.
-    for (const auto &layer : run.layers) {
-        EXPECT_LE(layer.xw.peakQueueDepth, 2u);
-        EXPECT_LE(layer.ax.peakQueueDepth, 2u);
-    }
-}
-
-TEST(BoundedQueues, SlowerThanUnbounded)
-{
-    auto ds = loadSyntheticByName("cora", 9, 0.05);
-    auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 9);
-
-    AccelConfig tight = makePolicyConfig("baseline", 16);
-    tight.queueDepth = 1;
-    tight.omegaBufferDepth = 1;
-    tight.networkSpeedup = 1;
-    AccelConfig roomy = makePolicyConfig("baseline", 16);
-
-    auto run_tight = runGcn(tight, ds, model);
-    auto run_roomy = runGcn(roomy, ds, model);
-    EXPECT_GT(run_tight.totalCycles, run_roomy.totalCycles);
-}
-
 TEST(StatsInvariants, RoundCyclesSumToTotal)
 {
     auto ds = loadSyntheticByName("citeseer", 10, 0.04);

@@ -520,10 +520,30 @@ TEST_P(ChipsOneNoOp, CycleGcnBitIdentical)
     EXPECT_EQ(0.0, plain.output.maxAbsDiff(ref.result.output));
 }
 
-TEST_P(ChipsOneNoOp, PerfModelBitIdentical)
+INSTANTIATE_TEST_SUITE_P(
+    PaperPolicies, ChipsOneNoOp,
+    ::testing::Combine(::testing::ValuesIn(kPaperPolicies),
+                       ::testing::Values("cora", "citeseer", "pubmed"),
+                       ::testing::Values(EngineKind::Event,
+                                         EngineKind::Batched)),
+    [](const auto &info) {
+        std::string s = std::get<0>(info.param) + "_" +
+                        std::get<1>(info.param) + "_" +
+                        engineKindName(std::get<2>(info.param));
+        for (auto &c : s)
+            if (c == '-') c = '_';
+        return s;
+    });
+
+/** The same no-op for the round-level model, which runs no cycle
+ *  engine: every paper policy x dataset. */
+class ChipsOneModelNoOp
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
+{};
+
+TEST_P(ChipsOneModelNoOp, PerfModelBitIdentical)
 {
-    auto [policy, dataset, engine] = GetParam();
-    if (engine != EngineKind::Event) GTEST_SKIP();  // engine-independent
+    auto [policy, dataset] = GetParam();
     const DatasetSpec &spec = findDataset(dataset);
     auto prof = loadProfile(spec, 11, 0.2);
     auto a = loadSyntheticAdjacency(spec, 11, 0.2);
@@ -547,15 +567,12 @@ TEST_P(ChipsOneNoOp, PerfModelBitIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperPolicies, ChipsOneNoOp,
+    PaperPolicies, ChipsOneModelNoOp,
     ::testing::Combine(::testing::ValuesIn(kPaperPolicies),
-                       ::testing::Values("cora", "citeseer", "pubmed"),
-                       ::testing::Values(EngineKind::Event,
-                                         EngineKind::Batched)),
+                       ::testing::Values("cora", "citeseer", "pubmed")),
     [](const auto &info) {
         std::string s = std::get<0>(info.param) + "_" +
-                        std::get<1>(info.param) + "_" +
-                        engineKindName(std::get<2>(info.param));
+                        std::get<1>(info.param);
         for (auto &c : s)
             if (c == '-') c = '_';
         return s;
@@ -589,10 +606,35 @@ TEST_P(ShardedGcnVsReference, CycleGcnBitIdentical)
               static_cast<std::size_t>(chips) * 16u);
 }
 
-TEST_P(ShardedGcnVsReference, PerfModelBitIdentical)
+INSTANTIATE_TEST_SUITE_P(
+    ChipsDatasetsPolicies, ShardedGcnVsReference,
+    ::testing::Combine(::testing::Values(2, 4),
+                       ::testing::Values("cora", "citeseer"),
+                       ::testing::Values("baseline", "remote-d"),
+                       ::testing::Values("unconstrained", "d5005-ddr4"),
+                       ::testing::Values(EngineKind::Event,
+                                         EngineKind::Batched)),
+    [](const auto &info) {
+        std::string s = std::to_string(std::get<0>(info.param)) +
+                        "chips_" + std::get<1>(info.param) + "_" +
+                        std::get<2>(info.param) + "_" +
+                        std::get<3>(info.param) + "_" +
+                        engineKindName(std::get<4>(info.param));
+        for (auto &c : s)
+            if (c == '-') c = '_';
+        return s;
+    });
+
+/** The sharded round-level model against its reference: chips x
+ *  dataset x policy x platform (the model runs no cycle engine). */
+class ShardedModelVsReference
+    : public ::testing::TestWithParam<
+          std::tuple<int, std::string, std::string, std::string>>
+{};
+
+TEST_P(ShardedModelVsReference, PerfModelBitIdentical)
 {
-    auto [chips, dataset, policy, platform, engine] = GetParam();
-    if (engine != EngineKind::Event) GTEST_SKIP();  // engine-independent
+    auto [chips, dataset, policy, platform] = GetParam();
     const DatasetSpec &spec = findDataset(dataset);
     auto prof = loadProfile(spec, 11, 0.2);
     auto a = loadSyntheticAdjacency(spec, 11, 0.2);
@@ -609,19 +651,16 @@ TEST_P(ShardedGcnVsReference, PerfModelBitIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ChipsDatasetsPolicies, ShardedGcnVsReference,
+    ChipsDatasetsPolicies, ShardedModelVsReference,
     ::testing::Combine(::testing::Values(2, 4),
                        ::testing::Values("cora", "citeseer"),
                        ::testing::Values("baseline", "remote-d"),
-                       ::testing::Values("unconstrained", "d5005-ddr4"),
-                       ::testing::Values(EngineKind::Event,
-                                         EngineKind::Batched)),
+                       ::testing::Values("unconstrained", "d5005-ddr4")),
     [](const auto &info) {
         std::string s = std::to_string(std::get<0>(info.param)) +
                         "chips_" + std::get<1>(info.param) + "_" +
                         std::get<2>(info.param) + "_" +
-                        std::get<3>(info.param) + "_" +
-                        engineKindName(std::get<4>(info.param));
+                        std::get<3>(info.param);
         for (auto &c : s)
             if (c == '-') c = '_';
         return s;

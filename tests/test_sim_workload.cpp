@@ -210,17 +210,11 @@ TEST(ConfigValidate, DescribesEveryFieldError)
     c.numPes = 0;
     EXPECT_NE(c.validate().find("numPes"), std::string::npos);
     c = good;
-    c.receivePorts = -1;
-    EXPECT_NE(c.validate().find("receivePorts"), std::string::npos);
-    c = good;
     c.sharingHops = -2;
     EXPECT_NE(c.validate().find("sharingHops"), std::string::npos);
     c = good;
     c.maxCyclesPerRound = 0;
     EXPECT_NE(c.validate().find("maxCyclesPerRound"), std::string::npos);
-    c = good;
-    c.streamWidth = -1;
-    EXPECT_NE(c.validate().find("streamWidth"), std::string::npos);
 
     // The Omega network constraint only binds the cycle-accurate TDQ-2
     // path (the round-level model sweeps 512/768/1024 freely).

@@ -12,6 +12,7 @@
 
 #include "accel/gcn_accel.hpp"
 #include "accel/policy.hpp"
+#include "accel/round_cache.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/reference.hpp"
@@ -112,6 +113,53 @@ TEST(Engine, IdealCyclesLowerBound)
         SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).stats;
     EXPECT_GE(stats.cycles, stats.idealCycles);
     EXPECT_EQ(stats.syncCycles, stats.cycles - stats.idealCycles);
+}
+
+// A single PE has no Omega network: TDQ-2 hands it one task a cycle and
+// a round ends one cycle after its last issue, so on the unconstrained
+// platform every round lasts its task count plus one drain cycle. The
+// same must hold for SpGEMM, whose B columns here repeat so the shared
+// cache replays them, under both engines with the cache on and off.
+TEST(Engine, SinglePeIssuesOneTaskPerCycle)
+{
+    Rng rng(28);
+    const CscMatrix a = randomSparse(rng, 40, 40, 0.12);
+    CooMatrix coo(40, 6);
+    for (Index k = 0; k < 6; ++k)
+        for (Index j = k % 2; j < 40; j += 2) coo.add(j, k, 1.0f);
+    coo.canonicalize();
+    const CscMatrix b = CscMatrix::fromCoo(coo);
+
+    RoundStateCache &cache = RoundStateCache::instance();
+    for (bool cache_on : {false, true}) {
+        for (EngineKind engine : {EngineKind::Event, EngineKind::Batched}) {
+            for (const char *design : {"baseline", "local-b", "eie-like"}) {
+                SCOPED_TRACE(std::string(design) + " " +
+                             engineKindName(engine) +
+                             (cache_on ? " cache" : ""));
+                cache.clear();
+                cache.setEnabled(cache_on);
+                const std::uint64_t hits = cache.hits();
+                AccelConfig cfg = makePolicyConfig(design, 1);
+                cfg.engine = engine;
+                RowPartition part(40, 1, cfg.mapPolicy);
+                const SpmmStats s = SpmmEngine(cfg).simulate(
+                    a, 5, TdqKind::Tdq2OmegaCsc, part);
+                EXPECT_EQ(s.tasks, a.nnz() * 5);
+                EXPECT_EQ(s.cycles, s.tasks + s.rounds);
+                RowPartition gpart(40, 1, cfg.mapPolicy);
+                const SpmmStats g =
+                    SpmmEngine(cfg).executeSpgemm(a, b, gpart).stats;
+                EXPECT_EQ(g.rounds, 6);
+                EXPECT_EQ(g.cycles, g.tasks + g.rounds);
+                if (cache_on) {
+                    EXPECT_GT(cache.hits(), hits);
+                }
+            }
+        }
+    }
+    cache.setEnabled(false);
+    cache.clear();
 }
 
 TEST(Engine, LocalSharingImprovesSkewedUtilization)
