@@ -67,9 +67,10 @@ BM_SpmmCsr(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * a.nnz() * 16);
 }
 
-/** The engine's own fabric (AccelConfig{} buffer depth and speedup)
- *  under uniform random traffic at full offered load for 256 cycles,
- *  then drained; items are task-hops (delivered tasks x stages). */
+/** The engine's own fabric (its fixed 8-slot router buffers and the
+ *  AccelConfig{} speedup) under uniform random traffic at full offered
+ *  load for 256 cycles, then drained; items are task-hops (delivered
+ *  tasks x stages). */
 void
 BM_OmegaThroughput(benchmark::State &state)
 {
@@ -78,7 +79,7 @@ BM_OmegaThroughput(benchmark::State &state)
     Rng rng(3);
     Count hops = 0;
     for (auto _ : state) {
-        OmegaNetwork net(ports, cfg.omegaBufferDepth, cfg.networkSpeedup);
+        OmegaNetwork net(ports, 8, cfg.networkSpeedup);
         auto sink = [](const Task &, int) { return true; };
         for (int cycle = 0; cycle < 256; ++cycle) {
             net.tick(cycle, sink);

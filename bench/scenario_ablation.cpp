@@ -108,7 +108,7 @@ runAblation(driver::ScenarioContext &ctx)
         Rng rng(9);
         DenseMatrix b(ds.spec.nodes, 8);
         b.fillUniform(rng, -1.0f, 1.0f);
-        Table t({"speedup", "buffer", "cycles", "util"});
+        Table t({"speedup", "cycles", "util"});
         for (int sp : {1, 2, 4, 8}) {
             AccelConfig cfg = makePolicyConfig("local-b", 32);
             cfg.networkSpeedup = sp;
@@ -118,7 +118,6 @@ runAblation(driver::ScenarioContext &ctx)
                                            TdqKind::Tdq2OmegaCsc, part)
                                   .stats;
             t.addRow({std::to_string(sp),
-                      std::to_string(cfg.omegaBufferDepth),
                       std::to_string(stats.cycles),
                       percent(stats.utilization)});
         }

@@ -31,7 +31,6 @@ AccelConfig::validate(bool cycle_accurate_tdq2) const
     if (numQueuesPerPe < 1) return "numQueuesPerPe must be >= 1";
     if (sharingHops < 0) return "sharingHops must be non-negative";
     if (trackingWindow < 1) return "trackingWindow must be >= 1";
-    if (omegaBufferDepth < 1) return "omegaBufferDepth must be >= 1";
     if (networkSpeedup < 1) return "networkSpeedup must be >= 1";
     if (maxCyclesPerRound <= 0) return "maxCyclesPerRound must be positive";
     if (chips < 1) return "chips must be >= 1";

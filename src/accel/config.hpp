@@ -62,7 +62,6 @@ struct AccelConfig
     int trackingWindow = 2;   ///< PE-tuples tracked concurrently (PESM)
     bool approximateEq5 = false;   ///< hardware-efficient shift-based Eq. 5
     RowMapPolicy mapPolicy = RowMapPolicy::Blocked;
-    int omegaBufferDepth = 8; ///< per-router input buffer slots (TDQ-2)
     /** Omega fabric clock multiple relative to the PE clock: flits one
      *  router output passes per PE cycle. The paper provisions the
      *  network so task distribution, not routing, limits throughput. */

@@ -35,7 +35,10 @@
  * arrival and issue sequence. Every record the shared cache holds
  * carries that dependence as a per-(PE, entry cursor) table
  * (`cursorTable`), and a replay rebuilds the exit cursors and the peak
- * from it. The batched engine's within-run memo keeps the cursors in
+ * from it. The queue models (accel/cursor_models.hpp) fill the table
+ * by running a copy of each PE per entry cursor while such a round is
+ * stepped; every other round runs one copy per PE, at its real entry
+ * cursor. The batched engine's within-run memo keeps the cursors in
  * its key: `roundsSimulated` counts its misses, and that count must
  * not depend on the shared cache.
  *

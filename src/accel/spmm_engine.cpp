@@ -30,6 +30,9 @@ constexpr int kSpgemmContextTag = 2;
  *  activation queue but still ingests at full distribution rate. */
 constexpr int kReceivePorts = 4;
 
+/** Input-buffer slots of every Omega router (TDQ-2). */
+constexpr int kOmegaBufferDepth = 8;
+
 /** The cache context of SpGEMM round k: the operand's context mixed
  *  with B column k's row ids, which fix the round's task stream. */
 std::uint64_t
@@ -107,14 +110,14 @@ struct RoundCore
     {
         const auto P = static_cast<std::size_t>(cfg.numPes);
         if (useNet)
-            net.emplace(std::max(cfg.numPes, 2), cfg.omegaBufferDepth,
+            net.emplace(std::max(cfg.numPes, 2), kOmegaBufferDepth,
                         cfg.networkSpeedup);
         accepted.assign(P, 0);
         home.assign(P, 0);
         lane.assign(P, 0);
         active.reserve(P);
         touched.reserve(P);
-        pes = PeArray(P, cfg.numQueuesPerPe);
+        pes = PeArray(P);
     }
 
     /** Hand a task to its home PE or, under local sharing, the least
@@ -131,8 +134,8 @@ struct RoundCore
             : (accepted[h] < kReceivePorts ? t.homePe : -1);
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
-        const std::size_t depth = pes.enqueue(p);
-        if (tabulate) models.enqueue(p, depth);
+        pes.enqueue(p);
+        models.enqueue(p);
         // A PE is on the active list exactly while it has queued work.
         if (pes.pending(p) == 1) active.push_back(target);
         if (accepted[p]++ == 0) touched.push_back(target);
@@ -177,8 +180,8 @@ struct RoundCore
     std::vector<Count> home;
     std::vector<std::size_t> lane;
     std::vector<int> active;
-    // Whether this round fills a cursor table, and its models.
-    bool tabulate = false;
+    // The per-queue half of every PE: exit cursors, peaks and, on a
+    // round bound for the shared cache, the cursor table.
     CursorModels models;
 };
 
@@ -195,14 +198,12 @@ RoundCore::step(const std::vector<Index> &row,
                 const RowPartition &part, bool with_table)
 {
     if (pes.empty()) buildFabric();
-    tabulate = with_table;
     const std::size_t n = row.size();
     const std::size_t P = pes.size();
     std::fill(home.begin(), home.end(), 0);
     pes.resetRound();
-    for (std::size_t p = 0; p < P; ++p) pes.setArbiterCursor(p, cursors[p]);
-    if (tabulate)
-        models.begin(P, static_cast<std::size_t>(cfg.numQueuesPerPe));
+    models.begin(cursors, static_cast<std::size_t>(cfg.numQueuesPerPe),
+                 with_table);
     // Align the fabric's input-priority toggles with the global cycle
     // parity (identity under pure event stepping; required after
     // replayed rounds advanced the clock without ticking).
@@ -234,7 +235,7 @@ RoundCore::step(const std::vector<Index> &row,
             if (pes.tick(p, now)) {
                 ++issued;
                 drain_at = now + 1;
-                if (tabulate) models.issue(p);
+                models.issue(p);
             }
             if (pes.pending(p) == 0) {
                 active[i] = active.back();
@@ -294,11 +295,9 @@ RoundCore::step(const std::vector<Index> &row,
         const Cycle last = pes.lastBusyCycle(p);
         out.execTasks.push_back(t);
         out.drainCycle.push_back(t > 0 && last >= start ? last - start : 0);
-        out.arbiterAfter.push_back(pes.arbiterCursor(p));
-        out.peakQueue = std::max(out.peakQueue, pes.roundPeakQueueDepth(p));
     }
     out.peakNet = useNet ? net->roundPeakBufferDepth() : 0;
-    if (tabulate) out.cursorTable = models.finish(pes, cursors);
+    models.finish(cursors, out);
     cursors = out.arbiterAfter;
     return out;
 }

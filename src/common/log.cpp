@@ -5,55 +5,24 @@
 
 namespace awb {
 
-namespace log_detail {
-
-namespace {
-LogLevel gLevel = LogLevel::Info;
-
-const char *
-tag(LogLevel lvl)
-{
-    switch (lvl) {
-      case LogLevel::Error: return "error";
-      case LogLevel::Warn:  return "warn";
-      case LogLevel::Info:  return "info";
-      case LogLevel::Debug: return "debug";
-    }
-    return "?";
-}
-} // namespace
-
-LogLevel level() { return gLevel; }
-
-void setLevel(LogLevel lvl) { gLevel = lvl; }
-
-void
-emit(LogLevel lvl, const std::string &msg)
-{
-    if (static_cast<int>(lvl) > static_cast<int>(gLevel)) return;
-    std::fprintf(stderr, "[%s] %s\n", tag(lvl), msg.c_str());
-}
-
-} // namespace log_detail
-
 void
 fatal(const std::string &msg)
 {
-    log_detail::emit(LogLevel::Error, "fatal: " + msg);
+    std::fprintf(stderr, "[error] fatal: %s\n", msg.c_str());
     std::exit(1);
 }
 
 void
 panic(const std::string &msg)
 {
-    log_detail::emit(LogLevel::Error, "panic: " + msg);
+    std::fprintf(stderr, "[error] panic: %s\n", msg.c_str());
     std::abort();
 }
 
-void warn(const std::string &msg) { log_detail::emit(LogLevel::Warn, msg); }
-
-void inform(const std::string &msg) { log_detail::emit(LogLevel::Info, msg); }
-
-void debug(const std::string &msg) { log_detail::emit(LogLevel::Debug, msg); }
+void
+warn(const std::string &msg)
+{
+    std::fprintf(stderr, "[warn] %s\n", msg.c_str());
+}
 
 } // namespace awb

@@ -1,37 +1,18 @@
 /**
  * @file
- * Minimal leveled logging for the simulator and benches.
+ * Error and warning reporting for the simulator and benches.
  *
- * Follows the gem5 fatal()/panic()/warn()/inform() split: fatal() is a user
+ * Follows the gem5 fatal()/panic()/warn() split: fatal() is a user
  * error (bad configuration) and exits cleanly; panic() is an internal
- * invariant violation and aborts.
+ * invariant violation and aborts. Each writes one tagged line to
+ * stderr.
  */
 
 #pragma once
 
-#include <sstream>
 #include <string>
 
 namespace awb {
-
-/** Log verbosity levels, most severe first. */
-enum class LogLevel { Error = 0, Warn = 1, Info = 2, Debug = 3 };
-
-namespace log_detail {
-
-/** Current global verbosity (default Info). */
-LogLevel level();
-
-/** Set global verbosity. */
-void setLevel(LogLevel lvl);
-
-/** Emit a formatted line to stderr with a level tag. */
-void emit(LogLevel lvl, const std::string &msg);
-
-} // namespace log_detail
-
-/** Set the global log verbosity. */
-inline void setLogLevel(LogLevel lvl) { log_detail::setLevel(lvl); }
 
 /** Report an unrecoverable user/configuration error and exit(1). */
 [[noreturn]] void fatal(const std::string &msg);
@@ -41,11 +22,5 @@ inline void setLogLevel(LogLevel lvl) { log_detail::setLevel(lvl); }
 
 /** Report a suspicious-but-survivable condition. */
 void warn(const std::string &msg);
-
-/** Report normal operating status. */
-void inform(const std::string &msg);
-
-/** Verbose diagnostic output, suppressed unless level >= Debug. */
-void debug(const std::string &msg);
 
 } // namespace awb

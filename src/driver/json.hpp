@@ -69,7 +69,6 @@ class Json
     }
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
 
     /** Append to an array (converts a null value to an array first). */
     void push(Json v);

@@ -154,10 +154,6 @@ class MemoryModel
      *  0 on an unconstrained platform. */
     Cycle floorCycles(Count bytes) const;
 
-    /** Sustainable inter-chip link bytes per PE-clock cycle (0 when the
-     *  platform's link is unconstrained). */
-    double interChipBytesPerCycle() const { return linkBytesPerCycle_; }
-
     /** Cycle floor for moving `bytes` over one chip's inter-chip link:
      *  ceil(bytes / link_B_cyc); 0 on an unconstrained link. Composed
      *  into the round barrier the same roofline way as floorCycles()

@@ -1,11 +1,11 @@
 /**
  * @file
  * Unit tests for the accelerator building blocks: configuration factory,
- * row partition, PE array (arbitration, issue and drain timing, idle ticks,
- * occupancy counters, against a Fifo<Task> reference), the
- * per-entry-cursor queue models, local sharing
- * policy, and the remote-switching controller (Eq. 5 dynamics and
- * convergence).
+ * row partition, PE array (issue and drain timing, idle ticks, occupancy
+ * counters), the queue models (arbitration, exit cursors and peaks, one
+ * copy per PE and one per entry cursor), both against a Fifo<Task>
+ * reference PE, local sharing policy, and the remote-switching
+ * controller (Eq. 5 dynamics and convergence).
  */
 
 #include <gtest/gtest.h>
@@ -119,9 +119,9 @@ namespace {
 
 /**
  * The PE as it was modelled with a Fifo<Task> ring per queue and a RaW
- * scoreboard, at the single-cycle MAC: the reference the count-only PeArray
- * and CursorModels must match. An op issued at t retires at t + 1, so
- * the scoreboard must never stall.
+ * scoreboard, at the single-cycle MAC: the reference the count-only
+ * PeArray and the CursorModels queue copies must match together. An op
+ * issued at t retires at t + 1, so the scoreboard must never stall.
  */
 class RefPe
 {
@@ -209,14 +209,16 @@ class RefPe
     std::size_t roundPeak_ = 0;
 };
 
-/** Every counter the engine reads agrees between array slot p and its
- *  reference PE. */
+/** Every counter the engine reads agrees between array slot p, with
+ *  its one queue copy, and the reference PE. */
 void
-expectSamePe(const PeArray &pes, std::size_t p, const RefPe &ref, Cycle now)
+expectSamePe(const PeArray &pes, const CursorModels &models, std::size_t p,
+             const RefPe &ref, Cycle now)
 {
+    const CursorOutcome o = models.outcome(p, 0);
     EXPECT_EQ(pes.pending(p), ref.pending()) << now;
-    EXPECT_EQ(pes.arbiterCursor(p), ref.arbiterCursor()) << now;
-    EXPECT_EQ(pes.roundPeakQueueDepth(p), ref.roundPeakQueueDepth()) << now;
+    EXPECT_EQ(o.exit, ref.arbiterCursor()) << now;
+    EXPECT_EQ(o.peak, ref.roundPeakQueueDepth()) << now;
     EXPECT_EQ(pes.lastBusyCycle(p), ref.lastBusyCycle()) << now;
     EXPECT_EQ(pes.tasksThisRound(p), ref.tasksThisRound()) << now;
     EXPECT_EQ(pes.drained(p, now), ref.drained(now)) << now;
@@ -238,7 +240,7 @@ forQueueShapes(F &&body)
 
 TEST(PeArray, IssuesOneTaskPerCycleAndDrainsTheCycleAfter)
 {
-    PeArray pes(3, 4);
+    PeArray pes(3);
     for (int i = 0; i < 8; ++i) pes.enqueue(1);
     for (Cycle t = 0; t < 8; ++t) {
         EXPECT_FALSE(pes.drained(1, t));
@@ -261,11 +263,10 @@ TEST(PeArray, TickOnEmptyPeChangesNothing)
 {
     // Idle ticks are skipped outright; they must leave every counter the
     // engine reads unchanged.
-    PeArray pes(2, 2);
+    PeArray pes(2);
     for (Cycle t = 0; t < 5; ++t) EXPECT_FALSE(pes.tick(0, t));
     EXPECT_EQ(pes.tasksThisRound(0), 0);
     EXPECT_EQ(pes.lastBusyCycle(0), -1);
-    EXPECT_EQ(pes.arbiterCursor(0), 0u);
 
     pes.enqueue(0);
     EXPECT_TRUE(pes.tick(0, 5));
@@ -273,20 +274,25 @@ TEST(PeArray, TickOnEmptyPeChangesNothing)
     EXPECT_TRUE(pes.drained(0, 20));
     EXPECT_EQ(pes.tasksThisRound(0), 1);
     EXPECT_EQ(pes.lastBusyCycle(0), 5);
-    EXPECT_EQ(pes.arbiterCursor(0), 1u);
-    EXPECT_EQ(pes.arbiterCursor(1), 0u);
+    EXPECT_EQ(pes.tasksThisRound(1), 0);
+    EXPECT_EQ(pes.lastBusyCycle(1), -1);
 }
 
-// Each slot of a count-only PeArray against its own Fifo<Task>
-// reference on random bursts: up to three arrivals a cycle per slot,
-// drawn from eight rows so same-row neighbours are common, then one
-// tick of every slot. Every queue depth returned and every counter must
-// agree, cycle by cycle, and no reference's scoreboard may stall.
+// Each slot of a count-only PeArray, with the one copy per PE that the
+// queue models run on a round that fills no cursor table, against its
+// own Fifo<Task> reference on random bursts: up to three arrivals a
+// cycle per slot, drawn from eight rows so same-row neighbours are
+// common, then one tick of every slot. Every counter, exit cursor and
+// round peak must agree, cycle by cycle, and no reference's scoreboard
+// may stall.
 TEST(PeArray, CountOnlyMatchesFifoReference)
 {
     constexpr std::size_t kPes = 3;
     forQueueShapes([](int queues) {
-        PeArray pes(kPes, queues);
+        PeArray pes(kPes);
+        CursorModels models;
+        models.begin(std::vector<std::size_t>(kPes, 0),
+                     static_cast<std::size_t>(queues), false);
         std::vector<RefPe> ref(kPes, RefPe(queues));
         Rng rng(static_cast<std::uint64_t>(queues) * 16);
         std::vector<Count> enqueued(kPes, 0);
@@ -304,76 +310,98 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
                 const Index arrivals =
                     now >= 600 ? 0 : rng.nextIndex(burst ? 4 : 2);
                 for (Index i = 0; i < arrivals; ++i) {
-                    ASSERT_EQ(pes.enqueue(p),
-                              ref[p].enqueue({rng.nextIndex(8), 0}))
-                        << now;
+                    ref[p].enqueue({rng.nextIndex(8), 0});
+                    pes.enqueue(p);
+                    models.enqueue(p);
                     ++enqueued[p];
                 }
             }
             for (std::size_t p = 0; p < kPes; ++p) {
-                ASSERT_EQ(pes.tick(p, now), ref[p].tick(now)) << now;
+                const bool issued = ref[p].tick(now);
+                ASSERT_EQ(pes.tick(p, now), issued) << now;
+                if (issued) models.issue(p);
                 EXPECT_EQ(static_cast<Count>(pes.pending(p)),
                           enqueued[p] - pes.tasksThisRound(p))
                     << now;
-                expectSamePe(pes, p, ref[p], now);
+                expectSamePe(pes, models, p, ref[p], now);
             }
         }
         for (std::size_t p = 0; p < kPes; ++p) {
             EXPECT_EQ(ref[p].rawStalls(), 0);
             EXPECT_EQ(pes.tasksThisRound(p), enqueued[p]);
-            EXPECT_GT(pes.roundPeakQueueDepth(p), 0u);
+            EXPECT_GT(models.outcome(p, 0).peak, 0u);
         }
     });
 }
 
-// CursorModels against the reference: one Fifo<Task> PE per entry
-// cursor, all fed the same random accept/issue sequence, each with its
-// count-only twin in a slot of one PeArray. The models track as many
-// PEs as there are cursors, PE p entering at cursor p, so every slot
-// is some PE's stepped PE. The table must hold each reference's exit
-// cursor and round peak for every PE, across the drains that regroup
-// the copies. A burst builds the round's peak first; the sparser tail
-// drains often, so the peak must survive the regroups.
+// The queue models against the reference: one Fifo<Task> PE per entry
+// cursor, all fed the same random accept/issue sequence. The models
+// track as many PEs as there are cursors, PE p entering at cursor p.
+// Cycle by cycle, every copy of the all-cursors models must hold its
+// reference's cursor and round peak for every PE, across the drains
+// that regroup the copies, and so must the one copy per PE at its real
+// entry cursor; at the end, the round record is the same whether the
+// round fills a table or not. A burst builds the round's peak first;
+// the sparser tail drains often, so the peak must survive the regroups.
 TEST(CursorModels, MatchOnePePerEntryCursor)
 {
     forQueueShapes([](int queues) {
         const auto Q = static_cast<std::size_t>(queues);
         std::vector<RefPe> ref(Q, RefPe(queues));
-        PeArray pes(Q, queues);
         std::vector<std::size_t> entry(Q);
         for (std::size_t c = 0; c < Q; ++c) {
             ref[c].setArbiterCursor(c);
-            pes.setArbiterCursor(c, c);
             entry[c] = c;
         }
-        CursorModels models;
-        models.begin(Q, Q);
+        CursorModels all, one;
+        all.begin(entry, Q, true);
+        one.begin(entry, Q, false);
         Rng rng(Q * 16);
         Cycle now = 0;
+        auto expectOutcomes = [&] {
+            for (std::size_t p = 0; p < Q; ++p) {
+                const CursorOutcome o = one.outcome(p, 0);
+                EXPECT_EQ(o.exit, ref[p].arbiterCursor()) << now;
+                EXPECT_EQ(o.peak, ref[p].roundPeakQueueDepth()) << now;
+                for (std::size_t c = 0; c < Q; ++c) {
+                    const CursorOutcome t = all.outcome(p, c);
+                    EXPECT_EQ(t.exit, ref[c].arbiterCursor()) << now;
+                    EXPECT_EQ(t.peak, ref[c].roundPeakQueueDepth()) << now;
+                }
+            }
+        };
         auto issueAll = [&] {
             for (std::size_t c = 0; c < Q; ++c) {
                 ASSERT_TRUE(ref[c].tick(now));
-                ASSERT_TRUE(pes.tick(c, now));
-                models.issue(c);
+                all.issue(c);
+                one.issue(c);
             }
         };
         for (Index op = 0; op < 600; ++op, ++now) {
             const double accept = op < 150 ? 0.7 : 0.35;
             if (rng.nextBool(accept)) {
                 for (std::size_t c = 0; c < Q; ++c) {
-                    const std::size_t joined = ref[c].enqueue({op, 0});
-                    ASSERT_EQ(pes.enqueue(c), joined);
-                    models.enqueue(c, joined);
+                    ref[c].enqueue({op, 0});
+                    all.enqueue(c);
+                    one.enqueue(c);
                 }
             } else if (ref[0].pending() > 0) {
                 issueAll();
             }
+            expectOutcomes();
         }
-        for (; ref[0].pending() > 0; ++now) issueAll();
-        for (std::size_t c = 0; c < Q; ++c) expectSamePe(pes, c, ref[c], now);
+        for (; ref[0].pending() > 0; ++now) {
+            issueAll();
+            expectOutcomes();
+        }
 
-        const std::vector<CursorOutcome> table = models.finish(pes, entry);
+        RoundRecord tabulated, stepped;
+        all.finish(entry, tabulated);
+        one.finish(entry, stepped);
+        const std::vector<CursorOutcome> &table = tabulated.cursorTable;
         ASSERT_EQ(table.size(), Q * Q);
+        EXPECT_TRUE(stepped.cursorTable.empty());
+        std::size_t peak = 0;
         for (std::size_t p = 0; p < Q; ++p) {
             for (std::size_t c = 0; c < Q; ++c) {
                 EXPECT_EQ(table[p * Q + c].exit, ref[c].arbiterCursor())
@@ -382,13 +410,21 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
                           ref[c].roundPeakQueueDepth())
                     << p << " " << c;
             }
+            EXPECT_EQ(stepped.arbiterAfter[p], ref[p].arbiterCursor()) << p;
+            EXPECT_EQ(one.outcome(p, 0).peak, ref[p].roundPeakQueueDepth())
+                << p;
+            EXPECT_EQ(tabulated.arbiterAfter[p], stepped.arbiterAfter[p])
+                << p;
+            peak = std::max(peak, ref[p].roundPeakQueueDepth());
         }
+        EXPECT_EQ(stepped.peakQueue, peak);
+        EXPECT_EQ(tabulated.peakQueue, peak);
     });
 }
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)
 {
-    PeArray pes(5, 1);
+    PeArray pes(5);
     // Load PE 2 with 3 tasks, PE 1 with 1, PE 3 with 0.
     for (int i = 0; i < 3; ++i) pes.enqueue(2);
     pes.enqueue(1);
@@ -402,14 +438,14 @@ TEST(LocalShare, PicksLeastLoadedNeighbour)
 
 TEST(LocalShare, TieFavoursHome)
 {
-    PeArray pes(3, 1);
+    PeArray pes(3);
     LocalSharer s(1);
     EXPECT_EQ(s.choose(1, pes), 1);
 }
 
 TEST(LocalShare, RespectsArrayBounds)
 {
-    PeArray pes(4, 1);
+    PeArray pes(4);
     LocalSharer s(2);
     EXPECT_GE(s.choose(0, pes), 0);
     EXPECT_LE(s.choose(3, pes), 3);
@@ -417,7 +453,7 @@ TEST(LocalShare, RespectsArrayBounds)
 
 TEST(LocalShare, SkipsPesWithoutAFreePort)
 {
-    PeArray pes(3, 1);
+    PeArray pes(3);
     const int accepted[] = {0, 2, 0};  // home's two ports are taken
     LocalSharer s(1);
     int got = s.choose(1, pes, accepted, 2);
@@ -472,8 +508,7 @@ TEST(LocalShare, CountArrayMatchesReferenceLoop)
     for (int hops = 0; hops <= 3; ++hops) {
         for (int n : {1, 2, 7, 64}) {
             for (int trial = 0; trial < 700; ++trial, ++states) {
-                const int queues = 1 + static_cast<int>(rng.nextBounded(2));
-                PeArray pes(static_cast<std::size_t>(n), queues);
+                PeArray pes(static_cast<std::size_t>(n));
                 std::vector<std::size_t> pending(static_cast<std::size_t>(n));
                 std::vector<int> accepted(pending.size());
                 const int accept_cap =

@@ -117,10 +117,7 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     static const KnobCase cases[] = {
         {"oneQueue", [](AccelConfig &c) { c.numQueuesPerPe = 1; }},
         {"eightQueues", [](AccelConfig &c) { c.numQueuesPerPe = 8; }},
-        {"slowFabric", [](AccelConfig &c) {
-             c.networkSpeedup = 1;
-             c.omegaBufferDepth = 1;
-         }},
+        {"slowFabric", [](AccelConfig &c) { c.networkSpeedup = 1; }},
         {"cyclicMap", [](AccelConfig &c) {
              c.mapPolicy = RowMapPolicy::Cyclic;
          }},
@@ -170,12 +167,13 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
         return timing.h;
     };
     // Every timing field of the four runs, recorded per knob case before
-    // the event step was made work-proportional. A slow fabric never runs
-    // in the default workloads, so its digest is its only lock.
+    // the event step was made work-proportional; the slow fabric's once
+    // the router depth became fixed at 8. A fabric at the PE clock never
+    // runs in the default workloads, so its digest is its only lock.
     static const std::uint64_t recorded[] = {
         0x4176e2a4448fa4daULL,
         0x83cdcb8fac87457fULL,
-        0x817cbbfbeac5c03bULL,
+        0xcf7b788fa1fdef66ULL,
         0x2f0b8f41ac990e4fULL,
     };
     const std::uint64_t want = recorded[static_cast<std::size_t>(GetParam())];

@@ -265,10 +265,10 @@ TEST(Omega, SeededScheduleDigestAtNonPowerOfTwoDepth)
 
 TEST(Omega, SeededScheduleDigestAtEngineDefaults)
 {
-    // 64 ports at the engine's default fabric: depth 8, speedup 8.
+    // 64 ports at the engine's default fabric: depth 8 (fixed in the
+    // engine), speedup 8.
     const AccelConfig cfg;
-    const Schedule s =
-        seededSchedule(64, cfg.omegaBufferDepth, cfg.networkSpeedup);
+    const Schedule s = seededSchedule(64, 8, cfg.networkSpeedup);
     EXPECT_EQ(s.delivered, s.offered);
     EXPECT_EQ(s.delivered, 19279);
     EXPECT_EQ(s.blocked, 4741);
@@ -282,8 +282,7 @@ TEST(Omega, SeededScheduleDigestAt256Ports)
     // The 256-PE fabric of the event-step benchmark: 256 ports, depth 8,
     // speedup 8, eight stages.
     const AccelConfig cfg;
-    const Schedule s =
-        seededSchedule(256, cfg.omegaBufferDepth, cfg.networkSpeedup);
+    const Schedule s = seededSchedule(256, 8, cfg.networkSpeedup);
     EXPECT_EQ(s.delivered, s.offered);
     EXPECT_EQ(s.delivered, 76945);
     EXPECT_EQ(s.blocked, 18383);
