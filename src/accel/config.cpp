@@ -32,7 +32,6 @@ AccelConfig::validate(bool cycle_accurate_tdq2) const
     if (sharingHops < 0) return "sharingHops must be non-negative";
     if (trackingWindow < 1) return "trackingWindow must be >= 1";
     if (networkSpeedup < 1) return "networkSpeedup must be >= 1";
-    if (maxCyclesPerRound <= 0) return "maxCyclesPerRound must be positive";
     if (chips < 1) return "chips must be >= 1";
     // Combination checks: fields that are individually fine but make no
     // sense together.

@@ -7,7 +7,9 @@
  * hop counts to 2/3 (paper §5.2).
  *
  * The MAC latency is not a field: every design point accumulates in one
- * cycle, as the D5005's DSP MACCs do (accel/pe.hpp, DESIGN.md §6).
+ * cycle, as the D5005's DSP MACCs do (accel/pe.hpp, DESIGN.md §6). Nor
+ * are the Omega router depth and the round watchdog, which are constants
+ * of the SPMM engine (spmm_engine.cpp).
  */
 
 #pragma once
@@ -66,7 +68,6 @@ struct AccelConfig
      *  router output passes per PE cycle. The paper provisions the
      *  network so task distribution, not routing, limits throughput. */
     int networkSpeedup = 8;
-    Cycle maxCyclesPerRound = 100000000;  ///< watchdog
     /** Cycle-engine implementation (accel/spmm_engine.hpp). The default
      *  event engine steps every non-zero of every round the shared round
      *  cache does not hold, and replays those it does; the batched
@@ -97,9 +98,9 @@ struct AccelConfig
 
     /**
      * Check every field for out-of-range values (non-positive PE or
-     * queue counts, negative hop distances, a zero watchdog, ...) and
-     * for nonsensical field combinations (remote switching on fewer than
-     * 2 PEs, a sharing window wider than the PE array, the Eq. 5 shift
+     * queue counts, negative hop distances, ...) and for nonsensical
+     * field combinations (remote switching on fewer than 2 PEs, a
+     * sharing window wider than the PE array, the Eq. 5 shift
      * approximation without remote switching, an unregistered
      * balancePolicy or platform name). With `cycle_accurate_tdq2`,
      * additionally require the power-of-two PE count the Omega network

@@ -46,7 +46,6 @@ roundContextDigest(const CscMatrix &a, const AccelConfig &cfg, int tdq_kind)
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.numQueuesPerPe));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.sharingHops));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.networkSpeedup));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.maxCyclesPerRound));
     h = roundMix64(h ^ static_cast<std::uint64_t>(tdq_kind));
     return h;
 }

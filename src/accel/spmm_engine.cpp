@@ -33,6 +33,9 @@ constexpr int kReceivePorts = 4;
 /** Input-buffer slots of every Omega router (TDQ-2). */
 constexpr int kOmegaBufferDepth = 8;
 
+/** Cycles one round may run before the engine declares a deadlock. */
+constexpr Cycle kRoundWatchdog = 100000000;
+
 /** The cache context of SpGEMM round k: the operand's context mixed
  *  with B column k's row ids, which fix the round's task stream. */
 std::uint64_t
@@ -279,7 +282,7 @@ RoundCore::step(const std::vector<Index> &row,
         }
 
         ++now;
-        if (now - start > cfg.maxCyclesPerRound)
+        if (now - start > kRoundWatchdog)
             panic("SpmmEngine: round watchdog expired");
         if (issued == n && now >= drain_at) break;
     }

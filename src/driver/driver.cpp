@@ -95,7 +95,7 @@ runSweepCli(CommandLine &cl)
         choices({"--modes"}, "m1,m2,..", o.modes,
                 "model, cycle, tdq1, tdq2, graphsage, gin, khop, bfs, "
                 "pagerank or churn",
-                parseSweepMode, sweepModeName),
+                exec::parseMode, exec::modeName),
         choice({"--engine"}, "E", o.engine,
                "event or batched cycle engine (DESIGN.md §6)",
                parseEngineKind, engineKindName),

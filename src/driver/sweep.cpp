@@ -42,18 +42,6 @@ executeOnce(const SweepPoint &p, const SweepOptions &opts)
 
 } // namespace
 
-std::string
-sweepModeName(SweepMode m)
-{
-    return exec::modeName(m);
-}
-
-SweepMode
-parseSweepMode(const std::string &s)
-{
-    return exec::parseMode(s);
-}
-
 std::uint64_t
 derivePointSeed(std::uint64_t global_seed, std::size_t index)
 {
@@ -86,7 +74,7 @@ expandGrid(const SweepOptions &opts)
             const BalancePolicy &pol =
                 PolicyRegistry::instance().get(design);
             for (int pes : opts.peCounts) {
-                for (SweepMode mode : opts.modes) {
+                for (exec::Mode mode : opts.modes) {
                     for (const std::string &platform : opts.platforms) {
                         // Validate early; fatal() on an unknown name.
                         findPlatform(platform);
@@ -158,7 +146,7 @@ runSweep(const SweepOptions &opts, const std::vector<SweepPoint> &points)
                              i + 1, points.size(),
                              points[i].dataset.c_str(),
                              points[i].policy.c_str(), points[i].pes,
-                             sweepModeName(points[i].mode).c_str(),
+                             exec::modeName(points[i].mode).c_str(),
                              points[i].platform.c_str(),
                              outcomes[i].ok ? "ok"
                                             : outcomes[i].error.c_str());
@@ -208,7 +196,7 @@ sweepToJson(const SweepOptions &opts,
     for (int c : opts.chipCounts) chips.push(c);
     grid.set("chip_counts", std::move(chips));
     Json modes = Json::array();
-    for (SweepMode m : opts.modes) modes.push(sweepModeName(m));
+    for (exec::Mode m : opts.modes) modes.push(exec::modeName(m));
     grid.set("modes", std::move(modes));
     doc.set("grid", std::move(grid));
 
@@ -223,7 +211,7 @@ sweepToJson(const SweepOptions &opts,
         p.set("platform", o.point.platform);
         p.set("pes", o.point.pes);
         p.set("chips", o.point.chips);
-        p.set("mode", sweepModeName(o.point.mode));
+        p.set("mode", exec::modeName(o.point.mode));
         p.set("seed", o.point.seed);
         p.set("ok", o.ok);
         if (!o.ok) {
@@ -268,12 +256,12 @@ sweepTable(const std::vector<SweepOutcome> &outcomes)
         std::string label =
             PolicyRegistry::instance().get(o.point.policy).label;
         if (!o.ok) {
-            t.addRow({sweepModeName(o.point.mode), o.point.dataset, label,
+            t.addRow({exec::modeName(o.point.mode), o.point.dataset, label,
                       std::to_string(o.point.pes), "ERROR: " + o.error, "",
                       "", "", "", ""});
             continue;
         }
-        t.addRow({sweepModeName(o.point.mode), o.point.dataset, label,
+        t.addRow({exec::modeName(o.point.mode), o.point.dataset, label,
                   std::to_string(o.point.pes),
                   humanCount(static_cast<double>(o.cycles)),
                   percent(o.utilization), std::to_string(o.peakTqDepth),

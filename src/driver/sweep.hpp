@@ -33,13 +33,6 @@
 
 namespace awb::driver {
 
-/** What one sweep point executes — the execution core's Mode
- *  (exec/run.hpp), aliased for the sweep's historical spelling. */
-using SweepMode = exec::Mode;
-
-std::string sweepModeName(SweepMode m);
-SweepMode parseSweepMode(const std::string &s);
-
 /** The grid axes plus execution knobs. */
 struct SweepOptions
 {
@@ -63,12 +56,12 @@ struct SweepOptions
      *  the workload-graph modes (graphsage, gin, khop) produce
      *  per-point error rows for chips > 1. */
     std::vector<int> chipCounts = {1};
-    std::vector<SweepMode> modes = {SweepMode::Model};
+    std::vector<exec::Mode> modes = {exec::Mode::Model};
     /** Cycle-engine implementation for the cycle-accurate modes
      *  (`--engine`): the per-non-zero event engine, or the round-batched
      *  engine whose statistics are bit-identical but whose wall clock
      *  makes Reddit-scale cycle sweeps feasible (DESIGN.md §6). Ignored
-     *  by SweepMode::Model. */
+     *  by exec::Mode::Model. */
     EngineKind engine = EngineKind::Event;
     double scale = 1.0;        ///< dataset node-count scale
     std::uint64_t seed = 1;    ///< global seed; per-point seeds derive
@@ -87,7 +80,7 @@ struct SweepPoint
     std::string platform = "unconstrained";  ///< registered platform name
     int pes = 0;
     int chips = 1;             ///< accelerator chips (row sharding, §9)
-    SweepMode mode = SweepMode::Model;
+    exec::Mode mode = exec::Mode::Model;
     std::uint64_t seed = 0;    ///< derived, deterministic per dataset
 };
 

@@ -42,7 +42,7 @@ struct SessionResult;
 
 namespace awb::exec {
 
-/** What one request executes (the sweep's SweepMode is an alias). */
+/** What one request executes (a sweep point's mode, too). */
 enum class Mode
 {
     Model,     ///< round-level PerfModel, full 2-layer GCN (any scale)

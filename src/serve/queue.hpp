@@ -1,20 +1,24 @@
 /**
  * @file
  * Admission-controlled request queue of the serving front end
- * (DESIGN.md §10). A thin policy layer over the hardware Fifo: arrivals
- * that find the queue full are *dropped* (counted, never blocked — an
- * open-loop client does not wait for admission), and queued requests
- * whose age exceeds the deadline are *timed out* and evicted before each
- * dispatch decision. Both failure counts feed the SLO accounting.
+ * (DESIGN.md §10). Waiting requests sit in arrival order in a
+ * std::deque: arrivals that find the queue full are *dropped* (counted,
+ * never blocked — an open-loop client does not wait for admission), and
+ * queued requests whose age exceeds the deadline are *timed out* and
+ * evicted before each dispatch decision. Both failure counts feed the
+ * SLO accounting, and the peak depth sizes the queue a deployment needs.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <deque>
+#include <utility>
 #include <vector>
 
+#include "common/log.hpp"
 #include "serve/request.hpp"
-#include "sim/fifo.hpp"
 
 namespace awb::serve {
 
@@ -23,13 +27,20 @@ class RequestQueue
 {
   public:
     /** capacity == 0 means unbounded. */
-    explicit RequestQueue(std::size_t capacity) : q_(capacity) {}
+    explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {}
 
     /** Admit an arrival; false (and a counted drop) when full. */
     bool
     admit(Request r)
     {
-        return q_.push(std::move(r));
+        if (capacity_ != 0 && q_.size() >= capacity_) {
+            ++dropped_;
+            return false;
+        }
+        q_.push_back(std::move(r));
+        ++admitted_;
+        peak_ = std::max(peak_, q_.size());
+        return true;
     }
 
     /**
@@ -44,8 +55,8 @@ class RequestQueue
         if (timeout <= 0) return 0;
         std::size_t evicted = 0;
         for (std::size_t i = 0; i < q_.size();) {
-            if (now - q_.at(i).arrival > timeout) {
-                Request r = q_.erase(i);
+            if (now - q_[i].arrival > timeout) {
+                Request r = take(i);
                 if (out) out->push_back(std::move(r));
                 ++evicted;
             } else {
@@ -63,8 +74,8 @@ class RequestQueue
     {
         if (timeout <= 0 || q_.empty()) return -1;
         Cycle earliest = -1;
-        for (std::size_t i = 0; i < q_.size(); ++i) {
-            const Cycle at = q_.at(i).arrival + timeout + 1;
+        for (const Request &r : q_) {
+            const Cycle at = r.arrival + timeout + 1;
             if (earliest < 0 || at < earliest) earliest = at;
         }
         return earliest;
@@ -72,17 +83,40 @@ class RequestQueue
 
     bool empty() const { return q_.empty(); }
     std::size_t size() const { return q_.size(); }
-    const Request &at(std::size_t i) const { return q_.at(i); }
-    Request take(std::size_t i) { return q_.erase(i); }
 
-    Count dropped() const { return q_.rejectedPushes(); }
+    /** Indexed peek (0 == oldest). panic() on out-of-range: the batch
+     *  disciplines are a registry anyone can add to. */
+    const Request &
+    at(std::size_t i) const
+    {
+        if (i >= q_.size()) panic("RequestQueue::at index out of range");
+        return q_[i];
+    }
+
+    /** Remove the request at index i, keeping the order of the rest
+     *  (sjf-nnz and dyn-batch take from the middle). panic() on
+     *  out-of-range. */
+    Request
+    take(std::size_t i)
+    {
+        if (i >= q_.size()) panic("RequestQueue::take index out of range");
+        Request r = std::move(q_[i]);
+        q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(i));
+        return r;
+    }
+
+    Count dropped() const { return dropped_; }
     Count timedOut() const { return timedOut_; }
-    Count admitted() const { return q_.totalPushes(); }
-    std::size_t peakDepth() const { return q_.peakOccupancy(); }
+    Count admitted() const { return admitted_; }
+    std::size_t peakDepth() const { return peak_; }
 
   private:
-    Fifo<Request> q_;
+    std::size_t capacity_;
+    std::deque<Request> q_;
+    Count admitted_ = 0;
+    Count dropped_ = 0;
     Count timedOut_ = 0;
+    std::size_t peak_ = 0;
 };
 
 } // namespace awb::serve

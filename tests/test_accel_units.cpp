@@ -3,14 +3,15 @@
  * Unit tests for the accelerator building blocks: configuration factory,
  * row partition, PE array (issue and drain timing, idle ticks, occupancy
  * counters), the queue models (arbitration, exit cursors and peaks, one
- * copy per PE and one per entry cursor), both against a Fifo<Task>
- * reference PE, local sharing policy, and the remote-switching
- * controller (Eq. 5 dynamics and convergence).
+ * copy per PE and one per entry cursor), both against a reference PE
+ * with a std::deque<Task> per queue, local sharing policy, and the
+ * remote-switching controller (Eq. 5 dynamics and convergence).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 
 #include "accel/config.hpp"
@@ -22,7 +23,6 @@
 #include "accel/row_map.hpp"
 #include "accel/task.hpp"
 #include "common/rng.hpp"
-#include "sim/fifo.hpp"
 
 using namespace awb;
 
@@ -118,7 +118,7 @@ TEST(RowPartitionDeath, NonPositiveSizesAreRefused)
 namespace {
 
 /**
- * The PE as it was modelled with a Fifo<Task> ring per queue and a RaW
+ * The PE as it was modelled with a task object per queue entry and a RaW
  * scoreboard, at the single-cycle MAC: the reference the count-only
  * PeArray and the CursorModels queue copies must match together. An op
  * issued at t retires at t + 1, so the scoreboard must never stall.
@@ -127,8 +127,8 @@ class RefPe
 {
   public:
     explicit RefPe(int num_queues)
+        : queues_(static_cast<std::size_t>(num_queues))
     {
-        for (int q = 0; q < num_queues; ++q) queues_.emplace_back(0);
     }
 
     std::size_t pending() const { return pending_; }
@@ -143,10 +143,10 @@ class RefPe
     std::size_t
     enqueue(const Task &task)
     {
-        Fifo<Task> *best = nullptr;
+        std::deque<Task> *best = nullptr;
         for (auto &q : queues_)
             if (best == nullptr || q.size() < best->size()) best = &q;
-        best->push(task);
+        best->push_back(task);
         ++pending_;
         roundPeak_ = std::max(roundPeak_, best->size());
         return best->size();
@@ -164,9 +164,10 @@ class RefPe
         const std::size_t nq = queues_.size();
         std::size_t qi = cursor_;
         for (std::size_t i = 0; i < nq; ++i, qi = (qi + 1) % nq) {
-            Fifo<Task> &q = queues_[qi];
+            std::deque<Task> &q = queues_[qi];
             if (q.empty() || rowInFlight(q.front().row)) continue;
-            const Task t = q.pop();
+            const Task t = q.front();
+            q.pop_front();
             --pending_;
             cursor_ = (qi + 1) % nq;
             inflight_.push_back({t.row, now + 1});
@@ -199,7 +200,7 @@ class RefPe
         Index row;
         Cycle done;
     };
-    std::vector<Fifo<Task>> queues_;
+    std::vector<std::deque<Task>> queues_;
     std::vector<InFlight> inflight_;
     std::size_t pending_ = 0;
     std::size_t cursor_ = 0;
@@ -280,7 +281,7 @@ TEST(PeArray, TickOnEmptyPeChangesNothing)
 
 // Each slot of a count-only PeArray, with the one copy per PE that the
 // queue models run on a round that fills no cursor table, against its
-// own Fifo<Task> reference on random bursts: up to three arrivals a
+// own reference on random bursts: up to three arrivals a
 // cycle per slot, drawn from eight rows so same-row neighbours are
 // common, then one tick of every slot. Every counter, exit cursor and
 // round peak must agree, cycle by cycle, and no reference's scoreboard
@@ -334,7 +335,7 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
     });
 }
 
-// The queue models against the reference: one Fifo<Task> PE per entry
+// The queue models against the reference: one RefPe per entry
 // cursor, all fed the same random accept/issue sequence. The models
 // track as many PEs as there are cursors, PE p entering at cursor p.
 // Cycle by cycle, every copy of the all-cursors models must hold its

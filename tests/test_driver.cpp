@@ -33,7 +33,7 @@ smallGrid()
     opts.datasets = {"cora", "citeseer"};
     opts.designs = {"baseline", "remote-d"};
     opts.peCounts = {32, 64};
-    opts.modes = {SweepMode::Model};
+    opts.modes = {exec::Mode::Model};
     opts.scale = 0.5;
     opts.seed = 7;
     return opts;
@@ -136,15 +136,15 @@ TEST(ScenarioRegistry, RunReceivesContext)
 TEST(SweepGrid, ExpansionIsFullCrossProduct)
 {
     SweepOptions opts = smallGrid();
-    opts.modes = {SweepMode::Model, SweepMode::Cycle};
+    opts.modes = {exec::Mode::Model, exec::Mode::Cycle};
     auto points = expandGrid(opts);
     EXPECT_EQ(points.size(), 2u * 2u * 2u * 2u);
     for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(points[i].index, i);
     // Axis order: dataset (slowest), design, PEs, mode (fastest).
     EXPECT_EQ(points[0].dataset, "cora");
-    EXPECT_EQ(points[0].mode, SweepMode::Model);
-    EXPECT_EQ(points[1].mode, SweepMode::Cycle);
+    EXPECT_EQ(points[0].mode, exec::Mode::Model);
+    EXPECT_EQ(points[1].mode, exec::Mode::Cycle);
     EXPECT_EQ(points[2].pes, 64);
     EXPECT_EQ(points[8].dataset, "citeseer");
 }
@@ -202,7 +202,7 @@ TEST(Sweep, CycleModeMatchesAcceleratorAndChecksPow2)
     opts.datasets = {"cora"};
     opts.designs = {"remote-d"};
     opts.peCounts = {24};  // not a power of two
-    opts.modes = {SweepMode::Cycle};
+    opts.modes = {exec::Mode::Cycle};
     opts.scale = 0.2;
     auto outcomes = runSweep(opts);
     ASSERT_EQ(outcomes.size(), 1u);
@@ -223,7 +223,7 @@ TEST(Sweep, TdqModesRun)
     opts.datasets = {"cora"};
     opts.designs = {"local-a"};
     opts.peCounts = {16};
-    opts.modes = {SweepMode::SpmmTdq1, SweepMode::SpmmTdq2};
+    opts.modes = {exec::Mode::SpmmTdq1, exec::Mode::SpmmTdq2};
     opts.scale = 0.1;
     auto outcomes = runSweep(opts);
     ASSERT_EQ(outcomes.size(), 2u);
@@ -271,9 +271,9 @@ TEST(Sweep, JsonSchema)
 
 TEST(Sweep, ModeNamesRoundTrip)
 {
-    for (SweepMode m : {SweepMode::Model, SweepMode::Cycle,
-                        SweepMode::SpmmTdq1, SweepMode::SpmmTdq2})
-        EXPECT_EQ(parseSweepMode(sweepModeName(m)), m);
+    for (exec::Mode m : {exec::Mode::Model, exec::Mode::Cycle,
+                         exec::Mode::SpmmTdq1, exec::Mode::SpmmTdq2})
+        EXPECT_EQ(exec::parseMode(exec::modeName(m)), m);
 }
 
 // ------------------------------------------------- thread resolution
@@ -345,8 +345,8 @@ TEST(Sweep, ShardedWorkloadGraphModeNamesTheUnsupportedCombination)
     // must produce an error row that names the exact mode × chips pair
     // and the modes that DO support sharding.
     SweepOptions opts = smallGrid();
-    for (SweepMode mode :
-         {SweepMode::GraphSage, SweepMode::Gin, SweepMode::KhopGcn}) {
+    for (exec::Mode mode :
+         {exec::Mode::GraphSage, exec::Mode::Gin, exec::Mode::KhopGcn}) {
         SweepPoint p;
         p.dataset = "cora";
         p.policy = "baseline";
@@ -355,7 +355,7 @@ TEST(Sweep, ShardedWorkloadGraphModeNamesTheUnsupportedCombination)
         p.mode = mode;
         SweepOutcome out = runSweepPoint(p, opts);
         EXPECT_FALSE(out.ok);
-        EXPECT_NE(out.error.find("mode '" + sweepModeName(mode) +
+        EXPECT_NE(out.error.find("mode '" + exec::modeName(mode) +
                                  "' with chips=2 is unsupported"),
                   std::string::npos)
             << out.error;
@@ -369,7 +369,7 @@ TEST(Sweep, ShardedWorkloadGraphModeNamesTheUnsupportedCombination)
     ok_point.policy = "baseline";
     ok_point.pes = 32;
     ok_point.chips = 1;
-    ok_point.mode = SweepMode::GraphSage;
+    ok_point.mode = exec::Mode::GraphSage;
     EXPECT_TRUE(runSweepPoint(ok_point, opts).ok);
 }
 

@@ -117,7 +117,7 @@ TEST(BatchedEngine, CycleModeGcnBitIdenticalOnSixPoliciesThreeDatasets)
     opts.designs = {"baseline", "local-a", "local-b",
                     "remote-c", "remote-d", "eie-like"};
     opts.peCounts = {64};
-    opts.modes = {driver::SweepMode::Cycle};
+    opts.modes = {exec::Mode::Cycle};
     opts.seed = 7;
 
     auto points = driver::expandGrid(opts);

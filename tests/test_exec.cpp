@@ -351,7 +351,7 @@ TEST(ExecSweep, JsonIsByteIdenticalWithCachesOnOrOff)
     opts.datasets = {"cora"};
     opts.designs = {"baseline", "remote-d"};
     opts.peCounts = {32};
-    opts.modes = {SweepMode::Model, SweepMode::Cycle};
+    opts.modes = {exec::Mode::Model, exec::Mode::Cycle};
     opts.scale = 0.4;
     opts.seed = 7;
     opts.threads = 2;
@@ -370,7 +370,7 @@ TEST(ExecSweep, JsonIsByteIdenticalAtAnyIntraThreadCount)
     opts.datasets = {"cora"};
     opts.designs = {"remote-d"};
     opts.peCounts = {32};
-    opts.modes = {SweepMode::Cycle};
+    opts.modes = {exec::Mode::Cycle};
     opts.scale = 0.4;
     opts.seed = 7;
     opts.threads = 1;

@@ -321,7 +321,7 @@ TEST(MemoryModelEquivalence, UnconstrainedIsBitIdenticalOnSixPolicies)
     opts.designs = {"baseline", "local-a", "local-b",
                     "remote-c", "remote-d", "eie-like"};
     opts.peCounts = {64};
-    opts.modes = {driver::SweepMode::Cycle};
+    opts.modes = {exec::Mode::Cycle};
     opts.seed = 7;
 
     for (EngineKind engine : {EngineKind::Event, EngineKind::Batched}) {

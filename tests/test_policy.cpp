@@ -396,7 +396,7 @@ TEST(EnumPolicyEquivalence, SweepMatchesEnumEraNumbersAt512Pes)
     opts.designs = {"baseline", "local-a", "local-b",
                     "remote-c", "remote-d", "eie-like"};
     opts.peCounts = {512};
-    opts.modes = {driver::SweepMode::Model};
+    opts.modes = {exec::Mode::Model};
     opts.seed = 7;
 
     auto points = driver::expandGrid(opts);
@@ -518,7 +518,7 @@ TEST(Sweep, InvalidPolicyCombinationBecomesAPerPointErrorRow)
     opts.datasets = {"cora"};
     opts.designs = {"baseline", "remote-c"};
     opts.peCounts = {1, 32};
-    opts.modes = {driver::SweepMode::Model};
+    opts.modes = {exec::Mode::Model};
 
     auto outcomes = driver::runSweep(opts);
     ASSERT_EQ(outcomes.size(), 4u);
@@ -540,7 +540,7 @@ TEST(NewPolicies, RunEndToEndThroughTheSweepInBothFidelities)
     opts.datasets = {"cora"};
     opts.designs = {"degree-sorted", "work-steal", "rechunk"};
     opts.peCounts = {32};
-    opts.modes = {driver::SweepMode::Model, driver::SweepMode::Cycle};
+    opts.modes = {exec::Mode::Model, exec::Mode::Cycle};
     opts.scale = 0.2;
     opts.seed = 11;
 
@@ -548,7 +548,7 @@ TEST(NewPolicies, RunEndToEndThroughTheSweepInBothFidelities)
     ASSERT_EQ(outcomes.size(), 6u);
     for (const auto &o : outcomes) {
         ASSERT_TRUE(o.ok) << o.point.policy << " "
-                          << driver::sweepModeName(o.point.mode) << ": "
+                          << exec::modeName(o.point.mode) << ": "
                           << o.error;
         EXPECT_GT(o.cycles, 0);
         EXPECT_GT(o.tasks, 0);

@@ -5,10 +5,11 @@
  *    supported width;
  *  - degree samplers hit totals across exponents and caps;
  *  - the cycle engine's functional exactness and exact task delivery are
- *    insensitive to every distribution-path knob (queue counts/depths,
- *    scan width, inject width, network speedup/buffers, MAC latency),
- *    and each knob's timing fields match a recorded digest, with the
- *    shared round cache off, cold and warm;
+ *    insensitive to every distribution-path knob (queue count, network
+ *    speedup, row map), and each knob's timing fields match a recorded
+ *    digest, with the shared round cache off, cold and warm; the
+ *    batched engine misses its within-run memo as often with that cache
+ *    on as off;
  *  - water-filling monotonicity and bounds;
  *  - workload conservation under arbitrary remote-switching sequences;
  *  - randomized CSR/CSC churn mutation: structural invariants and
@@ -135,16 +136,17 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
     b.fillUniform(rng, -1.0f, 1.0f);
     auto golden = spmmCsc(a, b);
 
-    // One run's timing fields, folded into `timing`.
+    // One run's timing fields, folded into `timing`; its within-run
+    // memo misses, added to `simulated`.
     auto addRun = [&](TdqKind kind, const char *design, EngineKind engine,
-                      Digest &timing) {
+                      int pes, Digest &timing, Count &simulated) {
         SCOPED_TRACE(std::string(kc.name) +
                      " kind=" + std::to_string(static_cast<int>(kind)) +
-                     " design=" + design);
-        AccelConfig cfg = makePolicyConfig(design, 8);
+                     " design=" + design + " pes=" + std::to_string(pes));
+        AccelConfig cfg = makePolicyConfig(design, pes);
         kc.apply(cfg);
         cfg.engine = engine;
-        RowPartition part(60, 8, cfg.mapPolicy);
+        RowPartition part(60, pes, cfg.mapPolicy);
         auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
         EXPECT_LT(golden.maxAbsDiff(c), 1e-4);
         expectExactDelivery(a, 5, cfg, part, stats);
@@ -155,16 +157,23 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
         timing.add(stats.peakQueueDepth);
         timing.add(stats.peakNetworkDepth);
         timing.add(static_cast<std::uint64_t>(stats.rowsSwitched));
+        simulated += stats.roundsSimulated;
     };
     // Both TDQ paths. Remote-D exercises sharing and row moves; the
     // baseline pins every task to its home PE, so per-PE counts are
     // exact too.
-    auto digestRuns = [&](EngineKind engine) {
+    struct Runs
+    {
+        std::uint64_t digest;
+        Count simulated;
+    };
+    auto digestRuns = [&](EngineKind engine, int pes = 8) {
         Digest timing;
+        Count simulated = 0;
         for (TdqKind kind : {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc})
             for (const char *design : {"remote-d", "baseline"})
-                addRun(kind, design, engine, timing);
-        return timing.h;
+                addRun(kind, design, engine, pes, timing, simulated);
+        return Runs{timing.h, simulated};
     };
     // Every timing field of the four runs, recorded per knob case before
     // the event step was made work-proportional; the slow fabric's once
@@ -177,8 +186,19 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
         0x2f0b8f41ac990e4fULL,
     };
     const std::uint64_t want = recorded[static_cast<std::size_t>(GetParam())];
-    const std::uint64_t off = digestRuns(EngineKind::Event);
+    const std::uint64_t off = digestRuns(EngineKind::Event).digest;
     EXPECT_EQ(off, want) << kc.name << " 0x" << std::hex << off;
+    // The batched engine's memo keys on the arbiter cursors. With the
+    // shared cache off they come from one queue model per PE, started at
+    // its real entry cursor; with it on, from the cursor tables. A wrong
+    // entry cursor shows as a different count of memo misses. At 8 PEs
+    // no knob case's count moves when the one-copy models start at
+    // cursor 0, so the runs are repeated at 16 PEs, where three do.
+    const Runs batched_off = digestRuns(EngineKind::Batched);
+    EXPECT_EQ(batched_off.digest, want)
+        << kc.name << " batched, cache off 0x" << std::hex
+        << batched_off.digest;
+    const Count wide_off = digestRuns(EngineKind::Batched, 16).simulated;
 
     // The same digest with the shared round cache on: cold, warm, and
     // warm under the batched engine's within-run memo. These knobs are
@@ -196,12 +216,16 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
             RoundStateCache::instance().clear();
         }
     } cache_on;
-    const std::uint64_t cold = digestRuns(EngineKind::Event);
+    const std::uint64_t cold = digestRuns(EngineKind::Event).digest;
     EXPECT_EQ(cold, want) << kc.name << " cold 0x" << std::hex << cold;
-    const std::uint64_t warm = digestRuns(EngineKind::Event);
+    const std::uint64_t warm = digestRuns(EngineKind::Event).digest;
     EXPECT_EQ(warm, want) << kc.name << " warm 0x" << std::hex << warm;
-    const std::uint64_t memo = digestRuns(EngineKind::Batched);
-    EXPECT_EQ(memo, want) << kc.name << " batched 0x" << std::hex << memo;
+    const Runs memo = digestRuns(EngineKind::Batched);
+    EXPECT_EQ(memo.digest, want)
+        << kc.name << " batched 0x" << std::hex << memo.digest;
+    EXPECT_EQ(memo.simulated, batched_off.simulated) << kc.name;
+    EXPECT_EQ(digestRuns(EngineKind::Batched, 16).simulated, wide_off)
+        << kc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKnobs, EngineKnobs, ::testing::Range(0, 4));

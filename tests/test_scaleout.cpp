@@ -841,7 +841,7 @@ TEST(ScaleoutSweep, ChipsAxisSurfacesInJson)
     opts.datasets = {"cora"};
     opts.designs = {"remote-d"};
     opts.peCounts = {16};
-    opts.modes = {driver::SweepMode::Model};
+    opts.modes = {exec::Mode::Model};
     opts.chipCounts = {1, 2};
     opts.scale = 0.3;
     opts.threads = 1;
@@ -867,8 +867,8 @@ TEST(ScaleoutSweep, ChipsBeyondRowsAreErrorRows)
 {
     driver::SweepOptions opts;
     opts.datasets = {"cora"};
-    opts.modes = {driver::SweepMode::Model, driver::SweepMode::Cycle,
-                  driver::SweepMode::SpmmTdq1, driver::SweepMode::SpmmTdq2};
+    opts.modes = {exec::Mode::Model, exec::Mode::Cycle,
+                  exec::Mode::SpmmTdq1, exec::Mode::SpmmTdq2};
     opts.chipCounts = {64};
     opts.scale = 0.005;  // 16 rows
     opts.threads = 2;
@@ -876,7 +876,7 @@ TEST(ScaleoutSweep, ChipsBeyondRowsAreErrorRows)
     auto outcomes = driver::runSweep(opts);
     ASSERT_EQ(outcomes.size(), opts.designs.size() * opts.modes.size());
     for (const auto &o : outcomes) {
-        EXPECT_FALSE(o.ok) << driver::sweepModeName(o.point.mode);
+        EXPECT_FALSE(o.ok) << exec::modeName(o.point.mode);
         EXPECT_NE(o.error.find("chips=64 exceeds the operand's 16 rows"),
                   std::string::npos)
             << o.error;
@@ -890,7 +890,7 @@ TEST(ScaleoutSweep, ChipsBeyondRowsAreErrorRows)
 
     opts.designs = {"remote-d"};
     opts.peCounts = {16};
-    opts.modes = {driver::SweepMode::Bfs};
+    opts.modes = {exec::Mode::Bfs};
     outcomes = driver::runSweep(opts);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;

@@ -2,11 +2,13 @@
  * @file
  * Inference-serving tests (DESIGN.md §10): closed-form latencies on
  * hand-built traces through the real event loop, discipline semantics
- * (fifo / sjf-nnz / dyn-batch), drop/timeout accounting, SLO counting,
- * percentile and depth-trace units, ego extraction, request-generator
- * determinism, the discipline registry's near-miss diagnostics, and the
- * headline guarantee: the same options render byte-identical serving
- * JSON across repeated runs and across sweep thread counts.
+ * (fifo / sjf-nnz / dyn-batch), the request queue (drop/timeout and
+ * peak accounting, in-order takes from anywhere, range panics), SLO
+ * counting, percentile and depth-trace units, ego extraction,
+ * request-generator determinism, the discipline registry's near-miss
+ * diagnostics, and the headline guarantee: the same options render
+ * byte-identical serving JSON across repeated runs and across sweep
+ * thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -152,6 +154,91 @@ TEST(ServeQueue, AdmitDropExpireAccounting)
     EXPECT_EQ(q.timedOut(), 1);
     EXPECT_EQ(q.size(), 1u);
     EXPECT_EQ(q.expire(101, 0), 0u);  // disabled timeout never evicts
+}
+
+// The disciplines read the queue by index and take from anywhere in it
+// (sjf-nnz the smallest, dyn-batch every same-class member); what is
+// left must stay in arrival order, and the requests must keep what they
+// own.
+TEST(ServeQueue, TakeFromTheMiddleKeepsTheOrderOfTheRest)
+{
+    RequestQueue q(0);
+    for (std::uint64_t id = 0; id < 5; ++id) {
+        Request r = traceRequest(id, static_cast<Cycle>(id));
+        r.nodes.assign(id + 1, static_cast<Index>(id));
+        q.admit(std::move(r));
+    }
+    const Request mid = q.take(2);
+    EXPECT_EQ(mid.id, 2u);
+    EXPECT_EQ(mid.nodes, std::vector<Index>(3, 2));
+    ASSERT_EQ(q.size(), 4u);
+    const std::uint64_t rest[] = {0, 1, 3, 4};
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(q.at(i).id, rest[i]);
+        EXPECT_EQ(q.at(i).nodes.size(), rest[i] + 1);
+    }
+    EXPECT_EQ(q.take(3).id, 4u);  // the back
+    EXPECT_EQ(q.take(0).id, 0u);  // the front
+    EXPECT_EQ(q.at(0).id, 1u);
+    EXPECT_EQ(q.at(1).id, 3u);
+}
+
+TEST(ServeQueue, PeakIsAHighWaterMarkAcrossTakesAndReadmits)
+{
+    RequestQueue q(3);  // not a power of two: full at exactly three
+    for (std::uint64_t id = 0; id < 4; ++id) q.admit(traceRequest(id, 0));
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.dropped(), 1);
+    q.take(0);
+    q.take(0);
+    EXPECT_TRUE(q.admit(traceRequest(4, 1)));
+    EXPECT_EQ(q.peakDepth(), 3u);  // depth 2 now; the mark stays
+    EXPECT_TRUE(q.admit(traceRequest(5, 1)));
+    EXPECT_FALSE(q.admit(traceRequest(6, 1)));
+    EXPECT_EQ(q.admitted(), 5);
+    EXPECT_EQ(q.dropped(), 2);
+    EXPECT_EQ(q.peakDepth(), 3u);
+    EXPECT_EQ(q.at(0).id, 2u);
+    EXPECT_EQ(q.at(2).id, 5u);
+
+    // Capacity one alternates between full and empty.
+    RequestQueue one(1);
+    for (std::uint64_t id = 0; id < 3; ++id) {
+        EXPECT_TRUE(one.admit(traceRequest(id, 0)));
+        EXPECT_FALSE(one.admit(traceRequest(id + 10, 0)));
+        EXPECT_EQ(one.take(0).id, id);
+        EXPECT_TRUE(one.empty());
+    }
+    EXPECT_EQ(one.admitted(), 3);
+    EXPECT_EQ(one.dropped(), 3);
+    EXPECT_EQ(one.peakDepth(), 1u);
+}
+
+TEST(ServeQueue, CapacityZeroIsUnbounded)
+{
+    RequestQueue q(0);
+    for (std::uint64_t id = 0; id < 5000; ++id)
+        EXPECT_TRUE(q.admit(traceRequest(id, 0)));
+    for (std::uint64_t id = 0; id < 3000; ++id)
+        EXPECT_EQ(q.take(0).id, id);
+    for (std::uint64_t id = 0; id < 10; ++id)
+        EXPECT_TRUE(q.admit(traceRequest(5000 + id, 0)));
+    EXPECT_EQ(q.size(), 2010u);
+    EXPECT_EQ(q.admitted(), 5010);
+    EXPECT_EQ(q.dropped(), 0);
+    EXPECT_EQ(q.peakDepth(), 5000u);
+    EXPECT_EQ(q.at(0).id, 3000u);
+    EXPECT_EQ(q.at(2009).id, 5009u);
+}
+
+TEST(ServeQueueDeath, OutOfRangeAtAndTakePanic)
+{
+    RequestQueue q(0);
+    EXPECT_DEATH(q.at(0), "RequestQueue::at index out of range");
+    EXPECT_DEATH(q.take(0), "RequestQueue::take index out of range");
+    q.admit(traceRequest(0, 0));
+    EXPECT_DEATH(q.at(1), "RequestQueue::at index out of range");
+    EXPECT_DEATH(q.take(1), "RequestQueue::take index out of range");
 }
 
 // ------------------------------------------------ closed-form traces

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the FIFO primitive and the Omega network:
- * full src/dest delivery coverage, in-order per-path delivery, contention
- * backpressure, and buffer-occupancy accounting.
+ * Tests for the Omega network: full src/dest delivery coverage,
+ * in-order per-path delivery, contention backpressure, and
+ * buffer-occupancy accounting.
  */
 
 #include <gtest/gtest.h>
@@ -16,42 +16,8 @@
 #include "accel/config.hpp"
 #include "accel/omega.hpp"
 #include "common/rng.hpp"
-#include "sim/fifo.hpp"
 
 using namespace awb;
-
-TEST(Fifo, FifoOrder)
-{
-    Fifo<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), 3);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(Fifo, CapacityEnforced)
-{
-    Fifo<int> q(2);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    EXPECT_TRUE(q.full());
-    EXPECT_FALSE(q.push(3));
-    q.pop();
-    EXPECT_TRUE(q.push(3));
-}
-
-TEST(Fifo, UnboundedTracksPeak)
-{
-    Fifo<int> q;  // capacity 0 == unbounded
-    for (int i = 0; i < 100; ++i) q.push(i);
-    for (int i = 0; i < 60; ++i) q.pop();
-    for (int i = 0; i < 10; ++i) q.push(i);
-    EXPECT_EQ(q.peakOccupancy(), 100u);
-    EXPECT_EQ(q.totalPushes(), 110);
-}
 
 namespace {
 

@@ -318,9 +318,9 @@ TEST(SessionDeath, UnboundTensorIsDescriptive)
 TEST(SessionDeath, InvalidConfigIsDescriptive)
 {
     AccelConfig cfg = makePolicyConfig("baseline", 8);
-    cfg.maxCyclesPerRound = 0;
+    cfg.numQueuesPerPe = 0;
     EXPECT_EXIT(sim::Session{cfg}, ::testing::ExitedWithCode(1),
-                "maxCyclesPerRound");
+                "numQueuesPerPe");
 }
 
 TEST(Engine, RepeatedExecuteFromFreshPartitionsIsDeterministic)

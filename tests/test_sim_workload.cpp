@@ -212,9 +212,6 @@ TEST(ConfigValidate, DescribesEveryFieldError)
     c = good;
     c.sharingHops = -2;
     EXPECT_NE(c.validate().find("sharingHops"), std::string::npos);
-    c = good;
-    c.maxCyclesPerRound = 0;
-    EXPECT_NE(c.validate().find("maxCyclesPerRound"), std::string::npos);
 
     // The Omega network constraint only binds the cycle-accurate TDQ-2
     // path (the round-level model sweeps 512/768/1024 freely).
