@@ -280,7 +280,8 @@ runBenchDynamicCli(CommandLine &cl)
         number({"--scale"}, "S", o.scale, "dataset node-count scale"),
         text({"--platform"}, "P", o.platform, "memory platform",
              resolvePlatform),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("Churn-gcn epochs across the policy axis: carried-vs-fresh "
                  "drift curves and half-lives; exits 1 on a determinism, "
                  "engine, rebuild or model-trajectory gate.",

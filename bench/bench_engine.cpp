@@ -164,9 +164,10 @@ runBenchEngine(const Options &opts)
         const double speedup = largest_batched_ms > 0.0
             ? largest_event_ms / largest_batched_ms
             : 0.0;
-        std::printf("largest paired config %s @ %d PEs (all policies): "
-                    "%.1fx batched speedup\n",
-                    largest_dataset.c_str(), largest_pes, speedup);
+        std::fprintf(stderr,
+                     "largest paired config %s @ %d PEs (all policies): "
+                     "%.1fx batched speedup\n",
+                     largest_dataset.c_str(), largest_pes, speedup);
         doc.summary().set(
             "largest_paired_config",
             Json::object({{"dataset", largest_dataset},
@@ -198,7 +199,8 @@ runBenchEngineCli(CommandLine &cl)
              "policy of the Reddit point", resolvePolicy),
         number({"--seed"}, "N", o.seed, "global seed"),
         number({"--scale"}, "S", o.scale, "dataset node-count scale"),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("Event vs round-batched cycle engines on the TDQ-2 SPMM "
                  "(wall clock and simulated cycles per dataset x PE x "
                  "policy); exits 1 if the engines disagree.",

@@ -113,7 +113,8 @@ runBenchMemoryCli(CommandLine &cl)
         number({"--pes"}, "N", o.pes, "PE-array size", 1),
         number({"--seed"}, "N", o.seed, "global seed"),
         number({"--scale"}, "S", o.scale, "dataset node-count scale"),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("Round-level GCN model across dataset x policy x "
                  "platform; exits 1 if the bandwidth floor engages on an "
                  "unconstrained platform (the no-op gate).",

@@ -111,7 +111,8 @@ runBenchScaleoutCli(CommandLine &cl)
         number({"--pes"}, "N", o.pes, "PE-array size per chip", 1),
         number({"--seed"}, "N", o.seed, "global seed"),
         number({"--scale"}, "S", o.scale, "dataset node-count scale"),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("One dataset sharded across a chip-count curve on the "
                  "round-level model; exits 1 unless halo traffic is zero "
                  "at 1 chip and monotone along the curve.",

@@ -155,11 +155,12 @@ runBenchServing(const Options &opts)
         const serve::ServeResult r = serve::runServe(o);
         if (!conserved(r))
             fail(dataset + " closed loop: request conservation violated");
-        std::printf("%s closed loop: %lld done, %.1f rps saturation, "
-                    "p99 %.3f ms\n",
-                    dataset.c_str(), static_cast<long long>(r.completed),
-                    r.throughputRps,
-                    serve::cyclesToMs(r.latency.p99, r.clockMhz));
+        std::fprintf(stderr,
+                     "%s closed loop: %lld done, %.1f rps saturation, "
+                     "p99 %.3f ms\n",
+                     dataset.c_str(), static_cast<long long>(r.completed),
+                     r.throughputRps,
+                     serve::cyclesToMs(r.latency.p99, r.clockMhz));
         saturation.push(Json::object({{"dataset", dataset},
                                       {"clients", opts.clients},
                                       {"completed", r.completed},
@@ -196,7 +197,8 @@ runBenchServingCli(CommandLine &cl)
         text({"--policy"}, "P", o.policy, "balance policy", resolvePolicy),
         number({"--pes"}, "N", o.pes, "PE-array size"),
         number({"--seed"}, "N", o.seed, "global seed"),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("Open-loop throughput-vs-p99 curves plus a closed-loop "
                  "saturation point per dataset; exits 1 on a request "
                  "conservation, percentile-order or double-run gate.",

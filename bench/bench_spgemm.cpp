@@ -254,7 +254,8 @@ runBenchSpgemmCli(CommandLine &cl)
         number({"--scale"}, "S", o.scale, "dataset node-count scale"),
         text({"--platform"}, "P", o.platform, "memory platform",
              resolvePlatform),
-        text({"--json"}, "FILE", o.jsonPath, "output ('-' = stdout)")};
+        text({"--json"}, "FILE", o.jsonPath,
+             "output ('-' = stdout, no table)")};
     if (!cl.bind("BFS and PageRank as iterated SpGEMMs across the policy "
                  "axis with a helps/hurts verdict each; exits 1 on a "
                  "determinism, engine, functional or traffic gate.",

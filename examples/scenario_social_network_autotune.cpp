@@ -4,7 +4,9 @@
  * of paper §5.2): watches the hardware performance auto-tuning happen —
  * per-round (per output column) cycle counts shrink as the PESM/UGT/SLT
  * pipeline rewrites the row map, then the converged configuration is
- * reused for the remaining columns and for the next layer.
+ * reused for the remaining columns and for the next layer. Each
+ * design's per-PE heat strip (paper Fig. 10) shows where the celebrity
+ * band pins the load and how remote switching flattens it.
  *
  * Run:  awbsim run social-autotune
  */
@@ -15,6 +17,7 @@
 #include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "driver/scenario.hpp"
 #include "graph/datasets.hpp"
 
@@ -50,6 +53,8 @@ runSocialAutotune(driver::ScenarioContext &ctx)
                     stats.utilization * 100.0,
                     static_cast<long long>(stats.rowsSwitched),
                     static_cast<long long>(stats.convergedRound));
+        std::printf("  PE heat %s\n",
+                    utilizationHeatmap(stats.perPeTasks).c_str());
         std::printf("  per-round cycles:");
         for (std::size_t k = 0; k < stats.roundCycles.size(); ++k) {
             if (k % 8 == 0) std::printf("\n   ");

@@ -39,14 +39,16 @@ shouldParallelize(std::uint64_t work)
 
 void
 parallelFor(std::size_t total, std::size_t grain,
-            const std::function<void(std::size_t, std::size_t)> &fn)
+            const std::function<void(std::size_t, std::size_t)> &fn,
+            int workers)
 {
     if (total == 0) return;
     grain = std::max<std::size_t>(grain, 1);
     const std::size_t n_chunks = (total + grain - 1) / grain;
-    const int workers = std::min<std::size_t>(
-        static_cast<std::size_t>(intraThreads()), n_chunks);
-    if (workers <= 1 || t_in_parallel || n_chunks <= 1) {
+    workers = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(workers > 0 ? workers : intraThreads()),
+        n_chunks));
+    if (workers <= 1 || t_in_parallel) {
         fn(0, total);
         return;
     }

@@ -8,13 +8,16 @@
  * and lets a small thread pool claim chunks in any order. Callers
  * guarantee chunks write disjoint outputs and keep each output element's
  * accumulation order internal to one chunk, so results are bit-identical
- * at any thread count (including 1). The sweep engine already
- * parallelizes across grid points; this layer parallelizes inside one
- * large point (Reddit@4096) where a single SPMM dominates wall clock.
+ * at any thread count (including 1). The same pool runs the sweeps'
+ * grid points (one point per chunk, at the sweep's own worker count)
+ * and the dense SPMM loops inside one large point (Reddit@4096), where a
+ * single SPMM dominates wall clock.
  *
  * Nested calls degrade to serial execution: a parallelFor() issued from
  * inside a worker runs inline, so sweeps that parallelize across points
- * do not multiply their thread count.
+ * do not multiply their thread count. A call that runs inline (one
+ * worker or one chunk) marks nothing, so a one-worker sweep still lets
+ * its point use the intra-point threads.
  */
 
 #pragma once
@@ -46,13 +49,15 @@ inline constexpr std::uint64_t kParallelMinWork = 1ULL << 20;
 bool shouldParallelize(std::uint64_t work);
 
 /**
- * Invoke fn(begin, end) over consecutive chunks covering [0, total).
+ * Invoke fn(begin, end) over consecutive chunks covering [0, total) on
+ * up to `workers` threads (0 = intraThreads()), the caller among them.
  * Chunk boundaries are multiples of `grain` (the last chunk may be
  * short), fixed for a given (total, grain) regardless of worker count.
  * Runs inline when shouldParallelize-style conditions do not hold
  * (single worker, single chunk, or nested call).
  */
 void parallelFor(std::size_t total, std::size_t grain,
-                 const std::function<void(std::size_t, std::size_t)> &fn);
+                 const std::function<void(std::size_t, std::size_t)> &fn,
+                 int workers = 0);
 
 } // namespace awb

@@ -1,7 +1,9 @@
 #include "common/table.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -47,6 +49,42 @@ fixed(double v, int decimals)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
     return buf;
+}
+
+std::string
+utilizationHeatmap(const std::vector<Count> &pe_tasks, std::size_t width)
+{
+    static const char kRamp[] = {' ', '.', ':', '-', '=',
+                                 '+', '*', '#', '%', '@'};
+    if (pe_tasks.empty()) return "";
+    width = std::max<std::size_t>(1, std::min(width, pe_tasks.size()));
+
+    // Bucket PEs down to `width` cells.
+    std::vector<double> cell(width, 0.0);
+    for (std::size_t p = 0; p < pe_tasks.size(); ++p) {
+        std::size_t b = p * width / pe_tasks.size();
+        cell[b] += static_cast<double>(pe_tasks[p]);
+    }
+    for (std::size_t b = 0; b < width; ++b) {
+        std::size_t lo = b * pe_tasks.size() / width;
+        std::size_t hi = (b + 1) * pe_tasks.size() / width;
+        cell[b] /= static_cast<double>(std::max<std::size_t>(1, hi - lo));
+    }
+
+    double mean = std::accumulate(cell.begin(), cell.end(), 0.0) /
+                  static_cast<double>(width);
+    std::string s;
+    s.reserve(width + 2);
+    s.push_back('[');
+    for (double v : cell) {
+        // 1.0x mean maps mid-ramp; >= 2x mean saturates (paper Fig. 10's
+        // red end).
+        double t = mean > 0.0 ? v / (2.0 * mean) : 0.0;
+        auto idx = static_cast<std::size_t>(t * 9.0);
+        s.push_back(kRamp[std::min<std::size_t>(idx, 9)]);
+    }
+    s.push_back(']');
+    return s;
 }
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}

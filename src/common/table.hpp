@@ -1,7 +1,8 @@
 /**
  * @file
  * ASCII table rendering used by the bench harnesses to print paper-style
- * tables (Table 1/2/3, Figure 14/15 series) to stdout.
+ * tables (Table 1/2/3, Figure 14/15 series) to stdout, the number
+ * formats their cells use, and the per-PE heat strip of paper Fig. 10.
  */
 
 #pragma once
@@ -21,6 +22,19 @@ std::string percent(double frac);
 
 /** Format a double with the given number of decimals. */
 std::string fixed(double v, int decimals);
+
+/**
+ * Render per-PE load as an ASCII heat strip (the per-PE utilization
+ * heat map of paper Fig. 10). Each character encodes one PE's load
+ * relative to the mean: ' ' (idle) '.' ':' '-' '=' '+' '*' '#' '%' '@'
+ * (≥2x mean), mirroring the paper's blue-to-red heat map. Long arrays
+ * are bucketed down to `width` characters (mean within bucket).
+ *
+ * @param pe_tasks  executed tasks (or any load measure) per PE
+ * @param width     maximum strip width in characters
+ */
+std::string utilizationHeatmap(const std::vector<Count> &pe_tasks,
+                               std::size_t width = 64);
 
 /**
  * Column-aligned ASCII table. Rows are added as string vectors; render()

@@ -39,7 +39,7 @@ BenchDoc::gate(const char *name, bool ok)
 int
 BenchDoc::finish(const std::string &path, const std::string &detail)
 {
-    std::printf("%s", table_.render().c_str());
+    if (path != "-") std::printf("%s", table_.render().c_str());
     std::string failed;
     for (const auto &[name, ok] : gates_) {
         summary_.set(name, ok);

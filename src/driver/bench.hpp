@@ -70,7 +70,8 @@ class BenchDoc
      *  the exit code. */
     bool &gate(const char *name, bool ok = true);
 
-    /** Print the table, write the document to `path` and return 0 when
+    /** Print the table (unless `path` is "-": stdout then carries the
+     *  document alone), write the document to `path` and return 0 when
      *  every gate passed; otherwise name the failed gates (and
      *  `detail`) on stderr and return 1. */
     int finish(const std::string &path, const std::string &detail = "");

@@ -106,7 +106,7 @@ runSweepCli(CommandLine &cl)
         number({"--threads"}, "N", o.threads, "workers (0 = hardware)"),
         number({"--repeats"}, "N", o.repeats,
                "per-point repeats, checked for identical cycles"),
-        text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+        text({"--json"}, "FILE", json_path, "output ('-' = stdout, no table)"),
         toggle({"--no-table"}, no_table, "suppress the result table"),
         toggle({"--progress"}, o.progress, "per-point progress on stderr")};
     if (!cl.bind("Expand a dataset x design x PE x mode x platform x chips "
@@ -116,10 +116,11 @@ runSweepCli(CommandLine &cl)
 
     std::vector<SweepPoint> points = expandGrid(o);
     std::fprintf(stderr, "sweep: %zu grid points, %u worker threads\n",
-                 points.size(), resolveThreads(o, points.size()));
+                 points.size(), resolveThreads(o.threads, points.size()));
 
     auto outcomes = runSweep(o, points);
-    if (!no_table) std::printf("%s", sweepTable(outcomes).c_str());
+    if (!no_table && json_path != "-")
+        std::printf("%s", sweepTable(outcomes).c_str());
     writeDoc(sweepToJson(o, outcomes), json_path, "sweep");
 
     int failed = 0;

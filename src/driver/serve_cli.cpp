@@ -1,10 +1,10 @@
 #include "driver/serve_cli.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <thread>
 
+#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "driver/sweep.hpp"
 #include "graph/datasets.hpp"
 
 namespace awb::driver {
@@ -200,31 +200,20 @@ runServeSweep(const ServeSweepOptions &opts)
                 points.push_back(std::move(o));
             }
 
+    // One grid point per chunk (a one-worker pool runs them all
+    // inline): each writes outcomes[i], so results land by position and
+    // the thread count cannot reorder (or otherwise perturb) the
+    // document.
     std::vector<ServeSweepOutcome> outcomes(points.size());
-    unsigned n_threads = opts.threads > 0
-                             ? static_cast<unsigned>(opts.threads)
-                             : std::max(1U,
-                                        std::thread::hardware_concurrency());
-    n_threads = std::min<unsigned>(
-        n_threads,
-        static_cast<unsigned>(std::max<std::size_t>(points.size(), 1)));
-
-    // Slot-indexed pool: each worker claims the next grid index and
-    // writes outcomes[i] — results land by position, so the thread
-    // count cannot reorder (or otherwise perturb) the document.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= points.size()) break;
-            outcomes[i].opts = points[i];
-            outcomes[i].result = serve::runServe(points[i]);
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto &t : pool) t.join();
+    parallelFor(
+        points.size(), 1,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                outcomes[i].opts = points[i];
+                outcomes[i].result = serve::runServe(points[i]);
+            }
+        },
+        static_cast<int>(resolveThreads(opts.threads, points.size())));
     return outcomes;
 }
 
@@ -249,7 +238,8 @@ runServeCli(CommandLine &cl)
     flags.insert(
         flags.end(),
         {number({"--devices"}, "N", opts.devices, "devices"),
-         text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+         text({"--json"}, "FILE", json_path,
+              "output ('-' = stdout, no table)"),
          toggle({"--no-table"}, no_table, "suppress the table")});
     if (!cl.bind("Serve an inference request stream on simulated "
                  "accelerators; report SLO-percentile latency "
@@ -259,7 +249,7 @@ runServeCli(CommandLine &cl)
 
     const serve::ServeResult res = serve::runServe(opts);
 
-    if (!no_table) {
+    if (!no_table && json_path != "-") {
         Table t({"dataset", "discipline", "devices", "offered", "done",
                  "lost", "p50(ms)", "p99(ms)", "util", "rps"});
         std::vector<std::string> row{opts.dataset, opts.discipline,
@@ -287,7 +277,8 @@ runServeSweepCli(CommandLine &cl)
          numbers({"--devices"}, "n1,n2,..", opts.deviceCounts,
                  "device-count axis"),
          number({"--threads"}, "N", opts.threads, "workers (0 = hardware)"),
-         text({"--json"}, "FILE", json_path, "output ('-' = stdout)"),
+         text({"--json"}, "FILE", json_path,
+              "output ('-' = stdout, no table)"),
          toggle({"--no-table"}, no_table, "suppress the table")});
     if (!cl.bind("A rate x discipline x device-count grid of --serve runs "
                  "on a worker pool (same JSON at any thread count).",
@@ -296,7 +287,7 @@ runServeSweepCli(CommandLine &cl)
 
     const auto outcomes = runServeSweep(opts);
 
-    if (!no_table) {
+    if (!no_table && json_path != "-") {
         Table t({"rate", "discipline", "devices", "offered", "done",
                  "lost", "p50(ms)", "p99(ms)", "util", "rps"});
         for (const auto &o : outcomes) {

@@ -41,7 +41,7 @@ struct ServeSweepOutcome
 Json serveToJson(const serve::ServeOptions &opts,
                  const serve::ServeResult &res);
 
-/** Expand the grid and run every point on a slot-indexed worker pool
+/** Expand the grid and run every point as one parallelFor chunk
  *  (results land by grid position — thread count cannot reorder). */
 std::vector<ServeSweepOutcome> runServeSweep(const ServeSweepOptions &opts);
 

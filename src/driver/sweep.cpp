@@ -1,6 +1,5 @@
 #include "driver/sweep.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <mutex>
@@ -8,6 +7,7 @@
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "graph/datasets.hpp"
@@ -118,10 +118,10 @@ runSweepPoint(const SweepPoint &point, const SweepOptions &opts)
 }
 
 unsigned
-resolveThreads(const SweepOptions &opts, std::size_t n_points)
+resolveThreads(int threads, std::size_t n_points)
 {
-    unsigned n = opts.threads > 0
-        ? static_cast<unsigned>(opts.threads)
+    unsigned n = threads > 0
+        ? static_cast<unsigned>(threads)
         : std::max(1U, std::thread::hardware_concurrency());
     return std::min<unsigned>(
         n, static_cast<unsigned>(std::max<std::size_t>(n_points, 1)));
@@ -131,33 +131,27 @@ std::vector<SweepOutcome>
 runSweep(const SweepOptions &opts, const std::vector<SweepPoint> &points)
 {
     std::vector<SweepOutcome> outcomes(points.size());
-    unsigned n_threads = resolveThreads(opts, points.size());
-
-    std::atomic<std::size_t> next{0};
     std::mutex progress_mutex;
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= points.size()) break;
-            outcomes[i] = runSweepPoint(points[i], opts);
-            if (opts.progress) {
+    // One point per chunk (a one-worker pool runs them all inline):
+    // outcomes land by grid position, so the worker count cannot
+    // reorder the document.
+    parallelFor(
+        points.size(), 1,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                outcomes[i] = runSweepPoint(points[i], opts);
+                if (!opts.progress) continue;
                 std::lock_guard<std::mutex> lock(progress_mutex);
-                std::fprintf(stderr, "[%zu/%zu] %s %s %d PEs %s on %s: %s\n",
-                             i + 1, points.size(),
-                             points[i].dataset.c_str(),
-                             points[i].policy.c_str(), points[i].pes,
-                             exec::modeName(points[i].mode).c_str(),
-                             points[i].platform.c_str(),
-                             outcomes[i].ok ? "ok"
-                                            : outcomes[i].error.c_str());
+                std::fprintf(
+                    stderr, "[%zu/%zu] %s %s %d PEs %s on %s: %s\n", i + 1,
+                    points.size(), points[i].dataset.c_str(),
+                    points[i].policy.c_str(), points[i].pes,
+                    exec::modeName(points[i].mode).c_str(),
+                    points[i].platform.c_str(),
+                    outcomes[i].ok ? "ok" : outcomes[i].error.c_str());
             }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto &t : pool) t.join();
+        },
+        static_cast<int>(resolveThreads(opts.threads, points.size())));
     return outcomes;
 }
 

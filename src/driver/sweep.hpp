@@ -2,8 +2,9 @@
  * @file
  * Multithreaded scenario-sweep engine: expands a grid of
  * dataset × policy × PE-count × execution-mode points, runs every point
- * on a std::thread worker pool (one independent SpmmEngine / PerfModel
- * per point, nothing shared but the result slot), and aggregates
+ * as one parallelFor chunk (common/parallel.hpp; one independent
+ * SpmmEngine / PerfModel per point, nothing shared but the result slot,
+ * and nested intra-point loops run inline), and aggregates
  * cycle/utilization/energy/area results into paper-style tables and a
  * machine-readable JSON document.
  *
@@ -101,9 +102,9 @@ std::uint64_t derivePointSeed(std::uint64_t global_seed, std::size_t index);
 std::uint64_t deriveWorkloadSeed(std::uint64_t global_seed,
                                  const std::string &dataset);
 
-/** Worker-pool size a sweep will actually use: opts.threads, or the
+/** Worker-pool size a sweep will actually use: `threads`, or the
  *  hardware concurrency when 0, capped at the number of grid points. */
-unsigned resolveThreads(const SweepOptions &opts, std::size_t n_points);
+unsigned resolveThreads(int threads, std::size_t n_points);
 
 /** Expand the option axes into ordered grid points. */
 std::vector<SweepPoint> expandGrid(const SweepOptions &opts);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
@@ -10,6 +11,7 @@
 #include "accel/scaleout.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/log.hpp"
+#include "common/text.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "exec/workload_cache.hpp"
 #include "gcn/model.hpp"
@@ -67,19 +69,16 @@ modeName(Mode m)
 Mode
 parseMode(const std::string &s)
 {
-    if (s == "model") return Mode::Model;
-    if (s == "cycle") return Mode::Cycle;
-    if (s == "tdq1") return Mode::SpmmTdq1;
-    if (s == "tdq2") return Mode::SpmmTdq2;
-    if (s == "graphsage") return Mode::GraphSage;
-    if (s == "gin") return Mode::Gin;
-    if (s == "khop") return Mode::KhopGcn;
-    if (s == "bfs") return Mode::Bfs;
-    if (s == "pagerank") return Mode::Pagerank;
-    if (s == "churn" || s == "churn-gcn") return Mode::ChurnGcn;
-    fatal("unknown sweep mode '" + s +
-          "' (model|cycle|tdq1|tdq2|graphsage|gin|khop|bfs|pagerank|"
-          "churn)");
+    if (s == "churn-gcn") return Mode::ChurnGcn;
+    std::vector<std::string> names;
+    std::string known;
+    for (int m = 0; m <= static_cast<int>(Mode::ChurnGcn); ++m) {
+        names.push_back(modeName(static_cast<Mode>(m)));
+        if (names.back() == s) return static_cast<Mode>(m);
+        known += (known.empty() ? "" : "|") + names.back();
+    }
+    fatal("unknown sweep mode '" + s + "' — did you mean '" +
+          nearestOf(s, names) + "'? (" + known + ")");
 }
 
 void

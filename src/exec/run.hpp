@@ -42,7 +42,8 @@ struct SessionResult;
 
 namespace awb::exec {
 
-/** What one request executes (a sweep point's mode, too). */
+/** What one request executes (a sweep point's mode, too). parseMode
+ *  walks every mode up to ChurnGcn, so ChurnGcn stays last. */
 enum class Mode
 {
     Model,     ///< round-level PerfModel, full 2-layer GCN (any scale)

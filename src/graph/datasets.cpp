@@ -211,10 +211,4 @@ loadProfile(const DatasetSpec &spec, std::uint64_t seed, double scale)
     return p;
 }
 
-std::vector<Count>
-rowNnzOf(const CscMatrix &m)
-{
-    return m.rowNnz();
-}
-
 } // namespace awb

@@ -117,7 +117,4 @@ CscMatrix loadSyntheticAdjacency(const DatasetSpec &spec,
 WorkloadProfile loadProfile(const DatasetSpec &spec, std::uint64_t seed = 1,
                             double scale = 1.0);
 
-/** Per-row non-zero counts of an already-built CSC matrix. */
-std::vector<Count> rowNnzOf(const CscMatrix &m);
-
 } // namespace awb

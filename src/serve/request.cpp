@@ -13,14 +13,4 @@ workloadKindName(WorkloadKind k)
     return "?";
 }
 
-std::string
-requestScopeName(RequestScope s)
-{
-    switch (s) {
-      case RequestScope::Ego: return "ego";
-      case RequestScope::FullGraph: return "full";
-    }
-    return "?";
-}
-
 } // namespace awb::serve

@@ -38,7 +38,6 @@ enum class RequestScope
 };
 
 std::string workloadKindName(WorkloadKind k);
-std::string requestScopeName(RequestScope s);
 
 /** One timestamped per-user inference request. */
 struct Request

@@ -121,6 +121,37 @@ TEST(CliOutputs, EveryCommandOnATinyGridIsLocked)
     std::remove(out.c_str());
 }
 
+/** `--json -` puts the document alone on stdout: the same bytes the
+ *  command writes to a file, with no table ahead of it. */
+TEST(CliOutputs, JsonToStdoutIsTheDocumentAlone)
+{
+    const std::string out = ::testing::TempDir() + "awbsim_cli_stdout.json";
+    const std::vector<std::vector<std::string>> cases = {
+        {"--sweep", "--datasets", "cora", "--designs", "base,d", "--pes",
+         "32", "--modes", "model", "--scale", "0.1", "--threads", "2"},
+        {"--serve", "--arrivals", "closed", "--clients", "2",
+         "--duration-ms", "0.2"},
+        {"--bench-memory", "--datasets", "cora", "--policies", "baseline",
+         "--platforms", "unconstrained,d5005-ddr4", "--pes", "64",
+         "--scale", "0.1"},
+    };
+    for (const auto &c : cases) {
+        std::vector<std::string> to_file = c;
+        to_file.insert(to_file.end(), {"--json", out});
+        ASSERT_EQ(runAwbsim(to_file), 0) << c[0];
+        std::ifstream in(out);
+        const std::string file((std::istreambuf_iterator<char>(in)), {});
+
+        std::vector<std::string> to_stdout = c;
+        to_stdout.insert(to_stdout.end(), {"--json", "-"});
+        std::string printed;
+        ASSERT_EQ(runAwbsim(to_stdout, &printed), 0) << c[0];
+        EXPECT_FALSE(file.empty()) << c[0];
+        EXPECT_EQ(printed, file) << c[0];
+    }
+    std::remove(out.c_str());
+}
+
 TEST(CliDeath, EveryListFlagRefusesAnEmptyList)
 {
     const std::vector<std::vector<std::string>> cases = {
@@ -155,6 +186,14 @@ TEST(CliDeath, MalformedNumbersAreRefused)
     EXPECT_EXIT(scaledSpec(findDataset("cora"),
                            std::numeric_limits<double>::quiet_NaN()),
                 ::testing::ExitedWithCode(1), "scale must be in");
+}
+
+TEST(CliDeath, UnknownModeSuggestsNearMiss)
+{
+    EXPECT_EXIT(runAwbsim({"--sweep", "--modes", "cylce"}),
+                ::testing::ExitedWithCode(1), "did you mean 'cycle'");
+    EXPECT_EXIT(runAwbsim({"--sweep", "--modes", "model,pagernk"}),
+                ::testing::ExitedWithCode(1), "did you mean 'pagerank'");
 }
 
 TEST(CliDeath, UnknownFlagsAndMissingValuesAreFatal)

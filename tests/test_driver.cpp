@@ -280,24 +280,19 @@ TEST(Sweep, ModeNamesRoundTrip)
 
 TEST(Sweep, ResolveThreadsCapsAtGridSizeAndFallsBackToOne)
 {
-    SweepOptions opts = smallGrid();
-
     // More workers than points: the pool shrinks to the grid size.
-    opts.threads = 64;
-    EXPECT_EQ(resolveThreads(opts, 3), 3u);
-    EXPECT_EQ(resolveThreads(opts, 64), 64u);
+    EXPECT_EQ(resolveThreads(64, 3), 3u);
+    EXPECT_EQ(resolveThreads(64, 64), 64u);
 
     // threads == 0 defers to std::thread::hardware_concurrency(), which
     // may itself report 0 on exotic hosts; the resolved pool must stay
     // in [1, n_points] either way (the max(1, hw) fallback).
-    opts.threads = 0;
-    unsigned resolved = resolveThreads(opts, 5);
+    unsigned resolved = resolveThreads(0, 5);
     EXPECT_GE(resolved, 1u);
     EXPECT_LE(resolved, 5u);
 
     // Degenerate empty grid still yields a positive pool size.
-    opts.threads = 8;
-    EXPECT_EQ(resolveThreads(opts, 0), 1u);
+    EXPECT_EQ(resolveThreads(8, 0), 1u);
 }
 
 TEST(Sweep, MoreThreadsThanPointsIsDeterministic)

@@ -419,6 +419,35 @@ TEST(Parallel, ChunkedSpmmIsBitIdenticalAtAnyThreadCount)
     }
 }
 
+/** A pool of two or more workers (a sweep's, one point per chunk)
+ *  marks every chunk, the caller's included, so the dense loops inside
+ *  a point run inline instead of spawning threads of their own; a
+ *  one-worker call runs inline and marks nothing. */
+TEST(Parallel, ChunksOfAPoolRunNestedLoopsInline)
+{
+    CacheGuard guard;
+    setIntraThreads(4);
+    for (int workers : {2, 3, 8}) {
+        std::vector<int> nested_parallel(16, -1);
+        parallelFor(
+            nested_parallel.size(), 1,
+            [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i)
+                    nested_parallel[i] = shouldParallelize(kParallelMinWork);
+            },
+            workers);
+        for (int v : nested_parallel) EXPECT_EQ(v, 0) << workers;
+    }
+    bool inline_parallel = false;
+    parallelFor(
+        4, 1,
+        [&](std::size_t, std::size_t) {
+            inline_parallel = shouldParallelize(kParallelMinWork);
+        },
+        1);
+    EXPECT_TRUE(inline_parallel);
+}
+
 // ------------------------------------------------- CLI surfaces
 
 TEST(ExecCliDeath, UnknownDatasetSuggestsNearestName)

@@ -1,16 +1,12 @@
 /**
  * @file
- * Tests for the reporting module: heat-map rendering properties and
- * row-map save/load round-trips (the auto-tuned configuration reuse
- * path).
+ * Tests for the per-PE heat strip (`utilizationHeatmap`, the Fig. 10
+ * utilization report that `awbsim run social-autotune` prints).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "accel/report.hpp"
-#include "common/rng.hpp"
+#include "common/table.hpp"
 
 using namespace awb;
 
@@ -53,41 +49,4 @@ TEST(Heatmap, BucketsDownLongArrays)
 TEST(Heatmap, EmptyInput)
 {
     EXPECT_EQ(utilizationHeatmap({}), "");
-}
-
-TEST(RowMapPersistence, RoundTripPreservesOwnership)
-{
-    Rng rng(4);
-    RowPartition part(100, 8, RowMapPolicy::Blocked);
-    // Scramble it the way remote switching would.
-    for (int i = 0; i < 50; ++i)
-        part.moveRow(rng.nextIndex(100), static_cast<int>(rng.nextIndex(8)));
-    ASSERT_TRUE(part.consistent());
-
-    std::stringstream ss;
-    savePartition(ss, part);
-    RowPartition back = loadPartition(ss);
-
-    ASSERT_EQ(back.rows(), part.rows());
-    ASSERT_EQ(back.numPes(), part.numPes());
-    for (Index r = 0; r < 100; ++r)
-        EXPECT_EQ(back.owner(r), part.owner(r));
-    EXPECT_TRUE(back.consistent());
-}
-
-TEST(RowMapPersistence, RejectsBadHeader)
-{
-    std::stringstream ss;
-    ss << "not-a-rowmap 10 4\n";
-    EXPECT_DEATH(loadPartition(ss), "");
-}
-
-TEST(RowMapPersistence, RejectsTruncated)
-{
-    RowPartition part(10, 2, RowMapPolicy::Blocked);
-    std::stringstream ss;
-    savePartition(ss, part);
-    std::string text = ss.str();
-    std::stringstream cut(text.substr(0, text.size() / 2));
-    EXPECT_DEATH(loadPartition(cut), "");
 }
