@@ -58,8 +58,8 @@ struct Options
 bool
 sameRun(const DynamicRunStats &x, const DynamicRunStats &y)
 {
-    if (x.totalCycles != y.totalCycles || x.totalTasks != y.totalTasks ||
-        x.rowsMoved != y.rowsMoved ||
+    if (x.cycles != y.cycles || x.tasks != y.tasks ||
+        x.rowsSwitched != y.rowsSwitched ||
         x.halfLifeEpochs != y.halfLifeEpochs ||
         x.traffic.total() != y.traffic.total() ||
         x.epochs.size() != y.epochs.size())
@@ -231,9 +231,9 @@ runBenchDynamic(const Options &opts)
                     {{"dataset", spec.name},
                      {"policy", policy},
                      {"epochs", epochs},
-                     {"cycles", ev.totalCycles},
-                     {"tasks", ev.totalTasks},
-                     {"rows_moved", ev.rowsMoved},
+                     {"cycles", ev.cycles},
+                     {"tasks", ev.tasks},
+                     {"rows_moved", ev.rowsSwitched},
                      {"rows_changed", ev.rowsChanged},
                      {"half_life_epochs", ev.halfLifeEpochs},
                      {"drift", Json::array(drift)},
@@ -243,8 +243,8 @@ runBenchDynamic(const Options &opts)
                      {"wall_ms", wall_ms}}),
                 {spec.name, PolicyRegistry::instance().get(policy).label,
                  std::to_string(epochs),
-                 humanCount(static_cast<double>(ev.totalCycles)),
-                 std::to_string(ev.rowsMoved),
+                 humanCount(static_cast<double>(ev.cycles)),
+                 std::to_string(ev.rowsSwitched),
                  fixed(drift.empty() ? 0.0 : drift.back(), 3),
                  ev.halfLifeEpochs < 0
                      ? "never"

@@ -52,7 +52,7 @@ bool
 sameStats(const kernels::FrontierRunStats &x,
           const kernels::FrontierRunStats &y)
 {
-    return x.totalCycles == y.totalCycles && x.totalTasks == y.totalTasks &&
+    return x.cycles == y.cycles && x.tasks == y.tasks &&
            x.rowsSwitched == y.rowsSwitched && x.rounds == y.rounds &&
            x.traffic.total() == y.traffic.total() &&
            x.memoryCycles == y.memoryCycles;
@@ -192,11 +192,11 @@ runBenchSpgemm(const Options &opts)
             double vs_baseline = 1.0;  // cycles / same-kernel baseline
             std::string verdict = "baseline";
             if (policy == "baseline") {
-                baseline_cycles = st.totalCycles;
+                baseline_cycles = st.cycles;
             } else if (baseline_cycles > 0) {
-                vs_baseline = static_cast<double>(st.totalCycles) /
+                vs_baseline = static_cast<double>(st.cycles) /
                               static_cast<double>(baseline_cycles);
-                verdict = verdictOf(st.totalCycles, baseline_cycles);
+                verdict = verdictOf(st.cycles, baseline_cycles);
             }
             kernel_verdicts.set(policy, verdict);
 
@@ -206,8 +206,8 @@ runBenchSpgemm(const Options &opts)
                     {{"kernel", kernel},
                      {"policy", policy},
                      {"iterations", iterations},
-                     {"cycles", st.totalCycles},
-                     {"tasks", st.totalTasks},
+                     {"cycles", st.cycles},
+                     {"tasks", st.tasks},
                      {"rows_switched", st.rowsSwitched},
                      {"frontier", Json::array(frontier)},
                      {"iter_cycles", Json::array(iter_cycles)},
@@ -220,7 +220,7 @@ runBenchSpgemm(const Options &opts)
                      {"wall_ms", wall_ms}}),
                 {kernel, PolicyRegistry::instance().get(policy).label,
                  std::to_string(iterations),
-                 humanCount(static_cast<double>(st.totalCycles)),
+                 humanCount(static_cast<double>(st.cycles)),
                  fixed(vs_baseline, 3) + "x",
                  std::to_string(st.rowsSwitched),
                  humanCount(static_cast<double>(st.traffic.total())),

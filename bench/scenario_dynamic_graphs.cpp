@@ -74,14 +74,14 @@ runDynamicGraphs(driver::ScenarioContext &ctx)
         driver::Json jp = driver::Json::object();
         jp.set("epochs", std::move(curve));
         jp.set("half_life_epochs", s.halfLifeEpochs);
-        jp.set("rows_moved", s.rowsMoved);
+        jp.set("rows_moved", s.rowsSwitched);
         jpolicies.set(policy, std::move(jp));
 
         const double end_drift =
             s.epochs.empty() ? 0.0 : s.epochs.back().drift;
         t.addRow({PolicyRegistry::instance().get(policy).label,
-                  humanCount(static_cast<double>(s.totalCycles)),
-                  std::to_string(s.rowsMoved), fixed(end_drift, 3),
+                  humanCount(static_cast<double>(s.cycles)),
+                  std::to_string(s.rowsSwitched), fixed(end_drift, 3),
                   s.halfLifeEpochs < 0
                       ? "never"
                       : std::to_string(s.halfLifeEpochs)});

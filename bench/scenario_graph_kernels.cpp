@@ -77,14 +77,14 @@ runGraphKernels(driver::ScenarioContext &ctx)
                 peak = std::max(peak, it.frontierNnz);
             t.addRow({PolicyRegistry::instance().get(policy).label,
                       std::to_string(stats.iterations.size()),
-                      humanCount(static_cast<double>(stats.totalCycles)),
-                      humanCount(static_cast<double>(stats.totalTasks)),
+                      humanCount(static_cast<double>(stats.cycles)),
+                      humanCount(static_cast<double>(stats.tasks)),
                       std::to_string(stats.rowsSwitched),
                       std::to_string(peak)});
 
             driver::Json jp = driver::Json::object();
-            jp.set("cycles", stats.totalCycles);
-            jp.set("tasks", stats.totalTasks);
+            jp.set("cycles", stats.cycles);
+            jp.set("tasks", stats.tasks);
             jp.set("rows_switched", stats.rowsSwitched);
             jp.set("iterations", iterationCurve(stats));
             jpolicies.set(policy, std::move(jp));

@@ -24,6 +24,7 @@
 #include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
 #include "accel/row_map.hpp"
+#include "accel/run_counters.hpp"
 #include "graph/datasets.hpp"
 #include "model/memory_model.hpp"
 #include "sparse/csc.hpp"
@@ -31,21 +32,9 @@
 namespace awb {
 
 /** Round-level results of one SPMM (mirrors SpmmStats). */
-struct PerfSpmmResult
+struct PerfSpmmResult : RunCounters
 {
-    Cycle cycles = 0;
-    Count tasks = 0;
-    Cycle idealCycles = 0;
-    Cycle syncCycles = 0;
     double utilization = 0.0;
-    Count rounds = 0;
-    Count rowsSwitched = 0;
-    Count convergedRound = -1;
-    std::size_t peakQueueDepth = 0;
-    /** Off-chip traffic accounted by the memory model (DESIGN.md §8). */
-    MemoryTraffic traffic;
-    Cycle memoryCycles = 0;   ///< summed per-round bandwidth floors
-    Count bwBoundRounds = 0;  ///< rounds stretched to their floor
     std::vector<Cycle> roundCycles;
     std::vector<Count> perPeTasks;  ///< modelled executed tasks per PE
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <type_traits>
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
@@ -24,7 +23,8 @@ oneChip(const AccelConfig &cfg)
  * Round-barrier combination of one SPMM's per-chip results (DESIGN.md
  * §9): system round k is the slowest chip's round k, stretched to the
  * halo link floor when boundary-row exchange dominates. Works on both
- * fidelities' stat structs (shared field names).
+ * fidelities' stat structs (RunCounters plus per-round and per-PE
+ * vectors).
  */
 template <class T>
 T
@@ -37,9 +37,13 @@ combineShards(const std::vector<T> &per_chip,
     const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
     T out;
     const std::size_t K = per_chip.front().roundCycles.size();
-    for (const T &s : per_chip)
+    for (const T &s : per_chip) {
         if (s.roundCycles.size() != K)
             fatal("scale-out: chips disagree on round count");
+        out.mergeRow(s);
+        out.perPeTasks.insert(out.perPeTasks.end(), s.perPeTasks.begin(),
+                              s.perPeTasks.end());
+    }
 
     // Per round, chip c receives one element of each halo row over its
     // link; the slowest link bounds the barrier.
@@ -51,6 +55,10 @@ combineShards(const std::vector<T> &per_chip,
         link_floor = std::max(link_floor, mem.haloFloorCycles(h * bpv));
     }
 
+    // The chips meet at every round barrier, so the system's rounds are
+    // each chip's rounds and its cycles the per-round max over chips.
+    out.rounds = static_cast<Count>(K);
+    out.cycles = 0;
     out.roundCycles.reserve(K);
     for (std::size_t k = 0; k < K; ++k) {
         Cycle sys = 0;
@@ -64,32 +72,10 @@ combineShards(const std::vector<T> &per_chip,
         out.cycles += sys;
     }
     scale.haloBytes += static_cast<Count>(K) * halo_per_round;
-
-    out.convergedRound = 0;
-    for (const T &s : per_chip) {
-        out.tasks += s.tasks;
-        out.rowsSwitched += s.rowsSwitched;
-        out.traffic += s.traffic;
-        out.memoryCycles += s.memoryCycles;
-        out.bwBoundRounds += s.bwBoundRounds;
-        out.peakQueueDepth =
-            std::max(out.peakQueueDepth, s.peakQueueDepth);
-        // The system has converged once every chip has (-1 = never).
-        out.convergedRound =
-            (s.convergedRound < 0 || out.convergedRound < 0)
-                ? -1
-                : std::max(out.convergedRound, s.convergedRound);
-        out.perPeTasks.insert(out.perPeTasks.end(), s.perPeTasks.begin(),
-                              s.perPeTasks.end());
-        if constexpr (std::is_same_v<T, SpmmStats>) {
-            // Fields only the cycle engine tracks.
-            out.peakNetworkDepth =
-                std::max(out.peakNetworkDepth, s.peakNetworkDepth);
-            out.roundsSimulated += s.roundsSimulated;
-        }
-    }
     out.traffic.haloBytes += static_cast<Count>(K) * halo_per_round;
-    out.rounds = static_cast<Count>(K);
+    // The system has converged once every chip has (-1 = never).
+    for (const T &s : per_chip)
+        if (s.convergedRound < 0) out.convergedRound = -1;
 
     // Every round streams the full non-zero set, so the combined ideal
     // is the perfectly balanced drain over all chips × PEs.

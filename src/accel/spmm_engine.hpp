@@ -47,6 +47,7 @@
 
 #include "accel/config.hpp"
 #include "accel/row_map.hpp"
+#include "accel/run_counters.hpp"
 #include "model/memory_model.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/dense.hpp"
@@ -61,35 +62,10 @@ enum class TdqKind
 };
 
 /** Cycle-level results of one SPMM execution. */
-struct SpmmStats
+struct SpmmStats : RunCounters
 {
     std::string label;
-    Cycle cycles = 0;          ///< total execution cycles (all rounds)
-    Count tasks = 0;           ///< MAC operations executed
-    Cycle idealCycles = 0;     ///< sum over rounds of ceil(tasks_r / P)
-    Cycle syncCycles = 0;      ///< cycles - idealCycles (barrier waiting)
-    double utilization = 0.0;  ///< tasks / (P * cycles)
-    std::size_t peakQueueDepth = 0;    ///< worst per-PE TQ occupancy
-    std::size_t peakNetworkDepth = 0;  ///< worst Omega buffer occupancy
-    Count rounds = 0;
-    /** Rounds the batched engine's within-run memo missed: == rounds
-     *  for EngineKind::Event and for executeSpgemm; smaller under
-     *  EngineKind::Batched when the memo replayed a round. A replay
-     *  from the shared round cache still counts, so the value is the
-     *  same with that cache on or off; it is not the number of rounds
-     *  actually event-stepped. */
-    Count roundsSimulated = 0;
-    Count rowsSwitched = 0;    ///< rows moved by remote switching
-    Count convergedRound = -1; ///< auto-tuning convergence round
-    /** Off-chip traffic accounted by the memory model (DESIGN.md §8);
-     *  filled on every platform, unconstrained included. */
-    MemoryTraffic traffic;
-    /** Sum over rounds of the bandwidth-bound cycle floor; 0 on an
-     *  unconstrained platform. */
-    Cycle memoryCycles = 0;
-    /** Rounds whose bandwidth floor exceeded their compute cycles (the
-     *  round was stretched to the floor). */
-    Count bwBoundRounds = 0;
+    double utilization = 0.0;         ///< tasks / (P * cycles)
     std::vector<Cycle> roundCycles;   ///< per-round duration incl. any
                                       ///< bandwidth stretch (pipelining)
     std::vector<Count> perPeTasks;    ///< executed tasks per PE (heat map)

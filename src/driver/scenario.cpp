@@ -3,9 +3,41 @@
 #include <algorithm>
 #include <cstdio>
 
+#include <unistd.h>
+
 #include "common/log.hpp"
 
 namespace awb::driver {
+
+namespace {
+
+/** With `on`, points stdout at stderr while it lives, restoring it
+ *  however the scope ends. */
+class StdoutToStderr
+{
+  public:
+    explicit StdoutToStderr(bool on)
+    {
+        if (!on) return;
+        std::fflush(stdout);
+        saved_ = dup(STDOUT_FILENO);
+        if (saved_ >= 0) dup2(STDERR_FILENO, STDOUT_FILENO);
+    }
+    ~StdoutToStderr()
+    {
+        if (saved_ < 0) return;
+        std::fflush(stdout);
+        dup2(saved_, STDOUT_FILENO);
+        close(saved_);
+    }
+    StdoutToStderr(const StdoutToStderr &) = delete;
+    StdoutToStderr &operator=(const StdoutToStderr &) = delete;
+
+  private:
+    int saved_ = -1;
+};
+
+} // namespace
 
 ScenarioRegistry &
 ScenarioRegistry::instance()
@@ -70,7 +102,8 @@ bindScenarioCli(CommandLine &cl, ScenarioCli &cli)
          number({"--repeat"}, "N", cli.repeats,
                 "run each scenario body N times"),
          text({"--json"}, "FILE", cli.jsonPath,
-              "machine-readable scenario results ('-' = stdout)"),
+              "machine-readable scenario results ('-' = stdout, "
+              "narrative to stderr)"),
          toggle({"--help", "-h"}, cli.help, "print the usage")},
         {"<scenario ...>", [&cli](const std::string &a) {
              if (a == "all") {
@@ -99,15 +132,20 @@ runScenarioCli(ScenarioCli &cli)
         fatal("no scenario named; try 'awbsim --list-scenarios'");
 
     Json results = Json::object();
-    for (const Scenario *s : to_run) {
-        for (int r = 0; r < cli.repeats; ++r) {
-            cli.ctx.repeat = r;
-            cli.ctx.result = Json::object();
-            scenarioBanner(*s);
-            s->run(cli.ctx);
+    {
+        // With `--json -` stdout carries the document alone, so the
+        // scenarios' narrative goes to stderr while they run.
+        const StdoutToStderr narrative(cli.jsonPath == "-");
+        for (const Scenario *s : to_run) {
+            for (int r = 0; r < cli.repeats; ++r) {
+                cli.ctx.repeat = r;
+                cli.ctx.result = Json::object();
+                scenarioBanner(*s);
+                s->run(cli.ctx);
+            }
+            if (cli.ctx.result.size() > 0)
+                results.set(s->name, std::move(cli.ctx.result));
         }
-        if (cli.ctx.result.size() > 0)
-            results.set(s->name, std::move(cli.ctx.result));
     }
     if (!cli.jsonPath.empty()) {
         if (results.size() == 0)

@@ -1,6 +1,5 @@
 #include "dynamic/dynamic_runner.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -67,35 +66,20 @@ DynamicRunner::executeEpoch(const CscMatrix &a,
                             const std::vector<Count> &row_work,
                             RowPartition &partition, DynamicEpoch *out)
 {
-    if (opts_.fidelity == DynamicFidelity::Cycle) {
-        // The epoch's dense block only sets the round count: operand
-        // values never affect timing.
-        const SpmmStats s = SpmmEngine(execCfg_).simulate(
-            a, opts_.denseCols, TdqKind::Tdq2OmegaCsc, partition);
-        if (out != nullptr) {
-            out->tasks = s.tasks;
-            stats_.rounds += s.rounds;
-            stats_.roundsSimulated += s.roundsSimulated;
-            stats_.traffic += s.traffic;
-            stats_.memoryCycles += s.memoryCycles;
-            stats_.bwBoundRounds += s.bwBoundRounds;
-            stats_.peakQueueDepth =
-                std::max(stats_.peakQueueDepth, s.peakQueueDepth);
-        }
-        return s.cycles;
-    }
-    PerfModel model(execCfg_);
-    PerfSpmmResult r = model.runSpmm(row_work, opts_.denseCols, partition);
+    // The epoch's dense block only sets the round count: operand values
+    // never affect timing.
+    const RunCounters c =
+        opts_.fidelity == DynamicFidelity::Cycle
+            ? RunCounters(SpmmEngine(execCfg_).simulate(
+                  a, opts_.denseCols, TdqKind::Tdq2OmegaCsc, partition))
+            : RunCounters(PerfModel(execCfg_).runSpmm(
+                  row_work, opts_.denseCols, partition));
     if (out != nullptr) {
-        out->tasks = r.tasks;
-        stats_.rounds += r.rounds;
-        stats_.traffic += r.traffic;
-        stats_.memoryCycles += r.memoryCycles;
-        stats_.bwBoundRounds += r.bwBoundRounds;
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, r.peakQueueDepth);
+        out->tasks = c.tasks;
+        stats_.mergeWork(c);
+        stats_.rounds += c.rounds;
     }
-    return r.cycles;
+    return c.cycles;
 }
 
 DynamicEpoch
@@ -142,9 +126,9 @@ DynamicRunner::step()
                    : 0.0;
 
     stats_.epochs.push_back(ep);
-    stats_.totalCycles += ep.cycles;
-    stats_.totalTasks += ep.tasks;
-    stats_.rowsMoved += ep.rowsMoved;
+    stats_.cycles += ep.cycles;
+    stats_.tasks += ep.tasks;
+    stats_.rowsSwitched += ep.rowsMoved;
     stats_.rowsChanged += ep.rowsChanged;
     if (stats_.halfLifeEpochs < 0 && ep.drift >= opts_.driftTolerance)
         stats_.halfLifeEpochs = static_cast<Count>(stats_.epochs.size());

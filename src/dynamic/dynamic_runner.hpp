@@ -28,6 +28,7 @@
 #include "accel/config.hpp"
 #include "accel/policy.hpp"
 #include "accel/row_map.hpp"
+#include "accel/run_counters.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/delta_csr.hpp"
 #include "model/memory_model.hpp"
@@ -68,23 +69,15 @@ struct DynamicEpoch
     Count tasks = 0;        ///< MACs executed (carried run)
 };
 
-/** Aggregated statistics of one streaming run. */
-struct DynamicRunStats
+/** Aggregated statistics of one streaming run: the carried-partition
+ *  epochs, rowsSwitched summing the boundary-policy migrations. */
+struct DynamicRunStats : RunCounters
 {
     std::vector<DynamicEpoch> epochs;
-    Cycle totalCycles = 0;  ///< summed carried-partition epoch cycles
-    Count totalTasks = 0;
-    Count rowsMoved = 0;    ///< summed boundary-policy migrations
     Count rowsChanged = 0;  ///< summed distinct-row churn footprint
     /** First epoch (1-based) whose drift reached the tolerance; -1
      *  when the carried partition never went stale. */
     Count halfLifeEpochs = -1;
-    Count rounds = 0;           ///< SPMM rounds executed (carried runs)
-    Count roundsSimulated = 0;  ///< event-stepped rounds (0 for model)
-    MemoryTraffic traffic;      ///< summed over carried runs
-    Cycle memoryCycles = 0;
-    Count bwBoundRounds = 0;
-    std::size_t peakQueueDepth = 0;
 };
 
 /**

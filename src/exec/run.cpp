@@ -8,6 +8,7 @@
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
+#include "accel/run_counters.hpp"
 #include "accel/scaleout.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/log.hpp"
@@ -45,6 +46,27 @@ class Stopwatch
   private:
     std::chrono::steady_clock::time_point start_;
 };
+
+/** The one map of an engine's counters onto the outcome, by the row
+ *  merge's rules (RunCounters): sums, and the max of the queue peak and
+ *  of the convergence round. */
+void
+foldCounters(RunResult &out, const RunCounters &s)
+{
+    out.cycles += s.cycles;
+    out.idealCycles += s.idealCycles;
+    out.syncCycles += s.syncCycles;
+    out.tasks += s.tasks;
+    out.rounds += s.rounds;
+    out.roundsSimulated += s.roundsSimulated;
+    out.rowsSwitched += s.rowsSwitched;
+    out.convergedRound = std::max(out.convergedRound, s.convergedRound);
+    out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
+    out.bytesTotal += s.traffic.total();
+    out.migrationBytes += s.traffic.migrationBytes;
+    out.memoryCycles += s.memoryCycles;
+    out.bwBoundRounds += s.bwBoundRounds;
+}
 
 } // namespace
 
@@ -84,69 +106,31 @@ parseMode(const std::string &s)
 void
 fold(RunResult &out, const SpmmStats &s)
 {
-    out.cycles += s.cycles;
-    out.idealCycles += s.idealCycles;
-    out.syncCycles += s.syncCycles;
-    out.tasks += s.tasks;
-    out.rounds += s.rounds;
-    out.roundsSimulated += s.roundsSimulated;
-    out.rowsSwitched += s.rowsSwitched;
-    out.convergedRound = std::max(out.convergedRound, s.convergedRound);
-    out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
-    out.bytesTotal += s.traffic.total();
-    out.migrationBytes += s.traffic.migrationBytes;
-    out.memoryCycles += s.memoryCycles;
-    out.bwBoundRounds += s.bwBoundRounds;
+    foldCounters(out, s);
 }
 
 void
 fold(RunResult &out, const PerfSpmmResult &s)
 {
-    out.idealCycles += s.idealCycles;
-    out.syncCycles += s.syncCycles;
-    out.rounds += s.rounds;
-    out.rowsSwitched += s.rowsSwitched;
-    out.convergedRound = std::max(out.convergedRound, s.convergedRound);
-    out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
-    out.bytesTotal += s.traffic.total();
-    out.migrationBytes += s.traffic.migrationBytes;
-    out.memoryCycles += s.memoryCycles;
-    out.bwBoundRounds += s.bwBoundRounds;
+    // The model's callers set the pipelined cycle and task totals of the
+    // whole inference before they fold its layers.
+    RunCounters c = s;
+    c.cycles = 0;
+    c.tasks = 0;
+    foldCounters(out, c);
 }
 
 void
 fold(RunResult &out, const kernels::FrontierRunStats &s)
 {
-    out.cycles += s.totalCycles;
-    out.tasks += s.totalTasks;
-    out.rounds += s.rounds;
-    out.roundsSimulated += s.roundsSimulated;
-    out.rowsSwitched += s.rowsSwitched;
-    out.convergedRound = std::max(out.convergedRound, s.convergedRound);
-    out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
-    out.bytesTotal += s.traffic.total();
-    out.migrationBytes += s.traffic.migrationBytes;
-    out.memoryCycles += s.memoryCycles;
-    out.bwBoundRounds += s.bwBoundRounds;
-    out.haloBytes += s.haloBytes;
-    out.haloCycles += s.haloCycles;
-    out.haloBoundRounds += s.haloBoundRounds;
-    out.chipImbalance = s.chipImbalance;
+    foldCounters(out, s);
+    fold(out, s.scaleout);
 }
 
 void
 fold(RunResult &out, const dynamic::DynamicRunStats &s)
 {
-    out.cycles += s.totalCycles;
-    out.tasks += s.totalTasks;
-    out.rounds += s.rounds;
-    out.roundsSimulated += s.roundsSimulated;
-    out.rowsSwitched += s.rowsMoved;
-    out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
-    out.bytesTotal += s.traffic.total();
-    out.migrationBytes += s.traffic.migrationBytes;
-    out.memoryCycles += s.memoryCycles;
-    out.bwBoundRounds += s.bwBoundRounds;
+    foldCounters(out, s);
     out.halfLifeEpochs = s.halfLifeEpochs;
 }
 

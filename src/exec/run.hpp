@@ -6,8 +6,9 @@
  * scenarios all sit on this dispatch instead of hand-wiring the
  * config→policy→engine→stats plumbing per front end.
  *
- * Workloads come from the process-wide WorkloadCache; the fold()
- * overloads flatten every engine's stats struct into one RunResult; and
+ * Workloads come from the process-wide WorkloadCache. The fold()
+ * overloads map every engine's RunCounters (accel/run_counters.hpp)
+ * onto one RunResult through one body, plus what their type owns; and
  * finalize() derives utilization, energy and area in exactly one place
  * — tasks / (PEs × cycles) for every mode, fixing the historical drift
  * where each mode's accumulate() computed it differently or not at all.
@@ -94,8 +95,7 @@ struct RunResult
     Count rowsSwitched = 0;
     Count convergedRound = -1;     ///< latest auto-tune convergence round
     Count rounds = 0;
-    /** Rounds event-stepped by the cycle engine (< rounds when the
-     *  batched engine replayed cached rounds; 0 in Model mode). */
+    /** RunCounters::roundsSimulated: memo misses, summed over chips. */
     Count roundsSimulated = 0;
     Count bytesTotal = 0;          ///< modelled off-chip traffic (bytes)
     Count migrationBytes = 0;      ///< of which rebalance row migration
@@ -118,7 +118,8 @@ struct RunResult
     double wallMs = 0.0;
 };
 
-/** Fold one stats struct into the outcome accumulators. */
+/** Fold one stats struct into the outcome accumulators (a
+ *  PerfSpmmResult's cycles and tasks excepted: see DESIGN.md §13). */
 void fold(RunResult &out, const SpmmStats &s);
 void fold(RunResult &out, const PerfSpmmResult &s);
 void fold(RunResult &out, const kernels::FrontierRunStats &s);

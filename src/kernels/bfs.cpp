@@ -125,8 +125,7 @@ modelBfs(const AccelConfig &cfg, const CscMatrix &a, Index source)
         entries.clear();
         for (Index u : frontier) entries.emplace_back(u, Value(1));
         const CscMatrix x = frontierVector(a.rows(), entries);
-        accumulateModelIteration(stats, model.runSpgemm(a, x, part),
-                                 x.nnz());
+        foldIteration(stats, model.runSpgemm(a, x, part), x.nnz());
         frontier = claimNextLevel(a, frontier, level, res);
         ++level;
     }

@@ -36,42 +36,29 @@ void
 finishIteration(FrontierRunStats &stats, const FrontierIteration &it)
 {
     stats.iterations.push_back(it);
-    stats.totalCycles += it.cycles;
-    stats.totalTasks += it.tasks;
+    stats.cycles += it.cycles;
+    stats.tasks += it.tasks;
     stats.rowsSwitched += it.rowsSwitched;
     stats.rounds += 1;
 }
 
-/** Fold one SpGEMM's statistics (a chip's, or the whole operand's) into
- *  the iteration and the run; the iteration's cycles are the caller's. */
+/** Fold one SpGEMM's counters (a chip's, or the whole operand's) into
+ *  the run: the work merge, and the convergence round last-wins. */
 void
-foldSpgemm(FrontierRunStats &stats, FrontierIteration &it,
-           const SpmmStats &s)
+foldSpgemm(FrontierRunStats &stats, const RunCounters &s)
 {
-    it.tasks += s.tasks;
-    it.rowsSwitched += s.rowsSwitched;
-    stats.roundsSimulated += s.roundsSimulated;
-    stats.traffic += s.traffic;
-    stats.memoryCycles += s.memoryCycles;
-    stats.bwBoundRounds += s.bwBoundRounds;
-    stats.peakQueueDepth = std::max(stats.peakQueueDepth, s.peakQueueDepth);
+    stats.mergeWork(s);
     stats.convergedRound = s.convergedRound;
 }
 
 } // namespace
 
 void
-accumulateModelIteration(FrontierRunStats &stats, const PerfSpmmResult &r,
-                         Count frontier_nnz)
+foldIteration(FrontierRunStats &stats, const RunCounters &s,
+              Count frontier_nnz)
 {
-    stats.traffic += r.traffic;
-    stats.memoryCycles += r.memoryCycles;
-    stats.bwBoundRounds += r.bwBoundRounds;
-    stats.peakQueueDepth =
-        std::max(stats.peakQueueDepth, r.peakQueueDepth);
-    stats.convergedRound = r.convergedRound;
-    finishIteration(stats,
-                    {frontier_nnz, r.cycles, r.tasks, r.rowsSwitched});
+    foldSpgemm(stats, s);
+    finishIteration(stats, {frontier_nnz, s.cycles, s.tasks, s.rowsSwitched});
 }
 
 FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
@@ -89,7 +76,7 @@ FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
         return;
     }
     chipPart_ = ChipPartition::build(cfg_, a.rows(), row_work);
-    stats_.chipImbalance = chipPart_.imbalance(row_work);
+    stats_.scaleout.chipImbalance = chipPart_.imbalance(row_work);
     for (int c = 0; c < chipPart_.chips(); ++c) {
         // Skip empty shards (chips may exceed rows): a 0-row partition
         // has nothing to execute or rebalance.
@@ -121,14 +108,9 @@ FrontierRunner::step(const CscMatrix &x)
     if (x.cols() != 1)
         fatal("FrontierRunner::step: frontier must be a 1-column vector");
 
-    FrontierIteration it;
-    it.frontierNnz = x.nnz();
-
     if (cfg_.chips <= 1) {
         SpgemmResult r = engine_.executeSpgemm(a_, x, part_, aContext_);
-        it.cycles = r.stats.cycles;
-        foldSpgemm(stats_, it, r.stats);
-        finishIteration(stats_, it);
+        foldIteration(stats_, r.stats, x.nnz());
         return std::move(r.c);
     }
 
@@ -137,6 +119,7 @@ FrontierRunner::step(const CscMatrix &x)
     // roofline-style to the slowest chip's frontier-halo link floor.
     const Count per_entry = mem_.platform().bytesPerValue +
                             mem_.platform().bytesPerIndex;
+    FrontierIteration it{x.nnz()};
     Cycle chip_max = 0;
     Cycle halo_floor = 0;
     Count halo_total = 0;
@@ -146,7 +129,9 @@ FrontierRunner::step(const CscMatrix &x)
         SpgemmResult r = engine_.executeSpgemm(shards_[s], x, shardParts_[s],
                                                shardContexts_[s]);
         chip_max = std::max(chip_max, r.stats.cycles);
-        foldSpgemm(stats_, it, r.stats);
+        it.tasks += r.stats.tasks;
+        it.rowsSwitched += r.stats.rowsSwitched;
+        foldSpgemm(stats_, r.stats);
 
         // Dynamic halo: frontier entries this chip references (its shard
         // has non-zeros in that column) but does not own cross the link.
@@ -172,11 +157,11 @@ FrontierRunner::step(const CscMatrix &x)
 
     it.cycles = chip_max;
     if (halo_floor > it.cycles) {
-        ++stats_.haloBoundRounds;
+        ++stats_.scaleout.haloBoundRounds;
         it.cycles = halo_floor;
     }
-    stats_.haloBytes += halo_total;
-    stats_.haloCycles += halo_floor;
+    stats_.scaleout.haloBytes += halo_total;
+    stats_.scaleout.haloCycles += halo_floor;
     stats_.traffic.haloBytes += halo_total;
     finishIteration(stats_, it);
 

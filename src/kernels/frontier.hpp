@@ -41,26 +41,12 @@ struct FrontierIteration
     Count rowsSwitched = 0;  ///< rows the rebalance policy moved
 };
 
-/** Aggregated statistics of one frontier-kernel run. */
-struct FrontierRunStats
+/** Aggregated statistics of one frontier-kernel run: rounds counts
+ *  iterations, convergedRound is the last SpGEMM's. */
+struct FrontierRunStats : RunCounters
 {
     std::vector<FrontierIteration> iterations;
-    Cycle totalCycles = 0;  ///< summed per-iteration system cycles
-    Count totalTasks = 0;
-    Count rowsSwitched = 0;
-    Count rounds = 0;           ///< system-level iterations executed
-    Count roundsSimulated = 0;  ///< event-stepped iterations (0 for model)
-    /** Off-chip traffic summed over chips and iterations; haloBytes is
-     *  the dynamic frontier halo (DESIGN.md §11). */
-    MemoryTraffic traffic;
-    Cycle memoryCycles = 0;
-    Count bwBoundRounds = 0;
-    Count haloBytes = 0;       ///< inter-chip frontier bytes (all chips)
-    Cycle haloCycles = 0;      ///< summed per-iteration link floors
-    Count haloBoundRounds = 0; ///< iterations stretched to the link floor
-    double chipImbalance = 1.0;  ///< static row-work imbalance over chips
-    std::size_t peakQueueDepth = 0;
-    Count convergedRound = -1;  ///< last iteration's convergence round
+    ScaleOutSummary scaleout;  ///< frontier halo (DESIGN.md §11); chips unset
 };
 
 /** Build an n×1 CSC frontier vector from (row, value) entries, which
@@ -68,11 +54,10 @@ struct FrontierRunStats
 CscMatrix frontierVector(Index rows,
                          const std::vector<std::pair<Index, Value>> &entries);
 
-/** Fold one modelled iteration (PerfModel::runSpgemm over the same
- *  frontier vector) into run stats — the round-level twin of
- *  FrontierRunner::step used by modelBfs / modelPagerank. */
-void accumulateModelIteration(FrontierRunStats &stats,
-                              const PerfSpmmResult &r, Count frontier_nnz);
+/** Fold one whole-operand SpGEMM, the cycle engine's or the model's
+ *  (modelBfs / modelPagerank), into run stats as one iteration. */
+void foldIteration(FrontierRunStats &stats, const RunCounters &s,
+                   Count frontier_nnz);
 
 /**
  * Executes a sequence of frontier SpGEMMs against one sparse operand,

@@ -179,8 +179,7 @@ modelPagerank(const AccelConfig &cfg, const CscMatrix &a, double damping,
         entries[static_cast<std::size_t>(v)] = {v, Value(1)};
     const CscMatrix x = frontierVector(n, entries);
     for (Count it = 0; it < ref.iterations; ++it)
-        accumulateModelIteration(stats, model.runSpgemm(m, x, part),
-                                 x.nnz());
+        foldIteration(stats, model.runSpgemm(m, x, part), x.nnz());
     return stats;
 }
 

@@ -134,6 +134,7 @@ TEST(CliOutputs, JsonToStdoutIsTheDocumentAlone)
         {"--bench-memory", "--datasets", "cora", "--policies", "baseline",
          "--platforms", "unconstrained,d5005-ddr4", "--pes", "64",
          "--scale", "0.1"},
+        {"run", "fig14-overall"},
     };
     for (const auto &c : cases) {
         std::vector<std::string> to_file = c;

@@ -358,9 +358,9 @@ TEST(DynamicRunner, IdenticalRunsAreDeterministic)
 
     const DynamicRunStats s1 = runChurnGcn(cfg, a, churn, opts);
     const DynamicRunStats s2 = runChurnGcn(cfg, a, churn, opts);
-    EXPECT_EQ(s1.totalCycles, s2.totalCycles);
-    EXPECT_EQ(s1.totalTasks, s2.totalTasks);
-    EXPECT_EQ(s1.rowsMoved, s2.rowsMoved);
+    EXPECT_EQ(s1.cycles, s2.cycles);
+    EXPECT_EQ(s1.tasks, s2.tasks);
+    EXPECT_EQ(s1.rowsSwitched, s2.rowsSwitched);
     EXPECT_EQ(s1.halfLifeEpochs, s2.halfLifeEpochs);
     ASSERT_EQ(s1.epochs.size(), s2.epochs.size());
     for (std::size_t i = 0; i < s1.epochs.size(); ++i) {
@@ -430,7 +430,7 @@ TEST(DynamicRunner, BaselineNeverDrifts)
     // triggers — the anchor row of the bench table.
     const DynamicRunStats s = runChurnGcn(cfg, a, churn, opts);
     EXPECT_EQ(s.halfLifeEpochs, -1);
-    EXPECT_EQ(s.rowsMoved, 0);
+    EXPECT_EQ(s.rowsSwitched, 0);
     for (const DynamicEpoch &e : s.epochs) {
         EXPECT_EQ(e.cycles, e.freshCycles);
         EXPECT_DOUBLE_EQ(e.drift, 0.0);

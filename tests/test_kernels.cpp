@@ -335,8 +335,8 @@ TEST(BfsKernel, ShardedRunMatchesUnshardedFunctionally)
     EXPECT_EQ(r2.result.parent, r1.result.parent);
     EXPECT_EQ(r2.result.depth, r1.result.depth);
     // One chip never pays inter-chip frontier traffic.
-    EXPECT_EQ(r1.stats.haloBytes, 0);
-    EXPECT_GE(r2.stats.chipImbalance, 1.0);
+    EXPECT_EQ(r1.stats.scaleout.haloBytes, 0);
+    EXPECT_GE(r2.stats.scaleout.chipImbalance, 1.0);
 }
 
 TEST(BfsKernel, RingWalkCrossesTheChipBoundary)
@@ -355,7 +355,7 @@ TEST(BfsKernel, RingWalkCrossesTheChipBoundary)
     EXPECT_EQ(run.result.parent, ref.parent);
     for (Index v = 0; v < 64; ++v)
         EXPECT_EQ(run.result.depth[static_cast<std::size_t>(v)], v);
-    EXPECT_GT(run.stats.haloBytes, 0);
+    EXPECT_GT(run.stats.scaleout.haloBytes, 0);
 }
 
 TEST(BfsKernel, ModelTwinCoversReferenceIterations)
@@ -434,7 +434,7 @@ TEST(PagerankKernel, ShardedScoresMatchUnsharded)
     kernels::PagerankRun r2 = kernels::runPagerank(two, a, 0.85, 1e-6, 200);
     EXPECT_EQ(r2.result.iterations, r1.result.iterations);
     EXPECT_LE(l1Diff(r2.result.scores, r1.result.scores), 1e-6);
-    EXPECT_GT(r2.stats.haloBytes, 0);
+    EXPECT_GT(r2.stats.scaleout.haloBytes, 0);
 }
 
 TEST(PagerankKernel, ModelTwinMatchesEngineIterationCount)
@@ -504,18 +504,19 @@ expectSameRunStats(const kernels::FrontierRunStats &x,
         EXPECT_EQ(xi.tasks, yi.tasks) << at;
         EXPECT_EQ(xi.rowsSwitched, yi.rowsSwitched) << at;
     }
-    EXPECT_EQ(x.totalCycles, y.totalCycles) << what;
-    EXPECT_EQ(x.totalTasks, y.totalTasks) << what;
+    EXPECT_EQ(x.cycles, y.cycles) << what;
+    EXPECT_EQ(x.tasks, y.tasks) << what;
     EXPECT_EQ(x.rowsSwitched, y.rowsSwitched) << what;
     EXPECT_EQ(x.rounds, y.rounds) << what;
     EXPECT_EQ(x.roundsSimulated, y.roundsSimulated) << what;
     expectSameTraffic(x.traffic, y.traffic, what);
     EXPECT_EQ(x.memoryCycles, y.memoryCycles) << what;
     EXPECT_EQ(x.bwBoundRounds, y.bwBoundRounds) << what;
-    EXPECT_EQ(x.haloBytes, y.haloBytes) << what;
-    EXPECT_EQ(x.haloCycles, y.haloCycles) << what;
-    EXPECT_EQ(x.haloBoundRounds, y.haloBoundRounds) << what;
-    EXPECT_EQ(x.chipImbalance, y.chipImbalance) << what;
+    EXPECT_EQ(x.scaleout.haloBytes, y.scaleout.haloBytes) << what;
+    EXPECT_EQ(x.scaleout.haloCycles, y.scaleout.haloCycles) << what;
+    EXPECT_EQ(x.scaleout.haloBoundRounds, y.scaleout.haloBoundRounds)
+        << what;
+    EXPECT_EQ(x.scaleout.chipImbalance, y.scaleout.chipImbalance) << what;
     EXPECT_EQ(x.peakQueueDepth, y.peakQueueDepth) << what;
     EXPECT_EQ(x.convergedRound, y.convergedRound) << what;
 }

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
@@ -313,54 +316,65 @@ TEST(MemoryModelSession, WorkloadGraphReportsTrafficPerLayer)
 // Unconstrained platform ⇒ bit-identical to a platform-less run (the
 // exact configs every pre-memory-model call site builds): all six paper
 // policies × Cora/Citeseer/Pubmed, full cycle-mode GCN through the
-// sweep engine, on both cycle engines.
-TEST(MemoryModelEquivalence, UnconstrainedIsBitIdenticalOnSixPolicies)
+// sweep engine, on both cycle engines. One case per engine × dataset,
+// so `ctest -j` runs them side by side.
+class MemoryModelEquivalence
+    : public ::testing::TestWithParam<std::tuple<EngineKind, std::string>>
 {
+};
+
+TEST_P(MemoryModelEquivalence, UnconstrainedIsBitIdenticalOnSixPolicies)
+{
+    const auto &[engine, dataset] = GetParam();
     driver::SweepOptions opts;
-    opts.datasets = {"cora", "citeseer", "pubmed"};
+    opts.datasets = {dataset};
     opts.designs = {"baseline", "local-a", "local-b",
                     "remote-c", "remote-d", "eie-like"};
     opts.peCounts = {64};
     opts.modes = {exec::Mode::Cycle};
     opts.seed = 7;
+    opts.engine = engine;
+    opts.platforms = {"unconstrained"};
+    auto points = driver::expandGrid(opts);
+    auto swept = driver::runSweep(opts, points);
+    ASSERT_EQ(swept.size(), 6u);
+    // The platform-less twins: the same points executed through the
+    // exact config a pre-memory-model sweep built (platform field left
+    // empty), same derived seeds.
+    for (auto &p : points) p.platform = "";
+    auto twins = driver::runSweep(opts, points);
 
-    for (EngineKind engine : {EngineKind::Event, EngineKind::Batched}) {
-        opts.engine = engine;
+    for (std::size_t i = 0; i < swept.size(); ++i) {
+        const auto &o = swept[i];
+        std::string what = o.point.dataset + " " + o.point.policy + " " +
+                           engineKindName(engine);
+        ASSERT_TRUE(o.ok) << what << ": " << o.error;
+        const driver::SweepOutcome &base = twins[i];
+        ASSERT_TRUE(base.ok) << what << ": " << base.error;
 
-        opts.platforms = {"unconstrained"};
-        auto points = driver::expandGrid(opts);
-        auto swept = driver::runSweep(opts, points);
-        ASSERT_EQ(swept.size(), 18u);
-
-        for (std::size_t i = 0; i < swept.size(); ++i) {
-            const auto &o = swept[i];
-            std::string what = o.point.dataset + " " + o.point.policy +
-                               " " + engineKindName(engine);
-            ASSERT_TRUE(o.ok) << what << ": " << o.error;
-
-            // The platform-less twin: same point executed through the
-            // exact config a pre-memory-model sweep built (platform
-            // field left empty), same derived seed.
-            driver::SweepPoint twin = o.point;
-            twin.platform = "";
-            driver::SweepOutcome base =
-                driver::runSweepPoint(twin, opts);
-            ASSERT_TRUE(base.ok) << what << ": " << base.error;
-
-            EXPECT_EQ(o.cycles, base.cycles) << what;
-            EXPECT_EQ(o.tasks, base.tasks) << what;
-            EXPECT_EQ(o.idealCycles, base.idealCycles) << what;
-            EXPECT_EQ(o.syncCycles, base.syncCycles) << what;
-            EXPECT_EQ(o.rowsSwitched, base.rowsSwitched) << what;
-            EXPECT_EQ(o.convergedRound, base.convergedRound) << what;
-            EXPECT_EQ(o.peakTqDepth, base.peakTqDepth) << what;
-            EXPECT_EQ(o.rounds, base.rounds) << what;
-            EXPECT_EQ(o.roundsSimulated, base.roundsSimulated) << what;
-            // The unconstrained floor never engages.
-            EXPECT_EQ(o.memoryCycles, 0) << what;
-            EXPECT_EQ(o.bwBoundRounds, 0) << what;
-            // ... while traffic is still accounted.
-            EXPECT_GT(o.bytesTotal, 0) << what;
-        }
+        EXPECT_EQ(o.cycles, base.cycles) << what;
+        EXPECT_EQ(o.tasks, base.tasks) << what;
+        EXPECT_EQ(o.idealCycles, base.idealCycles) << what;
+        EXPECT_EQ(o.syncCycles, base.syncCycles) << what;
+        EXPECT_EQ(o.rowsSwitched, base.rowsSwitched) << what;
+        EXPECT_EQ(o.convergedRound, base.convergedRound) << what;
+        EXPECT_EQ(o.peakTqDepth, base.peakTqDepth) << what;
+        EXPECT_EQ(o.rounds, base.rounds) << what;
+        EXPECT_EQ(o.roundsSimulated, base.roundsSimulated) << what;
+        // The unconstrained floor never engages.
+        EXPECT_EQ(o.memoryCycles, 0) << what;
+        EXPECT_EQ(o.bwBoundRounds, 0) << what;
+        // ... while traffic is still accounted.
+        EXPECT_GT(o.bytesTotal, 0) << what;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineByDataset, MemoryModelEquivalence,
+    ::testing::Combine(::testing::Values(EngineKind::Event,
+                                         EngineKind::Batched),
+                       ::testing::Values("cora", "citeseer", "pubmed")),
+    [](const auto &info) {
+        return engineKindName(std::get<0>(info.param)) + "_" +
+               std::get<1>(info.param);
+    });

@@ -765,6 +765,11 @@ TEST(ShardedSpmm, FunctionallyExactAndConservesTasks)
         EXPECT_EQ(res.stats.tasks, a.nnz() * b.cols());
         EXPECT_EQ(res.stats.perPeTasks.size(),
                   static_cast<std::size_t>(chips) * 8u);
+        // The event engine steps every round of every chip, and
+        // roundsSimulated sums over chips while rounds counts the
+        // system's barrier rounds.
+        ASSERT_EQ(cfg.engine, EngineKind::Event);
+        EXPECT_EQ(res.stats.roundsSimulated, chips * res.stats.rounds);
         EXPECT_GT(res.scaleout.haloBytes, 0);
         EXPECT_GE(res.scaleout.chipImbalance, 1.0);
 
