@@ -4,9 +4,9 @@
  * (.mtx) file — e.g. a SuiteSparse copy of a real citation graph —
  * normalize it, synthesize features, and run AWB-GCN inference on it.
  * A ready-made sample ships at data/example_graph.mtx; when no file is
- * given, the example writes an equivalent one into the working
- * directory first (demonstrating the writer) and then consumes it, so
- * it is runnable out of the box.
+ * given, the example writes a synthetic one into the working directory
+ * first (demonstrating the writer) and then consumes it, so it is
+ * runnable out of the box.
  *
  * Run:  ./custom_dataset_mm [graph.mtx]
  *       ./custom_dataset_mm ../data/example_graph.mtx   # from build/
@@ -32,16 +32,16 @@ main(int argc, char **argv)
     if (argc > 1) {
         path = argv[1];
     } else {
-        // No input given: synthesize a small power-law graph and save it
-        // (same recipe as the committed data/example_graph.mtx sample),
-        // so the load path below exercises exactly what a user would run.
+        // No input given: synthesize a small directed power-law graph and
+        // save it (the committed data/example_graph.mtx sample is this
+        // graph with every edge mirrored), so the load path below
+        // exercises exactly what a user would run.
         path = "example_graph.mtx";
         Rng rng(11);
         GraphGenParams params;
         params.nodes = 600;
         params.edges = 3600;
         params.style = GraphStyle::PowerLaw;
-        params.symmetric = true;
         writeMatrixMarketFile(path, synthesizeAdjacency(rng, params));
         std::printf("wrote synthetic graph to %s\n", path.c_str());
     }

@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/spmm_engine.hpp"
 #include "gcn/model.hpp"
 #include "graph/datasets.hpp"

@@ -356,18 +356,18 @@ PerfModel::runGcn(const WorkloadProfile &profile,
 
     // Multi-chip (DESIGN.md §9): one node-ownership partition over the
     // adjacency's rows shards every SPMM; only A×(XW) pays a halo.
-    ChipPartition owners;
+    RowPartition owners;
     std::vector<Count> a_halo;
     if (cfg_.chips > 1) {
         if (!structure || structure->rows() != n || structure->cols() != n)
             fatal("PerfModel::runGcn: chips > 1 needs the profile's "
                   "adjacency structure for halo counting "
                   "(loadSyntheticAdjacency)");
-        owners = ChipPartition::build(cfg_, n, profile.aRowNnz);
-        a_halo = owners.haloRows(*structure);
-        res.scaleout.chipImbalance = owners.imbalance(profile.aRowNnz);
+        owners = chipOwners(cfg_, n, profile.aRowNnz);
+        a_halo = haloRows(owners, *structure);
+        res.scaleout.chipImbalance = chipImbalance(owners, profile.aRowNnz);
     }
-    const ChipPartition *cp = cfg_.chips > 1 ? &owners : nullptr;
+    const RowPartition *cp = cfg_.chips > 1 ? &owners : nullptr;
     ShardedOperand a = shardOperand(cfg_, cp, profile.aRowNnz);
 
     struct LayerIn

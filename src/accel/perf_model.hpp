@@ -21,7 +21,6 @@
 
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
 #include "accel/row_map.hpp"
 #include "accel/run_counters.hpp"

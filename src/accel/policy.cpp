@@ -376,7 +376,7 @@ std::unique_ptr<RebalancePolicy>
 rebalanceFromFields(const AccelConfig &cfg, Index rows)
 {
     if (cfg.remoteSwitching)
-        return std::make_unique<RemoteSwitchRebalance>(cfg, rows);
+        return std::make_unique<RemoteSwitcher>(cfg, rows);
     return std::make_unique<NullRebalance>();
 }
 

@@ -8,9 +8,9 @@
  *
  *  - `PartitionPolicy`: builds the initial row→PE map (subsumes the old
  *    `RowMapPolicy` blocked/cyclic switch);
- *  - `RebalancePolicy`: the per-round observe/adjust/converged protocol
- *    both simulators drive between rounds (subsumes the hard-wired
- *    `RemoteSwitcher`);
+ *  - `RebalancePolicy` (accel/rebalance.hpp): the per-round
+ *    observe/adjust/converged protocol both simulators drive between
+ *    rounds, which the paper's `RemoteSwitcher` implements;
  *  - `BalancePolicy`: a named composition of the two plus a config hook,
  *    registered in the process-wide `PolicyRegistry`.
  *
@@ -61,42 +61,6 @@ class PartitionPolicy
                                const AccelConfig &cfg) const = 0;
 };
 
-/**
- * Per-round rebalancing protocol. One instance lives for one SPMM
- * execution; after every round except the last, the simulator calls
- * observeAndAdjust with what the PESM saw, and the policy may rewrite the
- * row map for the next round. Stats surface through totalRowsMoved /
- * convergedRound exactly as the RemoteSwitcher's did.
- *
- * Contract (PerfModel carries per-PE work across rounds on it, and
- * tests/test_policy.cpp checks it for every registered policy):
- *  - observeAndAdjust returning 0 means the partition is unchanged;
- *  - once converged() is true, no later call moves a row, so callers may
- *    stop observing altogether.
- */
-class RebalancePolicy
-{
-  public:
-    virtual ~RebalancePolicy() = default;
-
-    /** Digest one round; returns rows moved (0 for static policies). */
-    virtual int observeAndAdjust(const RoundObservation &obs,
-                                 const std::vector<Count> &row_work,
-                                 RowPartition &partition) = 0;
-
-    /** False for policies that never adjust anything; lets simulators
-     *  skip assembling per-round observations on static designs. */
-    virtual bool wantsObservations() const { return true; }
-
-    /** True once the policy stopped adjusting for good. */
-    virtual bool converged() const = 0;
-
-    /** Round at which convergence was declared (-1 if never). */
-    virtual Count convergedRound() const = 0;
-
-    virtual Count totalRowsMoved() const = 0;
-};
-
 /** RebalancePolicy that never moves anything (static designs). */
 class NullRebalance : public RebalancePolicy
 {
@@ -111,35 +75,6 @@ class NullRebalance : public RebalancePolicy
     bool converged() const override { return false; }
     Count convergedRound() const override { return -1; }
     Count totalRowsMoved() const override { return 0; }
-};
-
-/** RebalancePolicy adapter over the paper's PESM/UGT/SLT controller. */
-class RemoteSwitchRebalance : public RebalancePolicy
-{
-  public:
-    RemoteSwitchRebalance(const AccelConfig &cfg, Index num_rows)
-        : switcher_(cfg, num_rows)
-    {
-    }
-
-    int observeAndAdjust(const RoundObservation &obs,
-                         const std::vector<Count> &row_work,
-                         RowPartition &partition) override
-    {
-        return switcher_.observeAndAdjust(obs, row_work, partition);
-    }
-    bool converged() const override { return switcher_.converged(); }
-    Count convergedRound() const override
-    {
-        return switcher_.convergedRound();
-    }
-    Count totalRowsMoved() const override
-    {
-        return switcher_.totalRowsMoved();
-    }
-
-  private:
-    RemoteSwitcher switcher_;
 };
 
 /**

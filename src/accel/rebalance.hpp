@@ -15,7 +15,9 @@
  * This controller is deliberately independent of the simulation fidelity:
  * both the cycle-accurate engine and the round-level performance model
  * drive it with per-round observations, so the two simulators auto-tune
- * identically (DESIGN.md §4).
+ * identically (DESIGN.md §4). It implements RebalancePolicy, the
+ * per-round protocol every registered balance policy follows
+ * (accel/policy.hpp).
  */
 
 #pragma once
@@ -42,8 +44,46 @@ struct RoundObservation
     std::vector<Cycle> drainCycle;
 };
 
-/** Remote-switching controller: PESM + UGT + SLT. */
-class RemoteSwitcher
+/**
+ * Per-round rebalancing protocol. One instance lives for one SPMM
+ * execution; after every round except the last, the simulator calls
+ * observeAndAdjust with what the PESM saw, and the policy may rewrite the
+ * row map for the next round. Stats surface through totalRowsMoved /
+ * convergedRound. RemoteSwitcher below is the paper's implementation;
+ * accel/policy.hpp registers it and the other policies.
+ *
+ * Contract (PerfModel carries per-PE work across rounds on it, and
+ * tests/test_policy.cpp checks it for every registered policy):
+ *  - observeAndAdjust returning 0 means the partition is unchanged;
+ *  - once converged() is true, no later call moves a row, so callers may
+ *    stop observing altogether.
+ */
+class RebalancePolicy
+{
+  public:
+    virtual ~RebalancePolicy() = default;
+
+    /** Digest one round; returns rows moved (0 for static policies). */
+    virtual int observeAndAdjust(const RoundObservation &obs,
+                                 const std::vector<Count> &row_work,
+                                 RowPartition &partition) = 0;
+
+    /** False for policies that never adjust anything; lets simulators
+     *  skip assembling per-round observations on static designs. */
+    virtual bool wantsObservations() const { return true; }
+
+    /** True once the policy stopped adjusting for good. */
+    virtual bool converged() const = 0;
+
+    /** Round at which convergence was declared (-1 if never). */
+    virtual Count convergedRound() const = 0;
+
+    virtual Count totalRowsMoved() const = 0;
+};
+
+/** Remote-switching controller: PESM + UGT + SLT, the paper's
+ *  RebalancePolicy for Designs C and D. */
+class RemoteSwitcher : public RebalancePolicy
 {
   public:
     /**
@@ -64,16 +104,16 @@ class RemoteSwitcher
      */
     int observeAndAdjust(const RoundObservation &obs,
                          const std::vector<Count> &row_work,
-                         RowPartition &partition);
+                         RowPartition &partition) override;
 
     /** True once the hot/cold gap fell below the convergence threshold;
      *  the tuned map is then reused for all remaining rounds (§4). */
-    bool converged() const { return converged_; }
+    bool converged() const override { return converged_; }
 
     /** Round at which convergence was declared (-1 if never). */
-    Count convergedRound() const { return convergedRound_; }
+    Count convergedRound() const override { return convergedRound_; }
 
-    Count totalRowsMoved() const { return totalMoved_; }
+    Count totalRowsMoved() const override { return totalMoved_; }
 
   private:
     /** One tracked hotspot/coldspot PE-tuple (a PESM tracking slot). */

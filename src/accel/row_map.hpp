@@ -42,7 +42,9 @@ class RowPartition
      *  its round memoization on this (DESIGN.md §6). */
     const std::vector<int> &owners() const { return owner_; }
 
-    /** Rows currently owned by PE p (unsorted). */
+    /** Rows currently owned by PE p: ascending as built (every
+     *  constructor appends rows in order) until a moveRow or swapRows
+     *  appends a moved row at the end. */
     const std::vector<Index> &rowsOf(int pe) const
     {
         return rowsOf_[static_cast<std::size_t>(pe)];

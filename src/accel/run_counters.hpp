@@ -4,7 +4,8 @@
  * §13). SpmmStats, PerfSpmmResult, FrontierRunStats and DynamicRunStats
  * derive from RunCounters and add only what is their own. Each field
  * names its merge rule; a site whose rule differs overrides the field
- * after merging, and says why.
+ * after merging, and says why. ScaleOutSummary holds the multi-chip
+ * aggregates every GCN, SPMM and frontier result reports beside them.
  */
 
 #pragma once
@@ -75,6 +76,20 @@ struct RunCounters
         rowsSwitched += o.rowsSwitched;
         convergedRound = std::max(convergedRound, o.convergedRound);
     }
+};
+
+/** Scale-out-specific aggregates of a run on one or more chips (§9). */
+struct ScaleOutSummary
+{
+    int chips = 1;
+    /** Inter-chip bytes moved (all rounds, all chips). */
+    Count haloBytes = 0;
+    /** Summed per-round link floors (0 on an unconstrained link). */
+    Cycle haloCycles = 0;
+    /** Rounds stretched to the link floor at the barrier. */
+    Count haloBoundRounds = 0;
+    /** Chip-level load imbalance: max(W_c) / mean(W_c). */
+    double chipImbalance = 1.0;
 };
 
 } // namespace awb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
@@ -97,8 +98,106 @@ combineShards(const std::vector<T> &per_chip,
 
 } // namespace
 
+RowPartition
+chipOwners(const AccelConfig &cfg, Index rows,
+           const std::vector<Count> &row_work)
+{
+    if (cfg.chips < 1) fatal("chipOwners: chips must be >= 1");
+    // The registered policy partitions rows over "PEs"; running it on a
+    // config whose array size is the chip count makes chip sharding an
+    // outer application of the same policy.
+    AccelConfig chip_cfg = oneChip(cfg);
+    chip_cfg.numPes = cfg.chips;
+    return makePartitionPolicy(chip_cfg)->build(rows, row_work, chip_cfg);
+}
+
+double
+chipImbalance(const RowPartition &owners, const std::vector<Count> &row_work)
+{
+    const std::vector<Count> w = owners.workload(row_work);
+    const Count total = std::accumulate(w.begin(), w.end(), Count(0));
+    if (total == 0) return 1.0;
+    const Count worst = *std::max_element(w.begin(), w.end());
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(owners.numPes());
+    return static_cast<double>(worst) / mean;
+}
+
+std::vector<Count>
+haloRows(const RowPartition &owners, const CscMatrix &a)
+{
+    const int chips = owners.numPes();
+    std::vector<Count> halo(static_cast<std::size_t>(chips), 0);
+    if (chips <= 1) return halo;
+    // Rectangular operand: the dense operand is a replicated small
+    // matrix (X×W), nothing crosses the link.
+    if (a.rows() != a.cols() || a.rows() != owners.rows()) return halo;
+
+    // Column j of A is dense-operand row j. Every chip with a non-zero
+    // in column j needs row j; those that do not own j fetch it.
+    std::vector<char> needs(static_cast<std::size_t>(chips), 0);
+    for (Index j = 0; j < a.cols(); ++j) {
+        const Count begin = a.colPtr()[static_cast<std::size_t>(j)];
+        const Count end = a.colPtr()[static_cast<std::size_t>(j) + 1];
+        if (begin == end) continue;
+        std::fill(needs.begin(), needs.end(), 0);
+        for (Count p = begin; p < end; ++p) {
+            const Index i = a.rowId()[static_cast<std::size_t>(p)];
+            needs[static_cast<std::size_t>(owners.owner(i))] = 1;
+        }
+        const int owner = owners.owner(j);
+        for (int c = 0; c < chips; ++c)
+            if (needs[static_cast<std::size_t>(c)] && c != owner)
+                ++halo[static_cast<std::size_t>(c)];
+    }
+    return halo;
+}
+
+CscMatrix
+extractRows(const RowPartition &owners, const CscMatrix &a, int chip)
+{
+    if (a.rows() != owners.rows())
+        fatal("extractRows: row-count mismatch");
+    const std::vector<Index> &mine = owners.rowsOf(chip);
+    std::vector<Index> local(static_cast<std::size_t>(a.rows()), 0);
+    for (std::size_t l = 0; l < mine.size(); ++l)
+        local[static_cast<std::size_t>(mine[l])] = static_cast<Index>(l);
+
+    std::vector<Count> col_ptr(static_cast<std::size_t>(a.cols()) + 1, 0);
+    std::vector<Index> row_id;
+    std::vector<Value> val;
+    for (Index j = 0; j < a.cols(); ++j) {
+        const Count begin = a.colPtr()[static_cast<std::size_t>(j)];
+        const Count end = a.colPtr()[static_cast<std::size_t>(j) + 1];
+        for (Count p = begin; p < end; ++p) {
+            const Index i = a.rowId()[static_cast<std::size_t>(p)];
+            if (owners.owner(i) != chip) continue;
+            // Local ids ascend with global ids (rowsOf is ascending), so
+            // sortedness within each column is preserved.
+            row_id.push_back(local[static_cast<std::size_t>(i)]);
+            val.push_back(a.val()[static_cast<std::size_t>(p)]);
+        }
+        col_ptr[static_cast<std::size_t>(j) + 1] =
+            static_cast<Count>(row_id.size());
+    }
+    return CscMatrix::fromParts(static_cast<Index>(mine.size()), a.cols(),
+                                std::move(col_ptr), std::move(row_id),
+                                std::move(val));
+}
+
+std::vector<Count>
+extractWork(const RowPartition &owners, const std::vector<Count> &row_work,
+            int chip)
+{
+    const std::vector<Index> &mine = owners.rowsOf(chip);
+    std::vector<Count> w;
+    w.reserve(mine.size());
+    for (Index r : mine) w.push_back(row_work[static_cast<std::size_t>(r)]);
+    return w;
+}
+
 ShardedOperand
-shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
+shardOperand(const AccelConfig &cfg, const RowPartition *owners,
              const std::vector<Count> &row_work)
 {
     const AccelConfig one = oneChip(cfg);
@@ -109,8 +208,8 @@ shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
         op.maps.push_back(partitioner->build(op.rows, row_work, one));
         return op;
     }
-    for (int c = 0; c < owners->chips(); ++c) {
-        op.work.push_back(owners->extractWork(row_work, c));
+    for (int c = 0; c < owners->numPes(); ++c) {
+        op.work.push_back(extractWork(*owners, row_work, c));
         op.maps.push_back(partitioner->build(
             static_cast<Index>(op.work.back().size()), op.work.back(), one));
     }
@@ -118,13 +217,13 @@ shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
 }
 
 ShardedOperand
-shardOperand(const AccelConfig &cfg, const ChipPartition *owners,
+shardOperand(const AccelConfig &cfg, const RowPartition *owners,
              const CscMatrix &a)
 {
     ShardedOperand op = shardOperand(cfg, owners, a.rowNnz());
     if (owners != nullptr)
-        for (int c = 0; c < owners->chips(); ++c)
-            op.shards.push_back(owners->extractRows(a, c));
+        for (int c = 0; c < owners->numPes(); ++c)
+            op.shards.push_back(extractRows(*owners, a, c));
     return op;
 }
 
@@ -165,13 +264,13 @@ executeSpmmSharded(const AccelConfig &cfg, const CscMatrix &a, Index cols,
 {
     ShardedSpmmResult out;
     out.scaleout.chips = cfg.chips;
-    ChipPartition owners;
+    RowPartition owners;
     std::vector<Count> halo;
     if (cfg.chips > 1) {
         const std::vector<Count> row_work = a.rowNnz();
-        owners = ChipPartition::build(cfg, a.rows(), row_work);
-        out.scaleout.chipImbalance = owners.imbalance(row_work);
-        if (kind == TdqKind::Tdq2OmegaCsc) halo = owners.haloRows(a);
+        owners = chipOwners(cfg, a.rows(), row_work);
+        out.scaleout.chipImbalance = chipImbalance(owners, row_work);
+        if (kind == TdqKind::Tdq2OmegaCsc) halo = haloRows(owners, a);
     }
     ShardedOperand op =
         shardOperand(cfg, cfg.chips > 1 ? &owners : nullptr, a);

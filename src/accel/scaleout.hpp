@@ -2,11 +2,13 @@
  * @file
  * Multi-chip scale-out execution (DESIGN.md §9).
  *
- * Shards one SPMM across `AccelConfig::chips` simulated accelerators: a
- * ChipPartition assigns sparse-operand rows to chips, each chip runs its
- * shard on its own numPes-wide array, and the chips synchronize at the
- * per-column round barrier (the same barrier that separates rounds
- * within one chip, §3.3, applied across chips):
+ * Shards one SPMM across `AccelConfig::chips` simulated accelerators.
+ * Node ownership is a RowPartition whose owners are chips: the
+ * configuration's registered partition policy builds it exactly as it
+ * builds row→PE maps, so "chip" is just an outer level of partitioning.
+ * Each chip runs its shard on its own numPes-wide array, and the chips
+ * synchronize at the per-column round barrier (the same barrier that
+ * separates rounds within one chip, §3.3, applied across chips):
  *
  *     system_round_k = max( max_c chip_round_c[k],  link_floor )
  *
@@ -31,11 +33,48 @@
 
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/row_map.hpp"
 #include "accel/spmm_engine.hpp"
 
 namespace awb {
+
+/**
+ * Node ownership of `rows` sparse-operand rows by `cfg.chips` chips: the
+ * configuration's registered partition policy run with `numPes = chips`.
+ * Every row of chip c is in owners.rowsOf(c) in ascending order (no row
+ * of a chip map ever moves), which shard extraction relies on.
+ *
+ * @param row_work  per-row task count (row-nnz), for load-aware policies
+ */
+RowPartition chipOwners(const AccelConfig &cfg, Index rows,
+                        const std::vector<Count> &row_work);
+
+/** Load imbalance across chips: max(W_c) / mean(W_c) over
+ *  owners.workload(row_work); 1.0 when the total work is zero. */
+double chipImbalance(const RowPartition &owners,
+                     const std::vector<Count> &row_work);
+
+/**
+ * Per-chip halo-row counts for a square sparse operand: the number of
+ * distinct dense-operand rows j referenced by chip c's non-zeros
+ * (A[i][j] != 0 with owners.owner(i) == c) but owned by another chip.
+ * All zeros when `a` is rectangular (replicated dense operand, no halo)
+ * or when there is one chip.
+ */
+std::vector<Count> haloRows(const RowPartition &owners, const CscMatrix &a);
+
+/**
+ * Chip c's shard of the sparse operand: the sub-matrix of the rows it
+ * owns, renumbered 0..|rowsOf(c)|-1 in ascending global order, all
+ * columns kept. Column-sortedness is preserved.
+ */
+CscMatrix extractRows(const RowPartition &owners, const CscMatrix &a,
+                      int chip);
+
+/** Chip c's slice of a per-row vector, in owners.rowsOf(c) order. */
+std::vector<Count> extractWork(const RowPartition &owners,
+                               const std::vector<Count> &row_work, int chip);
 
 /**
  * A sparse operand as the SPMM step runs it, carried across every SPMM
@@ -54,16 +93,16 @@ struct ShardedOperand
 
 /**
  * Build an operand's step state from its per-row work (the model's view).
- * `owners` is the node-ownership partition when cfg.chips > 1, nullptr
- * otherwise (no ChipPartition, no shard copies).
+ * `owners` is the node ownership (chipOwners) when cfg.chips > 1,
+ * nullptr otherwise (no ownership, no shard copies).
  */
 ShardedOperand shardOperand(const AccelConfig &cfg,
-                            const ChipPartition *owners,
+                            const RowPartition *owners,
                             const std::vector<Count> &row_work);
 
 /** The same for the cycle engine, which also runs each chip's rows. */
 ShardedOperand shardOperand(const AccelConfig &cfg,
-                            const ChipPartition *owners,
+                            const RowPartition *owners,
                             const CscMatrix &a);
 
 /**
@@ -75,8 +114,8 @@ ShardedOperand shardOperand(const AccelConfig &cfg,
  * has chips × numPes entries, utilization is over all PEs) and `scale`
  * accumulates the halo.
  *
- * @param halo  per-chip halo rows (ChipPartition::haloRows for a TDQ-2
- *              operand); empty for none, as for TDQ-1 and chips == 1
+ * @param halo  per-chip halo rows (haloRows for a TDQ-2 operand); empty
+ *              for none, as for TDQ-1 and chips == 1
  */
 SpmmStats simulateSpmm(const AccelConfig &cfg, const CscMatrix &a,
                        Index cols, TdqKind kind, ShardedOperand &op,

@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "graph/degree_dist.hpp"
-#include "graph/normalize.hpp"
 
 namespace awb {
 
@@ -78,25 +77,12 @@ CooMatrix
 synthesizeAdjacency(Rng &rng, const GraphGenParams &params)
 {
     auto deg = synthesizeRowDegrees(rng, params);
-    auto m = adjacencyFromDegrees(rng, params.nodes, deg);
-
-    if (params.symmetric) {
-        auto ents = m.entries();  // copy: add() invalidates iteration
-        for (const Triplet &t : ents)
-            if (t.row != t.col) m.add(t.col, t.row, t.val);
-        m.canonicalize();
-        for (Triplet &t : m.entries()) t.val = Value(1);
-    }
-    return m;
+    return adjacencyFromDegrees(rng, params.nodes, deg);
 }
 
 CscMatrix
 synthesizeNormalizedAdjacency(Rng &rng, const GraphGenParams &params)
 {
-    if (params.symmetric)
-        return normalizeAdjacencyCsc(synthesizeAdjacency(rng, params),
-                                     /*add_self_loops=*/true);
-
     const Index n = params.nodes;
     const auto deg = synthesizeRowDegrees(rng, params);
     const auto un = static_cast<std::size_t>(n);

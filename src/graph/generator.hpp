@@ -38,7 +38,6 @@ struct GraphGenParams
     Count dMax = 0;              ///< max row degree; 0 = nodes/8
     double clusterRowFrac = 0.004;  ///< Clustered: fraction of rows in band
     double clusterNnzFrac = 0.5;    ///< Clustered: fraction of nnz in band
-    bool symmetric = false;      ///< mirror edges (undirected graph)
 };
 
 /**
@@ -63,8 +62,8 @@ CooMatrix adjacencyFromDegrees(Rng &rng, Index nodes,
 
 /**
  * synthesizeAdjacency() followed by normalizeAdjacencyCsc() with +I,
- * bit for bit, consuming the same Rng draws. A directed graph is built
- * straight into CSC (DESIGN.md §3); a symmetric one goes through COO.
+ * bit for bit, consuming the same Rng draws, built straight into CSC
+ * (DESIGN.md §3).
  */
 CscMatrix synthesizeNormalizedAdjacency(Rng &rng,
                                         const GraphGenParams &params);

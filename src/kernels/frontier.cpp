@@ -75,18 +75,18 @@ FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
         part_ = partitioner->build(a.rows(), row_work, cfg_);
         return;
     }
-    chipPart_ = ChipPartition::build(cfg_, a.rows(), row_work);
-    stats_.scaleout.chipImbalance = chipPart_.imbalance(row_work);
-    for (int c = 0; c < chipPart_.chips(); ++c) {
+    chipPart_ = chipOwners(cfg_, a.rows(), row_work);
+    stats_.scaleout.chipImbalance = chipImbalance(chipPart_, row_work);
+    for (int c = 0; c < chipPart_.numPes(); ++c) {
         // Skip empty shards (chips may exceed rows): a 0-row partition
         // has nothing to execute or rebalance.
         if (chipPart_.rowsOf(c).empty()) continue;
         shardChip_.push_back(c);
-        shards_.push_back(chipPart_.extractRows(a, c));
+        shards_.push_back(extractRows(chipPart_, a, c));
         shardContexts_.push_back(engine_.spgemmContext(shards_.back()));
         shardParts_.push_back(partitioner->build(
             shards_.back().rows(),
-            chipPart_.extractWork(row_work, c), cfg_));
+            extractWork(chipPart_, row_work, c), cfg_));
     }
 }
 
@@ -138,7 +138,7 @@ FrontierRunner::step(const CscMatrix &x)
         Count halo_c = 0;
         for (Count p = x.colPtr()[0]; p < x.colPtr()[1]; ++p) {
             const Index u = x.rowId()[static_cast<std::size_t>(p)];
-            if (chipPart_.chipOf(u) != c &&
+            if (chipPart_.owner(u) != c &&
                 shards_[s].colNnz(u) > 0)
                 halo_c += per_entry;
         }

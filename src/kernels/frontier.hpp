@@ -8,12 +8,13 @@
  * rebalance policy's adjustments from iteration t reach iteration t+1
  * (and why executeSpgemm observes after its last round).
  *
- * Multi-chip runs shard A's rows with ChipPartition (DESIGN.md §9): each
- * chip owns a persistent shard + partition, the whole frontier is
- * broadcast (all columns are kept in every shard), and frontier entries
- * a chip needs but does not own cross the inter-chip link — a *dynamic*
- * halo, recomputed per iteration from the live frontier, unlike the
- * static boundary-row halo of the SPMM scale-out path.
+ * Multi-chip runs shard A's rows by a row→chip RowPartition (chipOwners,
+ * DESIGN.md §9): each chip owns a persistent shard + partition, the
+ * whole frontier is broadcast (all columns are kept in every shard), and
+ * frontier entries a chip needs but does not own cross the inter-chip
+ * link — a *dynamic* halo, recomputed per iteration from the live
+ * frontier, unlike the static boundary-row halo of the SPMM scale-out
+ * path.
  */
 
 #pragma once
@@ -22,10 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/row_map.hpp"
+#include "accel/scaleout.hpp"
 #include "accel/spmm_engine.hpp"
 #include "model/memory_model.hpp"
 #include "sparse/csc.hpp"
@@ -94,8 +95,9 @@ class FrontierRunner
     CscMatrix a_;
     std::uint64_t aContext_ = 0;
     RowPartition part_;
-    // chips > 1: non-empty shards only (chips may exceed rows)
-    ChipPartition chipPart_;
+    // chips > 1: row→chip ownership; non-empty shards only (chips may
+    // exceed rows)
+    RowPartition chipPart_;
     std::vector<int> shardChip_;
     std::vector<CscMatrix> shards_;
     std::vector<std::uint64_t> shardContexts_;

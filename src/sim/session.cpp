@@ -110,7 +110,7 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
     // rows of the first TDQ-2 node's sparse operand, shards every costed
     // node, so chip c produces exactly the XW rows its A×(XW) rows need
     // locally and the halo is the boundary rows produced elsewhere.
-    const ChipPartition *owners = nullptr;
+    const RowPartition *owners = nullptr;
     if (cfg_.chips > 1) {
         const WorkloadNode *first = nullptr;
         for (std::size_t id : order) {
@@ -126,15 +126,15 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
                   "TDQ-2 node's sparse operand, which must be bound");
         const CscMatrix &a = sparseOf(first->a);
         const std::vector<Count> row_work = a.rowNnz();
-        ChipPartition cut = ChipPartition::build(cfg_, a.rows(), row_work);
+        RowPartition cut = chipOwners(cfg_, a.rows(), row_work);
         // Carried per-chip maps are only valid under the ownership that
         // cut them.
-        if (!(cut == owners_)) {
+        if (cut.owners() != owners_.owners()) {
             operands_.clear();
             owners_ = std::move(cut);
         }
         owners = &owners_;
-        res.scaleout.chipImbalance = owners_.imbalance(row_work);
+        res.scaleout.chipImbalance = chipImbalance(owners_, row_work);
     }
 
     // Only sparse-bound operands (stable across run() calls, e.g. the
@@ -221,7 +221,7 @@ Session::run(const WorkloadGraph &graph, StatsSink *sink)
                       "': inner dimensions differ");
             const std::vector<Count> halo =
                 owners != nullptr && n.tdq == TdqKind::Tdq2OmegaCsc
-                    ? owners->haloRows(a)
+                    ? haloRows(*owners, a)
                     : std::vector<Count>{};
             SpmmStats stats = simulateSpmm(cfg_, a, b.cols(), n.tdq,
                                            operandOf(n.a, a), halo,

@@ -15,6 +15,11 @@
  * pipelineCyclesMulti over the per-round durations. Elementwise and
  * Concat nodes are free (inline datapath units) and break chains.
  *
+ * With cfg.chips > 1 every costed node runs sharded (DESIGN.md §9): one
+ * node ownership, a RowPartition whose owners are chips (chipOwners),
+ * is cut from the first TDQ-2 node's sparse operand and carried while
+ * it stays the same, together with the per-chip row maps it sharded.
+ *
  * Results are reported through the StatsSink interface — no out-params.
  */
 
@@ -23,7 +28,6 @@
 #include <map>
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/config.hpp"
 #include "accel/row_map.hpp"
 #include "accel/scaleout.hpp"
@@ -143,8 +147,8 @@ class Session
     /** Row maps (per chip when sharded) of the sparse-bound operands,
      *  built on first touch by cfg_'s balance policy. */
     std::map<TensorId, ShardedOperand> operands_;
-    /** The node ownership operands_ were sharded by (chips > 1). */
-    ChipPartition owners_;
+    /** The row→chip ownership operands_ were sharded by (chips > 1). */
+    RowPartition owners_;
 };
 
 } // namespace awb::sim

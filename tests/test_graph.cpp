@@ -106,20 +106,6 @@ TEST(Generator, ClusteredConcentratesBand)
               0.35);
 }
 
-TEST(Generator, SymmetricMirrorsEdges)
-{
-    Rng rng(7);
-    GraphGenParams p;
-    p.nodes = 60;
-    p.edges = 300;
-    p.symmetric = true;
-    auto m = synthesizeAdjacency(rng, p);
-    auto d = cooToDense(m);
-    for (Index i = 0; i < p.nodes; ++i)
-        for (Index j = 0; j < p.nodes; ++j)
-            EXPECT_FLOAT_EQ(d.at(i, j), d.at(j, i));
-}
-
 TEST(Normalize, RowColScaling)
 {
     // Hand example: path graph 0-1-2. With self loops, D = diag(2,3,2).
@@ -141,8 +127,13 @@ TEST(Normalize, SymmetricInputGivesSymmetricOutput)
     GraphGenParams p;
     p.nodes = 50;
     p.edges = 200;
-    p.symmetric = true;
-    auto a = synthesizeAdjacency(rng, p);
+    // Mirror a directed graph into an undirected one (binary values).
+    CooMatrix a = synthesizeAdjacency(rng, p);
+    const std::vector<Triplet> directed = a.entries();
+    for (const Triplet &t : directed)
+        if (t.row != t.col) a.add(t.col, t.row, t.val);
+    a.canonicalize();
+    for (Triplet &t : a.entries()) t.val = Value(1);
     auto norm = cooToDense(normalizeAdjacency(a));
     for (Index i = 0; i < 50; ++i)
         for (Index j = 0; j < 50; ++j)
@@ -434,22 +425,18 @@ TEST(SynthesisEquivalence, NormalizedBuildMatchesCooOnEveryStyle)
 {
     for (GraphStyle style : {GraphStyle::Uniform, GraphStyle::PowerLaw,
                              GraphStyle::Clustered}) {
-        for (bool symmetric : {false, true}) {
-            GraphGenParams p;
-            p.nodes = 700;
-            p.edges = 9000;
-            p.style = style;
-            p.symmetric = symmetric;
-            Rng a(31, 5), b(31, 5);
-            const std::string what =
-                "style " + std::to_string(static_cast<int>(style)) +
-                (symmetric ? " symmetric" : " directed");
-            expectSameCsc(synthesizeNormalizedAdjacency(a, p),
-                          normalizeAdjacencyCsc(synthesizeAdjacency(b, p)),
-                          what);
-            // Both consumed the same draws.
-            EXPECT_EQ(a.nextU32(), b.nextU32()) << what;
-        }
+        GraphGenParams p;
+        p.nodes = 700;
+        p.edges = 9000;
+        p.style = style;
+        Rng a(31, 5), b(31, 5);
+        const std::string what =
+            "style " + std::to_string(static_cast<int>(style));
+        expectSameCsc(synthesizeNormalizedAdjacency(a, p),
+                      normalizeAdjacencyCsc(synthesizeAdjacency(b, p)),
+                      what);
+        // Both consumed the same draws.
+        EXPECT_EQ(a.nextU32(), b.nextU32()) << what;
     }
 }
 

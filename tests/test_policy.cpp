@@ -5,9 +5,10 @@
  * equivalence lock (the six paper design points run through the policy
  * registry must reproduce the enum-era numbers bit for bit — cycles,
  * rowsSwitched, convergedRound — on Cora and Citeseer at 512 PEs),
- * round-by-round RemoteSwitcher-vs-policy-wrapper trace equality, the
- * three non-paper policies end-to-end through the sweep engine in Model
- * and Cycle modes, and the AccelConfig::validate combination checks.
+ * round-by-round trace equality of the registry's remote-switching
+ * policy object and a directly built RemoteSwitcher, the three non-paper
+ * policies end-to-end through the sweep engine in Model and Cycle modes,
+ * and the AccelConfig::validate combination checks.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +167,8 @@ observe(const RowPartition &part, const std::vector<Count> &row_work)
 
 } // namespace
 
+// makeRebalancePolicy resolves remote-c to a RemoteSwitcher of its own;
+// driven in lockstep with one built directly, it must trace it exactly.
 TEST(PolicyWrapper, MatchesRemoteSwitcherRoundByRound)
 {
     AccelConfig cfg = makePolicyConfig("remote-c", 8);

@@ -17,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "accel/chip_partition.hpp"
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/policy.hpp"
@@ -157,12 +156,12 @@ referenceGcnSharded(const AccelConfig &cfg, const Dataset &ds,
     const CscMatrix &a = ds.adjacency;
     const Index n = a.rows();
     const std::vector<Count> a_work = a.rowNnz();
-    ChipPartition cp = ChipPartition::build(cfg, n, a_work);
-    const std::vector<Count> halo = cp.haloRows(a);
+    RowPartition cp = chipOwners(cfg, n, a_work);
+    const std::vector<Count> halo = haloRows(cp, a);
     const std::vector<Count> no_halo(static_cast<std::size_t>(cfg.chips),
                                      0);
     const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
-    out.scaleout.chipImbalance = cp.imbalance(a_work);
+    out.scaleout.chipImbalance = chipImbalance(cp, a_work);
     std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
 
     std::vector<SpmmEngine> engines;
@@ -170,7 +169,7 @@ referenceGcnSharded(const AccelConfig &cfg, const Dataset &ds,
     std::vector<RowPartition> a_part;
     for (int c = 0; c < cfg.chips; ++c) {
         engines.emplace_back(sub);
-        a_shard.push_back(cp.extractRows(a, c));
+        a_shard.push_back(extractRows(cp, a, c));
         a_part.push_back(partitioner->build(
             a_shard.back().rows(), a_shard.back().rowNnz(), sub));
     }
@@ -188,8 +187,8 @@ referenceGcnSharded(const AccelConfig &cfg, const Dataset &ds,
             const std::vector<Count> h_work = h.rowNnz();
             std::vector<SpmmStats> per_chip;
             for (int c = 0; c < cfg.chips; ++c) {
-                CscMatrix shard = cp.extractRows(h, c);
-                std::vector<Count> work = cp.extractWork(h_work, c);
+                CscMatrix shard = extractRows(cp, h, c);
+                std::vector<Count> work = extractWork(cp, h_work, c);
                 RowPartition part =
                     partitioner->build(shard.rows(), work, sub);
                 per_chip.push_back(
@@ -276,12 +275,12 @@ referenceModelGcnSharded(const AccelConfig &cfg,
 
     AccelConfig sub = cfg;
     sub.chips = 1;
-    ChipPartition cp = ChipPartition::build(cfg, n, profile.aRowNnz);
-    const std::vector<Count> halo = cp.haloRows(structure);
+    RowPartition cp = chipOwners(cfg, n, profile.aRowNnz);
+    const std::vector<Count> halo = haloRows(cp, structure);
     const std::vector<Count> no_halo(static_cast<std::size_t>(cfg.chips),
                                      0);
     const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
-    out.scaleout.chipImbalance = cp.imbalance(profile.aRowNnz);
+    out.scaleout.chipImbalance = chipImbalance(cp, profile.aRowNnz);
 
     const PerfModel pm(sub);
     std::unique_ptr<PartitionPolicy> partitioner = makePartitionPolicy(sub);
@@ -289,7 +288,7 @@ referenceModelGcnSharded(const AccelConfig &cfg,
     std::vector<std::vector<Count>> a_work;
     std::vector<RowPartition> a_part;
     for (int c = 0; c < cfg.chips; ++c) {
-        a_work.push_back(cp.extractWork(profile.aRowNnz, c));
+        a_work.push_back(extractWork(cp, profile.aRowNnz, c));
         a_part.push_back(partitioner->build(
             static_cast<Index>(a_work.back().size()), a_work.back(), sub));
     }
@@ -315,7 +314,7 @@ referenceModelGcnSharded(const AccelConfig &cfg,
         PerfGcnResult::Layer layer;
         std::vector<PerfSpmmResult> xws, axs;
         for (int c = 0; c < cfg.chips; ++c) {
-            std::vector<Count> x_work = cp.extractWork(*li.xRow, c);
+            std::vector<Count> x_work = extractWork(cp, *li.xRow, c);
             RowPartition part_x = partitioner->build(
                 static_cast<Index>(x_work.size()), x_work, sub);
             xws.push_back(
@@ -684,16 +683,16 @@ TEST(ChipPartitionHalo, ClosedFormOnHandBuiltAdjacency)
     AccelConfig cfg = makePolicyConfig("baseline", 4, 1);
     cfg.chips = 2;
 
-    ChipPartition cp = ChipPartition::build(cfg, a.rows(), a.rowNnz());
-    ASSERT_EQ(cp.chips(), 2);
+    RowPartition cp = chipOwners(cfg, a.rows(), a.rowNnz());
+    ASSERT_EQ(cp.numPes(), 2);
     // Baseline = blocked split: rows {0,1} / {2,3}.
-    EXPECT_EQ(cp.chipOf(0), 0);
-    EXPECT_EQ(cp.chipOf(1), 0);
-    EXPECT_EQ(cp.chipOf(2), 1);
-    EXPECT_EQ(cp.chipOf(3), 1);
+    EXPECT_EQ(cp.owner(0), 0);
+    EXPECT_EQ(cp.owner(1), 0);
+    EXPECT_EQ(cp.owner(2), 1);
+    EXPECT_EQ(cp.owner(3), 1);
 
     // Counted by hand (see handAdjacency's comment).
-    std::vector<Count> halo = cp.haloRows(a);
+    std::vector<Count> halo = haloRows(cp, a);
     ASSERT_EQ(halo.size(), 2u);
     EXPECT_EQ(halo[0], 1);
     EXPECT_EQ(halo[1], 2);
@@ -732,8 +731,8 @@ TEST(ChipPartitionHalo, RectangularOperandHasNoHalo)
 
     AccelConfig cfg = makePolicyConfig("baseline", 4, 1);
     cfg.chips = 2;
-    ChipPartition cp = ChipPartition::build(cfg, x.rows(), x.rowNnz());
-    for (Count h : cp.haloRows(x)) EXPECT_EQ(h, 0);
+    RowPartition cp = chipOwners(cfg, x.rows(), x.rowNnz());
+    for (Count h : haloRows(cp, x)) EXPECT_EQ(h, 0);
 }
 
 TEST(ChipPartitionHalo, SingleChipHasNoHalo)
@@ -741,8 +740,8 @@ TEST(ChipPartitionHalo, SingleChipHasNoHalo)
     CscMatrix a = handAdjacency();
     AccelConfig cfg = makePolicyConfig("remote-d", 4, 1);
     cfg.chips = 1;
-    ChipPartition cp = ChipPartition::build(cfg, a.rows(), a.rowNnz());
-    for (Count h : cp.haloRows(a)) EXPECT_EQ(h, 0);
+    RowPartition cp = chipOwners(cfg, a.rows(), a.rowNnz());
+    for (Count h : haloRows(cp, a)) EXPECT_EQ(h, 0);
 }
 
 // ------------------------------------------------------- sharded exact
