@@ -80,15 +80,13 @@ BM_OmegaThroughput(benchmark::State &state)
     Count hops = 0;
     for (auto _ : state) {
         OmegaNetwork net(ports, 8, cfg.networkSpeedup);
-        auto sink = [](const Task &, int) { return true; };
+        auto sink = [](int, int) { return true; };
         for (int cycle = 0; cycle < 256; ++cycle) {
-            net.tick(cycle, sink);
-            for (int s = 0; s < ports; ++s) {
-                int d = rng.nextIndex(ports);
-                net.inject(Task{static_cast<Index>(d), d}, s);
-            }
+            net.tick(sink);
+            for (int s = 0; s < ports; ++s)
+                net.inject(static_cast<int>(rng.nextIndex(ports)), s);
         }
-        for (int cycle = 256; !net.empty(); ++cycle) net.tick(cycle, sink);
+        while (!net.empty()) net.tick(sink);
         hops += net.flitsDelivered() * net.stages();
     }
     state.SetItemsProcessed(hops);

@@ -5,10 +5,10 @@
  * Before a task is pushed into a PE's queues, its pending-task counter is
  * compared against the PEs within `hops` positions; the task goes to the
  * least-loaded of them. A diverted task still accumulates into the home
- * PE's ACC bank (the Task carries homePe), mirroring the return path of
- * Fig. 11-(B). In TDQ-2 this decision happens at the final network layer,
- * whose boundary links make out-of-group neighbours reachable
- * (Fig. 11-(D)); choosing among [home-hops, home+hops] models exactly
+ * PE's ACC bank (a task is the id of its home PE), mirroring the return
+ * path of Fig. 11-(B). In TDQ-2 this decision happens at the final
+ * network layer, whose boundary links make out-of-group neighbours
+ * reachable (Fig. 11-(D)); choosing among [home-hops, home+hops] models exactly
  * that reachable set. Queues are unbounded, so only a PE's receive
  * ports can turn a task away. The choice reads the PE array's flat
  * pending counts and the per-cycle receive-port counts over that window

@@ -36,11 +36,11 @@ OmegaNetwork::OmegaNetwork(int ports, int buffer_depth, int speedup)
 }
 
 bool
-OmegaNetwork::inject(const Task &task, int src)
+OmegaNetwork::inject(int dest, int src)
 {
     const auto b = static_cast<std::size_t>(shuffle(src, stages_, ports_));
     if (size_[b] >= bufferDepth_) return false;
-    slots_[(b << slotShift_) + ((head_[b] + size_[b]) & slotMask_)] = task;
+    slots_[(b << slotShift_) + ((head_[b] + size_[b]) & slotMask_)] = dest;
     ++stageCount_[0];
     roundPeak_ = std::max<std::size_t>(roundPeak_, ++size_[b]);
     return true;

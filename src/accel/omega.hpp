@@ -8,8 +8,9 @@
  * a local buffer in case the buffer of the next stage is saturated").
  * Chosen over a crossbar for area: P/2·log2(P) routers vs P^2 crosspoints.
  *
- * The fabric's buffers are one flat `Task` slot array: every router
- * input port (stage s, port p) owns a power-of-two ring of
+ * A flit is the id of its destination PE: routing reads nothing else
+ * (DESIGN.md §6). The fabric's buffers are one flat `int` slot array:
+ * every router input port (stage s, port p) owns a power-of-two ring of
  * 2^ceil(log2 depth) slots at a fixed offset, with its head and size in
  * two flat arrays; capacity is still `depth`. tick() is a template over
  * the sink so the per-flit delivery call inlines into the engine's round
@@ -25,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "accel/task.hpp"
+#include "common/types.hpp"
 
 namespace awb {
 
@@ -45,22 +46,21 @@ class OmegaNetwork
     OmegaNetwork(int ports, int buffer_depth, int speedup = 2);
 
     /**
-     * Offer a task at input port `src`; it is routed to output port
-     * `task.homePe`. Returns false when the stage-0 buffer on that path
-     * is full (caller retries next cycle).
+     * Offer a flit bound for output port `dest` at input port `src`.
+     * Returns false when the stage-0 buffer on that path is full (caller
+     * retries next cycle).
      */
-    bool inject(const Task &task, int src);
+    bool inject(int dest, int src);
 
     /**
      * One clock: stages advance in back-to-front order, each router moving
      * at most `speedup` flits per output. Flits leaving the final stage
-     * are handed to `sink(const Task &, int out_port) -> bool`, where
-     * `out_port` always equals the task's `homePe`; if the sink rejects
-     * (the PE's receive ports are taken this cycle), the flit stays
-     * buffered.
+     * are handed to `sink(int dest, int out_port) -> bool`, where
+     * `out_port` always equals `dest`; if the sink rejects (the PE's
+     * receive ports are taken this cycle), the flit stays buffered.
      */
     template <typename Sink>
-    void tick(Cycle now, Sink &&sink);
+    void tick(Sink &&sink);
 
     /** No flits anywhere in the fabric. */
     bool empty() const;
@@ -114,7 +114,7 @@ class OmegaNetwork
     std::uint32_t slotMask_;
     /** Buffer b = s * ports_ + p (stage s, input port p) owns slots
      *  [b << slotShift_, (b + 1) << slotShift_). */
-    std::vector<Task> slots_;
+    std::vector<int> slots_;
     std::vector<std::uint32_t> head_;
     std::vector<std::uint32_t> size_;
     /**
@@ -135,12 +135,12 @@ class OmegaNetwork
 
 template <typename Sink>
 void
-OmegaNetwork::tick(Cycle, Sink &&sink)
+OmegaNetwork::tick(Sink &&sink)
 {
     // Every member the loop reads is copied to a local first: a store
     // through `slots` may alias any int member, which would otherwise be
     // reloaded after every move.
-    Task *const slots = slots_.data();
+    int *const slots = slots_.data();
     std::uint32_t *const head = head_.data();
     std::uint32_t *const size = size_.data();
     Count *const stage_count = stageCount_.data();
@@ -182,8 +182,8 @@ OmegaNetwork::tick(Cycle, Sink &&sink)
                     const std::size_t in =
                         b0 + static_cast<std::size_t>((rr + i) & 1);
                     if (size[in] == 0) continue;
-                    const Task &front = slots[(in << shift) + head[in]];
-                    const int bit = (front.homePe >> dest_bit) & 1;
+                    const int front = slots[(in << shift) + head[in]];
+                    const int bit = (front >> dest_bit) & 1;
                     if (out_used[bit] >= speedup) {
                         ++blocked;
                         continue;

@@ -129,12 +129,12 @@ struct RoundCore
      *  sites, the Omega sink among them, and TDQ-2 stepping then ran
      *  about 20% slower (perfbench event-step, 4-vCPU Xeon). */
     [[gnu::noinline]] bool
-    deliver(const Task &t)
+    deliver(int home_pe)
     {
-        const auto h = static_cast<std::size_t>(t.homePe);
+        const auto h = static_cast<std::size_t>(home_pe);
         const int target = sharer.hops() > 0
-            ? sharer.choose(t.homePe, pes, accepted.data(), kReceivePorts)
-            : (accepted[h] < kReceivePorts ? t.homePe : -1);
+            ? sharer.choose(home_pe, pes, accepted.data(), kReceivePorts)
+            : (accepted[h] < kReceivePorts ? home_pe : -1);
         if (target < 0) return false;
         const auto p = static_cast<std::size_t>(target);
         pes.enqueue(p);
@@ -215,7 +215,8 @@ RoundCore::step(const std::vector<Index> &row,
         net->setArbitration(static_cast<int>(now & 1));
     }
     const Cycle start = now;
-    auto task = [&](std::size_t f) { return Task{row[f], part.owner(row[f])}; };
+    // A task is its home PE: nothing downstream reads its row.
+    auto homeOf = [&](std::size_t f) { return part.owner(row[f]); };
     std::size_t next = 0;  // next task to dispatch (TDQ-1, direct)
     Count scanned = 0;     // TDQ-1 dense-scan pointer
     // TDQ-2: the CSC array is banked P ways; each bank feeds one network
@@ -252,10 +253,10 @@ RoundCore::step(const std::vector<Index> &row,
 
         // 2. The network advances and delivers into queues.
         if (useNet) {
-            net->tick(now, [&](const Task &t, int out_port) {
-                if (out_port != t.homePe)
+            net->tick([&](int dest, int out_port) {
+                if (out_port != dest)
                     panic("Omega routing invariant violated");
-                return deliver(t);
+                return deliver(dest);
             });
         }
 
@@ -263,7 +264,7 @@ RoundCore::step(const std::vector<Index> &row,
         if (scan_pos != nullptr) {
             scanned += scan_width;
             while (next < n && (*scan_pos)[next] < scanned) {
-                if (!deliver(task(next))) {
+                if (!deliver(homeOf(next))) {
                     // Backpressure: the scan stalls at this element.
                     scanned = (*scan_pos)[next];
                     break;
@@ -274,9 +275,9 @@ RoundCore::step(const std::vector<Index> &row,
             // Every lane offers its next task once a cycle.
             for (std::size_t p = 0; p < P; ++p)
                 if (lane[p] < n &&
-                    net->inject(task(lane[p]), static_cast<int>(p)))
+                    net->inject(homeOf(lane[p]), static_cast<int>(p)))
                     lane[p] += P;
-        } else if (next < n && deliver(task(next))) {
+        } else if (next < n && deliver(homeOf(next))) {
             // Single-PE TDQ-2: one task a cycle, delivered directly.
             ++next;
         }

@@ -90,18 +90,6 @@ FrontierRunner::FrontierRunner(const AccelConfig &cfg, const CscMatrix &a)
     }
 }
 
-void
-FrontierRunner::setOperand(const CscMatrix &a)
-{
-    if (cfg_.chips > 1)
-        fatal("FrontierRunner::setOperand: unsupported on sharded runs "
-              "— churn invalidates static shard boundaries");
-    if (a.rows() != rows_ || a.cols() != a_.cols())
-        fatal("FrontierRunner::setOperand: operand shape must match");
-    a_ = a;
-    aContext_ = engine_.spgemmContext(a_);
-}
-
 CscMatrix
 FrontierRunner::step(const CscMatrix &x)
 {

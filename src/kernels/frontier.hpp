@@ -75,14 +75,6 @@ class FrontierRunner
      *  the iteration into stats(). */
     CscMatrix step(const CscMatrix &x);
 
-    /** Replace the sparse operand between iterations (a churned
-     *  adjacency, DESIGN.md §12) while *keeping* the carried partition
-     *  — the streaming scenario where the policy's tuning must survive
-     *  graph mutation. Single-chip only (shard boundaries are static),
-     *  and the new operand must keep the old one's shape; fatal()
-     *  otherwise. */
-    void setOperand(const CscMatrix &a);
-
     const FrontierRunStats &stats() const { return stats_; }
 
   private:

@@ -4,7 +4,7 @@
  * row partition, PE array (issue and drain timing, idle ticks, occupancy
  * counters), the queue models (arbitration, exit cursors and peaks, one
  * copy per PE and one per entry cursor), both against a reference PE
- * with a std::deque<Task> per queue, local sharing policy, and the
+ * with a std::deque of result rows per queue, local sharing policy, and the
  * remote-switching controller (Eq. 5 dynamics and convergence).
  */
 
@@ -21,7 +21,6 @@
 #include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/row_map.hpp"
-#include "accel/task.hpp"
 #include "common/rng.hpp"
 
 using namespace awb;
@@ -118,8 +117,8 @@ TEST(RowPartitionDeath, NonPositiveSizesAreRefused)
 namespace {
 
 /**
- * The PE as it was modelled with a task object per queue entry and a RaW
- * scoreboard, at the single-cycle MAC: the reference the count-only
+ * The PE as it was modelled with a task's result row per queue entry
+ * and a RaW scoreboard, at the single-cycle MAC: the reference the count-only
  * PeArray and the CursorModels queue copies must match together. An op
  * issued at t retires at t + 1, so the scoreboard must never stall.
  */
@@ -141,12 +140,12 @@ class RefPe
         return true;
     }
     std::size_t
-    enqueue(const Task &task)
+    enqueue(Index row)
     {
-        std::deque<Task> *best = nullptr;
+        std::deque<Index> *best = nullptr;
         for (auto &q : queues_)
             if (best == nullptr || q.size() < best->size()) best = &q;
-        best->push_back(task);
+        best->push_back(row);
         ++pending_;
         roundPeak_ = std::max(roundPeak_, best->size());
         return best->size();
@@ -164,13 +163,13 @@ class RefPe
         const std::size_t nq = queues_.size();
         std::size_t qi = cursor_;
         for (std::size_t i = 0; i < nq; ++i, qi = (qi + 1) % nq) {
-            std::deque<Task> &q = queues_[qi];
-            if (q.empty() || rowInFlight(q.front().row)) continue;
-            const Task t = q.front();
+            std::deque<Index> &q = queues_[qi];
+            if (q.empty() || rowInFlight(q.front())) continue;
+            const Index row = q.front();
             q.pop_front();
             --pending_;
             cursor_ = (qi + 1) % nq;
-            inflight_.push_back({t.row, now + 1});
+            inflight_.push_back({row, now + 1});
             lastBusy_ = now;
             ++tasks_;
             return true;
@@ -200,7 +199,7 @@ class RefPe
         Index row;
         Cycle done;
     };
-    std::vector<std::deque<Task>> queues_;
+    std::vector<std::deque<Index>> queues_;
     std::vector<InFlight> inflight_;
     std::size_t pending_ = 0;
     std::size_t cursor_ = 0;
@@ -311,7 +310,7 @@ TEST(PeArray, CountOnlyMatchesFifoReference)
                 const Index arrivals =
                     now >= 600 ? 0 : rng.nextIndex(burst ? 4 : 2);
                 for (Index i = 0; i < arrivals; ++i) {
-                    ref[p].enqueue({rng.nextIndex(8), 0});
+                    ref[p].enqueue(rng.nextIndex(8));
                     pes.enqueue(p);
                     models.enqueue(p);
                     ++enqueued[p];
@@ -382,7 +381,7 @@ TEST(CursorModels, MatchOnePePerEntryCursor)
             const double accept = op < 150 ? 0.7 : 0.35;
             if (rng.nextBool(accept)) {
                 for (std::size_t c = 0; c < Q; ++c) {
-                    ref[c].enqueue({op, 0});
+                    ref[c].enqueue(op);
                     all.enqueue(c);
                     one.enqueue(c);
                 }

@@ -7,9 +7,7 @@
  * from-scratch CsrMatrix::fromCoo build after every batch, through
  * relocations, compactions, whole-row deletions and rejected events),
  * the dynamic runner's determinism and fidelity-independent churn
- * trajectory, the convergence half-life's churn-rate monotonicity, and
- * FrontierRunner::setOperand carrying a tuned partition across graph
- * mutation.
+ * trajectory, and the convergence half-life's churn-rate monotonicity.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +21,6 @@
 #include "dynamic/delta_csr.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "graph/datasets.hpp"
-#include "kernels/frontier.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
 
@@ -465,48 +462,4 @@ TEST(DynamicRunner, HalfLifeShrinksWithChurnRate)
     const Count heavy = halfLife(2048);
     EXPECT_LE(heavy, light);
     EXPECT_LE(heavy, opts.epochs);  // heavy churn must actually trigger
-}
-
-// ------------------------------------------- FrontierRunner::setOperand
-
-TEST(FrontierRunner, SetOperandCarriesThePartitionAcrossChurn)
-{
-    const CscMatrix a = smallAdjacency();
-    const AccelConfig cfg = makePolicyConfig("work-steal", 8);
-    kernels::FrontierRunner runner(cfg, a);
-
-    const CscMatrix x0 = kernels::frontierVector(
-        a.cols(), {{0, Value(1)}, {3, Value(1)}});
-    runner.step(x0);
-    const Count moved_before = runner.stats().rowsSwitched;
-
-    // Churn the adjacency, swap it in, and keep stepping: the carried
-    // partition (with whatever tuning the policy did) survives.
-    ChurnParams params;
-    params.seed = 13;
-    EdgeChurnStream stream(a, params);
-    DeltaCsr delta(a);
-    delta.apply(stream.nextBatch(200));
-    runner.setOperand(delta.toCsc());
-    runner.step(x0);
-
-    EXPECT_EQ(runner.stats().iterations.size(), 2U);
-    EXPECT_GE(runner.stats().rowsSwitched, moved_before);
-}
-
-TEST(FrontierRunnerDeath, SetOperandRejectsShapeChangesAndShards)
-{
-    const CscMatrix a = smallAdjacency();
-    const AccelConfig cfg = makePolicyConfig("baseline", 8);
-    kernels::FrontierRunner runner(cfg, a);
-    CooMatrix wrong(a.rows() + 1, a.cols() + 1);
-    wrong.add(0, 0, Value(1));
-    EXPECT_EXIT(runner.setOperand(CscMatrix::fromCoo(wrong)),
-                ::testing::ExitedWithCode(1), "shape");
-
-    AccelConfig sharded = makePolicyConfig("baseline", 8);
-    sharded.chips = 2;
-    kernels::FrontierRunner multi(sharded, a);
-    EXPECT_EXIT(multi.setOperand(a), ::testing::ExitedWithCode(1),
-                "shard");
 }

@@ -21,6 +21,12 @@
  *
  * The chips-2 grid holds 40 error rows (graphsage, gin, khop and churn
  * run unsharded only), so that sweep exits 1.
+ *
+ * tests/golden/run_all.json is the `awbsim run all --json -` document,
+ * rerun with the caches on only (CI already checks that the scenarios'
+ * JSON does not depend on them). It re-records with
+ *
+ *     ./build/awbsim run all --json - > tests/golden/run_all.json
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +41,32 @@
 
 namespace awb {
 namespace {
+
+/** The tracked document tests/golden/<name>.json. */
+std::string
+readGolden(const std::string &name)
+{
+    const std::string path =
+        std::string(AWB_SOURCE_DIR) + "/tests/golden/" + name + ".json";
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
+/** Run driverMain on `args` (without argv[0]); returns its exit code
+ *  and sets `doc` to what it wrote to stdout. */
+int
+rerun(std::vector<std::string> args, std::string &doc)
+{
+    args.insert(args.begin(), "awbsim");
+    std::vector<char *> argv;
+    for (auto &a : args) argv.push_back(a.data());
+    ::testing::internal::CaptureStdout();
+    const int rc = driver::driverMain(static_cast<int>(argv.size()),
+                                      argv.data());
+    doc = ::testing::internal::GetCapturedStdout();
+    return rc;
+}
 
 /** The corpus grid, minus the engine and chips axes. */
 std::vector<std::string>
@@ -59,31 +91,23 @@ class GoldenSweep : public ::testing::TestWithParam<GoldenCase>
 TEST_P(GoldenSweep, MatchesTheTrackedDocument)
 {
     const auto &[engine, chips, cached] = GetParam();
-    const std::string path = std::string(AWB_SOURCE_DIR) +
-                             "/tests/golden/sweep_" + engine + "_chips" +
-                             std::to_string(chips) + ".json";
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    const std::string golden((std::istreambuf_iterator<char>(in)), {});
+    const std::string name =
+        "sweep_" + engine + "_chips" + std::to_string(chips);
+    const std::string golden = readGolden(name);
 
     std::vector<std::string> args = goldenArgs();
-    args.insert(args.begin(), "awbsim");
     args.insert(args.end(), {"--engine", engine, "--chips",
                              std::to_string(chips), "--json", "-"});
     if (!cached) args.push_back("--no-cache");
-    std::vector<char *> argv;
-    for (auto &a : args) argv.push_back(a.data());
-    ::testing::internal::CaptureStdout();
-    const int rc = driver::driverMain(static_cast<int>(argv.size()),
-                                      argv.data());
-    const std::string doc = ::testing::internal::GetCapturedStdout();
+    std::string doc;
+    const int rc = rerun(args, doc);
 
     // Exit 1 exactly when the grid holds error rows (chips 2).
     EXPECT_EQ(rc, chips > 1 ? 1 : 0);
     // One EXPECT on the whole document keeps a failure's report short;
     // cmp the file against `--json -` output to locate the difference.
     EXPECT_TRUE(doc == golden)
-        << path << " differs from the rerun (" << doc.size() << " vs "
+        << name << " differs from the rerun (" << doc.size() << " vs "
         << golden.size() << " bytes)";
 }
 
@@ -107,6 +131,16 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"batched", 1, false},
                       GoldenCase{"batched", 2, false}),
     caseName);
+
+TEST(GoldenRunAll, MatchesTheTrackedDocument)
+{
+    const std::string golden = readGolden("run_all");
+    std::string doc;
+    EXPECT_EQ(rerun({"run", "all", "--json", "-"}, doc), 0);
+    EXPECT_TRUE(doc == golden) << "run_all differs from the rerun ("
+                               << doc.size() << " vs " << golden.size()
+                               << " bytes)";
+}
 
 } // namespace
 } // namespace awb

@@ -613,32 +613,6 @@ TEST(FrontierReplay, RunsMatchWithTheRoundCacheOffColdAndWarm)
     }
 }
 
-// setOperand must re-hash: the new operand's rounds may not replay the
-// old operand's entries, though their frontier, map and entry key match.
-TEST(FrontierReplay, SetOperandRehashesTheOperand)
-{
-    RoundCacheGuard guard;
-    const DatasetSpec &spec = findDataset("cora");
-    const CscMatrix a = loadSyntheticAdjacency(spec, /*seed=*/1, 0.3);
-    const CscMatrix b = loadSyntheticAdjacency(spec, /*seed=*/2, 0.3);
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    const AccelConfig cfg = makePolicyConfig("baseline", 32, 1);
-    std::vector<std::pair<Index, Value>> all;
-    for (Index v = 0; v < a.cols(); ++v) all.emplace_back(v, Value(1));
-    const CscMatrix x = kernels::frontierVector(a.cols(), all);
-    auto run = [&] {
-        kernels::FrontierRunner runner(cfg, a);
-        for (int i = 0; i < 3; ++i) runner.step(x);
-        runner.setOperand(b);
-        runner.step(x);
-        return runner.stats();
-    };
-    const kernels::FrontierRunStats off = run();
-    RoundStateCache::instance().setEnabled(true);
-    expectSameRunStats(run(), off, "cache on");
-}
-
 // PageRank's entries live under its own stream digest: a BFS over the
 // same operand (frontiers of other structure, but the same entry key on
 // a static map) and a TDQ-2 SPMM over it must replay none of them.
